@@ -18,11 +18,12 @@ from .circuits import (
     GATE_Z,
     GateOp,
     MixedStateCircuit,
-    evaluate,
+    evaluate,  # noqa: F401  kept bound here for perfbench/test_perfbench.py's tracer test
     expand_template,
     identity_circuit,
     parse_circuit,
     serialize_circuit,
+    stinespring,
 )
 from .errors import (
     BudgetExceededError,
@@ -86,19 +87,20 @@ class QuantumChannel:
         out = apply_choi(self.choi, self.dim_in, self.dim_out, mat)
         return DensityOperator(out)
 
-    def apply_with_reference(self, rho, d_ref: int) -> np.ndarray:
-        mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
-        return apply_choi_to_segment(self.choi, self.dim_in, self.dim_out, mat, 1, d_ref)
-
 
 # ---------------------------------------------------------------------------
 # Choi application helpers (work on raw Choi arrays so differences are allowed)
 # ---------------------------------------------------------------------------
 
 
-def apply_choi(choi: np.ndarray, d_in: int, d_out: int, rho: np.ndarray) -> np.ndarray:
+def _superop(choi: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    """Reshuffle a Choi matrix into S with ``vec(Phi(rho)) = S vec(rho)``, vec row-major."""
     c4 = choi.reshape(d_out, d_in, d_out, d_in)
-    return np.einsum("aibj,ij->ab", c4, rho)
+    return c4.transpose(0, 2, 1, 3).reshape(d_out * d_out, d_in * d_in)
+
+
+def apply_choi(choi: np.ndarray, d_in: int, d_out: int, rho: np.ndarray) -> np.ndarray:
+    return (_superop(choi, d_in, d_out) @ rho.reshape(-1)).reshape(d_out, d_out)
 
 
 def apply_choi_to_segment(
@@ -110,11 +112,11 @@ def apply_choi_to_segment(
     d_below: int = 1,
 ) -> np.ndarray:
     """Apply a map to the middle factor of a state on above (x) in (x) below."""
-    c4 = choi.reshape(d_out, d_in, d_out, d_in)
-    r6 = rho.reshape(d_above, d_in, d_below, d_above, d_in, d_below)
-    out = np.einsum("aibj,uivwjx->uavwbx", c4, r6)
+    r = rho.reshape(d_above, d_in, d_below, d_above, d_in, d_below)
+    out = _superop(choi, d_in, d_out) @ r.transpose(1, 4, 0, 2, 3, 5).reshape(d_in * d_in, -1)
+    out = out.reshape(d_out, d_out, d_above, d_below, d_above, d_below)
     d = d_above * d_out * d_below
-    return out.reshape(d, d)
+    return out.transpose(2, 0, 3, 4, 1, 5).reshape(d, d)
 
 
 def apply_choi_adjoint_to_segment(
@@ -126,11 +128,12 @@ def apply_choi_adjoint_to_segment(
     d_below: int = 1,
 ) -> np.ndarray:
     """Pull an observable on the output space back to the input space."""
-    c4 = choi.reshape(d_out, d_in, d_out, d_in)
-    m6 = observable.reshape(d_above, d_out, d_below, d_above, d_out, d_below)
-    out = np.einsum("biaj,uavwbx->ujvwix", c4, m6)
+    # Phi^dagger(M)[j, i] = sum_ab S[(a, b), (i, j)] M[b, a]
+    m = observable.reshape(d_above, d_out, d_below, d_above, d_out, d_below)
+    out = _superop(choi, d_in, d_out).T @ m.transpose(4, 1, 0, 2, 3, 5).reshape(d_out * d_out, -1)
+    out = out.reshape(d_in, d_in, d_above, d_below, d_above, d_below)
     d = d_above * d_in * d_below
-    return out.reshape(d, d)
+    return out.transpose(2, 1, 3, 4, 0, 5).reshape(d, d)
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +142,15 @@ def apply_choi_adjoint_to_segment(
 
 
 def to_channel(circuit: MixedStateCircuit) -> QuantumChannel:
-    """Choi matrix of a circuit, from evaluation on half a maximally entangled state."""
-    n_in, n_out = circuit.input_qubits, circuit.output_qubits
-    check_capacity(n_in + n_out, "Choi matrix")
-    d_in = 2**n_in
-    vec = np.eye(d_in, dtype=np.complex128).reshape(-1) / np.sqrt(d_in)
-    rho = DensityOperator(np.outer(vec, vec.conj()))
-    out = evaluate(circuit, rho, reference_qubits=n_in)
-    return QuantumChannel(d_in, 2**n_out, out.matrix * d_in)
+    """Choi matrix of a circuit, ``K K^dagger`` over its Stinespring Kraus stack.
+
+    The canonical form (inputs plus every ancilla) and inputs plus outputs must fit the cap.
+    """
+    check_capacity(circuit.input_qubits + circuit.output_qubits, "Choi matrix")
+    kraus = stinespring(circuit)
+    n_traced, d_out, d_in = kraus.shape
+    k = kraus.transpose(1, 2, 0).reshape(d_out * d_in, n_traced)
+    return QuantumChannel(d_in, d_out, k @ k.conj().T)
 
 
 def identity_channel(n_qubits: int) -> QuantumChannel:
@@ -300,23 +304,11 @@ def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
         raise DimensionMismatchError(
             f"cannot compose: inner output {inner.dim_out} vs outer input {outer.dim_in}"
         )
-    s = _choi_to_superop(outer) @ _choi_to_superop(inner)
-    return QuantumChannel(
-        inner.dim_in, outer.dim_out, _superop_to_choi(s, inner.dim_in, outer.dim_out)
+    # the inner Choi matrix lives on tensor(inner out, in): map its top factor
+    choi = apply_choi_to_segment(
+        outer.choi, outer.dim_in, outer.dim_out, inner.choi, 1, inner.dim_in
     )
-
-
-def _choi_to_superop(channel: QuantumChannel) -> np.ndarray:
-    o, i = channel.dim_out, channel.dim_in
-    return channel.choi.reshape(o, i, o, i).transpose(0, 2, 1, 3).reshape(o * o, i * i)
-
-
-def _superop_to_choi(s: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
-    return (
-        s.reshape(d_out, d_out, d_in, d_in)
-        .transpose(0, 2, 1, 3)
-        .reshape(d_out * d_in, d_out * d_in)
-    )
+    return QuantumChannel(inner.dim_in, outer.dim_out, choi)
 
 
 def mix(channels: Sequence[QuantumChannel], weights: Sequence[float]) -> QuantumChannel:

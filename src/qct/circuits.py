@@ -339,13 +339,18 @@ def identity_circuit(n_qubits: int) -> MixedStateCircuit:
     return MixedStateCircuit(n_qubits, (), n_qubits)
 
 
-def canonicalize(circuit: MixedStateCircuit) -> CanonicalCircuit:
-    """Hoist ancilla introductions to the start and defer traces to the end."""
+def _dilate(circuit: MixedStateCircuit, columns: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The first ``columns`` columns of the circuit's unitary, and its traced wires.
+
+    Ancillas are hoisted to the start and traces deferred to the end.  Wire
+    ids are bit positions, so ancillas are the most significant wires and the
+    first ``2**input_qubits`` columns are the inputs with every ancilla at zero.
+    """
     if circuit.has_placeholders:
-        raise UnsupportedGateError("expand key placeholders before canonicalizing")
+        raise UnsupportedGateError("expand key placeholders before compiling")
     total = circuit.input_qubits + circuit.ancilla_total
     check_capacity(total, "canonical form")
-    unitary = np.eye(2**total, dtype=np.complex128)
+    mat = np.eye(2**total, columns, dtype=np.complex128)
     traced: list[int] = []
     for op in circuit.ops:
         if op.kind == "ancilla":
@@ -354,14 +359,36 @@ def canonicalize(circuit: MixedStateCircuit) -> CanonicalCircuit:
             traced.extend(op.targets)
             continue
         u, wires = op.as_unitary()
-        unitary = left_apply_unitary(unitary, total, u, wires)
+        mat = left_apply_unitary(mat, total, u, wires)
+    return mat, tuple(traced)
+
+
+def canonicalize(circuit: MixedStateCircuit) -> CanonicalCircuit:
+    """Hoist ancilla introductions to the start and defer traces to the end."""
+    unitary, traced = _dilate(circuit, 2 ** (circuit.input_qubits + circuit.ancilla_total))
     return CanonicalCircuit(
         circuit.input_qubits,
         circuit.ancilla_total,
         unitary,
-        tuple(traced),
+        traced,
         circuit.output_qubits,
     )
+
+
+def stinespring(circuit: MixedStateCircuit) -> np.ndarray:
+    """Kraus operators of the circuit, stacked as an array indexed (traced, kept, in).
+
+    ``kraus[g]`` maps the inputs to the output register for traced-wire basis
+    state ``g``, so the channel is ``rho -> sum_g kraus[g] rho kraus[g]^dagger``.
+    """
+    n_in = circuit.input_qubits
+    total = n_in + circuit.ancilla_total
+    isometry, traced = _dilate(circuit, 2**n_in)
+    kept = circuit.output_wires()
+    # tensor axis of wire w is total-1-w; the output's top qubit is the highest kept wire
+    axes = [total - 1 - w for w in traced] + [total - 1 - w for w in reversed(kept)]
+    arr = isometry.reshape([2] * total + [2**n_in]).transpose(axes + [total])
+    return arr.reshape(2 ** len(traced), 2 ** len(kept), 2**n_in)
 
 
 def evaluate(

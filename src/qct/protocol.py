@@ -25,14 +25,14 @@ from .channels import (
     pauli_otp_family,
     tensor_channels,
 )
-from .circuits import GateOp, MixedStateCircuit
+from .circuits import GateOp
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
     WrongSideError,
     check_capacity,
 )
-from .reduction import dummy_qubit_count
+from .reduction import copy_branch_circuit, dummy_qubit_count
 from .states import DensityOperator, PureState, qubit_count
 from .verifier import VerifierCircuit, max_accept_probability
 
@@ -66,11 +66,8 @@ def build_swap_test(branch_dimension: int) -> SwapTest:
     """Symmetric projector (identity plus swap) / 2 on a doubled register."""
     check_capacity(2 * qubit_count(branch_dimension), "swap test")
     d = branch_dimension
-    w = np.zeros((d * d, d * d), dtype=np.complex128)
-    for a in range(d):
-        for b in range(d):
-            w[a * d + b, b * d + a] = 1.0
-    proj = (np.eye(d * d) + w) / 2.0
+    swap = np.eye(d * d, dtype=np.complex128).reshape(d, d, d, d).transpose(1, 0, 2, 3)
+    proj = (np.eye(d * d) + swap.reshape(d * d, d * d)) / 2.0
     proj.setflags(write=False)
     return SwapTest(d, proj)
 
@@ -218,22 +215,11 @@ def build_insecure_instance(v: VerifierCircuit, eps: float, delta: float) -> DII
     a = v.ancilla_qubits
     total = n + a + 1
     check_capacity(total, f"insecure instance (h={h}, f={f})")
-    anc_start = n
-    copy_wire = n + a
-    v_targets = tuple(range(anc_start, anc_start + a)) + tuple(range(h))
-    out_wire = v_targets[v.output_qubit]
-    ops: list[GateOp] = [GateOp.ancillas(a + 1)]
-    ops.append(GateOp.unitary(v.unitary, v_targets))
-    ops.append(GateOp.cnot(out_wire, copy_wire))
-    ops.append(GateOp.unitary(v.unitary.conj().T, v_targets))
     # accepting branch (copy reads one) discards the key and does nothing;
     # the rejecting branch applies the keyed Pauli to every message qubit
-    ops.append(GateOp.x(copy_wire))
-    for i in range(n):
-        ops.append(GateOp.keyed_pauli(i, (2 * i, 2 * i + 1), control=copy_wire))
-    ops.append(GateOp.x(copy_wire))
-    ops.append(GateOp.trace_out(*range(anc_start, copy_wire + 1)))
-    template = MixedStateCircuit(n, tuple(ops), n)
+    copy_wire = n + a
+    reject = [GateOp.keyed_pauli(i, (2 * i, 2 * i + 1), control=copy_wire) for i in range(n)]
+    template = copy_branch_circuit(v, n, a, [], reject)
     family = KeyedChannelFamily.from_template(template, 2 * n)
     return DIInstance(
         family=family,

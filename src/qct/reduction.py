@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from .states import (
     random_pure_state,
     trace_norm,
 )
-from .verifier import VerifierCircuit, max_accept_probability
+from .verifier import VerifierCircuit, _initial_columns, max_accept_probability
 
 FamilyGenerator = Callable[[int], MixedStateCircuit]
 
@@ -216,6 +216,38 @@ def _canonical_family(circuit: MixedStateCircuit, label: str):
     return canon
 
 
+def copy_branch_circuit(
+    v: VerifierCircuit,
+    width: int,
+    ancilla_qubits: int,
+    accept_ops: Sequence[GateOp],
+    reject_ops: Sequence[GateOp],
+) -> MixedStateCircuit:
+    """The copy-and-branch layout shared by every compiled instance.
+
+    Introduces ``ancilla_qubits`` ancillas plus the copy qubit (wire
+    ``width + ancilla_qubits``), applies V, copies its output qubit with a
+    CNOT, undoes V, runs ``accept_ops``, then ``reject_ops`` between two X
+    flips of the copy qubit, and traces out the ancillas and the copy.
+    """
+    copy_wire = width + ancilla_qubits
+    v_targets = tuple(range(width, width + v.ancilla_qubits)) + tuple(
+        range(v.witness_qubits)
+    )
+    ops = [
+        GateOp.ancillas(ancilla_qubits + 1),
+        GateOp.unitary(v.unitary, v_targets),
+        GateOp.cnot(v_targets[v.output_qubit], copy_wire),
+        GateOp.unitary(v.unitary.conj().T, v_targets),
+        *accept_ops,
+        GateOp.x(copy_wire),
+        *reject_ops,
+        GateOp.x(copy_wire),
+        GateOp.trace_out(*range(width, copy_wire + 1)),
+    ]
+    return MixedStateCircuit(width, tuple(ops), width)
+
+
 def build_ct_circuit(
     v: VerifierCircuit,
     c0_gen,
@@ -253,29 +285,14 @@ def build_ct_circuit(
     total = width + a + 1
     check_capacity(total, f"circuit-testing instance (h={h}, f={f}, ancillas={a})")
 
-    anc_start = width
     copy_wire = width + a
-    v_targets = tuple(range(anc_start, anc_start + v.ancilla_qubits)) + tuple(range(h))
-    out_wire = v_targets[v.output_qubit]
-
-    ops: list[GateOp] = [GateOp.ancillas(a + 1)]
-    ops.append(GateOp.unitary(v.unitary, v_targets))
-    ops.append(GateOp.cnot(out_wire, copy_wire))
-    ops.append(GateOp.unitary(v.unitary.conj().T, v_targets))
-    ops.append(
-        GateOp.controlled(
-            copy_wire, canon0.unitary, tuple(range(width + canon0.ancilla_qubits))
-        )
+    accept = GateOp.controlled(
+        copy_wire, canon0.unitary, tuple(range(width + canon0.ancilla_qubits))
     )
-    ops.append(GateOp.x(copy_wire))
-    ops.append(
-        GateOp.controlled(
-            copy_wire, canon1.unitary, tuple(range(width + canon1.ancilla_qubits))
-        )
+    reject = GateOp.controlled(
+        copy_wire, canon1.unitary, tuple(range(width + canon1.ancilla_qubits))
     )
-    ops.append(GateOp.x(copy_wire))
-    ops.append(GateOp.trace_out(*range(anc_start, copy_wire + 1)))
-    circuit = MixedStateCircuit(width, tuple(ops), width)
+    circuit = copy_branch_circuit(v, width, a, [accept], [reject])
 
     registers: list[tuple[str, int]] = [("copy", 1)]
     if a:
@@ -326,10 +343,7 @@ def copy_stage_states(v: VerifierCircuit, psi: PureState) -> tuple[np.ndarray, n
     """
     if psi.dim != 2**v.witness_qubits:
         raise DimensionMismatchError("witness does not match the verifier width")
-    zeros = np.zeros(2**v.ancilla_qubits, dtype=np.complex128)
-    zeros[0] = 1.0
-    psi0 = np.kron(psi.amplitudes, zeros)
-    phi = v.unitary @ psi0
+    phi = _initial_columns(v) @ psi.amplitudes
     n = v.total_qubits + 1
     state = np.kron(np.array([1.0, 0.0], dtype=np.complex128), phi)
     phi_prime = apply_unitary_vec(state, n, GATE_CNOT, [v.output_qubit, n - 1])
@@ -359,24 +373,11 @@ def _yes_probe_states(
     xis.append(random_pure_state(dim_f, (seed, 0)).amplitudes)
     for xi in xis:
         probes.append((np.kron(xi, gamma), 0))
-    entangled = np.zeros(dim_f * 2**h * dim_f, dtype=np.complex128)
-    for j in range(dim_f):
-        e_j = np.zeros(dim_f, dtype=np.complex128)
-        e_j[j] = 1.0
-        entangled += np.kron(np.kron(e_j, gamma), e_j)
-    entangled /= np.linalg.norm(entangled)
-    probes.append((entangled, f))
+    # reference-entangled probes sum_jr W[j, r] |j> (x) gamma (x) |r>, W = identity and random
     w = random_pure_state(dim_f * dim_f, (seed, 1)).amplitudes.reshape(dim_f, dim_f)
-    rand_ent = np.zeros(dim_f * 2**h * dim_f, dtype=np.complex128)
-    for j in range(dim_f):
-        e_j = np.zeros(dim_f, dtype=np.complex128)
-        e_j[j] = 1.0
-        for r in range(dim_f):
-            e_r = np.zeros(dim_f, dtype=np.complex128)
-            e_r[r] = 1.0
-            rand_ent += w[j, r] * np.kron(np.kron(e_j, gamma), e_r)
-    rand_ent /= np.linalg.norm(rand_ent)
-    probes.append((rand_ent, f))
+    weights = np.stack([np.eye(dim_f, dtype=np.complex128), w])
+    for vec in np.einsum("kjr,g->kjgr", weights, gamma).reshape(2, -1):
+        probes.append((vec / np.linalg.norm(vec), f))
     return probes
 
 

@@ -153,10 +153,9 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class HermitianObservable:
-    """Hermitian matrix, optionally carrying known spectral bounds."""
+    """Hermitian matrix."""
 
     matrix: np.ndarray
-    spectral_bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
         mat = _as_complex(self.matrix)
@@ -328,17 +327,10 @@ def apply_unitary_mat(rho: np.ndarray, n: int, u: np.ndarray, targets: Sequence[
 
 
 def left_apply_unitary(mat: np.ndarray, n: int, u: np.ndarray, targets: Sequence[int]) -> np.ndarray:
-    """Left-multiply an n-wire matrix by the embedding of ``u`` on target wires."""
-    dim = 2**n
-    arr = mat.reshape([2] * n + [dim])
+    """Left-multiply a block of n-wire columns by the embedding of ``u`` on target wires."""
+    arr = mat.reshape([2] * n + [mat.shape[1]])
     axes = [n - 1 - w for w in targets]
-    return _contract_unitary(arr, u, axes).reshape(dim, dim)
-
-
-def permute_wires_vec(psi: np.ndarray, n: int, new_order: Sequence[int]) -> np.ndarray:
-    """Reorder wires of a state vector; ``new_order[i]`` is the old wire that becomes wire i."""
-    perm = [n - 1 - new_order[n - 1 - j] for j in range(n)]
-    return psi.reshape([2] * n).transpose(perm).reshape(-1)
+    return _contract_unitary(arr, u, axes).reshape(mat.shape)
 
 
 def permute_wires_mat(mat: np.ndarray, n: int, new_order: Sequence[int]) -> np.ndarray:

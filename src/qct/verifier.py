@@ -86,7 +86,7 @@ def acceptance_operator(v: VerifierCircuit) -> HermitianObservable:
     mask = (np.arange(v0.shape[0]) >> v.output_qubit) & 1 == 1
     accepted = v0[mask, :]
     m = accepted.conj().T @ accepted
-    return HermitianObservable((m + m.conj().T) / 2, spectral_bounds=(0.0, 1.0))
+    return HermitianObservable((m + m.conj().T) / 2)
 
 
 def max_accept_probability(v: VerifierCircuit) -> tuple[float, PureState]:

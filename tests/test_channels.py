@@ -30,7 +30,13 @@ from qct import (
     trace_distance_no_reference,
     trace_norm,
 )
-from qct.channels import VERDICT_CONSISTENT, VERDICT_VIOLATES, apply_choi_to_segment
+from qct.channels import (
+    VERDICT_CONSISTENT,
+    VERDICT_VIOLATES,
+    apply_choi,
+    apply_choi_adjoint_to_segment,
+    apply_choi_to_segment,
+)
 
 
 class TestQuantumChannel:
@@ -50,6 +56,38 @@ class TestQuantumChannel:
     def test_apply_dimension_check(self):
         with pytest.raises(DimensionMismatchError):
             identity_channel(1).apply(random_density_operator(4, 0))
+
+
+def _random_complex(rng, d):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+class TestChoiKernels:
+    @pytest.mark.parametrize("d_above", [1, 2, 4])
+    @pytest.mark.parametrize("d_below", [1, 2, 4])
+    def test_adjoint_duality(self, d_above, d_below):
+        chan = random_channel(1, seed=(7, d_above, d_below), env_qubits=2)
+        assert np.max(np.abs(chan.choi.imag)) > 1e-3
+        rng = np.random.default_rng((d_above, d_below))
+        rho = _random_complex(rng, d_above * chan.dim_in * d_below)
+        m = _random_complex(rng, d_above * chan.dim_out * d_below)
+        args = (chan.choi, chan.dim_in, chan.dim_out)
+        forward = apply_choi_to_segment(*args, rho, d_above, d_below)
+        pulled = apply_choi_adjoint_to_segment(*args, m, d_above, d_below)
+        assert abs(np.trace(m @ forward) - np.trace(pulled @ rho)) < 1e-10
+
+    @pytest.mark.parametrize("d_above, d_below", [(1, 1), (2, 1), (1, 4), (4, 2)])
+    def test_forward_matches_einsum_reference(self, d_above, d_below):
+        chan = random_channel(1, seed=(8, d_above, d_below), env_qubits=1)
+        d_in, d_out = chan.dim_in, chan.dim_out
+        rho = _random_complex(np.random.default_rng(3), d_above * d_in * d_below)
+        c4 = chan.choi.reshape(d_out, d_in, d_out, d_in)
+        r6 = rho.reshape(d_above, d_in, d_below, d_above, d_in, d_below)
+        want = np.einsum("aibj,uivwjx->uavwbx", c4, r6).reshape(rho.shape)
+        got = apply_choi_to_segment(chan.choi, d_in, d_out, rho, d_above, d_below)
+        assert np.max(np.abs(got - want)) < 1e-12
+        if d_above == d_below == 1:
+            assert np.max(np.abs(apply_choi(chan.choi, d_in, d_out, rho) - want)) < 1e-12
 
 
 class TestDepolarizing:

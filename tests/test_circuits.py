@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qct import (
+    CapacityError,
     CircuitError,
     CircuitParseError,
     DensityOperator,
@@ -18,13 +19,15 @@ from qct import (
     evaluate,
     expand_template,
     identity_circuit,
+    max_qubits,
     parse_circuit,
     random_density_operator,
     random_pure_state,
+    random_unitary,
     serialize_circuit,
     to_channel,
 )
-from qct.circuits import GATE_Z
+from qct.circuits import GATE_Z, _dilate
 
 
 def bundled(name: str) -> bytes:
@@ -202,6 +205,74 @@ class TestToChannel:
         for seed in range(20):
             rho = random_density_operator(2, seed)
             assert np.max(np.abs(chan.apply(rho).matrix - evaluate(circuit, rho).matrix)) < 1e-9
+
+
+def _random_gates(rng, live, count):
+    ops = []
+    for _ in range(count):
+        kind = rng.integers(5)
+        wires = [int(w) for w in rng.permutation(live)[:3]]
+        if kind == 0:
+            ops.append(GateOp(str(rng.choice(["H", "S", "T", "X", "Y", "Z"])), wires[:1]))
+        elif kind == 1:
+            ops.append(GateOp.cnot(wires[0], wires[1]))
+        elif kind == 2:
+            ops.append(GateOp.ccnot(*wires))
+        elif kind == 3:
+            ops.append(GateOp.unitary(random_unitary(4, rng), wires[:2]))
+        else:
+            ops.append(GateOp.controlled(wires[0], random_unitary(2, rng), wires[1:2]))
+    return ops
+
+
+def _random_mixed_circuit(seed):
+    """Gates around a traced input, a mid-circuit trace then a fresh ancilla,
+    and a final trace-out listed in non-ascending order."""
+    rng = np.random.default_rng(seed)
+    ops = [GateOp.ancillas(2)] + _random_gates(rng, [0, 1, 2, 3], 6)
+    ops.append(GateOp.trace_out(0))
+    ops.append(GateOp.ancillas(1))
+    ops += _random_gates(rng, [1, 2, 3, 4], 6)
+    ops.append(GateOp.trace_out(3, 1))
+    return MixedStateCircuit(2, tuple(ops), 2)
+
+
+def _choi_by_evaluation(circuit):
+    """Reference Choi matrix: the circuit on half of |Omega><Omega|, times 2^n."""
+    n = circuit.input_qubits
+    omega = np.eye(2**n, dtype=complex).reshape(-1) / np.sqrt(2**n)
+    out = evaluate(circuit, np.outer(omega, omega.conj()), reference_qubits=n)
+    return out.matrix * 2**n
+
+
+class TestStinespring:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_choi_matches_evaluation_reference(self, seed):
+        circuit = _random_mixed_circuit(seed)
+        want = _choi_by_evaluation(circuit)
+        assert np.max(np.abs(to_channel(circuit).choi - want)) < 1e-12
+
+    def test_canonical_unitary_extends_the_compiled_columns(self):
+        circuit = _random_mixed_circuit(0)
+        n = circuit.input_qubits
+        columns, traced = _dilate(circuit, 2**n)
+        canon = canonicalize(circuit)
+        assert traced == canon.traced_wires == (0, 3, 1)
+        assert np.array_equal(canon.unitary[:, : 2**n], columns)
+
+    def test_cap_counts_inputs_plus_all_ancillas(self):
+        n = max_qubits() // 3
+        chan = to_channel(depolarizing_circuit(n))
+        assert np.max(np.abs(chan.choi - depolarizing(n).choi)) < 1e-12
+
+    def test_reused_ancilla_slot_past_the_cap_raises(self):
+        ops = []
+        for wire in range(1, max_qubits() + 1):
+            ops += [GateOp.ancillas(1), GateOp.cnot(0, wire), GateOp.trace_out(wire)]
+        circuit = MixedStateCircuit(1, tuple(ops), 1)
+        assert abs(np.trace(evaluate(circuit, random_density_operator(2, 0)).matrix) - 1) < 1e-9
+        with pytest.raises(CapacityError, match="canonical form"):
+            to_channel(circuit)
 
 
 class TestConcatenate:

@@ -44,6 +44,11 @@ class TestSwapTest:
             st = build_swap_test(d)
             assert abs(np.trace(st.projector) - d * (d + 1) / 2) < 1e-9
             assert np.max(np.abs(st.projector @ st.projector - st.projector)) < 1e-9
+            swap = np.zeros((d * d, d * d))
+            for a in range(d):
+                for b in range(d):
+                    swap[a * d + b, b * d + a] = 1.0
+            assert np.array_equal(st.projector, (np.eye(d * d) + swap) / 2)
 
     @pytest.mark.parametrize("d", [2, 4])
     def test_pure_pair_law(self, d):

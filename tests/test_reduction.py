@@ -1,4 +1,5 @@
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -21,11 +22,12 @@ from qct import (
     family_generator,
     make_toy_verifier,
     random_pure_state,
+    serialize_circuit,
     to_channel,
     trace_norm,
     wellformedness_check,
 )
-from qct.reduction import FAMILY_REGISTRY
+from qct.reduction import FAMILY_REGISTRY, _yes_probe_states
 
 
 class TestDimensionRule:
@@ -83,6 +85,12 @@ class TestBuild:
         dd = diamond_distance(to_channel(inst.circuit), depolarizing(1), restarts=5, seed=0)
         assert dd.lower_bound <= 3 * math.sqrt(0.04)
         assert dd.lower_bound < 1e-9  # exact rejection makes it exactly the second family
+
+    def test_bundled_instance_fixture_is_this_compilation(self):
+        v = make_toy_verifier("rotation", accept_probability=0.96)
+        inst = build_ct_circuit(v, "identity", "depolarizing", 0.04, 1.0)
+        raw = resources.files("qct.data.circuits").joinpath("ct_rotation_instance.json")
+        assert serialize_circuit(inst.circuit) == raw.read_bytes()
 
     def test_cost_is_linear_in_witness_size(self):
         v = make_toy_verifier("target_state", witness_qubits=2, target=3)
@@ -187,6 +195,26 @@ class TestCertifyYes:
         # the first probes differ only in the dummy-register state
         basis_probe_distances = cert.probe_distances[:2]
         assert abs(basis_probe_distances[0] - basis_probe_distances[1]) < 1e-9
+
+    def test_entangled_probes_match_kron_construction(self):
+        v = make_toy_verifier("target_state", witness_qubits=2, target=3)
+        inst = build_ct_circuit(v, "identity", "identity", 0.04, 0.5)
+        gamma = random_pure_state(4, 9)
+        dim_f = 2**inst.dummy_qubits
+        w = random_pure_state(dim_f * dim_f, (4, 1)).amplitudes.reshape(dim_f, dim_f)
+        e = np.eye(dim_f)
+        want = []
+        for weights in (e, w):
+            vec = sum(
+                weights[j, r] * np.kron(np.kron(e[j], gamma.amplitudes), e[r])
+                for j in range(dim_f)
+                for r in range(dim_f)
+            )
+            want.append(vec / np.linalg.norm(vec))
+        probes = _yes_probe_states(inst, gamma, 4)
+        for (got, ref), expected in zip(probes[-2:], want):
+            assert ref == inst.dummy_qubits
+            assert np.max(np.abs(got - expected)) < 1e-15
 
     def test_wrong_side(self):
         v = make_toy_verifier("always_reject", witness_qubits=1)
