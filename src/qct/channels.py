@@ -35,6 +35,8 @@ from .states import (
     TAU_PSD,
     DensityOperator,
     PureState,
+    _min_eig_below,
+    _reject_nonfinite,
     qubit_count,
     random_unitary,
 )
@@ -57,10 +59,12 @@ class QuantumChannel:
             raise DimensionMismatchError(
                 f"choi shape {mat.shape} does not match dims {self.dim_in}->{self.dim_out}"
             )
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-8:
+        skew = np.max(np.abs(mat - mat.conj().T))
+        _reject_nonfinite(skew, mat, "choi matrix")
+        if skew > 1e-8:
             raise InvalidStateError("choi matrix is not Hermitian within tolerance")
-        min_eig = float(np.linalg.eigvalsh(mat)[0])
-        if min_eig < -TAU_PSD * max(1.0, self.dim_in):
+        min_eig = _min_eig_below(mat, TAU_PSD * max(1.0, self.dim_in))
+        if min_eig is not None:
             raise InvalidStateError(f"choi minimum eigenvalue {min_eig} violates CP")
         marginal = np.einsum(
             "aiaj->ij", mat.reshape(self.dim_out, self.dim_in, self.dim_out, self.dim_in)

@@ -511,8 +511,17 @@ def _matrix_from_json(entries, arity: int, path: str) -> np.ndarray:
     for i, pair in enumerate(entries):
         if not isinstance(pair, list) or len(pair) != 2:
             raise CircuitParseError(f"{path}[{i}]: expected a [re, im] pair")
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair):
+            raise CircuitParseError(f"{path}[{i}]: [re, im] must be real numbers, got {pair!r}")
         values.append(complex(pair[0], pair[1]))
     return np.array(values, dtype=np.complex128).reshape(d, d)
+
+
+def _json_int(value, path: str) -> int:
+    """A JSON integer; bools, floats and strings are rejected rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise CircuitParseError(f"{path}: must be an integer, got {value!r}")
+    return value
 
 
 def serialize_circuit(circuit: MixedStateCircuit) -> bytes:
@@ -551,6 +560,8 @@ def parse_circuit(data) -> MixedStateCircuit:
     for key in ("input_qubits", "output_qubits", "ops"):
         if key not in doc:
             raise CircuitParseError(f"missing field {key!r}")
+    n_in = _json_int(doc["input_qubits"], "input_qubits")
+    n_out = _json_int(doc["output_qubits"], "output_qubits")
     if not isinstance(doc["ops"], list):
         raise CircuitParseError("ops: must be a list")
     ops: list[GateOp] = []
@@ -570,24 +581,29 @@ def parse_circuit(data) -> MixedStateCircuit:
         ):
             raise UnsupportedGateError(f"{path}.kind: unknown gate kind {kind!r}")
         targets = entry.get("targets", [])
-        if not isinstance(targets, list) or not all(isinstance(t, int) for t in targets):
+        if not isinstance(targets, list):
             raise CircuitParseError(f"{path}.targets: must be a list of wire indices")
+        targets = [_json_int(t, f"{path}.targets[{j}]") for j, t in enumerate(targets)]
         matrix = None
         if kind in ("unitary", "controlled"):
             if "matrix" not in entry:
                 raise CircuitParseError(f"{path}.matrix: required for kind {kind!r}")
             matrix = _matrix_from_json(entry["matrix"], len(targets), f"{path}.matrix")
         control = entry.get("control")
-        if kind == "controlled" and not isinstance(control, int):
+        if kind == "controlled" and control is None:
             raise CircuitParseError(f"{path}.control: required wire index")
+        if control is not None:
+            _json_int(control, f"{path}.control")
         count = entry.get("count")
-        if kind == "ancilla" and not isinstance(count, int):
+        if kind == "ancilla" and count is None:
             raise CircuitParseError(f"{path}.count: required integer")
+        if count is not None:
+            _json_int(count, f"{path}.count")
         key_bits = entry.get("key_bits")
         if kind == PLACEHOLDER_KIND:
             if not isinstance(key_bits, list) or len(key_bits) != 2:
                 raise CircuitParseError(f"{path}.key_bits: required pair of bit indices")
-            key_bits = tuple(key_bits)
+            key_bits = tuple(_json_int(b, f"{path}.key_bits[{j}]") for j, b in enumerate(key_bits))
         try:
             ops.append(
                 GateOp(
@@ -602,6 +618,6 @@ def parse_circuit(data) -> MixedStateCircuit:
         except CircuitError as exc:
             raise CircuitParseError(f"{path}: {exc}") from exc
     try:
-        return MixedStateCircuit(int(doc["input_qubits"]), tuple(ops), int(doc["output_qubits"]))
+        return MixedStateCircuit(n_in, tuple(ops), n_out)
     except CircuitError as exc:
         raise CircuitParseError(str(exc)) from exc

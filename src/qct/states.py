@@ -14,6 +14,7 @@ All values are immutable after construction; operations are pure functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -37,6 +38,36 @@ def _frozen_copy(a) -> np.ndarray:
     out = np.array(a, dtype=np.complex128)
     out.setflags(write=False)
     return out
+
+
+def _reject_nonfinite(norm: float, a: np.ndarray, what: str) -> None:
+    """Raise when ``a`` has a NaN or infinite entry.
+
+    ``norm`` is a norm of ``a`` (or of ``a - a^H``) the caller already needs; it
+    is non-finite whenever an entry is, so finite inputs pay one scalar test.
+    """
+    if not math.isfinite(norm) and not np.all(np.isfinite(a)):
+        raise InvalidStateError(f"{what} has non-finite entries")
+
+
+def _min_eig_below(mat: np.ndarray, tol: float) -> float | None:
+    """The smallest eigenvalue of Hermitian ``mat`` if it is below ``-tol``, else None.
+
+    A Cholesky factorization of ``mat + (tol/2) I`` settles almost every valid
+    input.  Its success proves ``lambda_min > -tol/2 - O(n u ||mat||)`` (``u``
+    the unit roundoff), which at desk-scale sizes lies far above ``-tol``; so
+    it accepts only what ``eigvalsh`` accepts.  Everything else, including the
+    band ``(-tol, -tol/2]``, is decided by ``eigvalsh``.  Both read the lower
+    triangle.  Entries must be finite: Cholesky does not raise on NaN.
+    """
+    shifted = np.array(mat, dtype=np.complex128)
+    shifted.flat[:: mat.shape[0] + 1] += tol / 2
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        min_eig = float(np.linalg.eigvalsh(mat)[0])
+        return min_eig if min_eig < -tol else None
+    return None
 
 
 def qubit_count(dim: int) -> int:
@@ -100,6 +131,7 @@ class PureState:
     def __post_init__(self):
         amps = _as_complex(self.amplitudes).reshape(-1)
         norm = np.linalg.norm(amps)
+        _reject_nonfinite(norm, amps, "state vector")
         if abs(norm - 1.0) > TAU_UNIT:
             raise InvalidStateError(f"state vector norm {norm} is not 1 within {TAU_UNIT}")
         object.__setattr__(self, "amplitudes", _frozen_copy(amps))
@@ -129,13 +161,15 @@ class DensityOperator:
         mat = _as_complex(self.matrix)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidStateError(f"density matrix must be square, got shape {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > TAU_UNIT:
+        skew = np.max(np.abs(mat - mat.conj().T))
+        _reject_nonfinite(skew, mat, "density matrix")
+        if skew > TAU_UNIT:
             raise InvalidStateError("matrix is not Hermitian within tolerance")
         tr = np.trace(mat)
         if abs(tr - 1.0) > TAU_UNIT:
             raise InvalidStateError(f"trace {tr} is not 1 within {TAU_UNIT}")
-        min_eig = float(np.linalg.eigvalsh(mat)[0])
-        if min_eig < -TAU_PSD:
+        min_eig = _min_eig_below(mat, TAU_PSD)
+        if min_eig is not None:
             raise InvalidStateError(f"minimum eigenvalue {min_eig} below -{TAU_PSD}")
         object.__setattr__(self, "matrix", _frozen_copy(mat))
 
@@ -161,7 +195,9 @@ class HermitianObservable:
         mat = _as_complex(self.matrix)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidStateError(f"observable must be square, got shape {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > TAU_UNIT:
+        skew = np.max(np.abs(mat - mat.conj().T))
+        _reject_nonfinite(skew, mat, "observable")
+        if skew > TAU_UNIT:
             raise InvalidStateError("observable is not Hermitian within tolerance")
         object.__setattr__(self, "matrix", _frozen_copy(mat))
 

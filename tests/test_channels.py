@@ -5,6 +5,7 @@ from qct import (
     BudgetExceededError,
     DimensionMismatchError,
     GateOp,
+    InvalidStateError,
     KeyedChannelFamily,
     MixedStateCircuit,
     QuantumChannel,
@@ -41,7 +42,7 @@ from qct.channels import (
 
 class TestQuantumChannel:
     def test_rejects_non_trace_preserving(self):
-        with pytest.raises(Exception):
+        with pytest.raises(InvalidStateError, match="not TP"):
             QuantumChannel(2, 2, np.eye(4) * 0.3)
 
     def test_rejects_non_cp(self):
@@ -50,8 +51,10 @@ class TestQuantumChannel:
         for a in range(2):
             for b in range(2):
                 w[a * 2 + b, b * 2 + a] = 1.0
-        with pytest.raises(Exception):
+        with pytest.raises(InvalidStateError, match="violates CP") as exc:
             QuantumChannel(2, 2, w)
+        reported = float(str(exc.value).split("eigenvalue ")[1].split()[0])
+        assert abs(reported + 1.0) < 1e-12
 
     def test_apply_dimension_check(self):
         with pytest.raises(DimensionMismatchError):

@@ -332,6 +332,57 @@ class TestSerialization:
         with pytest.raises(CircuitParseError):
             parse_circuit(b"{nope")
 
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({"input_qubits": "abc", "output_qubits": 1, "ops": []}, "input_qubits"),
+            ({"input_qubits": 1.7, "output_qubits": 1, "ops": []}, "input_qubits"),
+            ({"input_qubits": True, "output_qubits": 1, "ops": []}, "input_qubits"),
+            ({"input_qubits": 1, "output_qubits": 1.0, "ops": []}, "output_qubits"),
+            (
+                {"input_qubits": 1, "output_qubits": 2, "ops": [{"kind": "ancilla", "count": True}]},
+                r"ops\[0\]\.count",
+            ),
+            (
+                {"input_qubits": 2, "output_qubits": 2, "ops": [{"kind": "X", "targets": [True]}]},
+                r"ops\[0\]\.targets\[0\]",
+            ),
+            (
+                {
+                    "input_qubits": 2,
+                    "output_qubits": 2,
+                    "ops": [
+                        {"kind": "controlled", "targets": [0], "control": True,
+                         "matrix": [[0, 0], [1, 0], [1, 0], [0, 0]]}
+                    ],
+                },
+                r"ops\[0\]\.control",
+            ),
+            (
+                {
+                    "input_qubits": 1,
+                    "output_qubits": 1,
+                    "ops": [{"kind": "unitary", "targets": [0],
+                             "matrix": [["a", 0], [0, 0], [0, 0], [1, 0]]}],
+                },
+                r"ops\[0\]\.matrix\[0\]",
+            ),
+            (
+                {
+                    "input_qubits": 1,
+                    "output_qubits": 1,
+                    "ops": [{"kind": "keyed_pauli", "targets": [0], "key_bits": [0, 1.5]}],
+                },
+                r"ops\[0\]\.key_bits\[1\]",
+            ),
+        ],
+        ids=["str-inputs", "float-inputs", "bool-inputs", "float-outputs", "bool-count",
+             "bool-target", "bool-control", "str-matrix-entry", "float-key-bit"],
+    )
+    def test_non_integer_fields_rejected_with_path(self, doc, path):
+        with pytest.raises(CircuitParseError, match=path):
+            parse_circuit(json.dumps(doc))
+
 
 class TestTemplates:
     def test_expansion_produces_selected_paulis(self):

@@ -5,9 +5,12 @@ from qct import (
     CapacityError,
     DensityOperator,
     DimensionMismatchError,
+    GateOp,
     HermitianObservable,
     InvalidStateError,
+    MixedStateCircuit,
     PureState,
+    QuantumChannel,
     RegisterLayout,
     basis_state,
     operator_norm,
@@ -16,11 +19,13 @@ from qct import (
     random_channel,
     random_density_operator,
     random_pure_state,
+    random_unitary,
     tensor,
+    to_channel,
     trace_norm,
 )
 from qct.reduction import copy_stage_states
-from qct.states import partial_trace_wires
+from qct.states import TAU_PSD, partial_trace_wires
 from qct.verifier import make_toy_verifier
 
 
@@ -61,6 +66,90 @@ class TestTypes:
         assert lay.wires("F") == (0, 1)
         assert lay.wires("H") == (2,)
         assert lay.total_qubits == 3 and lay.dim == 8
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: PureState(np.array([x, 1.0])),
+            lambda x: HermitianObservable(np.array([[0.5, x], [x, 0.5]])),
+            lambda x: DensityOperator(np.array([[0.5, x], [x, 0.5]])),
+            lambda x: QuantumChannel(1, 2, np.array([[0.5, x], [x, 0.5]])),
+        ],
+        ids=["pure", "observable", "density", "channel"],
+    )
+    def test_nonfinite_entries_rejected(self, build, bad):
+        with pytest.raises(InvalidStateError, match="non-finite entries"):
+            build(bad)
+
+
+def _state_with_min_eig(d: int, min_eig: float, seed: int) -> np.ndarray:
+    """Hermitian unit-trace matrix in a random basis whose smallest eigenvalue is ``min_eig``."""
+    vals = np.full(d, (1.0 - min_eig) / (d - 1))
+    vals[0] = min_eig
+    u = random_unitary(d, seed)
+    mat = (u * vals) @ u.conj().T
+    return (mat + mat.conj().T) / 2
+
+
+def _reported_eig(exc: pytest.ExceptionInfo) -> float:
+    return float(str(exc.value).split("eigenvalue ")[1].split()[0])
+
+
+class TestPsdBoundary:
+    """Accept exactly when eigvalsh(mat)[0] >= -tol, whichever factorization settles it."""
+
+    FACTORS = [-0.4, -0.9, -0.99, -1.01, -1.1]
+
+    @pytest.mark.parametrize("factor", FACTORS)
+    @pytest.mark.parametrize("d", [2, 16, 256])
+    def test_density_operator(self, d, factor):
+        mat = _state_with_min_eig(d, factor * TAU_PSD, seed=d)
+        exact = np.linalg.eigvalsh(mat)[0]
+        assert (exact >= -TAU_PSD) == (factor > -1)
+        if factor > -1:
+            DensityOperator(mat)
+        else:
+            with pytest.raises(InvalidStateError, match="below") as exc:
+                DensityOperator(mat)
+            assert _reported_eig(exc) == pytest.approx(exact, rel=1e-9)
+
+    @pytest.mark.parametrize("factor", FACTORS)
+    @pytest.mark.parametrize("d_in, d_out", [(1, 2), (4, 4), (16, 16)])
+    def test_channel_at_its_scaled_tolerance(self, d_in, d_out, factor):
+        tol = TAU_PSD * d_in
+        # sigma (x) I_in has the spectrum of sigma and output marginal tr(sigma) I_in = I_in.
+        choi = np.kron(_state_with_min_eig(d_out, factor * tol, seed=d_out), np.eye(d_in))
+        exact = np.linalg.eigvalsh(choi)[0]
+        assert (exact >= -tol) == (factor > -1)
+        if factor > -1:
+            QuantumChannel(d_in, d_out, choi)
+        else:
+            with pytest.raises(InvalidStateError, match="violates CP") as exc:
+                QuantumChannel(d_in, d_out, choi)
+            assert _reported_eig(exc) == pytest.approx(exact, rel=1e-9)
+
+    def test_cholesky_settles_valid_inputs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh ran on a valid input")
+
+        circuit = MixedStateCircuit(
+            5,
+            tuple(GateOp("H", (w,)) for w in range(5))
+            + tuple(GateOp("CNOT", (w, w + 1)) for w in range(4))
+            + (GateOp("T", (4,)),),
+            5,
+        )
+        states = [
+            random_density_operator(512, 11).matrix,
+            random_pure_state(1024, 5).density().matrix,
+            _state_with_min_eig(256, -0.4 * TAU_PSD, seed=1),
+        ]
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for mat in states:
+            DensityOperator(mat)
+        assert to_channel(circuit).choi.shape == (1024, 1024)
 
 
 class TestTensor:
