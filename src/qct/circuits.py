@@ -600,7 +600,7 @@ def parse_circuit(data) -> MixedStateCircuit:
         if count is not None:
             _json_int(count, f"{path}.count")
         key_bits = entry.get("key_bits")
-        if kind == PLACEHOLDER_KIND:
+        if kind == PLACEHOLDER_KIND or key_bits is not None:
             if not isinstance(key_bits, list) or len(key_bits) != 2:
                 raise CircuitParseError(f"{path}.key_bits: required pair of bit indices")
             key_bits = tuple(_json_int(b, f"{path}.key_bits[{j}]") for j, b in enumerate(key_bits))

@@ -375,9 +375,18 @@ class TestSerialization:
                 },
                 r"ops\[0\]\.key_bits\[1\]",
             ),
+            (
+                {
+                    "input_qubits": 1,
+                    "output_qubits": 1,
+                    "ops": [{"kind": "X", "targets": [0], "key_bits": ["a", 0]}],
+                },
+                r"ops\[0\]\.key_bits\[0\]",
+            ),
         ],
         ids=["str-inputs", "float-inputs", "bool-inputs", "float-outputs", "bool-count",
-             "bool-target", "bool-control", "str-matrix-entry", "float-key-bit"],
+             "bool-target", "bool-control", "str-matrix-entry", "float-key-bit",
+             "str-key-bit-on-fixed-gate"],
     )
     def test_non_integer_fields_rejected_with_path(self, doc, path):
         with pytest.raises(CircuitParseError, match=path):
