@@ -36,7 +36,7 @@ from .states import (
     DensityOperator,
     PureState,
     _min_eig_below,
-    _reject_nonfinite,
+    _reject_non_hermitian,
     qubit_count,
     random_unitary,
 )
@@ -59,10 +59,7 @@ class QuantumChannel:
             raise DimensionMismatchError(
                 f"choi shape {mat.shape} does not match dims {self.dim_in}->{self.dim_out}"
             )
-        skew = np.max(np.abs(mat - mat.conj().T))
-        _reject_nonfinite(skew, mat, "choi matrix")
-        if skew > 1e-8:
-            raise InvalidStateError("choi matrix is not Hermitian within tolerance")
+        _reject_non_hermitian(mat, 1e-8, "choi matrix")
         min_eig = _min_eig_below(mat, TAU_PSD * max(1.0, self.dim_in))
         if min_eig is not None:
             raise InvalidStateError(f"choi minimum eigenvalue {min_eig} violates CP")

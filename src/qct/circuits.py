@@ -8,6 +8,7 @@ lists surviving wires in ascending id.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,13 +22,7 @@ from .errors import (
     UnsupportedGateError,
     check_capacity,
 )
-from .states import (
-    TAU_UNIT,
-    DensityOperator,
-    apply_unitary_mat,
-    left_apply_unitary,
-    partial_trace_wires,
-)
+from .states import TAU_UNIT, DensityOperator, left_apply_unitary
 
 # ---------------------------------------------------------------------------
 # Gate matrices
@@ -258,6 +253,7 @@ class MixedStateCircuit:
             )
 
     def _replay(self) -> tuple[list[int], int]:
+        check_capacity(self.input_qubits, "circuit inputs")
         live = list(range(self.input_qubits))
         created = self.input_qubits
         for idx, op in enumerate(self.ops):
@@ -398,10 +394,9 @@ def evaluate(
 
     The input state lives on ``tensor(circuit input, reference)``: circuit
     wires are the more significant qubits, the reference the less significant
-    ones.  The output keeps that ordering.
+    ones.  The output keeps that ordering.  The result is
+    ``sum_g (K_g (x) I) rho (K_g (x) I)^dagger`` over the ``stinespring`` Kraus stack.
     """
-    if circuit.has_placeholders:
-        raise UnsupportedGateError("expand key placeholders before evaluating")
     mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=np.complex128)
     expected = 2 ** (circuit.input_qubits + reference_qubits)
     if mat.shape != (expected, expected):
@@ -409,32 +404,21 @@ def evaluate(
             f"state has dim {mat.shape[0]}, need {expected} for "
             f"{circuit.input_qubits} inputs + {reference_qubits} reference qubits"
         )
-    ref = reference_qubits
-    live = list(range(circuit.input_qubits))
-    created = circuit.input_qubits
-    state = np.array(mat, dtype=np.complex128)
-
-    def wire_bit(wire: int) -> int:
-        return ref + live.index(wire)
-
-    for idx, op in enumerate(circuit.ops):
-        n_total = ref + len(live)
-        if op.kind == "ancilla":
-            check_capacity(n_total + op.count, f"ops[{idx}] evaluation")
-            anc = np.zeros((2**op.count, 2**op.count), dtype=np.complex128)
-            anc[0, 0] = 1.0
-            state = np.kron(anc, state)
-            live.extend(range(created, created + op.count))
-            created += op.count
-        elif op.kind == "traceout":
-            bits = [wire_bit(w) for w in op.targets]
-            state = partial_trace_wires(state, n_total, bits)
-            live = [w for w in live if w not in op.targets]
-        else:
-            u, wires = op.as_unitary()
-            bits = [wire_bit(w) for w in wires]
-            state = apply_unitary_mat(state, n_total, u, bits)
-    return DensityOperator(state)
+    check_capacity(
+        circuit.input_qubits + circuit.ancilla_total + reference_qubits,
+        "canonical form plus reference",
+    )
+    kraus = stinespring(circuit)
+    n_traced, d_out, d_in = kraus.shape
+    d_ref = 2**reference_qubits
+    # (K (x) I) rho, indexed (g, out, ref, in', ref')
+    left = kraus.reshape(n_traced * d_out, d_in) @ mat.reshape(d_in, -1)
+    left = left.reshape(n_traced, d_out * d_ref, d_in, d_ref).transpose(1, 3, 0, 2)
+    # contract (g, in') against conj(K) as ((g, in), out): the sum over g is in the matmul
+    right = kraus.conj().transpose(0, 2, 1).reshape(n_traced * d_in, d_out)
+    out = left.reshape(d_out * d_ref * d_ref, n_traced * d_in) @ right
+    d = d_out * d_ref
+    return DensityOperator(out.reshape(d, d_ref, d_out).transpose(0, 2, 1).reshape(d, d))
 
 
 def concatenate(first: MixedStateCircuit, second: MixedStateCircuit) -> MixedStateCircuit:
@@ -513,7 +497,13 @@ def _matrix_from_json(entries, arity: int, path: str) -> np.ndarray:
             raise CircuitParseError(f"{path}[{i}]: expected a [re, im] pair")
         if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair):
             raise CircuitParseError(f"{path}[{i}]: [re, im] must be real numbers, got {pair!r}")
-        values.append(complex(pair[0], pair[1]))
+        try:
+            z = complex(pair[0], pair[1])
+        except OverflowError:  # an integer beyond the float range
+            z = cmath.inf
+        if not cmath.isfinite(z):
+            raise CircuitParseError(f"{path}[{i}]: [re, im] must be finite, got {pair!r}")
+        values.append(z)
     return np.array(values, dtype=np.complex128).reshape(d, d)
 
 

@@ -50,6 +50,15 @@ def _reject_nonfinite(norm: float, a: np.ndarray, what: str) -> None:
         raise InvalidStateError(f"{what} has non-finite entries")
 
 
+def _reject_non_hermitian(mat: np.ndarray, tol: float, what: str) -> None:
+    """Raise when ``mat`` has a non-finite entry or deviates from ``mat^H`` by more than ``tol``."""
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN; _reject_nonfinite reports it
+        skew = np.max(np.abs(mat - mat.conj().T))
+    _reject_nonfinite(skew, mat, what)
+    if skew > tol:
+        raise InvalidStateError(f"{what} is not Hermitian within tolerance")
+
+
 def _min_eig_below(mat: np.ndarray, tol: float) -> float | None:
     """The smallest eigenvalue of Hermitian ``mat`` if it is below ``-tol``, else None.
 
@@ -161,10 +170,7 @@ class DensityOperator:
         mat = _as_complex(self.matrix)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidStateError(f"density matrix must be square, got shape {mat.shape}")
-        skew = np.max(np.abs(mat - mat.conj().T))
-        _reject_nonfinite(skew, mat, "density matrix")
-        if skew > TAU_UNIT:
-            raise InvalidStateError("matrix is not Hermitian within tolerance")
+        _reject_non_hermitian(mat, TAU_UNIT, "density matrix")
         tr = np.trace(mat)
         if abs(tr - 1.0) > TAU_UNIT:
             raise InvalidStateError(f"trace {tr} is not 1 within {TAU_UNIT}")
@@ -195,10 +201,7 @@ class HermitianObservable:
         mat = _as_complex(self.matrix)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidStateError(f"observable must be square, got shape {mat.shape}")
-        skew = np.max(np.abs(mat - mat.conj().T))
-        _reject_nonfinite(skew, mat, "observable")
-        if skew > TAU_UNIT:
-            raise InvalidStateError("observable is not Hermitian within tolerance")
+        _reject_non_hermitian(mat, TAU_UNIT, "observable")
         object.__setattr__(self, "matrix", _frozen_copy(mat))
 
     @property
@@ -326,7 +329,7 @@ def von_neumann_entropy(rho, base: float = 2.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Wire-level helpers shared with the circuit evaluator
+# Wire-level helpers shared with the circuit compiler
 # ---------------------------------------------------------------------------
 
 

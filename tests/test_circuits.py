@@ -28,6 +28,7 @@ from qct import (
     to_channel,
 )
 from qct.circuits import GATE_Z, _dilate
+from qct.states import apply_unitary_mat, partial_trace_wires
 
 
 def bundled(name: str) -> bytes:
@@ -237,12 +238,37 @@ def _random_mixed_circuit(seed):
     return MixedStateCircuit(2, tuple(ops), 2)
 
 
+def _evaluate_by_wires(circuit, rho, reference_qubits=0):
+    """Reference evaluator: the density matrix gate by gate, each ancilla
+    kron-ed in on top and each trace-out a partial trace over live wires."""
+    ref = reference_qubits
+    live = list(range(circuit.input_qubits))
+    created = circuit.input_qubits
+    state = np.array(rho, dtype=complex)
+    for op in circuit.ops:
+        n_total = ref + len(live)
+        if op.kind == "ancilla":
+            anc = np.zeros((2**op.count, 2**op.count), dtype=complex)
+            anc[0, 0] = 1.0
+            state = np.kron(anc, state)
+            live.extend(range(created, created + op.count))
+            created += op.count
+        elif op.kind == "traceout":
+            bits = [ref + live.index(w) for w in op.targets]
+            state = partial_trace_wires(state, n_total, bits)
+            live = [w for w in live if w not in op.targets]
+        else:
+            u, wires = op.as_unitary()
+            state = apply_unitary_mat(state, n_total, u, [ref + live.index(w) for w in wires])
+    return state
+
+
 def _choi_by_evaluation(circuit):
     """Reference Choi matrix: the circuit on half of |Omega><Omega|, times 2^n."""
     n = circuit.input_qubits
     omega = np.eye(2**n, dtype=complex).reshape(-1) / np.sqrt(2**n)
-    out = evaluate(circuit, np.outer(omega, omega.conj()), reference_qubits=n)
-    return out.matrix * 2**n
+    out = _evaluate_by_wires(circuit, np.outer(omega, omega.conj()), reference_qubits=n)
+    return out * 2**n
 
 
 class TestStinespring:
@@ -251,6 +277,15 @@ class TestStinespring:
         circuit = _random_mixed_circuit(seed)
         want = _choi_by_evaluation(circuit)
         assert np.max(np.abs(to_channel(circuit).choi - want)) < 1e-12
+
+    @pytest.mark.parametrize("ref", range(4))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_evaluate_matches_wire_reference(self, seed, ref):
+        circuit = _random_mixed_circuit(seed)
+        rho = random_density_operator(2 ** (circuit.input_qubits + ref), seed)
+        want = _evaluate_by_wires(circuit, rho.matrix, reference_qubits=ref)
+        got = evaluate(circuit, rho, reference_qubits=ref).matrix
+        assert np.max(np.abs(got - want)) < 1e-12
 
     def test_canonical_unitary_extends_the_compiled_columns(self):
         circuit = _random_mixed_circuit(0)
@@ -270,7 +305,8 @@ class TestStinespring:
         for wire in range(1, max_qubits() + 1):
             ops += [GateOp.ancillas(1), GateOp.cnot(0, wire), GateOp.trace_out(wire)]
         circuit = MixedStateCircuit(1, tuple(ops), 1)
-        assert abs(np.trace(evaluate(circuit, random_density_operator(2, 0)).matrix) - 1) < 1e-9
+        with pytest.raises(CapacityError, match="canonical form"):
+            evaluate(circuit, random_density_operator(2, 0))
         with pytest.raises(CapacityError, match="canonical form"):
             to_channel(circuit)
 
@@ -383,11 +419,40 @@ class TestSerialization:
                 },
                 r"ops\[0\]\.key_bits\[0\]",
             ),
+            (
+                {
+                    "input_qubits": 1,
+                    "output_qubits": 1,
+                    "ops": [{"kind": "unitary", "targets": [0],
+                             "matrix": [[0, 0], [1, 0], [1, 0], [0, float("nan")]]}],
+                },
+                r"ops\[0\]\.matrix\[3\]",
+            ),
+            (
+                {
+                    "input_qubits": 1,
+                    "output_qubits": 1,
+                    "ops": [{"kind": "unitary", "targets": [0],
+                             "matrix": [[float("inf"), 0], [0, 0], [0, 0], [1, 0]]}],
+                },
+                r"ops\[0\]\.matrix\[0\]",
+            ),
+            (
+                {
+                    "input_qubits": 1,
+                    "output_qubits": 1,
+                    "ops": [{"kind": "unitary", "targets": [0],
+                             "matrix": [[1, 0], [0, 0], [0, 0], [10**400, 0]]}],
+                },
+                r"ops\[0\]\.matrix\[3\]",
+            ),
         ],
         ids=["str-inputs", "float-inputs", "bool-inputs", "float-outputs", "bool-count",
              "bool-target", "bool-control", "str-matrix-entry", "float-key-bit",
-             "str-key-bit-on-fixed-gate"],
+             "str-key-bit-on-fixed-gate", "nan-matrix-entry", "infinity-matrix-entry",
+             "huge-int-matrix-entry"],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_integer_fields_rejected_with_path(self, doc, path):
         with pytest.raises(CircuitParseError, match=path):
             parse_circuit(json.dumps(doc))

@@ -113,5 +113,11 @@ class TestCircuitValidate:
         assert main(["circuit", "validate", str(path)]) == 1
         assert "ops[0]" in capsys.readouterr().err
 
+    def test_inputs_past_the_cap_fail(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
+        path.write_text('{"input_qubits": 100, "output_qubits": 100, "ops": []}')
+        assert main(["circuit", "validate", str(path)]) == 1
+        assert "100 qubits" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         assert main(["circuit", "validate", "/nonexistent/file.json"]) == 1

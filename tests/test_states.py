@@ -67,7 +67,7 @@ class TestTypes:
         assert lay.wires("H") == (2,)
         assert lay.total_qubits == 3 and lay.dim == 8
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize(
         "build",
