@@ -70,8 +70,9 @@ def nonidentity_stat(
 ) -> ProblemVerdict:
     """Diamond-distance lower bound from the identity.
 
-    A bound at or above ``2 - eps`` certifies the far-from-identity side; a
-    bound at or below ``eps`` is only consistent with the close side.  The
+    A lower bound at or above ``2 - eps`` certifies the far-from-identity side.
+    A lower bound at or below ``eps`` is consistent with the close side, and
+    proves it when the diamond upper bound is at or below ``eps`` too.  The
     existence of an efficient unitary realizing the far action is not audited.
     """
     if channel.dim_in != channel.dim_out:
@@ -81,7 +82,7 @@ def nonidentity_stat(
     if stat >= 2.0 - eps:
         side, heuristic = "YES", False
     elif stat <= eps:
-        side, heuristic = "NO", True
+        side, heuristic = "NO", dd.upper_bound > eps
     else:
         side, heuristic = None, True
     return ProblemVerdict(

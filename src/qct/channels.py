@@ -346,15 +346,20 @@ def random_channel(n_qubits: int, seed, env_qubits: int = 1) -> QuantumChannel:
 
 
 # ---------------------------------------------------------------------------
-# Diamond-norm lower bound via alternating ascent
+# Diamond-norm bounds: alternating ascent from below, the J+ dual bound from above
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class DiamondResult:
-    """Certified lower bound on a diamond-norm distance, with its witness input."""
+    """Certified two-sided bounds on a diamond-norm distance, with the lower bound's witness.
+
+    ``per_restart`` lists the ascent value of each start that ran; the ascent
+    runs no further starts once its lower bound meets ``upper_bound``.
+    """
 
     lower_bound: float
+    upper_bound: float
     witness: PureState
     per_restart: tuple[float, ...]
     seed: int | None
@@ -362,6 +367,18 @@ class DiamondResult:
 
 def _maximally_entangled(d: int) -> np.ndarray:
     return np.eye(d, dtype=np.complex128).reshape(-1) / np.sqrt(d)
+
+
+def _dual_upper_bound(delta_choi: np.ndarray, d_in: int, d_out: int) -> float:
+    """Upper bound ``2 ||Tr_out J+||_inf`` on the diamond norm of a Choi difference, capped at 2.
+
+    ``Z = J+``, the positive part of the difference, is feasible for the dual
+    of Watrous's diamond-norm SDP (arXiv:1207.5726): ``Z >= 0`` and ``Z >= J``.
+    """
+    vals, vecs = np.linalg.eigh(delta_choi)
+    positive = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+    marginal = np.einsum("aiaj->ij", positive.reshape(d_out, d_in, d_out, d_in))
+    return min(2.0 * float(np.linalg.eigvalsh(marginal)[-1]), 2.0)
 
 
 def _ascend(
@@ -372,11 +389,13 @@ def _ascend(
     psi: np.ndarray,
     max_iters: int,
     tol: float,
+    stop: float,
 ) -> tuple[float, np.ndarray]:
     """Alternate between the optimal sign observable and the best input state.
 
     Each step is monotone: the trace norm of the mapped state never decreases,
-    so the best value seen is a certified lower bound.
+    so the best value seen is a certified lower bound.  The ascent ends early
+    once a value reaches ``stop``.
     """
     best_val, best_psi = -np.inf, psi
     prev = -np.inf
@@ -387,7 +406,7 @@ def _ascend(
         f = float(np.sum(np.abs(vals)))
         if f > best_val:
             best_val, best_psi = f, psi
-        if f <= prev + tol:
+        if f >= stop or f <= prev + tol:
             break
         prev = f
         sign_obs = (vecs * np.sign(vals)) @ vecs.conj().T
@@ -408,7 +427,13 @@ def _ascent_max(
     extra_starts: Sequence[np.ndarray] = (),
     max_iters: int = 200,
     tol: float = 1e-13,
-) -> tuple[float, np.ndarray, tuple[float, ...]]:
+) -> tuple[float, float, np.ndarray, tuple[float, ...]]:
+    """Best ascent value over the starts, the J+ upper bound, the witness and per-start values.
+
+    Starts run in order until the best value reaches the upper bound less ``tol``.
+    """
+    upper = _dual_upper_bound(delta_choi, d_in, d_out)
+    stop = upper - tol
     dim = d_in * d_ref
     starts: list[np.ndarray] = []
     if d_ref == d_in:
@@ -423,11 +448,13 @@ def _ascent_max(
     best_val, best_psi = -np.inf, starts[0]
     per_restart = []
     for start in starts:
-        val, psi = _ascend(delta_choi, d_in, d_out, d_ref, start, max_iters, tol)
+        val, psi = _ascend(delta_choi, d_in, d_out, d_ref, start, max_iters, tol, stop)
         per_restart.append(val)
         if val > best_val:
             best_val, best_psi = val, psi
-    return best_val, best_psi, tuple(per_restart)
+        if best_val >= stop:
+            break
+    return best_val, upper, best_psi, tuple(per_restart)
 
 
 def diamond_distance(
@@ -437,12 +464,16 @@ def diamond_distance(
     seed=0,
     extra_starts: Sequence[np.ndarray] = (),
 ) -> DiamondResult:
-    """Certified lower bound on the diamond-norm distance between two channels.
+    """Certified lower and upper bounds on the diamond-norm distance between two channels.
 
-    Maximizes the trace norm of ``((a - b) (x) id)`` over pure inputs on the
-    doubled input space by alternating ascent.  Restarts include the
-    maximally entangled state (the canonical entangled probe) plus Haar
-    starts drawn deterministically from ``seed``.
+    The lower bound maximizes the trace norm of ``((a - b) (x) id)`` over pure
+    inputs on the doubled input space by alternating ascent.  Starts are the
+    maximally entangled state (the canonical entangled probe), then
+    ``extra_starts``, then ``restarts`` Haar starts drawn deterministically
+    from ``seed``.  The upper bound is ``2 ||Tr_out J+||_inf`` for the positive
+    part ``J+`` of the Choi difference, capped at 2.  The ascent stops as soon
+    as its best value comes within 1e-13 of the upper bound, so when the two
+    meet the distance is settled and later starts do not run.
     """
     if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
         raise DimensionMismatchError(
@@ -450,21 +481,26 @@ def diamond_distance(
         )
     check_capacity(2 * a.n_qubits_in, "diamond-distance input")
     delta = a.choi - b.choi
-    val, psi, per_restart = _ascent_max(
+    val, upper, psi, per_restart = _ascent_max(
         delta, a.dim_in, a.dim_out, a.dim_in, restarts, seed, extra_starts
     )
-    val = max(val, 0.0)
-    return DiamondResult(val, PureState(psi), per_restart, seed if isinstance(seed, int) else None)
+    return DiamondResult(
+        max(val, 0.0), upper, PureState(psi), per_restart, seed if isinstance(seed, int) else None
+    )
 
 
 def trace_distance_no_reference(
     a: QuantumChannel, b: QuantumChannel, restarts: int = 20, seed=0
 ) -> float:
-    """Lower bound on the reference-free distinguishability ``max_psi ||(a-b)(psi)||_tr``."""
+    """Lower bound on the reference-free distinguishability ``max_psi ||(a-b)(psi)||_tr``.
+
+    The diamond norm bounds this distance too, so the ascent stops once it
+    meets the same ``J+`` upper bound as ``diamond_distance``.
+    """
     if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
         raise DimensionMismatchError("channel dims differ")
     delta = a.choi - b.choi
-    val, _, _ = _ascent_max(delta, a.dim_in, a.dim_out, 1, restarts, seed)
+    val, _, _, _ = _ascent_max(delta, a.dim_in, a.dim_out, 1, restarts, seed)
     return max(val, 0.0)
 
 
@@ -478,7 +514,7 @@ VERDICT_VIOLATES = "VIOLATES"
 
 @dataclass(frozen=True)
 class EpsPrivateReport:
-    """Certified lower bounds against the two privacy conditions."""
+    """Certified lower bounds against the two privacy conditions, and the diamond upper bounds."""
 
     eps: float
     decryption_bound: float
@@ -486,6 +522,8 @@ class EpsPrivateReport:
     key_average_bound: float
     decryption_bound_trace: float
     key_average_bound_trace: float
+    decryption_upper_bound: float
+    key_average_upper_bound: float
     verdict: str
     seed: int | None
 
@@ -505,13 +543,16 @@ def check_eps_private(
     restarts: int = 20,
     seed=0,
 ) -> EpsPrivateReport:
-    """Probe both privacy conditions with diamond-distance lower bounds.
+    """Bound both privacy conditions with ``diamond_distance``.
 
     ``decryption_bound`` is the worst key's distance of decrypt-then-encrypt
     from the identity; ``key_average_bound`` is the distance of the key
     average from the depolarizing channel.  Lower bounds above ``eps``
-    certify a violation; bounds at or below ``eps`` are consistent with the
-    channel being private but do not prove it.
+    certify a violation; lower bounds at or below ``eps`` give the
+    consistent verdict.  ``decryption_upper_bound`` and
+    ``key_average_upper_bound`` are the matching diamond upper bounds: when
+    both are at or below ``eps`` the family is proven eps-private.  Each
+    ascent stops once it meets its upper bound.
     """
     if decryptor.input_qubits != family.output_qubits or (
         decryptor.output_qubits != family.input_qubits
@@ -528,14 +569,18 @@ def check_eps_private(
         )
     ident = identity_channel(family.input_qubits)
     per_key = []
+    per_key_upper = []
     per_key_trace = []
     for key in range(family.n_keys):
         round_trip = compose(decryptor.channel(key), family.channel(key))
-        per_key.append(diamond_distance(round_trip, ident, restarts, seed).lower_bound)
+        dd = diamond_distance(round_trip, ident, restarts, seed)
+        per_key.append(dd.lower_bound)
+        per_key_upper.append(dd.upper_bound)
         per_key_trace.append(trace_distance_no_reference(round_trip, ident, restarts, seed))
     omega = depolarizing(family.input_qubits, family.output_qubits)
     averaged = key_average(family)
-    d2 = diamond_distance(averaged, omega, restarts, seed).lower_bound
+    dd2 = diamond_distance(averaged, omega, restarts, seed)
+    d2 = dd2.lower_bound
     d2_trace = trace_distance_no_reference(averaged, omega, restarts, seed)
     d1 = max(per_key)
     verdict = VERDICT_VIOLATES if (d1 > eps or d2 > eps) else VERDICT_CONSISTENT
@@ -546,6 +591,8 @@ def check_eps_private(
         key_average_bound=d2,
         decryption_bound_trace=max(per_key_trace),
         key_average_bound_trace=d2_trace,
+        decryption_upper_bound=max(per_key_upper),
+        key_average_upper_bound=dd2.upper_bound,
         verdict=verdict,
         seed=seed if isinstance(seed, int) else None,
     )

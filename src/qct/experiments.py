@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,6 +62,14 @@ def _row(experiment: str, claim: str, measured: float, bound: float, direction: 
         passed=passed,
         ms=(time.perf_counter() - t0) * 1000.0,
     )
+
+
+def _sibling(
+    row: ReportRow, claim: str, measured: float, bound: float, direction: str
+) -> ReportRow:
+    """A further row read off the computation ``row`` timed; it carries the same ``ms``."""
+    new = _row(row.experiment, claim, measured, bound, direction, time.perf_counter())
+    return replace(new, ms=row.ms)
 
 
 def _bounded_observable(dim: int, seed) -> HermitianObservable:
@@ -170,9 +178,9 @@ def reduction_experiment(seed: int, eps: float = 0.04, restarts: int = 20) -> li
             yes_form - 3 * math.sqrt(1 - p),
             no_form - 3 * math.sqrt(p),
         )
-    rows.append(_row("reduction", "Eq2-Eq3-copy-distortion", exact_dev, 1e-9, "<=", t0))
-    t0 = time.perf_counter()
-    rows.append(_row("reduction", "Eq2-Eq3-majorant-strict", majorant_margin, 0.0, "<=", t0))
+    distortion = _row("reduction", "Eq2-Eq3-copy-distortion", exact_dev, 1e-9, "<=", t0)
+    rows.append(distortion)
+    rows.append(_sibling(distortion, "Eq2-Eq3-majorant-strict", majorant_margin, 0.0, "<="))
 
     v_yes = vf.make_toy_verifier("rotation", accept_probability=1.0 - eps)
     bound = 3 * math.sqrt(eps)
@@ -207,20 +215,13 @@ def reduction_experiment(seed: int, eps: float = 0.04, restarts: int = 20) -> li
     v_low = vf.make_toy_verifier("rotation", accept_probability=eps)
     inst = red.build_ct_circuit(v_low, "identity", "depolarizing", eps, 1.0)
     cert = red.certify_no(inst, v_low, restarts=restarts, seed=seed, samples=50)
-    rows.append(
-        _row("reduction", "Prop2-rotation-sampled", max(cert.probe_distances), bound, "<=", t0)
+    sampled = _row(
+        "reduction", "Prop2-rotation-sampled", max(cert.probe_distances), bound, "<=", t0
     )
-    t0 = time.perf_counter()
-    rows.append(
-        _row(
-            "reduction",
-            "Prop2-rotation-diamond-ascent",
-            cert.diamond_lower_bound,
-            bound + 1e-6,
-            "<=",
-            t0,
-        )
-    )
+    rows.append(sampled)
+    ascent, upper = cert.diamond_lower_bound, cert.diamond_upper_bound
+    rows.append(_sibling(sampled, "Prop2-rotation-diamond-ascent", ascent, bound + 1e-6, "<="))
+    rows.append(_sibling(sampled, "Prop2-rotation-diamond-upper", upper, bound, "<="))
     return rows
 
 
@@ -304,12 +305,12 @@ def di_protocol_experiment(
         secure, best_proof.density(), shots=shots, seed=seed, proof_spec="optimal"
     )
     lo, hi = sampled.ci95
-    rows.append(
-        _row("di-protocol", "Protocol1-soundness-sampled-wilson-low", lo, soundness_target, "<=", t0)
+    low = _row(
+        "di-protocol", "Protocol1-soundness-sampled-wilson-low", lo, soundness_target, "<=", t0
     )
-    t0 = time.perf_counter()
+    rows.append(low)
     rows.append(
-        _row("di-protocol", "Protocol1-soundness-sampled-wilson-high", hi, soundness_target, ">=", t0)
+        _sibling(low, "Protocol1-soundness-sampled-wilson-high", hi, soundness_target, ">=")
     )
 
     t0 = time.perf_counter()
@@ -326,20 +327,17 @@ def di_protocol_experiment(
         restarts=restarts,
         seed=seed,
     )
-    rows.append(
-        _row(
-            "di-protocol",
-            "EpsPrivate-OTP-verdict-consistent",
-            1.0 if otp_report.verdict == ch.VERDICT_CONSISTENT else 0.0,
-            1.0,
-            ">=",
-            t0,
-        )
+    otp_row = _row(
+        "di-protocol",
+        "EpsPrivate-OTP-verdict-consistent",
+        1.0 if otp_report.verdict == ch.VERDICT_CONSISTENT else 0.0,
+        1.0,
+        ">=",
+        t0,
     )
-    t0 = time.perf_counter()
-    rows.append(_row("di-protocol", "EpsPrivate-OTP-d1", otp_report.d1, 1e-9, "<=", t0))
-    t0 = time.perf_counter()
-    rows.append(_row("di-protocol", "EpsPrivate-OTP-d2", otp_report.d2, 1e-9, "<=", t0))
+    rows.append(otp_row)
+    rows.append(_sibling(otp_row, "EpsPrivate-OTP-d1", otp_report.d1, 1e-9, "<="))
+    rows.append(_sibling(otp_row, "EpsPrivate-OTP-d2", otp_report.d2, 1e-9, "<="))
 
     t0 = time.perf_counter()
     leaky = pr.build_identity_instance(1, 0.1)
@@ -350,19 +348,17 @@ def di_protocol_experiment(
         restarts=restarts,
         seed=seed,
     )
-    rows.append(
-        _row(
-            "di-protocol",
-            "EpsPrivate-identity-family-verdict-violates",
-            1.0 if leaky_report.verdict == ch.VERDICT_VIOLATES else 0.0,
-            1.0,
-            ">=",
-            t0,
-        )
+    leaky_row = _row(
+        "di-protocol",
+        "EpsPrivate-identity-family-verdict-violates",
+        1.0 if leaky_report.verdict == ch.VERDICT_VIOLATES else 0.0,
+        1.0,
+        ">=",
+        t0,
     )
-    t0 = time.perf_counter()
+    rows.append(leaky_row)
     rows.append(
-        _row("di-protocol", "EpsPrivate-identity-family-d2", leaky_report.d2, 1.5 - 1e-9, ">=", t0)
+        _sibling(leaky_row, "EpsPrivate-identity-family-d2", leaky_report.d2, 1.5 - 1e-9, ">=")
     )
     return rows
 

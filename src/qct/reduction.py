@@ -190,6 +190,7 @@ class CTCertificate:
     subspace_dim_claimed: float | None = None
     subspace_dim_achieved: int | None = None
     diamond_lower_bound: float | None = None
+    diamond_upper_bound: float | None = None
     heuristic_consistent: bool | None = None
     seed: int | None = None
 
@@ -426,9 +427,10 @@ def certify_no(
 ) -> CTCertificate:
     """Probe the rejecting side: the instance must track the second family.
 
-    Samples entangled inputs for trace-norm distances and runs the diamond
-    ascent.  A lower bound below the threshold is recorded as consistent with
-    the claim, not as a proof of it.
+    Samples entangled inputs for trace-norm distances and bounds the diamond
+    distance from both sides.  A lower bound below the threshold is recorded
+    as consistent with the claim; ``diamond_upper_bound`` at or below the
+    threshold proves it.
     """
     p_star, _ = max_accept_probability(v)
     if p_star > instance.eps + 1e-9:
@@ -458,6 +460,7 @@ def certify_no(
         witness=dd.witness,
         probe_distances=tuple(distances),
         diamond_lower_bound=dd.lower_bound,
+        diamond_upper_bound=dd.upper_bound,
         heuristic_consistent=heuristic,
         seed=seed if isinstance(seed, int) else None,
     )

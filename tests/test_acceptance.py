@@ -10,7 +10,9 @@ import pytest
 from qct.cli import main
 from qct.experiments import full_suite
 
-CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "full_suite.json"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_PATH = ROOT / "configs" / "full_suite.json"
+REFERENCE_BODY = ROOT / "perfbench" / "reference" / "full_suite_body.json"
 CONFIG = json.loads(CONFIG_PATH.read_text())
 SEED = CONFIG["seed"]
 SHOTS = CONFIG["shots"]
@@ -86,13 +88,14 @@ def test_criterion_06_rejecting_side_certificates(suite_rows):
             "Prop2-always-reject-sampled",
             "Prop2-rotation-sampled",
             "Prop2-rotation-diamond-ascent",
+            "Prop2-rotation-diamond-upper",
         ],
     )
 
 
 def test_criterion_07_diamond_oracle_values(suite_rows):
     check(
-        "criterion-7 diamond ascent reaches 1.5, 1.875, 2.0 (1e-6, 20 restarts)",
+        "criterion-7 diamond ascent reaches 1.5, 1.875, 2.0 (1e-6, stops at the J+ upper bound)",
         suite_rows,
         [
             "Diamond-id-vs-depolarizing-1q",
@@ -144,6 +147,20 @@ def test_criterion_10_application_statistics(suite_rows):
             "NonIsometry-trace-one-of-two",
         ],
     )
+
+
+def test_rows_match_reference_body(suite_rows):
+    reference = json.loads(REFERENCE_BODY.read_text())
+    assert reference["config"]["seed"] == SEED
+    moved = [
+        ref["claim"]
+        for ref in reference["rows"]
+        if abs(suite_rows[ref["claim"]].measured - ref["measured"]) > 1e-12
+        or suite_rows[ref["claim"]].passed != ref["pass"]
+    ]
+    status = "FAIL" if moved else "PASS"
+    print(f"{status} every reference row keeps its measured value (1e-12) and pass flag")
+    assert not moved, f"rows moved from the reference body: {moved}"
 
 
 def test_criterion_11_full_suite_reports_are_byte_identical(tmp_path):

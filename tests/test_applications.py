@@ -29,7 +29,13 @@ class TestNonIdentity:
     def test_identity_is_no_consistent(self):
         verdict = nonidentity_stat(identity_channel(1), 0.1, restarts=5, seed=0)
         assert verdict.statistic < 1e-9
-        assert verdict.consistent_with == "NO" and verdict.heuristic_only
+        assert verdict.consistent_with == "NO" and not verdict.heuristic_only
+
+    def test_near_identity_no_side_is_proven(self):
+        chan = mix([identity_channel(1), depolarizing(1)], [0.99, 0.01])
+        verdict = nonidentity_stat(chan, 0.05, restarts=5, seed=0)
+        assert abs(verdict.statistic - 0.015) < 1e-9  # 0.01 * ||id - depolarizing|| = 0.01 * 1.5
+        assert verdict.consistent_with == "NO" and not verdict.heuristic_only
 
     def test_pauli_x_is_yes(self):
         chan = to_channel(pauli_x_first_circuit(1))

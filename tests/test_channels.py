@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,23 @@ class TestCompose:
             compose(identity_channel(2), identity_channel(1))
 
 
+# name -> (channel pair, restarts, ||a - b||_diamond); id vs depolarizing is 2 (1 - 4^-n)
+DIAMOND_ORACLES = {
+    "id-vs-depolarizing-1": (lambda: (identity_channel(1), depolarizing(1)), 20, 1.5),
+    "id-vs-depolarizing-2": (lambda: (identity_channel(2), depolarizing(2)), 20, 1.875),
+    "id-vs-depolarizing-3": (lambda: (identity_channel(3), depolarizing(3)), 2, 1.96875),
+    "id-vs-pauli-x": (lambda: (identity_channel(1), to_channel(pauli_keyed(1, 1))), 20, 2.0),
+}
+RANDOM_PAIRS = [(n, seed) for n in (1, 2) for seed in range(4)]
+RANDOM_PAIR_RESTARTS = 2
+
+
+@functools.lru_cache(maxsize=None)
+def _random_pair_distance(n, seed):
+    a, b = random_channel(n, (71, seed)), random_channel(n, (72, seed))
+    return diamond_distance(a, b, restarts=RANDOM_PAIR_RESTARTS, seed=seed)
+
+
 class TestDiamondDistance:
     def test_self_distance_zero(self):
         phi = random_channel(1, 5)
@@ -257,6 +276,27 @@ class TestDiamondDistance:
         with pytest.raises(DimensionMismatchError):
             diamond_distance(identity_channel(1), identity_channel(2))
 
+    @pytest.mark.parametrize("case", sorted(DIAMOND_ORACLES))
+    def test_upper_bound_meets_oracle_after_one_start(self, case):
+        pair, restarts, oracle = DIAMOND_ORACLES[case]
+        dd = diamond_distance(*pair(), restarts=restarts, seed=0)
+        assert abs(dd.upper_bound - dd.lower_bound) <= 1e-12
+        assert abs(dd.upper_bound - oracle) <= 1e-12
+        assert len(dd.per_restart) == 1
+
+    @pytest.mark.parametrize("n, seed", RANDOM_PAIRS)
+    def test_upper_bound_dominates_ascent(self, n, seed):
+        dd = _random_pair_distance(n, seed)
+        assert dd.lower_bound <= dd.upper_bound + 1e-12
+        assert dd.upper_bound <= 2.0
+
+    def test_open_gap_runs_every_start(self):
+        results = [_random_pair_distance(n, seed) for n, seed in RANDOM_PAIRS]
+        gapped = [dd for dd in results if dd.upper_bound - dd.lower_bound > 1e-6]
+        assert len(gapped) >= 4
+        for dd in gapped:
+            assert len(dd.per_restart) == RANDOM_PAIR_RESTARTS + 1
+
 
 class TestMixAndTensor:
     def test_mix_weights(self):
@@ -294,6 +334,17 @@ class TestEpsPrivacy:
         )
         assert report.verdict == VERDICT_VIOLATES
         assert report.d1 >= 2.0 - 1e-6
+
+    def test_upper_bounds_prove_the_pad_private(self):
+        report = check_eps_private(
+            pauli_otp_family(1), pauli_otp_decryptor(1), eps=0.01, restarts=5, seed=0
+        )
+        assert report.decryption_upper_bound <= 0.01 and report.key_average_upper_bound <= 0.01
+        leaky = check_eps_private(
+            identity_keyed_family(1, 2), identity_keyed_family(1, 2), eps=0.1, restarts=5, seed=0
+        )
+        assert leaky.key_average_bound <= leaky.key_average_upper_bound + 1e-12
+        assert abs(leaky.key_average_upper_bound - 1.5) <= 1e-12
 
     def test_trace_variants_bounded_by_diamond(self):
         fam = identity_keyed_family(1, 2)

@@ -47,6 +47,22 @@ class TestConfig:
             ExperimentConfig("norms", 1, shots=0)
 
 
+# experiment -> (row, the row whose timed computation it reads)
+SIBLING_ROWS = {
+    "reduction": [
+        ("Eq2-Eq3-majorant-strict", "Eq2-Eq3-copy-distortion"),
+        ("Prop2-rotation-diamond-ascent", "Prop2-rotation-sampled"),
+        ("Prop2-rotation-diamond-upper", "Prop2-rotation-sampled"),
+    ],
+    "di-protocol": [
+        ("Protocol1-soundness-sampled-wilson-high", "Protocol1-soundness-sampled-wilson-low"),
+        ("EpsPrivate-OTP-d1", "EpsPrivate-OTP-verdict-consistent"),
+        ("EpsPrivate-OTP-d2", "EpsPrivate-OTP-verdict-consistent"),
+        ("EpsPrivate-identity-family-d2", "EpsPrivate-identity-family-verdict-violates"),
+    ],
+}
+
+
 class TestRun:
     def test_norms_run_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, experiment="norms", seed=11, restarts=5)
@@ -60,6 +76,15 @@ class TestRun:
         assert all(row["pass"] for row in body["rows"])
         meta = json.loads((tmp_path / "report.json.meta.json").read_text())
         assert "timestamp" in meta and set(meta["row_ms"]) == {r["claim"] for r in body["rows"]}
+
+    @pytest.mark.parametrize("experiment", sorted(SIBLING_ROWS))
+    def test_sibling_rows_carry_their_computation_ms(self, tmp_path, experiment):
+        cfg = write_config(tmp_path, experiment=experiment, seed=5, shots=1000, restarts=2)
+        out = tmp_path / "report.json"
+        main(["run", "--config", str(cfg), "--out", str(out)])
+        row_ms = json.loads((tmp_path / "report.json.meta.json").read_text())["row_ms"]
+        for row, source in SIBLING_ROWS[experiment]:
+            assert row_ms[row] == row_ms[source], row
 
     def test_report_bodies_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, experiment="norms", seed=3, restarts=5)

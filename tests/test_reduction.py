@@ -264,6 +264,14 @@ class TestCertifyNo:
         assert max(cert.probe_distances) <= 0.6 + 1e-9
         assert cert.diamond_lower_bound <= 0.6 + 1e-6
 
+    def test_rotation_no_side_is_proven(self):
+        v = make_toy_verifier("rotation", accept_probability=0.04)
+        inst = build_ct_circuit(v, "identity", "depolarizing", 0.04, 1.0)
+        cert = certify_no(inst, v, restarts=10, seed=1, samples=10)
+        assert cert.diamond_lower_bound <= cert.diamond_upper_bound + 1e-12
+        assert cert.diamond_upper_bound <= inst.bound()
+        assert abs(cert.diamond_upper_bound - cert.diamond_lower_bound) <= 1e-12
+
     def test_branch_wiring_against_identity_second_family(self):
         v = make_toy_verifier("rotation", accept_probability=0.04)
         inst = build_ct_circuit(v, "depolarizing", "identity", 0.04, 1.0)
