@@ -49,6 +49,7 @@ class ProblemVerdict:
     witness: PureState
     seed: int | None
     notes: str = ""
+    lower_bound: float | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.statistic):
@@ -109,6 +110,21 @@ def _unit_vector(params: np.ndarray, dim: int) -> np.ndarray:
     return v / norm
 
 
+def _kraus_tail_lower_bound(choi: np.ndarray) -> float:
+    """Proven lower bound ``max_k (1 - sum_{i>k} lam_i) / k`` on every output norm.
+
+    ``lam`` are the Choi eigenvalues, descending and clipped at 0.  The Kraus
+    operators of the top k eigenvectors give an output of rank at most k; the
+    rest carry at most ``sum_{i>k} lam_i`` of its unit trace, because
+    ``Tr_out J = I``.  So ``||(Phi (x) id)(psi psi^dagger)||_inf`` is at least
+    the bound for every pure input, with no rank tolerance: tiny eigenvalues
+    only enter the tail.  For Choi rank r the bound is at least ``1/r``.
+    """
+    lam = np.clip(np.linalg.eigvalsh(choi)[::-1], 0.0, None)
+    tails = np.append(np.cumsum(lam[::-1])[::-1][1:], 0.0)
+    return float(np.max((1.0 - tails) / np.arange(1, lam.size + 1)))
+
+
 def nonisometry_stat(
     channel: QuantumChannel, eps: float, restarts: int = 10, seed=0
 ) -> ProblemVerdict:
@@ -117,10 +133,12 @@ def nonisometry_stat(
     Isometry-like channels keep the statistic near one; channels that can
     flatten a pure input drive it toward zero.  Starts include the maximally
     entangled input, whose output norm is analytically small for trace-out
-    channels.
+    channels.  The search stops once it meets the Kraus-tail lower bound,
+    which also proves the NO side when it is at least ``1 - eps``.
     """
     d_in = channel.dim_in
     dim = d_in * d_in
+    lower = _kraus_tail_lower_bound(channel.choi)
 
     def objective(params: np.ndarray) -> float:
         psi = _unit_vector(params, dim)
@@ -129,7 +147,7 @@ def nonisometry_stat(
         return operator_norm(out)
 
     starts = [np.eye(d_in, dtype=np.complex128).reshape(-1) / math.sqrt(d_in)]
-    for s, ss in enumerate(np.random.SeedSequence(_seed_int(seed)).spawn(restarts)):
+    for ss in np.random.SeedSequence(_seed_int(seed)).spawn(restarts):
         starts.append(random_pure_state(dim, ss).amplitudes)
     best_val, best_psi = math.inf, starts[0]
     for start in starts:
@@ -137,11 +155,15 @@ def nonisometry_stat(
         direct = objective(x0)
         if direct < best_val:
             best_val, best_psi = direct, _unit_vector(x0, dim)
+        if best_val <= lower + 1e-12:
+            break
         res = optimize.minimize(
             objective, x0, method="Nelder-Mead", options={"maxiter": 800, "xatol": 1e-7, "fatol": 1e-10}
         )
         if res.fun < best_val:
             best_val, best_psi = float(res.fun), _unit_vector(res.x, dim)
+        if best_val <= lower + 1e-12:
+            break
     if best_val <= eps:
         side = "YES"
     elif best_val >= 1.0 - eps:
@@ -155,9 +177,10 @@ def nonisometry_stat(
         yes_bound=eps,
         no_bound=1.0 - eps,
         consistent_with=side,
-        heuristic_only=side != "YES",
+        heuristic_only=not (side == "YES" or (side == "NO" and lower >= 1.0 - eps)),
         witness=PureState(best_psi),
         seed=seed if isinstance(seed, int) else None,
+        lower_bound=lower,
     )
 
 

@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -58,8 +59,16 @@ class ExperimentConfig:
             raise ConfigError(
                 f"experiment: {self.experiment!r} is not one of {EXPERIMENT_KINDS}"
             )
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed: required integer (no implicit entropy)")
+        for name in ("seed", "n", "shots", "restarts"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name}: must be an integer, got {value!r}")
+        for name in ("eps", "delta"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ConfigError(f"{name}: must be a finite number, got {value!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out: must be a path string, got {self.out!r}")
         if self.format not in FORMATS:
             raise ConfigError(f"format: {self.format!r} is not one of {FORMATS}")
         if not 0.0 < self.eps < 1.0:
@@ -140,14 +149,21 @@ def render_body_csv(rows: list[ReportRow]) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-def write_report(config: ExperimentConfig, rows: list[ReportRow], out_path: Path) -> None:
+def write_report(
+    config: ExperimentConfig, rows: list[ReportRow], out_path: Path, total_ms: float
+) -> None:
+    """Write the report body and its ``.meta.json`` sidecar.
+
+    ``total_ms`` is the wall time of the whole run; summing ``row_ms`` would
+    count a computation once per sibling row that reads it.
+    """
     if config.format == "json":
         out_path.write_bytes(render_body_json(config, rows))
     else:
         out_path.write_bytes(render_body_csv(rows))
     meta = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "total_ms": sum(r.ms for r in rows),
+        "total_ms": total_ms,
         "row_ms": {r.claim: r.ms for r in rows},
     }
     Path(str(out_path) + ".meta.json").write_text(
@@ -234,8 +250,9 @@ def main(argv=None) -> int:
     except QctError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    run_ms = (time.perf_counter() - start) * 1000.0
     out_path = Path(config.out) if config.out else Path(f"qct-report.{config.format}")
-    write_report(config, rows, out_path)
+    write_report(config, rows, out_path, run_ms)
     all_pass = all(r.passed for r in rows)
     for r in rows:
         status = "PASS" if r.passed else "FAIL"

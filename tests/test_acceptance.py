@@ -135,7 +135,7 @@ def test_criterion_09_privacy_verdicts(suite_rows):
 
 def test_criterion_10_application_statistics(suite_rows):
     check(
-        "criterion-10 entropy, fixed-point, and isometry statistics",
+        "criterion-10 entropy, fixed-point, and isometry statistics (isometry bracketed)",
         suite_rows,
         [
             "MOE-unitary-zero",
@@ -145,6 +145,7 @@ def test_criterion_10_application_statistics(suite_rows):
             "PFP-identity",
             "PFP-measure-then-flip",
             "NonIsometry-trace-one-of-two",
+            "NonIsometry-trace-one-of-two-lower",
         ],
     )
 

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from qct import applications
+from qct.channels import apply_choi_to_segment
 from qct import (
     DimensionMismatchError,
     GateOp,
@@ -16,9 +18,13 @@ from qct import (
     mix,
     nonidentity_stat,
     nonisometry_stat,
+    operator_norm,
     pauli_x_first_circuit,
     pure_fixed_point_search,
+    random_channel,
     random_density_operator,
+    random_pure_state,
+    random_unitary,
     to_channel,
     trace_norm,
     von_neumann_entropy,
@@ -56,6 +62,9 @@ class TestNonIdentity:
             nonidentity_stat(depolarizing(1, 2), 0.1)
 
 
+PROPERTY_KINDS = ("env1", "env2", "near-unitary")
+
+
 class TestNonIsometry:
     def test_depolarizing_flattens(self):
         verdict = nonisometry_stat(depolarizing(1), 0.3, restarts=5, seed=0)
@@ -65,12 +74,69 @@ class TestNonIsometry:
         chan = to_channel(MixedStateCircuit(1, (GateOp.t(0),), 1))
         verdict = nonisometry_stat(chan, 0.1, restarts=3, seed=1)
         assert abs(verdict.statistic - 1.0) < 1e-9
-        assert verdict.consistent_with == "NO"
+        # one Kraus operator: the lower bound reaches 1 - eps, so the NO side is proven
+        assert verdict.consistent_with == "NO" and not verdict.heuristic_only
+        assert verdict.lower_bound >= 1.0 - 1e-12
+        assert nonidentity_stat(chan, 0.1, restarts=2, seed=1).lower_bound is None
 
-    def test_trace_one_of_two_qubits(self):
+    def test_trace_one_of_two_qubits(self, monkeypatch):
+        calls = []
+        minimize = applications.optimize.minimize
+        monkeypatch.setattr(
+            applications.optimize, "minimize", lambda *a, **k: calls.append(1) or minimize(*a, **k)
+        )
         chan = to_channel(MixedStateCircuit(2, (GateOp.trace_out(1),), 1))
         verdict = nonisometry_stat(chan, 0.1, restarts=5, seed=2)
-        assert verdict.statistic <= 0.5 + 1e-9
+        # the maximally entangled first start meets the lower bound: no optimizer call
+        assert calls == []
+        assert verdict.statistic == 0.5 and verdict.lower_bound == 0.5
+
+    @staticmethod
+    def _output_norm(chan, psi: np.ndarray) -> float:
+        d = chan.dim_in
+        out = apply_choi_to_segment(chan.choi, d, chan.dim_out, np.outer(psi, psi.conj()), 1, d)
+        return operator_norm(out)
+
+    @staticmethod
+    def _property_channel(n: int, kind: str):
+        if kind == "near-unitary":
+            u = random_unitary(2**n, (33, n))
+            chan = to_channel(MixedStateCircuit(n, (GateOp.unitary(u, tuple(range(n))),), n))
+            return mix([chan, depolarizing(n)], [1 - 1e-9, 1e-9])
+        env = {"env1": 1, "env2": 2}[kind]
+        return random_channel(n, (31, n, env), env_qubits=env)
+
+    @pytest.mark.parametrize("kind", PROPERTY_KINDS)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_lower_bound_below_every_output_norm(self, n, kind):
+        chan = self._property_channel(n, kind)
+        bound = applications._kraus_tail_lower_bound(chan.choi)
+        for i in range(40):
+            psi = random_pure_state(4**n, (32, n, PROPERTY_KINDS.index(kind), i)).amplitudes
+            assert bound <= self._output_norm(chan, psi)
+        verdict = nonisometry_stat(chan, 0.1, restarts=1, seed=0)
+        assert verdict.lower_bound == bound
+        assert bound <= verdict.statistic + 1e-12
+
+    def test_near_identity_bound_needs_no_rank_tolerance(self):
+        chan = mix([identity_channel(1), depolarizing(1)], [1 - 1e-9, 1e-9])
+        phi_plus = np.eye(2, dtype=complex).reshape(-1) / math.sqrt(2)
+        norm = self._output_norm(chan, phi_plus)
+        assert norm < 1.0 - 5e-10  # a rank count with tolerance 1e-8 would claim 1
+        assert applications._kraus_tail_lower_bound(chan.choi) <= norm
+
+    @pytest.mark.parametrize(
+        "chan",
+        [random_channel(1, 3), random_channel(1, (5, 0), env_qubits=2)],
+        ids=["rank-2", "rank-4"],
+    )
+    def test_search_unchanged_where_the_bound_is_not_met(self, chan, monkeypatch):
+        verdict = nonisometry_stat(chan, 0.1, restarts=3, seed=0)
+        assert verdict.statistic > verdict.lower_bound + 1e-12
+        monkeypatch.setattr(applications, "_kraus_tail_lower_bound", lambda choi: -math.inf)
+        unbounded = nonisometry_stat(chan, 0.1, restarts=3, seed=0)
+        assert verdict.statistic == unbounded.statistic
+        assert verdict.witness.amplitudes.tobytes() == unbounded.witness.amplitudes.tobytes()
 
 
 class TestPureFixedPoint:
@@ -104,8 +170,6 @@ class TestPureFixedPoint:
     def test_symmetric_state_maps_to_symmetric(self):
         # half-sided application maps the symmetric entangled state to a
         # symmetric state even though no pure fixed point exists
-        from qct.channels import apply_choi_to_segment
-
         chan = to_channel(measure_then_flip_circuit())
         vec = np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2)
         rho = np.outer(vec, vec.conj())

@@ -46,16 +46,32 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig("norms", 1, shots=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", True), ("shots", 10.0), ("delta", float("nan")), ("eps", float("inf")), ("out", 5)],
+    )
+    def test_field_types(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field}:"):
+            ExperimentConfig("norms", 1, **{field: value})
 
-# experiment -> (row, the row whose timed computation it reads)
+
+# experiment -> (row, the rows whose timed computations it reads)
 SIBLING_ROWS = {
+    "applications": [
+        ("NonIsometry-trace-one-of-two-lower", "NonIsometry-trace-one-of-two"),
+    ],
     "reduction": [
         ("Eq2-Eq3-majorant-strict", "Eq2-Eq3-copy-distortion"),
+        (
+            "Prop1-subspace-dimension-log2-deficit",
+            ("Prop1-rotation-delta-1", "Prop1-rotation-delta-half"),
+        ),
         ("Prop2-rotation-diamond-ascent", "Prop2-rotation-sampled"),
         ("Prop2-rotation-diamond-upper", "Prop2-rotation-sampled"),
     ],
     "di-protocol": [
         ("Protocol1-soundness-sampled-wilson-high", "Protocol1-soundness-sampled-wilson-low"),
+        ("Protocol1-gap", ("Protocol1-completeness-exact", "Protocol1-soundness-exact")),
         ("EpsPrivate-OTP-d1", "EpsPrivate-OTP-verdict-consistent"),
         ("EpsPrivate-OTP-d2", "EpsPrivate-OTP-verdict-consistent"),
         ("EpsPrivate-identity-family-d2", "EpsPrivate-identity-family-verdict-violates"),
@@ -84,7 +100,17 @@ class TestRun:
         main(["run", "--config", str(cfg), "--out", str(out)])
         row_ms = json.loads((tmp_path / "report.json.meta.json").read_text())["row_ms"]
         for row, source in SIBLING_ROWS[experiment]:
-            assert row_ms[row] == row_ms[source], row
+            sources = (source,) if isinstance(source, str) else source
+            assert row_ms[row] == sum(row_ms[s] for s in sources), row
+
+    def test_total_ms_counts_each_computation_once(self, tmp_path):
+        cfg = write_config(tmp_path, experiment="reduction", seed=5, restarts=2)
+        out = tmp_path / "report.json"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / "report.json.meta.json").read_text())
+        siblings = {row for row, _ in SIBLING_ROWS["reduction"]}
+        distinct_ms = sum(ms for claim, ms in meta["row_ms"].items() if claim not in siblings)
+        assert distinct_ms <= meta["total_ms"] <= distinct_ms + 20.0
 
     def test_report_bodies_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, experiment="norms", seed=3, restarts=5)
@@ -105,6 +131,18 @@ class TestRun:
         cfg = write_config(tmp_path, experiment="norms")
         assert main(["run", "--config", str(cfg)]) == 2
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("shots", "many"), ("eps", "x"), ("restarts", 2.5), ("seed", True)],
+    )
+    def test_mistyped_field_exits_2_naming_it(self, tmp_path, capsys, field, value):
+        fields = {"experiment": "norms", "seed": 1, field: value}
+        cfg = write_config(tmp_path, **fields)
+        with pytest.raises(ConfigError, match=f"^{field}:"):
+            load_config(str(cfg), {})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
+        assert f"config error: {field}:" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
