@@ -16,6 +16,7 @@ from scipy import optimize
 
 from .channels import (
     QuantumChannel,
+    apply_choi,
     apply_choi_adjoint_to_segment,
     apply_choi_to_segment,
     diamond_distance,
@@ -25,8 +26,8 @@ from .circuits import GateOp, MixedStateCircuit
 from .errors import DimensionMismatchError
 from .states import (
     PureState,
+    _random_starts,
     operator_norm,
-    random_pure_state,
     trace_norm,
     von_neumann_entropy,
 )
@@ -147,8 +148,7 @@ def nonisometry_stat(
         return operator_norm(out)
 
     starts = [np.eye(d_in, dtype=np.complex128).reshape(-1) / math.sqrt(d_in)]
-    for ss in np.random.SeedSequence(_seed_int(seed)).spawn(restarts):
-        starts.append(random_pure_state(dim, ss).amplitudes)
+    starts.extend(_random_starts(dim, restarts, seed))
     best_val, best_psi = math.inf, starts[0]
     for start in starts:
         x0 = np.concatenate([start.real, start.imag])
@@ -211,12 +211,10 @@ def pure_fixed_point_search(
         raise ValueError("need at least one restart")
     d = channel.dim_in
     best_val, best_psi = math.inf, None
-    rng_streams = np.random.SeedSequence(_seed_int(seed)).spawn(restarts)
-    for ss in rng_streams:
-        psi = random_pure_state(d, ss).amplitudes
+    for psi in _random_starts(d, restarts, seed):
         for _ in range(iters):
             rho = np.outer(psi, psi.conj())
-            out = channel.apply(rho).matrix
+            out = apply_choi(channel.choi, d, d, rho)
             dist = trace_norm(out - rho)
             if dist < best_val:
                 best_val, best_psi = dist, psi
@@ -228,14 +226,14 @@ def pure_fixed_point_search(
                 break
             psi = nxt
         rho = np.outer(psi, psi.conj())
-        dist = trace_norm(channel.apply(rho).matrix - rho)
+        dist = trace_norm(apply_choi(channel.choi, d, d, rho) - rho)
         if dist < best_val:
             best_val, best_psi = dist, psi
 
     def objective(params: np.ndarray) -> float:
         vec = _unit_vector(params, d)
         rho = np.outer(vec, vec.conj())
-        return trace_norm(channel.apply(rho).matrix - rho)
+        return trace_norm(apply_choi(channel.choi, d, d, rho) - rho)
 
     if best_val > 1e-12:
         x0 = np.concatenate([best_psi.real, best_psi.imag])
@@ -274,14 +272,11 @@ def min_output_entropy(
     d_in, d_out = channel.dim_in, channel.dim_out
     log_dim = math.log2(d_out)
 
-    def entropy_of(psi: np.ndarray) -> float:
-        rho = np.outer(psi, psi.conj())
-        out = channel.apply(rho).matrix
-        return von_neumann_entropy(out)
+    def output(psi: np.ndarray) -> np.ndarray:
+        return apply_choi(channel.choi, d_in, d_out, np.outer(psi, psi.conj()))
 
     def pulled_back_log(psi: np.ndarray) -> np.ndarray:
-        rho = np.outer(psi, psi.conj())
-        out = channel.apply(rho).matrix
+        out = output(psi)
         vals, vecs = np.linalg.eigh(out)
         logs = np.log(np.clip(vals, 1e-18, None))
         log_out = (vecs * logs) @ vecs.conj().T
@@ -289,12 +284,11 @@ def min_output_entropy(
         return (pulled + pulled.conj().T) / 2
 
     starts = [np.eye(d_in, dtype=np.complex128)[:, 0]]
-    for ss in np.random.SeedSequence(_seed_int(seed)).spawn(restarts):
-        starts.append(random_pure_state(d_in, ss).amplitudes)
+    starts.extend(_random_starts(d_in, restarts, seed))
     best_val, best_psi = math.inf, starts[0]
     for psi in starts:
         for _ in range(iters):
-            s = entropy_of(psi)
+            s = von_neumann_entropy(output(psi))
             if s < best_val:
                 best_val, best_psi = s, psi
             if s < 1e-12:
@@ -303,7 +297,7 @@ def min_output_entropy(
             if abs(np.vdot(nxt, psi)) > 1.0 - 1e-14:
                 break
             psi = nxt
-        s = entropy_of(psi)
+        s = von_neumann_entropy(output(psi))
         if s < best_val:
             best_val, best_psi = s, psi
     best_val = max(best_val, 0.0)
@@ -341,7 +335,7 @@ def bloch_grid_min_entropy(channel: QuantumChannel, resolution: int = 32) -> flo
                 [math.cos(theta / 2), math.sin(theta / 2) * np.exp(1j * phi)],
                 dtype=np.complex128,
             )
-            out = channel.apply(np.outer(psi, psi.conj())).matrix
+            out = apply_choi(channel.choi, 2, channel.dim_out, np.outer(psi, psi.conj()))
             best = min(best, von_neumann_entropy(out))
     return best
 
@@ -355,11 +349,3 @@ def measure_then_flip_circuit() -> MixedStateCircuit:
         GateOp.trace_out(1),
     )
     return MixedStateCircuit(1, ops, 1)
-
-
-def _seed_int(seed) -> int:
-    if isinstance(seed, int):
-        return seed
-    if isinstance(seed, tuple):
-        return hash(seed) & 0xFFFFFFFF
-    return 0

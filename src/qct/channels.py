@@ -18,6 +18,8 @@ from .circuits import (
     GATE_Z,
     GateOp,
     MixedStateCircuit,
+    _json_field,
+    _json_int,
     evaluate,  # noqa: F401  kept bound here for perfbench/test_perfbench.py's tracer test
     expand_template,
     identity_circuit,
@@ -36,6 +38,7 @@ from .states import (
     DensityOperator,
     PureState,
     _min_eig_below,
+    _random_starts,
     _reject_non_hermitian,
     qubit_count,
     random_unitary,
@@ -263,8 +266,8 @@ class KeyedChannelFamily:
 
     @classmethod
     def from_json(cls, doc: dict) -> "KeyedChannelFamily":
-        template = parse_circuit(json.dumps(doc["template"]))
-        return cls.from_template(template, int(doc["key_bits"]))
+        template = parse_circuit(json.dumps(_json_field(doc, "template")))
+        return cls.from_template(template, _json_int(_json_field(doc, "key_bits"), "key_bits"))
 
 
 def pauli_otp_family(n_qubits: int) -> KeyedChannelFamily:
@@ -434,17 +437,13 @@ def _ascent_max(
     """
     upper = _dual_upper_bound(delta_choi, d_in, d_out)
     stop = upper - tol
-    dim = d_in * d_ref
     starts: list[np.ndarray] = []
     if d_ref == d_in:
         starts.append(_maximally_entangled(d_in))
     elif d_ref == 1:
         starts.append(np.ones(d_in, dtype=np.complex128) / np.sqrt(d_in))
     starts.extend(np.asarray(s, dtype=np.complex128) for s in extra_starts)
-    for ss in np.random.SeedSequence(seed).spawn(restarts):
-        rng = np.random.default_rng(ss)
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        starts.append(v / np.linalg.norm(v))
+    starts.extend(_random_starts(d_in * d_ref, restarts, seed))
     best_val, best_psi = -np.inf, starts[0]
     per_restart = []
     for start in starts:
@@ -470,10 +469,11 @@ def diamond_distance(
     inputs on the doubled input space by alternating ascent.  Starts are the
     maximally entangled state (the canonical entangled probe), then
     ``extra_starts``, then ``restarts`` Haar starts drawn deterministically
-    from ``seed``.  The upper bound is ``2 ||Tr_out J+||_inf`` for the positive
-    part ``J+`` of the Choi difference, capped at 2.  The ascent stops as soon
-    as its best value comes within 1e-13 of the upper bound, so when the two
-    meet the distance is settled and later starts do not run.
+    from ``seed`` (None is rejected).  The upper bound is ``2 ||Tr_out J+||_inf``
+    for the positive part ``J+`` of the Choi difference, capped at 2.  The
+    ascent stops as soon as its best value comes within 1e-13 of the upper
+    bound, so when the two meet the distance is settled and later starts do
+    not run.
     """
     if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
         raise DimensionMismatchError(

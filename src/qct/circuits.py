@@ -514,6 +514,22 @@ def _json_int(value, path: str) -> int:
     return value
 
 
+def _json_fraction(value, path: str, closed_above: bool) -> float:
+    """A JSON real in (0, 1), or (0, 1] when ``closed_above``; bools, strings, NaN fail."""
+    real = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (real and (0.0 < value < 1.0 or (closed_above and value == 1.0))):
+        bounds = "(0, 1]" if closed_above else "(0, 1)"
+        raise CircuitParseError(f"{path}: must be a number in {bounds}, got {value!r}")
+    return float(value)
+
+
+def _json_field(doc: dict, key: str):
+    """``doc[key]``, or a CircuitParseError naming the missing field."""
+    if key not in doc:
+        raise CircuitParseError(f"missing field {key!r}")
+    return doc[key]
+
+
 def serialize_circuit(circuit: MixedStateCircuit) -> bytes:
     ops = []
     for op in circuit.ops:

@@ -16,7 +16,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -26,17 +26,6 @@ from .experiments import EXPERIMENTS, ReportRow, full_suite
 
 EXPERIMENT_KINDS = ("norms", "reduction", "applications", "di-protocol", "full-suite")
 FORMATS = ("json", "csv")
-
-DEFAULTS = {
-    "eps": 0.04,
-    "delta": 1.0,
-    "n": 1,
-    "shots": 100_000,
-    "restarts": 20,
-    "format": "json",
-    "out": None,
-}
-
 
 class ConfigError(QctError):
     """A config document failed validation; the message names the field."""
@@ -104,19 +93,18 @@ def load_config(path: str, flag_overrides: dict) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("config top level must be an object")
-    known = {"experiment", "seed", "eps", "delta", "n", "shots", "restarts", "out", "format"}
-    unknown = set(doc) - known
+    config_fields = fields(ExperimentConfig)
+    unknown = set(doc) - {f.name for f in config_fields}
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    merged: dict = dict(DEFAULTS)
+    merged = {f.name: f.default for f in config_fields if f.default is not MISSING}
     merged.update({k: v for k, v in flag_overrides.items() if v is not None})
     merged.update(doc)
     if "experiment" not in merged:
         raise ConfigError("experiment: required field")
     if "seed" not in merged:
         raise ConfigError("seed: required field (no implicit entropy)")
-    out = merged.pop("out", None)
-    return ExperimentConfig(out=out, **merged)
+    return ExperimentConfig(**merged)
 
 
 def run_experiment(config: ExperimentConfig) -> list[ReportRow]:

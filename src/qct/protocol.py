@@ -15,17 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
-    KEY_ENUMERATION_BUDGET_BITS,
     KeyedChannelFamily,
-    QuantumChannel,
     apply_choi_adjoint_to_segment,
     apply_choi_to_segment,
-    identity_channel,
     key_average,
     pauli_otp_family,
-    tensor_channels,
 )
-from .circuits import GateOp
+from .circuits import GateOp, _json_field, _json_fraction
 from .errors import (
     BudgetExceededError,
     DimensionMismatchError,
@@ -105,8 +101,8 @@ class DIInstance:
         family = KeyedChannelFamily.from_json(doc)
         return cls(
             family=family,
-            eps=float(doc["eps"]),
-            delta=float(doc["delta"]),
+            eps=_json_fraction(_json_field(doc, "eps"), "eps", closed_above=False),
+            delta=_json_fraction(_json_field(doc, "delta"), "delta", closed_above=True),
             message_qubits=family.input_qubits,
             key_bits=family.key_bits,
             provenance=str(doc.get("provenance", PROVENANCE_CUSTOM)),
@@ -236,21 +232,14 @@ def build_insecure_instance(v: VerifierCircuit, eps: float, delta: float) -> DII
 # ---------------------------------------------------------------------------
 
 
-def _branch_channel(instance: DIInstance) -> QuantumChannel:
-    """Key-averaged encryption extended by the identity on the reference."""
-    averaged = key_average(instance.family)
-    ref = identity_channel(instance.message_qubits)
-    return tensor_channels(averaged, ref)
-
-
-def _proof_dims(instance: DIInstance) -> tuple[int, int]:
-    d_h = 2**instance.message_qubits
-    return d_h * d_h, 2**instance.family.output_qubits * d_h
+def _register_dims(instance: DIInstance) -> tuple[int, int]:
+    """Dimensions of a message (and reference) register and of an encrypted message."""
+    return 2**instance.message_qubits, 2**instance.family.output_qubits
 
 
 def _require_proof_shape(instance: DIInstance, mat: np.ndarray) -> None:
-    branch_in, _ = _proof_dims(instance)
-    expected = branch_in * branch_in
+    d_h, _ = _register_dims(instance)
+    expected = d_h**4
     if mat.shape != (expected, expected):
         raise DimensionMismatchError(
             f"proof must live on two copies of message (x) reference with the "
@@ -261,21 +250,15 @@ def _require_proof_shape(instance: DIInstance, mat: np.ndarray) -> None:
 
 
 def protocol_observable(instance: DIInstance) -> np.ndarray:
-    """Pull the symmetric projector back through both key-averaged branches."""
-    if instance.key_bits > KEY_ENUMERATION_BUDGET_BITS:
-        raise BudgetExceededError(
-            "key enumeration beyond the exact budget; use run_protocol_sampled"
-        )
-    branch_in, branch_out = _proof_dims(instance)
-    check_capacity(2 * qubit_count(branch_out), "protocol observable")
-    branch = _branch_channel(instance)
-    p_sym = build_swap_test(branch_out).projector
-    pulled = apply_choi_adjoint_to_segment(
-        branch.choi, branch_in, branch_out, p_sym, 1, branch_out
-    )
-    pulled = apply_choi_adjoint_to_segment(
-        branch.choi, branch_in, branch_out, pulled, branch_in, 1
-    )
+    """Pull the symmetric projector back through the key-averaged channel on H2, then on H1.
+
+    The average acts in place on each message register, its Choi matrix built once.
+    """
+    d_h, d_o = _register_dims(instance)
+    p_sym = build_swap_test(d_o * d_h).projector
+    averaged = key_average(instance.family).choi
+    pulled = apply_choi_adjoint_to_segment(averaged, d_h, d_o, p_sym, d_o * d_h, d_h)
+    pulled = apply_choi_adjoint_to_segment(averaged, d_h, d_o, pulled, 1, d_h**3)
     return (pulled + pulled.conj().T) / 2
 
 
@@ -302,6 +285,25 @@ def optimal_proof_accept(instance: DIInstance) -> tuple[float, PureState]:
     return p, PureState(vecs[:, -1])
 
 
+def _key_pair_table(instance: DIInstance, proof: np.ndarray) -> np.ndarray:
+    """Acceptance probability for each key pair: ``[k1, k2]`` encrypts H1 under k1, H2 under k2.
+
+    Each key's channel pushes the proof through H1 once and pulls the
+    symmetric projector back through H2 once; ``tr(A B) = sum(A^T * B)``
+    then gives the whole table as one matrix product.
+    """
+    d_h, d_o = _register_dims(instance)
+    p_sym = build_swap_test(d_o * d_h).projector
+    pushed, pulled = [], []
+    for key in range(instance.family.n_keys):
+        choi = instance.family.channel(key).choi
+        pushed.append(apply_choi_to_segment(choi, d_h, d_o, proof, 1, d_h**3).T.reshape(-1))
+        pulled.append(
+            apply_choi_adjoint_to_segment(choi, d_h, d_o, p_sym, d_o * d_h, d_h).reshape(-1)
+        )
+    return np.real(np.stack(pushed) @ np.stack(pulled).T)
+
+
 def run_protocol_sampled(
     instance: DIInstance, proof, shots: int, seed: int, proof_spec: str = "custom"
 ) -> ProtocolResult:
@@ -320,20 +322,7 @@ def run_protocol_sampled(
         raise BudgetExceededError(
             f"{n_keys} keys give {n_keys * n_keys} key pairs, beyond the sampled-mode table"
         )
-    branch_in, branch_out = _proof_dims(instance)
-    p_sym = build_swap_test(branch_out).projector
-    ref = identity_channel(instance.message_qubits)
-    branch_chois = [
-        tensor_channels(instance.family.channel(k), ref).choi for k in range(n_keys)
-    ]
-    accept_prob = np.zeros((n_keys, n_keys))
-    for k1 in range(n_keys):
-        first = apply_choi_to_segment(branch_chois[k1], branch_in, branch_out, mat, 1, branch_in)
-        for k2 in range(n_keys):
-            both = apply_choi_to_segment(
-                branch_chois[k2], branch_in, branch_out, first, branch_out, 1
-            )
-            accept_prob[k1, k2] = float(np.real(np.trace(p_sym @ both)))
+    accept_prob = _key_pair_table(instance, mat)
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, n_keys, size=(shots, 2))
     draws = rng.random(shots)

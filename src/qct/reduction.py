@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channels import (
+    apply_choi_to_segment,
     depolarizing_circuit,
     diamond_distance,
     pauli_keyed,
@@ -34,6 +35,9 @@ from .circuits import (
     GATE_CNOT,
     GateOp,
     MixedStateCircuit,
+    _json_field,
+    _json_fraction,
+    _json_int,
     canonicalize,
     evaluate,
     identity_circuit,
@@ -154,8 +158,8 @@ class CTInstance:
 
     @classmethod
     def from_json(cls, doc: dict) -> "CTInstance":
-        h = int(doc["witness_qubits"])
-        f = int(doc["dummy_qubits"])
+        h = _json_int(_json_field(doc, "witness_qubits"), "witness_qubits")
+        f = _json_int(_json_field(doc, "dummy_qubits"), "dummy_qubits")
         width = h + f
         c0 = family_generator(doc["c0"]["name"], **doc["c0"].get("params", {}))(width)
         c1 = family_generator(doc["c1"]["name"], **doc["c1"].get("params", {}))(width)
@@ -163,15 +167,15 @@ class CTInstance:
             circuit=parse_circuit(json.dumps(doc["circuit"])),
             c0=c0,
             c1=c1,
-            eps=float(doc["eps"]),
-            delta=float(doc["delta"]),
+            eps=_json_fraction(_json_field(doc, "eps"), "eps", closed_above=False),
+            delta=_json_fraction(_json_field(doc, "delta"), "delta", closed_above=True),
             layout=RegisterLayout(
                 tuple((n, c) for n, c in doc["layout"]["registers"]),
                 doc["layout"].get("convention", "qubit0-lsb"),
             ),
             witness_qubits=h,
             dummy_qubits=f,
-            ancilla_qubits=int(doc["ancilla_qubits"]),
+            ancilla_qubits=_json_int(_json_field(doc, "ancilla_qubits"), "ancilla_qubits"),
             c0_spec=doc["c0"],
             c1_spec=doc["c1"],
         )
@@ -427,10 +431,11 @@ def certify_no(
 ) -> CTCertificate:
     """Probe the rejecting side: the instance must track the second family.
 
-    Samples entangled inputs for trace-norm distances and bounds the diamond
-    distance from both sides.  A lower bound below the threshold is recorded
-    as consistent with the claim; ``diamond_upper_bound`` at or below the
-    threshold proves it.
+    Samples entangled inputs for trace-norm distances, each one application of
+    the Choi difference with a reference as large as the input, and bounds the
+    diamond distance from both sides.  A lower bound below the threshold is
+    recorded as consistent with the claim; ``diamond_upper_bound`` at or below
+    the threshold proves it.
     """
     p_star, _ = max_accept_probability(v)
     if p_star > instance.eps + 1e-9:
@@ -438,17 +443,15 @@ def certify_no(
             f"verifier accepts with probability {p_star}, need <= {instance.eps}"
         )
     bound = instance.bound()
-    width = instance.input_qubits
+    chan, c1 = to_channel(instance.circuit), to_channel(instance.c1)
+    delta = chan.choi - c1.choi
+    d_in, d_out = chan.dim_in, chan.dim_out
     distances = []
     for s in range(samples):
-        psi = random_pure_state(4**width, (seed, s))
-        rho = psi.density()
-        lhs = evaluate(instance.circuit, rho, reference_qubits=width)
-        rhs = evaluate(instance.c1, rho, reference_qubits=width)
-        distances.append(trace_norm(lhs.matrix - rhs.matrix))
-    dd = diamond_distance(
-        to_channel(instance.circuit), to_channel(instance.c1), restarts, seed
-    )
+        psi = random_pure_state(d_in * d_in, (seed, s)).amplitudes
+        rho = np.outer(psi, psi.conj())
+        distances.append(trace_norm(apply_choi_to_segment(delta, d_in, d_out, rho, 1, d_in)))
+    dd = diamond_distance(chan, c1, restarts, seed)
     measured = max(max(distances), dd.lower_bound)
     heuristic = dd.lower_bound <= bound + 1e-6
     passed = max(distances) <= bound + 1e-9 and heuristic

@@ -302,6 +302,14 @@ def random_pure_state(dim: int, seed) -> PureState:
     return PureState(v / np.linalg.norm(v))
 
 
+def _random_starts(dim: int, count: int, seed) -> list[np.ndarray]:
+    """One random unit vector per child of ``SeedSequence(seed)``; a None seed is rejected."""
+    if seed is None:
+        raise ValueError("seed is required: random starts draw no implicit entropy")
+    children = np.random.SeedSequence(seed).spawn(count)
+    return [random_pure_state(dim, ss).amplitudes for ss in children]
+
+
 def random_density_operator(dim: int, seed, rank: int | None = None) -> DensityOperator:
     """Random mixed state from a normalized Wishart factor."""
     rng = np.random.default_rng(seed)

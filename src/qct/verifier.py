@@ -17,6 +17,8 @@ import numpy as np
 from .circuits import (
     GateOp,
     MixedStateCircuit,
+    _json_field,
+    _json_int,
     canonicalize,
     parse_circuit,
     serialize_circuit,
@@ -183,13 +185,13 @@ def verifier_to_json(v: VerifierCircuit) -> dict:
 
 
 def verifier_from_json(doc: dict) -> VerifierCircuit:
-    circuit = parse_circuit(json.dumps(doc["circuit"]))
+    circuit = parse_circuit(json.dumps(_json_field(doc, "circuit")))
     canon = canonicalize(circuit)
     if canon.ancilla_qubits or canon.traced_wires:
         raise CircuitError("verifier circuit must be purely unitary")
     return VerifierCircuit(
-        int(doc["witness_qubits"]),
-        int(doc["ancilla_qubits"]),
+        _json_int(_json_field(doc, "witness_qubits"), "witness_qubits"),
+        _json_int(_json_field(doc, "ancilla_qubits"), "ancilla_qubits"),
         canon.unitary,
-        int(doc.get("output_qubit", 0)),
+        _json_int(doc.get("output_qubit", 0), "output_qubit"),
     )

@@ -6,12 +6,14 @@ import pytest
 
 from qct import applications
 from qct.channels import apply_choi_to_segment
+from qct.states import _random_starts
 from qct import (
     DimensionMismatchError,
     GateOp,
     MixedStateCircuit,
     bloch_grid_min_entropy,
     depolarizing,
+    diamond_distance,
     identity_channel,
     measure_then_flip_circuit,
     min_output_entropy,
@@ -26,6 +28,7 @@ from qct import (
     random_pure_state,
     random_unitary,
     to_channel,
+    trace_distance_no_reference,
     trace_norm,
     von_neumann_entropy,
 )
@@ -241,3 +244,36 @@ class TestDeterminism:
         v1 = min_output_entropy(depolarizing(1), restarts=4, seed=7)
         v2 = min_output_entropy(depolarizing(1), restarts=4, seed=7)
         assert json.dumps(v1.to_row()) == json.dumps(v2.to_row())
+
+
+class TestSeeding:
+    def test_integer_seed_starts_are_the_seed_sequence_children(self):
+        want = []
+        for ss in np.random.SeedSequence(7).spawn(4):
+            rng = np.random.default_rng(ss)
+            v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            want.append(v / np.linalg.norm(v))
+        assert all(np.array_equal(a, b) for a, b in zip(_random_starts(4, 4, 7), want, strict=True))
+
+    def test_tuple_seed_is_its_own_stream(self):
+        a, b = _random_starts(4, 2, (7, 1)), _random_starts(4, 2, (7, 1))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert not np.array_equal(a[0], _random_starts(4, 1, 7)[0])
+        verdict = nonisometry_stat(random_channel(1, 3), 0.1, restarts=1, seed=(7, 1))
+        assert verdict.statistic >= verdict.lower_bound - 1e-12
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda: diamond_distance(identity_channel(1), depolarizing(1), seed=None),
+            lambda: trace_distance_no_reference(identity_channel(1), depolarizing(1), seed=None),
+            lambda: nonidentity_stat(depolarizing(1), 0.1, seed=None),
+            lambda: nonisometry_stat(depolarizing(1), 0.1, seed=None),
+            lambda: pure_fixed_point_search(depolarizing(1), 0.1, seed=None),
+            lambda: min_output_entropy(depolarizing(1), seed=None),
+        ],
+        ids=["diamond", "no-reference", "nonidentity", "nonisometry", "fixed-point", "entropy"],
+    )
+    def test_none_seed_is_rejected(self, search):
+        with pytest.raises(ValueError, match="seed is required"):
+            search()

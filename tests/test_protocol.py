@@ -5,7 +5,11 @@ import pytest
 
 from qct import (
     BudgetExceededError,
+    CircuitParseError,
     DIInstance,
+    GateOp,
+    KeyedChannelFamily,
+    MixedStateCircuit,
     DensityOperator,
     DimensionMismatchError,
     WrongSideError,
@@ -28,14 +32,20 @@ from qct import (
     purify,
     random_density_operator,
     random_pure_state,
+    random_unitary,
     run_protocol_sampled,
     to_channel,
     trace_norm,
     two_copy_proof,
     wilson_interval,
 )
-from qct.channels import apply_choi_to_segment, tensor_channels
-from qct.protocol import PROVENANCE_INSECURE, PROVENANCE_SECURE, protocol_observable
+from qct.channels import apply_choi_adjoint_to_segment, apply_choi_to_segment, tensor_channels
+from qct.protocol import (
+    PROVENANCE_INSECURE,
+    PROVENANCE_SECURE,
+    _key_pair_table,
+    protocol_observable,
+)
 
 
 class TestSwapTest:
@@ -115,6 +125,26 @@ class TestInstances:
     def test_wrong_side_error(self):
         with pytest.raises(WrongSideError):
             build_insecure_instance(make_toy_verifier("always_reject"), 0.01, 1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("key_bits", 2.7),
+            ("key_bits", "2"),
+            ("eps", float("nan")),
+            ("delta", 5),
+            ("eps", "x"),
+            ("eps", None),
+        ],
+    )
+    def test_from_json_rejects_mistyped_field(self, field, value):
+        doc = build_secure_instance(1, 0.01).to_json()
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        with pytest.raises(CircuitParseError, match=field):
+            DIInstance.from_json(doc)
 
     def test_json_round_trip(self):
         v = make_toy_verifier("rotation", accept_probability=0.96)
@@ -321,3 +351,78 @@ class TestObservable:
         inst = DIInstance(fam, 0.01, 1.0, 1, 14, "CUSTOM")
         with pytest.raises(BudgetExceededError, match="sampled"):
             protocol_observable(inst)
+
+
+def _widening_instance() -> DIInstance:
+    """A keyed 1 -> 2 qubit family, so ciphertext and message registers differ in size."""
+    template = MixedStateCircuit(
+        1,
+        (
+            GateOp.ancillas(1),
+            GateOp.unitary(random_unitary(4, 17), (0, 1)),
+            GateOp.keyed_pauli(0, (0, 1)),
+            GateOp.keyed_pauli(1, (2, 3)),
+        ),
+        2,
+    )
+    return DIInstance(KeyedChannelFamily.from_template(template, 4), 0.01, 1.0, 1, 4, "CUSTOM")
+
+
+IN_PLACE_CASES = {
+    "secure-n1": lambda: build_secure_instance(1, 0.01),
+    "secure-n2": lambda: build_secure_instance(2, 0.01),
+    "widening-1to2": _widening_instance,
+}
+
+
+def _tensored_branch(inst, channel):
+    """``channel (x) id_R`` on one branch, with its input and output dimensions."""
+    joint = tensor_channels(channel, identity_channel(inst.message_qubits))
+    return joint.choi, joint.dim_in, joint.dim_out
+
+
+def _tensored_observable(inst):
+    """The symmetric projector pulled back through the tensored key average on both branches."""
+    choi, b_in, b_out = _tensored_branch(inst, key_average(inst.family))
+    p_sym = build_swap_test(b_out).projector
+    pulled = apply_choi_adjoint_to_segment(choi, b_in, b_out, p_sym, 1, b_out)
+    pulled = apply_choi_adjoint_to_segment(choi, b_in, b_out, pulled, b_in, 1)
+    return (pulled + pulled.conj().T) / 2
+
+
+def _tensored_table(inst, proof):
+    """Each key pair's acceptance from n_keys^2 tensored two-branch applications."""
+    branches = [_tensored_branch(inst, inst.family.channel(k)) for k in range(inst.family.n_keys)]
+    p_sym = build_swap_test(branches[0][2]).projector
+    table = np.zeros((len(branches), len(branches)))
+    for k1, (c1, b_in, b_out) in enumerate(branches):
+        first = apply_choi_to_segment(c1, b_in, b_out, proof, 1, b_in)
+        for k2, (c2, _, _) in enumerate(branches):
+            both = apply_choi_to_segment(c2, b_in, b_out, first, b_out, 1)
+            table[k1, k2] = float(np.real(np.trace(p_sym @ both)))
+    return table
+
+
+class TestInPlaceBranches:
+    """Each key channel acts on its own message register, never as ``channel (x) id``."""
+
+    @pytest.mark.parametrize("case", sorted(IN_PLACE_CASES))
+    def test_observable_matches_tensored_reference(self, case):
+        inst = IN_PLACE_CASES[case]()
+        assert np.max(np.abs(protocol_observable(inst) - _tensored_observable(inst))) <= 1e-12
+
+    @pytest.mark.parametrize("case", sorted(IN_PLACE_CASES))
+    def test_key_pair_table_matches_tensored_reference(self, case):
+        inst = IN_PLACE_CASES[case]()
+        proof = random_density_operator(4**inst.message_qubits * 4**inst.message_qubits, 23).matrix
+        table = _key_pair_table(inst, proof)
+        assert np.max(np.abs(table - _tensored_table(inst, proof))) <= 1e-12
+        exact = exact_accept_probability(inst, proof).probability
+        assert abs(table.mean() - exact) <= 1e-12
+
+    def test_sampled_n2_inside_wilson_interval_of_exact(self):
+        inst = build_secure_instance(2, 0.01)
+        proof = random_density_operator(256, 29)
+        exact = exact_accept_probability(inst, proof).probability
+        lo, hi = run_protocol_sampled(inst, proof, shots=100_000, seed=31).ci95
+        assert lo <= exact <= hi

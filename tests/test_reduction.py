@@ -7,6 +7,7 @@ import pytest
 from qct import (
     CTInstance,
     CapacityError,
+    CircuitParseError,
     DensityOperator,
     WrongSideError,
     basis_state,
@@ -290,6 +291,20 @@ class TestCertifyNo:
         )
         assert max(zero_cert.probe_distances) < 1e-9
 
+    def test_probe_distances_match_evaluate_at_reference_width(self):
+        v = make_toy_verifier("rotation", accept_probability=0.04)
+        inst = build_ct_circuit(v, "identity", "depolarizing", 0.04, 1.0)
+        cert = certify_no(inst, v, restarts=2, seed=4, samples=20)
+        width = inst.input_qubits
+        want = []
+        for s in range(20):
+            rho = random_pure_state(4**width, (4, s)).density()
+            lhs = evaluate(inst.circuit, rho, reference_qubits=width).matrix
+            rhs = evaluate(inst.c1, rho, reference_qubits=width).matrix
+            want.append(trace_norm(lhs - rhs))
+        assert max(want) > 0.1
+        assert np.max(np.abs(np.array(cert.probe_distances) - want)) <= 1e-12
+
     def test_wrong_side(self):
         v = make_toy_verifier("target_state", witness_qubits=1, target=1)
         inst = build_ct_circuit(v, "identity", "depolarizing", 0.04, 1.0)
@@ -326,6 +341,26 @@ class TestInstanceSerialization:
         assert back.eps == inst.eps and back.delta == inst.delta
         rho = random_pure_state(2, 5).density()
         assert np.max(np.abs(evaluate(back.circuit, rho).matrix - evaluate(inst.circuit, rho).matrix)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("witness_qubits", 1.0),
+            ("dummy_qubits", "0"),
+            ("eps", "x"),
+            ("delta", 0.0),
+            ("ancilla_qubits", None),
+        ],
+    )
+    def test_from_json_rejects_mistyped_field(self, field, value):
+        v = make_toy_verifier("rotation", accept_probability=0.96)
+        doc = build_ct_circuit(v, "identity", "depolarizing", 0.04, 1.0).to_json()
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        with pytest.raises(CircuitParseError, match=field):
+            CTInstance.from_json(doc)
 
     def test_custom_generators_do_not_serialize(self):
         v = make_toy_verifier("target_state", witness_qubits=1, target=1)

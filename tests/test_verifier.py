@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qct import (
+    CircuitParseError,
     InvalidStateError,
     VerifierCircuit,
     accept_probability,
@@ -129,3 +130,21 @@ class TestSerialization:
         assert back.witness_qubits == v.witness_qubits
         assert back.ancilla_qubits == v.ancilla_qubits
         assert np.max(np.abs(back.unitary - v.unitary)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("witness_qubits", 1.0),
+            ("witness_qubits", "1"),
+            ("output_qubit", True),
+            ("witness_qubits", None),
+        ],
+    )
+    def test_from_json_rejects_mistyped_field(self, field, value):
+        doc = verifier_to_json(make_toy_verifier("rotation", accept_probability=0.5))
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        with pytest.raises(CircuitParseError, match=field):
+            verifier_from_json(doc)
