@@ -16,6 +16,7 @@ import numpy as np
 
 from .circuits import (
     GATE_Z,
+    PLACEHOLDER_KIND,
     GateOp,
     MixedStateCircuit,
     _json_field,
@@ -29,6 +30,7 @@ from .circuits import (
 )
 from .errors import (
     BudgetExceededError,
+    CircuitParseError,
     DimensionMismatchError,
     InvalidStateError,
     check_capacity,
@@ -40,6 +42,7 @@ from .states import (
     _min_eig_below,
     _random_starts,
     _reject_non_hermitian,
+    _trusted,
     qubit_count,
     random_unitary,
 )
@@ -47,9 +50,23 @@ from .states import (
 KEY_ENUMERATION_BUDGET_BITS = 12
 
 
+def _reject_non_tp(choi: np.ndarray, d_in: int, d_out: int) -> None:
+    """Raise unless the output marginal ``Tr_out choi`` is the identity within 1e-8."""
+    marginal = np.einsum("aiaj->ij", choi.reshape(d_out, d_in, d_out, d_in))
+    if np.max(np.abs(marginal - np.eye(d_in))) > 1e-8:
+        raise InvalidStateError("choi output marginal is not the identity (not TP)")
+
+
 @dataclass(frozen=True)
 class QuantumChannel:
-    """Completely positive trace preserving map in Choi form."""
+    """Completely positive trace preserving map in Choi form.
+
+    The constructor checks every invariant.  Channels computed from validated
+    channels or circuits (``to_channel``, ``key_average``, ``compose``,
+    ``tensor_channels``) are built by ``_trusted`` instead, because those
+    operations preserve complete positivity; ``to_channel`` still checks trace
+    preservation, which depends on the gates' unitarity tolerance.
+    """
 
     dim_in: int
     dim_out: int
@@ -66,11 +83,7 @@ class QuantumChannel:
         min_eig = _min_eig_below(mat, TAU_PSD * max(1.0, self.dim_in))
         if min_eig is not None:
             raise InvalidStateError(f"choi minimum eigenvalue {min_eig} violates CP")
-        marginal = np.einsum(
-            "aiaj->ij", mat.reshape(self.dim_out, self.dim_in, self.dim_out, self.dim_in)
-        )
-        if np.max(np.abs(marginal - np.eye(self.dim_in))) > 1e-8:
-            raise InvalidStateError("choi output marginal is not the identity (not TP)")
+        _reject_non_tp(mat, self.dim_in, self.dim_out)
         mat.setflags(write=False)
         object.__setattr__(self, "choi", mat)
 
@@ -154,7 +167,9 @@ def to_channel(circuit: MixedStateCircuit) -> QuantumChannel:
     kraus = stinespring(circuit)
     n_traced, d_out, d_in = kraus.shape
     k = kraus.transpose(1, 2, 0).reshape(d_out * d_in, n_traced)
-    return QuantumChannel(d_in, d_out, k @ k.conj().T)
+    choi = k @ k.conj().T  # Hermitian and PSD by construction
+    _reject_non_tp(choi, d_in, d_out)
+    return _trusted(QuantumChannel, dim_in=d_in, dim_out=d_out, choi=choi)
 
 
 def identity_channel(n_qubits: int) -> QuantumChannel:
@@ -229,6 +244,16 @@ class KeyedChannelFamily:
 
     @classmethod
     def from_template(cls, template: MixedStateCircuit, key_bits: int) -> "KeyedChannelFamily":
+        """Expand ``template`` per key; ``key_bits`` must cover every key bit index it reads."""
+        needed = max(
+            (b + 1 for op in template.ops if op.kind == PLACEHOLDER_KIND for b in op.key_bits),
+            default=0,
+        )
+        if key_bits < needed:
+            raise ValueError(
+                f"key_bits must be >= {needed} (non-negative and above every key bit "
+                f"index the template reads), got {key_bits}"
+            )
         return cls(
             key_bits=key_bits,
             generator=lambda key: expand_template(template, key),
@@ -267,7 +292,11 @@ class KeyedChannelFamily:
     @classmethod
     def from_json(cls, doc: dict) -> "KeyedChannelFamily":
         template = parse_circuit(json.dumps(_json_field(doc, "template")))
-        return cls.from_template(template, _json_int(_json_field(doc, "key_bits"), "key_bits"))
+        key_bits = _json_int(_json_field(doc, "key_bits"), "key_bits")
+        try:
+            return cls.from_template(template, key_bits)
+        except ValueError as exc:
+            raise CircuitParseError(f"key_bits: {exc}") from exc
 
 
 def pauli_otp_family(n_qubits: int) -> KeyedChannelFamily:
@@ -299,7 +328,7 @@ def key_average(family: KeyedChannelFamily) -> QuantumChannel:
     acc /= family.n_keys
     d_in = 2**family.input_qubits
     d_out = 2**family.output_qubits
-    return QuantumChannel(d_in, d_out, acc)
+    return _trusted(QuantumChannel, dim_in=d_in, dim_out=d_out, choi=acc)
 
 
 def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
@@ -312,7 +341,7 @@ def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
     choi = apply_choi_to_segment(
         outer.choi, outer.dim_in, outer.dim_out, inner.choi, 1, inner.dim_in
     )
-    return QuantumChannel(inner.dim_in, outer.dim_out, choi)
+    return _trusted(QuantumChannel, dim_in=inner.dim_in, dim_out=outer.dim_out, choi=choi)
 
 
 def mix(channels: Sequence[QuantumChannel], weights: Sequence[float]) -> QuantumChannel:
@@ -322,6 +351,7 @@ def mix(channels: Sequence[QuantumChannel], weights: Sequence[float]) -> Quantum
     if len(dims) != 1:
         raise DimensionMismatchError(f"mixed channels disagree on dims: {dims}")
     choi = sum(w * c.choi for w, c in zip(weights, channels))
+    # the weights are unchecked and a negative one can break CP: validate in full
     return QuantumChannel(channels[0].dim_in, channels[0].dim_out, choi)
 
 
@@ -334,7 +364,9 @@ def tensor_channels(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
     )
     d_in = a.dim_in * b.dim_in
     d_out = a.dim_out * b.dim_out
-    return QuantumChannel(d_in, d_out, c.reshape(d_in * d_out, d_in * d_out))
+    return _trusted(
+        QuantumChannel, dim_in=d_in, dim_out=d_out, choi=c.reshape(d_in * d_out, d_in * d_out)
+    )
 
 
 def random_channel(n_qubits: int, seed, env_qubits: int = 1) -> QuantumChannel:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,7 +23,7 @@ from .errors import (
     UnsupportedGateError,
     check_capacity,
 )
-from .states import TAU_UNIT, DensityOperator, left_apply_unitary
+from .states import TAU_UNIT, DensityOperator, _trusted, left_apply_unitary
 
 # ---------------------------------------------------------------------------
 # Gate matrices
@@ -341,12 +342,17 @@ def _dilate(circuit: MixedStateCircuit, columns: int) -> tuple[np.ndarray, tuple
     Ancillas are hoisted to the start and traces deferred to the end.  Wire
     ids are bit positions, so ancillas are the most significant wires and the
     first ``2**input_qubits`` columns are the inputs with every ancilla at zero.
+    The columns are held as a ``[2] * total + [columns]`` tensor whose axis
+    ``total - 1 - w`` is wire ``w``.  Each gate is one contraction that leaves
+    its output axes in front; ``order`` records which axis sits where, and one
+    copy at the end restores the layout.
     """
     if circuit.has_placeholders:
         raise UnsupportedGateError("expand key placeholders before compiling")
     total = circuit.input_qubits + circuit.ancilla_total
     check_capacity(total, "canonical form")
-    mat = np.eye(2**total, columns, dtype=np.complex128)
+    arr = np.eye(2**total, columns, dtype=np.complex128).reshape([2] * total + [columns])
+    order = list(range(total + 1))  # order[p]: the axis of the layout held at position p
     traced: list[int] = []
     for op in circuit.ops:
         if op.kind == "ancilla":
@@ -355,19 +361,74 @@ def _dilate(circuit: MixedStateCircuit, columns: int) -> tuple[np.ndarray, tuple
             traced.extend(op.targets)
             continue
         u, wires = op.as_unitary()
-        mat = left_apply_unitary(mat, total, u, wires)
+        axes = [total - 1 - w for w in wires]
+        arr = left_apply_unitary(arr, u, [order.index(a) for a in axes])
+        front = axes[::-1]
+        order = front + [a for a in order if a not in front]
+    mat = arr.transpose([order.index(a) for a in range(total + 1)]).reshape(2**total, columns)
     return mat, tuple(traced)
 
 
+def _unitarity_bound(circuit: MixedStateCircuit, dim: int) -> float:
+    """Upper bound on ``max |U U^dagger - I|`` for the computed ``dim``-row canonical unitary U.
+
+    The proof is in ``canonicalize``.
+    """
+    bound, gates = 0.0, 0
+    for op in circuit.ops:
+        if op.kind in ("ancilla", "traceout"):
+            continue
+        u, _ = op.as_unitary()
+        eps = float(np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0]))) + 1e-14
+        bound = bound * (1.0 + eps) + eps
+        gates += 1
+    return bound + gates * 1e-14 * math.sqrt(dim) + 5e-16 * dim
+
+
 def canonicalize(circuit: MixedStateCircuit) -> CanonicalCircuit:
-    """Hoist ancilla introductions to the start and defer traces to the end."""
-    unitary, traced = _dilate(circuit, 2 ** (circuit.input_qubits + circuit.ancilla_total))
-    return CanonicalCircuit(
-        circuit.input_qubits,
-        circuit.ancilla_total,
-        unitary,
-        traced,
-        circuit.output_qubits,
+    """Hoist ancilla introductions to the start and defer traces to the end.
+
+    The result comes from the validated circuit without ``CanonicalCircuit``'s
+    checks: all but unitarity hold by construction.  ``_is_unitary`` runs only
+    when the certificate ``_unitarity_bound`` exceeds ``TAU_UNIT / 2``; at or
+    below that the check provably passes, so this raises in exactly the cases
+    ``CanonicalCircuit(...)`` would.
+
+    Proof.  Let ``g_i`` be the m gate matrices in order (at most 3 qubits; a
+    controlled op as its block matrix), ``G_i`` their embeddings on all d
+    rows, and ``e_i`` the computed Frobenius norm of ``g_i g_i^H - I`` plus
+    1e-14, which covers the rounding of that 8x8 product; so
+    ``e_i >= ||G_i G_i^H - I||_2`` and ``||G_i||^2 <= 1 + e_i``.  For exact
+    products ``P_i = G_i P_(i-1)``, ``P_0 = I``, the identity
+    ``P_i P_i^H - I = G_i (P_(i-1) P_(i-1)^H - I) G_i^H + (G_i G_i^H - I)``
+    gives ``delta_i <= (1 + e_i) delta_(i-1) + e_i``, hence
+    ``delta_m <= B = sum_i e_i prod_(j>i) (1 + e_j)``, the recurrence the
+    bound runs, and ``prod_j (1 + e_j) = 1 + B``.  Rounding: the computed
+    product gains ``E_i`` per gate, whose columns are errors of complex dot
+    products of length at most 8, so ``||E_i||_2 <= ||E_i||_F <= sqrt(2)
+    gamma_10 ||g_i||_F ||U_(i-1)||_F <= 4.5e-15 sqrt(d) ||U_(i-1)||_2``.
+    While every ``e_j`` and ``delta`` stay below 1e-9, ``E_i`` adds at most
+    ``2 ||G_i|| ||U_(i-1)|| ||E_i|| + ||E_i||^2 <= 1e-14 sqrt(d)`` to
+    ``delta``, growing by at most the factor ``1 + B`` after it.  The check
+    itself computes ``U U^H`` with entries off by at most ``sqrt(2)
+    gamma_(d+2) (1 + delta) <= 5e-16 d``, subtracts I exactly (Sterbenz on
+    the diagonal) and takes a max-abs entry, which is at most the spectral
+    norm.  So the computed check is at most ``(B + m 1e-14 sqrt(d) + 5e-16
+    d) (1 + B) (1 + 4u)``.  The bound returns the first factor; where it is
+    at most ``TAU_UNIT / 2``, the check is below ``TAU_UNIT`` with room left
+    for the rounding of the bound itself.
+    """
+    total = circuit.input_qubits + circuit.ancilla_total
+    unitary, traced = _dilate(circuit, 2**total)
+    if _unitarity_bound(circuit, 2**total) > TAU_UNIT / 2 and not _is_unitary(unitary):
+        raise CircuitError("canonical matrix is not unitary within tolerance")
+    return _trusted(
+        CanonicalCircuit,
+        input_qubits=circuit.input_qubits,
+        ancilla_qubits=circuit.ancilla_total,
+        unitary=unitary,
+        traced_wires=traced,
+        output_qubits=circuit.output_qubits,
     )
 
 
@@ -523,11 +584,14 @@ def _json_fraction(value, path: str, closed_above: bool) -> float:
     return float(value)
 
 
-def _json_field(doc: dict, key: str):
-    """``doc[key]``, or a CircuitParseError naming the missing field."""
-    if key not in doc:
-        raise CircuitParseError(f"missing field {key!r}")
-    return doc[key]
+def _json_field(doc: dict, path: str):
+    """The value at dotted ``path`` in ``doc``, or a CircuitParseError naming the missing field."""
+    value = doc
+    for key in path.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise CircuitParseError(f"missing field {path!r}")
+        value = value[key]
+    return value
 
 
 def serialize_circuit(circuit: MixedStateCircuit) -> bytes:

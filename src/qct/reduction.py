@@ -47,6 +47,7 @@ from .circuits import (
 from .errors import (
     CapacityError,
     CircuitError,
+    CircuitParseError,
     DimensionMismatchError,
     WrongSideError,
     check_capacity,
@@ -160,17 +161,21 @@ class CTInstance:
     def from_json(cls, doc: dict) -> "CTInstance":
         h = _json_int(_json_field(doc, "witness_qubits"), "witness_qubits")
         f = _json_int(_json_field(doc, "dummy_qubits"), "dummy_qubits")
-        width = h + f
-        c0 = family_generator(doc["c0"]["name"], **doc["c0"].get("params", {}))(width)
-        c1 = family_generator(doc["c1"]["name"], **doc["c1"].get("params", {}))(width)
+        registers = _json_field(doc, "layout.registers")
+        if not isinstance(registers, list) or not all(
+            isinstance(r, list) and len(r) == 2 and isinstance(r[0], str) for r in registers
+        ):
+            raise CircuitParseError(
+                f"layout.registers: must be a list of [name, count] pairs, got {registers!r}"
+            )
         return cls(
-            circuit=parse_circuit(json.dumps(doc["circuit"])),
-            c0=c0,
-            c1=c1,
+            circuit=parse_circuit(json.dumps(_json_field(doc, "circuit"))),
+            c0=_family_from_json(doc, "c0", h + f),
+            c1=_family_from_json(doc, "c1", h + f),
             eps=_json_fraction(_json_field(doc, "eps"), "eps", closed_above=False),
             delta=_json_fraction(_json_field(doc, "delta"), "delta", closed_above=True),
             layout=RegisterLayout(
-                tuple((n, c) for n, c in doc["layout"]["registers"]),
+                tuple((n, _json_int(c, "layout.registers")) for n, c in registers),
                 doc["layout"].get("convention", "qubit0-lsb"),
             ),
             witness_qubits=h,
@@ -179,6 +184,22 @@ class CTInstance:
             c0_spec=doc["c0"],
             c1_spec=doc["c1"],
         )
+
+
+def _family_from_json(doc: dict, label: str, width: int) -> MixedStateCircuit:
+    """The ``width``-qubit circuit of the registry family named by ``doc[label]``."""
+    name = _json_field(doc, f"{label}.name")
+    params = _json_field(doc, f"{label}.params")
+    if not isinstance(name, str) or name not in FAMILY_REGISTRY:
+        raise CircuitParseError(
+            f"{label}.name: unknown family {name!r}; known: {sorted(FAMILY_REGISTRY)}"
+        )
+    if not isinstance(params, dict):
+        raise CircuitParseError(f"{label}.params: must be an object, got {params!r}")
+    try:
+        return family_generator(name, **params)(width)
+    except (TypeError, ValueError) as exc:
+        raise CircuitParseError(f"{label}.params: {exc}") from exc
 
 
 @dataclass(frozen=True)

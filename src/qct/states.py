@@ -40,6 +40,21 @@ def _frozen_copy(a) -> np.ndarray:
     return out
 
 
+def _trusted(cls, **fields):
+    """A frozen dataclass value built from validated parts, without running its ``__post_init__``.
+
+    For results whose invariants hold by construction.  Public constructors
+    and JSON readers never come here, and arrays are frozen but not copied:
+    the caller hands over an array nothing else holds.
+    """
+    value = object.__new__(cls)
+    for name, field in fields.items():
+        if isinstance(field, np.ndarray):
+            field.setflags(write=False)
+        object.__setattr__(value, name, field)
+    return value
+
+
 def _reject_nonfinite(norm: float, a: np.ndarray, what: str) -> None:
     """Raise when ``a`` has a NaN or infinite entry.
 
@@ -341,18 +356,20 @@ def von_neumann_entropy(rho, base: float = 2.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _contract_unitary(arr: np.ndarray, u: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """Contract a 2^k-by-2^k matrix into the given axes of a qubit tensor.
+def _gate_first(arr: np.ndarray, u: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """``left_apply_unitary``'s contraction under a second name.
 
-    ``axes[q]`` is the axis of ``arr`` carrying matrix qubit ``q``; matrix
-    qubit 0 is the least significant bit of the matrix index.
+    The helpers in this module call it by this name, so each of their calls
+    counts once, as their own, where ``left_apply_unitary`` is traced.
     """
     k = len(axes)
     ur = u.reshape([2] * (2 * k))
-    col_axes = list(range(k, 2 * k))
-    arr_axes = [axes[k - 1 - j] for j in range(k)]
-    out = np.tensordot(ur, arr, axes=(col_axes, arr_axes))
-    return np.moveaxis(out, list(range(k)), arr_axes)
+    return np.tensordot(ur, arr, axes=(list(range(k, 2 * k)), list(reversed(axes))))
+
+
+def _contract_unitary(arr: np.ndarray, u: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """``left_apply_unitary`` with the output qubits moved back onto ``axes``."""
+    return np.moveaxis(_gate_first(arr, u, axes), list(range(len(axes))), list(reversed(axes)))
 
 
 def apply_unitary_vec(psi: np.ndarray, n: int, u: np.ndarray, targets: Sequence[int]) -> np.ndarray:
@@ -373,11 +390,17 @@ def apply_unitary_mat(rho: np.ndarray, n: int, u: np.ndarray, targets: Sequence[
     return arr.reshape(dim, dim)
 
 
-def left_apply_unitary(mat: np.ndarray, n: int, u: np.ndarray, targets: Sequence[int]) -> np.ndarray:
-    """Left-multiply a block of n-wire columns by the embedding of ``u`` on target wires."""
-    arr = mat.reshape([2] * n + [mat.shape[1]])
-    axes = [n - 1 - w for w in targets]
-    return _contract_unitary(arr, u, axes).reshape(mat.shape)
+def left_apply_unitary(arr: np.ndarray, u: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Contract a 2^k-by-2^k matrix into the given axes of a qubit tensor, in no fixed layout.
+
+    ``axes[q]`` is the axis of ``arr`` carrying matrix qubit ``q``; matrix
+    qubit 0 is the least significant bit of the matrix index.  The result
+    holds the k output qubits on its first k axes, matrix qubit k-1 first,
+    followed by the other axes of ``arr`` in their order.  Nothing is moved
+    back, so a gate loop tracks where each qubit sits and restores the layout
+    once, at the end.
+    """
+    return _gate_first(arr, u, axes)
 
 
 def permute_wires_mat(mat: np.ndarray, n: int, new_order: Sequence[int]) -> np.ndarray:

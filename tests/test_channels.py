@@ -1,10 +1,13 @@
 import functools
+import types
 
 import numpy as np
 import pytest
 
+import qct
 from qct import (
     BudgetExceededError,
+    CircuitParseError,
     DimensionMismatchError,
     GateOp,
     InvalidStateError,
@@ -19,6 +22,7 @@ from qct import (
     diamond_distance,
     evaluate,
     identity_channel,
+    identity_circuit,
     identity_keyed_family,
     key_average,
     mix,
@@ -39,6 +43,7 @@ from qct.channels import (
     apply_choi,
     apply_choi_adjoint_to_segment,
     apply_choi_to_segment,
+    pauli_otp_template,
 )
 
 
@@ -61,6 +66,27 @@ class TestQuantumChannel:
     def test_apply_dimension_check(self):
         with pytest.raises(DimensionMismatchError):
             identity_channel(1).apply(random_density_operator(4, 0))
+
+    def test_trusted_constructor_is_not_public(self):
+        from qct.states import _trusted
+
+        public = [
+            name
+            for name, value in vars(qct).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        ]
+        assert len(public) == 92
+        assert not any(value is _trusted for value in vars(qct).values())
+
+    def test_computed_channels_are_frozen(self):
+        pad = pauli_otp_family(1)
+        for chan in (
+            to_channel(pad.circuit(1)),
+            key_average(pad),
+            compose(identity_channel(1), depolarizing(1)),
+            tensor_channels(identity_channel(1), depolarizing(1)),
+        ):
+            assert not chan.choi.flags.writeable
 
 
 def _random_complex(rng, d):
@@ -368,6 +394,18 @@ class TestFamilySerialization:
         fam = KeyedChannelFamily(2, lambda k: pauli_keyed(1, k), 1, 1)
         with pytest.raises(ValueError):
             fam.to_json()
+
+    @pytest.mark.parametrize(
+        "template, key_bits",
+        [(pauli_otp_template(1), -1), (pauli_otp_template(1), 1), (identity_circuit(1), -1)],
+    )
+    def test_key_bits_must_cover_the_template(self, template, key_bits):
+        with pytest.raises(ValueError, match="key_bits"):
+            KeyedChannelFamily.from_template(template, key_bits)
+        doc = KeyedChannelFamily.from_template(template, 2).to_json()
+        doc["key_bits"] = key_bits
+        with pytest.raises(CircuitParseError, match="key_bits"):
+            KeyedChannelFamily.from_json(doc)
 
     def test_width_mismatch_detected(self):
         fam = KeyedChannelFamily(1, lambda k: MixedStateCircuit(2, (), 2), 1, 1)

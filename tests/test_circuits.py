@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from qct import (
+    CanonicalCircuit,
     CapacityError,
     CircuitError,
     CircuitParseError,
     DensityOperator,
     GateOp,
+    InvalidStateError,
     MixedStateCircuit,
     UnsupportedGateError,
     canonicalize,
@@ -27,7 +29,8 @@ from qct import (
     serialize_circuit,
     to_channel,
 )
-from qct.circuits import GATE_Z, _dilate
+from qct import circuits
+from qct.circuits import GATE_H, GATE_Z, _dilate, _unitarity_bound
 from qct.states import apply_unitary_mat, partial_trace_wires
 
 
@@ -188,7 +191,75 @@ class TestCanonicalize:
         assert np.max(np.abs(to_channel(base).choi - to_channel(padded).choi)) < 1e-9
 
 
+def _drifting_circuit():
+    """30 copies of (1 + 4e-10) H: each passes GateOp's 1e-9 unitarity check, but
+    their product deviates from unitary by about (1 + 4e-10)**60 - 1 = 2.4e-8."""
+    return MixedStateCircuit(1, (GateOp.unitary((1 + 4e-10) * GATE_H, (0,)),) * 30, 1)
+
+
+def _unitary_by_gates(circuit):
+    """Reference canonical unitary: the full matrix gate by gate, each gate
+    contracted into its wires and moved back into place before the next."""
+    total = circuit.input_qubits + circuit.ancilla_total
+    mat = np.eye(2**total, dtype=complex)
+    for op in circuit.ops:
+        if op.kind in ("ancilla", "traceout"):
+            continue
+        u, wires = op.as_unitary()
+        k = len(wires)
+        axes = [total - 1 - w for w in reversed(wires)]
+        arr = mat.reshape([2] * total + [-1])
+        arr = np.tensordot(u.reshape([2] * (2 * k)), arr, (list(range(k, 2 * k)), axes))
+        mat = np.moveaxis(arr, list(range(k)), axes).reshape(mat.shape)
+    return mat
+
+
+class TestCertifiedUnitarity:
+    def test_drifting_product_still_raises(self):
+        circuit = _drifting_circuit()
+        assert _unitarity_bound(circuit, 2) > 5e-10
+        for parsed in (circuit, parse_circuit(serialize_circuit(circuit))):
+            with pytest.raises(CircuitError, match="not unitary"):
+                canonicalize(parsed)
+
+    def test_public_constructor_rejects_non_unitary(self):
+        with pytest.raises(CircuitError, match="not unitary"):
+            CanonicalCircuit(1, 0, np.array([[1, 1], [0, 1]]), (), 1)
+        with pytest.raises(CircuitError, match="not unitary"):
+            CanonicalCircuit(1, 0, (1 + 1e-8) * GATE_H, (), 1)
+
+    def test_ten_wire_unitary_equals_gate_by_gate_reference(self):
+        rng = np.random.default_rng(2024)
+        circuit = MixedStateCircuit(10, tuple(_random_gates(rng, list(range(10)), 40)), 10)
+        canon = canonicalize(circuit)
+        assert np.array_equal(canon.unitary, _unitary_by_gates(circuit))
+        assert not canon.unitary.flags.writeable
+
+    def test_certified_circuit_skips_the_dense_check(self, monkeypatch):
+        circuit = _random_mixed_circuit(1)
+        want = canonicalize(circuit).unitary
+        monkeypatch.setattr(circuits, "_is_unitary", lambda mat: pytest.fail("dense check ran"))
+        assert np.array_equal(canonicalize(circuit).unitary, want)
+
+    @pytest.mark.parametrize("scale", [1.0, 1 + 1e-13, 1 + 1e-12, 1 + 3e-12])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bound_dominates_the_dense_check(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        ops = [
+            GateOp(op.kind, op.targets, None if op.matrix is None else scale * op.matrix, op.control)
+            for op in _random_gates(rng, list(range(6)), 60)
+        ]
+        circuit = MixedStateCircuit(6, tuple(ops), 6)
+        unitary, _ = _dilate(circuit, 2**6)
+        check = np.max(np.abs(unitary @ unitary.conj().T - np.eye(2**6)))
+        assert check <= _unitarity_bound(circuit, 2**6)
+
+
 class TestToChannel:
+    def test_drifting_product_is_not_trace_preserving(self):
+        with pytest.raises(InvalidStateError, match="not TP"):
+            to_channel(_drifting_circuit())
+
     def test_identity_choi(self):
         chan = to_channel(identity_circuit(1))
         phi = np.eye(2).reshape(-1) / np.sqrt(2)

@@ -131,6 +131,8 @@ class TestInstances:
         [
             ("key_bits", 2.7),
             ("key_bits", "2"),
+            ("key_bits", -1),
+            ("key_bits", 1),
             ("eps", float("nan")),
             ("delta", 5),
             ("eps", "x"),

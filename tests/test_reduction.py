@@ -362,6 +362,48 @@ class TestInstanceSerialization:
         with pytest.raises(CircuitParseError, match=field):
             CTInstance.from_json(doc)
 
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "circuit",
+            "layout",
+            "layout.registers",
+            "c0",
+            "c1",
+            "c0.name",
+            "c0.params",
+            "c1.name",
+            "c1.params",
+        ],
+    )
+    def test_from_json_names_a_missing_field(self, path):
+        v = make_toy_verifier("rotation", accept_probability=0.96)
+        doc = build_ct_circuit(v, "identity", ("pauli_keyed", {"key": 2}), 0.04, 1.0).to_json()
+        *parents, last = path.split(".")
+        owner = doc
+        for key in parents:
+            owner = owner[key]
+        del owner[last]
+        with pytest.raises(CircuitParseError, match=path.split(".")[0]):
+            CTInstance.from_json(doc)
+
+    @pytest.mark.parametrize(
+        "label, spec",
+        [
+            ("c0", {"name": "nope", "params": {}}),
+            ("c1", {"name": ["pauli_keyed"], "params": {"key": 2}}),
+            ("c1", {"name": "pauli_keyed", "params": {"key": 99}}),
+            ("c1", {"name": "pauli_keyed", "params": {"colour": 2}}),
+            ("c1", {"name": "pauli_keyed", "params": [2]}),
+        ],
+    )
+    def test_from_json_rejects_a_bad_family(self, label, spec):
+        v = make_toy_verifier("rotation", accept_probability=0.96)
+        doc = build_ct_circuit(v, "identity", ("pauli_keyed", {"key": 2}), 0.04, 1.0).to_json()
+        doc[label] = spec
+        with pytest.raises(CircuitParseError, match=label):
+            CTInstance.from_json(doc)
+
     def test_custom_generators_do_not_serialize(self):
         v = make_toy_verifier("target_state", witness_qubits=1, target=1)
         from qct import identity_circuit
