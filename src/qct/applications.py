@@ -27,6 +27,7 @@ from .errors import DimensionMismatchError
 from .states import (
     PureState,
     _random_starts,
+    _seed_record,
     operator_norm,
     trace_norm,
     von_neumann_entropy,
@@ -48,7 +49,7 @@ class ProblemVerdict:
     consistent_with: str | None
     heuristic_only: bool
     witness: PureState
-    seed: int | None
+    seed: int | tuple[int, ...] | None
     notes: str = ""
     lower_bound: float | None = None
 
@@ -96,7 +97,7 @@ def nonidentity_stat(
         consistent_with=side,
         heuristic_only=heuristic,
         witness=dd.witness,
-        seed=seed if isinstance(seed, int) else None,
+        seed=_seed_record(seed),
         notes="efficient-unitary existence clause of the far side is not audited",
     )
 
@@ -179,7 +180,7 @@ def nonisometry_stat(
         consistent_with=side,
         heuristic_only=not (side == "YES" or (side == "NO" and lower >= 1.0 - eps)),
         witness=PureState(best_psi),
-        seed=seed if isinstance(seed, int) else None,
+        seed=_seed_record(seed),
         lower_bound=lower,
     )
 
@@ -257,7 +258,7 @@ def pure_fixed_point_search(
         consistent_with=side,
         heuristic_only=side != "YES",
         witness=PureState(best_psi),
-        seed=seed if isinstance(seed, int) else None,
+        seed=_seed_record(seed),
     )
 
 
@@ -318,7 +319,7 @@ def min_output_entropy(
         consistent_with=side,
         heuristic_only=side != "YES",
         witness=PureState(best_psi),
-        seed=seed if isinstance(seed, int) else None,
+        seed=_seed_record(seed),
     )
 
 

@@ -41,6 +41,7 @@ from .states import (
     PureState,
     _min_eig_below,
     _random_starts,
+    _seed_record,
     _reject_non_hermitian,
     _trusted,
     qubit_count,
@@ -397,7 +398,7 @@ class DiamondResult:
     upper_bound: float
     witness: PureState
     per_restart: tuple[float, ...]
-    seed: int | None
+    seed: int | tuple[int, ...] | None
 
 
 def _maximally_entangled(d: int) -> np.ndarray:
@@ -517,7 +518,7 @@ def diamond_distance(
         delta, a.dim_in, a.dim_out, a.dim_in, restarts, seed, extra_starts
     )
     return DiamondResult(
-        max(val, 0.0), upper, PureState(psi), per_restart, seed if isinstance(seed, int) else None
+        max(val, 0.0), upper, PureState(psi), per_restart, _seed_record(seed)
     )
 
 
@@ -557,7 +558,7 @@ class EpsPrivateReport:
     decryption_upper_bound: float
     key_average_upper_bound: float
     verdict: str
-    seed: int | None
+    seed: int | tuple[int, ...] | None
 
     @property
     def d1(self) -> float:
@@ -626,5 +627,5 @@ def check_eps_private(
         decryption_upper_bound=max(per_key_upper),
         key_average_upper_bound=dd2.upper_bound,
         verdict=verdict,
-        seed=seed if isinstance(seed, int) else None,
+        seed=_seed_record(seed),
     )

@@ -336,23 +336,33 @@ def identity_circuit(n_qubits: int) -> MixedStateCircuit:
     return MixedStateCircuit(n_qubits, (), n_qubits)
 
 
+# Columns per block in ``_dilate``: a block of ``2**total`` rows holds 2**17
+# complex entries (2 MB), so every gate of the loop finds it in cache.
+_BLOCK_ENTRIES = 2**17
+
+
 def _dilate(circuit: MixedStateCircuit, columns: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """The first ``columns`` columns of the circuit's unitary, and its traced wires.
 
     Ancillas are hoisted to the start and traces deferred to the end.  Wire
     ids are bit positions, so ancillas are the most significant wires and the
     first ``2**input_qubits`` columns are the inputs with every ancilla at zero.
-    The columns are held as a ``[2] * total + [columns]`` tensor whose axis
-    ``total - 1 - w`` is wire ``w``.  Each gate is one contraction that leaves
-    its output axes in front; ``order`` records which axis sits where, and one
-    copy at the end restores the layout.
+    The columns run through the gates in blocks of ``max(1, _BLOCK_ENTRIES >>
+    total)``, each held as a ``[2] * total + [block]`` tensor whose axis
+    ``total - 1 - w`` is wire ``w``.  A block stays in cache through the whole
+    gate list: each gate is one contraction that leaves its output axes in
+    front, ``order`` records which axis sits where, and one copy per block
+    restores the layout.  Columns never mix, so the blocking changes no bit of
+    the result; the cost is ``2**(total + k)`` multiply-adds per column for
+    each k-qubit gate, with ``left_apply_unitary`` called once per gate and
+    block.
     """
     if circuit.has_placeholders:
         raise UnsupportedGateError("expand key placeholders before compiling")
     total = circuit.input_qubits + circuit.ancilla_total
     check_capacity(total, "canonical form")
-    arr = np.eye(2**total, columns, dtype=np.complex128).reshape([2] * total + [columns])
     order = list(range(total + 1))  # order[p]: the axis of the layout held at position p
+    gates: list[tuple[np.ndarray, list[int]]] = []
     traced: list[int] = []
     for op in circuit.ops:
         if op.kind == "ancilla":
@@ -362,10 +372,19 @@ def _dilate(circuit: MixedStateCircuit, columns: int) -> tuple[np.ndarray, tuple
             continue
         u, wires = op.as_unitary()
         axes = [total - 1 - w for w in wires]
-        arr = left_apply_unitary(arr, u, [order.index(a) for a in axes])
+        gates.append((u, [order.index(a) for a in axes]))
         front = axes[::-1]
         order = front + [a for a in order if a not in front]
-    mat = arr.transpose([order.index(a) for a in range(total + 1)]).reshape(2**total, columns)
+    restore = [order.index(a) for a in range(total + 1)]
+    mat = np.empty((2**total, columns), dtype=np.complex128)
+    blocks = mat.reshape([2] * total + [columns])
+    width = max(1, _BLOCK_ENTRIES >> total)
+    for start in range(0, columns, width):
+        cols = min(width, columns - start)
+        arr = np.eye(2**total, cols, -start, dtype=np.complex128).reshape([2] * total + [cols])
+        for u, positions in gates:
+            arr = left_apply_unitary(arr, u, positions)
+        blocks[..., start : start + cols] = arr.transpose(restore)
     return mat, tuple(traced)
 
 
@@ -457,6 +476,14 @@ def evaluate(
     wires are the more significant qubits, the reference the less significant
     ones.  The output keeps that ordering.  The result is
     ``sum_g (K_g (x) I) rho (K_g (x) I)^dagger`` over the ``stinespring`` Kraus stack.
+
+    The output is Hermitian, so only its upper half is computed.  The top
+    ``h = min(reference_qubits, 3)`` reference qubits form a block index
+    ``a``; for each ``a``, one product with ``K`` and one with ``conj(K)``
+    give the blocks ``(a, a')`` with ``a' >= a``, and the blocks below the
+    diagonal are their conjugate transposes.  That is ``(2**h + 1) / 2**(h+1)``
+    of the flops of the full products: 62.5% at two reference qubits, 56%
+    from three on.
     """
     mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=np.complex128)
     expected = 2 ** (circuit.input_qubits + reference_qubits)
@@ -471,15 +498,23 @@ def evaluate(
     )
     kraus = stinespring(circuit)
     n_traced, d_out, d_in = kraus.shape
-    d_ref = 2**reference_qubits
-    # (K (x) I) rho, indexed (g, out, ref, in', ref')
-    left = kraus.reshape(n_traced * d_out, d_in) @ mat.reshape(d_in, -1)
-    left = left.reshape(n_traced, d_out * d_ref, d_in, d_ref).transpose(1, 3, 0, 2)
-    # contract (g, in') against conj(K) as ((g, in), out): the sum over g is in the matmul
-    right = kraus.conj().transpose(0, 2, 1).reshape(n_traced * d_in, d_out)
-    out = left.reshape(d_out * d_ref * d_ref, n_traced * d_in) @ right
-    d = d_out * d_ref
-    return DensityOperator(out.reshape(d, d_ref, d_out).transpose(0, 2, 1).reshape(d, d))
+    h = min(reference_qubits, 3)
+    d_hi, d_lo = 2**h, 2 ** (reference_qubits - h)
+    rho6 = mat.reshape(d_in, d_hi, d_lo, d_in, d_hi, d_lo)
+    left_op = kraus.reshape(n_traced * d_out, d_in)
+    # conj(K) as ((g, in), out): the sum over g is in the second matmul
+    right_op = kraus.conj().transpose(0, 2, 1).reshape(n_traced * d_in, d_out)
+    out = np.empty((d_out, d_hi, d_lo, d_out, d_hi, d_lo), dtype=np.complex128)
+    for a in range(d_hi):
+        m = d_hi - a
+        # (K (x) I) rho on row block a and column blocks a' >= a, indexed (g, out, b, in', a', b')
+        left = left_op @ rho6[:, a, :, :, a:, :].reshape(d_in, -1)
+        left = left.reshape(n_traced, d_out, d_lo, d_in, m, d_lo).transpose(1, 2, 4, 5, 0, 3)
+        upper = (left.reshape(-1, n_traced * d_in) @ right_op).reshape(d_out, d_lo, m, d_lo, d_out)
+        out[:, a, :, :, a:, :] = upper.transpose(0, 1, 4, 2, 3)
+        out[:, a + 1 :, :, :, a, :] = upper[:, :, 1:].transpose(4, 2, 3, 0, 1).conj()
+    d = d_out * d_hi * d_lo
+    return DensityOperator(out.reshape(d, d))
 
 
 def concatenate(first: MixedStateCircuit, second: MixedStateCircuit) -> MixedStateCircuit:

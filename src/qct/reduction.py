@@ -57,6 +57,7 @@ from .states import (
     DensityOperator,
     PureState,
     RegisterLayout,
+    _seed_record,
     apply_unitary_vec,
     basis_state,
     random_pure_state,
@@ -217,7 +218,7 @@ class CTCertificate:
     diamond_lower_bound: float | None = None
     diamond_upper_bound: float | None = None
     heuristic_consistent: bool | None = None
-    seed: int | None = None
+    seed: int | tuple[int, ...] | None = None
 
 
 def _resolve_generator(gen) -> tuple[FamilyGenerator, dict | None]:
@@ -439,7 +440,7 @@ def certify_yes(instance: CTInstance, v: VerifierCircuit, seed=0) -> CTCertifica
         probe_distances=tuple(distances),
         subspace_dim_claimed=dim_claimed,
         subspace_dim_achieved=dim_achieved,
-        seed=seed if isinstance(seed, int) else None,
+        seed=_seed_record(seed),
     )
 
 
@@ -486,7 +487,7 @@ def certify_no(
         diamond_lower_bound=dd.lower_bound,
         diamond_upper_bound=dd.upper_bound,
         heuristic_consistent=heuristic,
-        seed=seed if isinstance(seed, int) else None,
+        seed=_seed_record(seed),
     )
 
 

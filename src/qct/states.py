@@ -317,10 +317,30 @@ def random_pure_state(dim: int, seed) -> PureState:
     return PureState(v / np.linalg.norm(v))
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
+
+
+def _seed_record(seed) -> int | tuple[int, ...] | None:
+    """``seed`` as a result records it: an int, a tuple of ints, or None.
+
+    Python and numpy integers are recorded as ``int`` and sequences of them as
+    tuples of ``int``; a bool names no seed and is rejected.
+    """
+    if isinstance(seed, (bool, np.bool_)):
+        raise ValueError(f"seed must be an integer or a sequence of integers, got {seed!r}")
+    if _is_integer(seed):
+        return int(seed)
+    if isinstance(seed, (tuple, list)) and all(_is_integer(s) for s in seed):
+        return tuple(int(s) for s in seed)
+    return None
+
+
 def _random_starts(dim: int, count: int, seed) -> list[np.ndarray]:
-    """One random unit vector per child of ``SeedSequence(seed)``; a None seed is rejected."""
+    """One random unit vector per child of ``SeedSequence(seed)``; None and bool seeds are rejected."""
     if seed is None:
         raise ValueError("seed is required: random starts draw no implicit entropy")
+    _seed_record(seed)  # raises on a bool
     children = np.random.SeedSequence(seed).spawn(count)
     return [random_pure_state(dim, ss).amplitudes for ss in children]
 
@@ -398,7 +418,9 @@ def left_apply_unitary(arr: np.ndarray, u: np.ndarray, axes: Sequence[int]) -> n
     holds the k output qubits on its first k axes, matrix qubit k-1 first,
     followed by the other axes of ``arr`` in their order.  Nothing is moved
     back, so a gate loop tracks where each qubit sits and restores the layout
-    once, at the end.
+    once, at the end.  ``circuits._dilate`` calls it once per gate and column
+    block, on a ``[2] * total + [block]`` tensor of about 2 MB; a call costs
+    ``2**k`` multiply-adds per entry of ``arr``.
     """
     return _gate_first(arr, u, axes)
 

@@ -277,3 +277,35 @@ class TestSeeding:
     def test_none_seed_is_rejected(self, search):
         with pytest.raises(ValueError, match="seed is required"):
             search()
+
+    SEARCHES = {
+        "diamond": lambda seed: diamond_distance(
+            identity_channel(1), depolarizing(1), restarts=1, seed=seed
+        ),
+        "nonidentity": lambda seed: nonidentity_stat(depolarizing(1), 0.1, restarts=1, seed=seed),
+        "nonisometry": lambda seed: nonisometry_stat(random_channel(1, 3), 0.1, restarts=1, seed=seed),
+        "fixed-point": lambda seed: pure_fixed_point_search(
+            depolarizing(1), 0.1, restarts=1, iters=2, seed=seed
+        ),
+        "entropy": lambda seed: min_output_entropy(depolarizing(1), restarts=1, iters=2, seed=seed),
+    }
+
+    @pytest.mark.parametrize("name", SEARCHES)
+    def test_numpy_integer_seed_is_recorded_as_int(self, name):
+        result = self.SEARCHES[name](np.int64(3))
+        assert result.seed == 3 and type(result.seed) is int
+        same = self.SEARCHES[name](3)
+        assert np.array_equal(result.witness.amplitudes, same.witness.amplitudes)
+
+    @pytest.mark.parametrize("name", SEARCHES)
+    def test_tuple_seed_is_recorded_as_ints(self, name):
+        result = self.SEARCHES[name]((7, np.int32(1)))
+        assert result.seed == (7, 1) and all(type(s) is int for s in result.seed)
+
+    @pytest.mark.parametrize("seed", [True, np.bool_(False)])
+    @pytest.mark.parametrize("name", SEARCHES)
+    def test_bool_seed_is_rejected(self, name, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            self.SEARCHES[name](seed)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            _random_starts(4, 1, seed)

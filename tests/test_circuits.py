@@ -30,7 +30,7 @@ from qct import (
     to_channel,
 )
 from qct import circuits
-from qct.circuits import GATE_H, GATE_Z, _dilate, _unitarity_bound
+from qct.circuits import GATE_H, GATE_Z, _dilate, _unitarity_bound, stinespring
 from qct.states import apply_unitary_mat, partial_trace_wires
 
 
@@ -380,6 +380,57 @@ class TestStinespring:
             evaluate(circuit, random_density_operator(2, 0))
         with pytest.raises(CapacityError, match="canonical form"):
             to_channel(circuit)
+
+
+def _resizing_circuit(seed, outputs):
+    """Two inputs and two ancillas, gates on all four wires, then traces down to
+    ``outputs`` wires, so the output dimension differs from the input one."""
+    rng = np.random.default_rng(seed)
+    ops = [GateOp.ancillas(2)] + _random_gates(rng, [0, 1, 2, 3], 8)
+    ops.append(GateOp.trace_out(*[int(w) for w in rng.permutation(4)[: 4 - outputs]]))
+    return MixedStateCircuit(2, tuple(ops), outputs)
+
+
+class TestKernelBlocks:
+    @pytest.mark.parametrize("ref", [4, 5])
+    @pytest.mark.parametrize("outputs", [1, 3])
+    def test_evaluate_half_blocks_match_wire_reference(self, outputs, ref):
+        # at 4 and 5 reference qubits the block index sits above 1 and 2 low qubits
+        circuit = _resizing_circuit(outputs, outputs)
+        rho = random_density_operator(2 ** (circuit.input_qubits + ref), (outputs, ref))
+        want = _evaluate_by_wires(circuit, rho.matrix, reference_qubits=ref)
+        got = evaluate(circuit, rho, reference_qubits=ref).matrix
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("ref", [2, 4])
+    def test_lower_blocks_are_conjugate_transposes_of_upper_ones(self, ref):
+        circuit = _resizing_circuit(0, 3)
+        rho = random_density_operator(2 ** (circuit.input_qubits + ref), ref)
+        hi, lo = min(ref, 3), ref - min(ref, 3)
+        d_out = 2**circuit.output_qubits
+        out = evaluate(circuit, rho, reference_qubits=ref).matrix
+        out = out.reshape(d_out, 2**hi, 2**lo, d_out, 2**hi, 2**lo)
+        for a in range(2**hi):
+            for b in range(a + 1, 2**hi):
+                upper, lower = out[:, a, :, :, b, :], out[:, b, :, :, a, :]
+                assert np.array_equal(lower, upper.transpose(2, 3, 0, 1).conj())
+
+    def test_column_blocks_leave_the_unitary_unchanged(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        ops = [GateOp.ancillas(2)] + _random_gates(rng, list(range(6)), 20) + [GateOp.trace_out(4, 1)]
+        circuit = MixedStateCircuit(4, tuple(ops), 4)
+        whole = stinespring(circuit)
+        calls = []
+        apply = circuits.left_apply_unitary
+        monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", 3 * 2**6)  # 3 columns, the last block 1
+        monkeypatch.setattr(
+            circuits, "left_apply_unitary", lambda *args: calls.append(1) or apply(*args)
+        )
+        want = _unitary_by_gates(circuit)
+        assert np.array_equal(canonicalize(circuit).unitary, want)
+        assert len(calls) == 20 * 22  # gates x ceil(64 / 3) blocks
+        assert np.array_equal(_dilate(circuit, 2**4)[0], want[:, : 2**4])
+        assert np.array_equal(stinespring(circuit), whole)
 
 
 class TestConcatenate:
