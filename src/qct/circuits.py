@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -63,9 +63,24 @@ _FIXED_GATES = {
 
 PLACEHOLDER_KIND = "keyed_pauli"
 
+# The fields each op kind carries besides ``kind``, in serialization order.
+# ``GateOp``, ``parse_circuit`` and ``serialize_circuit`` all read this table.
+_OP_FIELDS: dict[str, tuple[str, ...]] = {
+    **dict.fromkeys(_FIXED_GATES, ("targets",)),
+    "unitary": ("targets", "matrix"),
+    "controlled": ("targets", "matrix", "control"),
+    "ancilla": ("count",),
+    "traceout": ("targets",),
+    PLACEHOLDER_KIND: ("targets", "control", "key_bits"),
+}
+# Fields a kind may leave out: a keyed Pauli without a control wire is uncontrolled.
+_OPTIONAL_FIELDS = {(PLACEHOLDER_KIND, "control")}
+_ARITY = {**{kind: arity for kind, (_, arity) in _FIXED_GATES.items()}, PLACEHOLDER_KIND: 1}
+
 
 def _is_unitary(mat: np.ndarray) -> bool:
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    # non-finite entries fail before the product, which would warn on inf * 0
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not np.isfinite(mat).all():
         return False
     d = mat.shape[0]
     return bool(np.max(np.abs(mat @ mat.conj().T - np.eye(d))) <= TAU_UNIT)
@@ -99,56 +114,33 @@ class GateOp:
 
     def _validate(self):
         kind = self.kind
-        if kind in _FIXED_GATES:
-            _, arity = _FIXED_GATES[kind]
-            if len(self.targets) != arity:
-                raise CircuitError(f"{kind} takes {arity} targets, got {len(self.targets)}")
-            if len(set(self.targets)) != len(self.targets):
-                raise CircuitError(f"{kind} targets must be distinct, got {self.targets}")
-        elif kind == "unitary":
-            if self.matrix is None:
-                raise CircuitError("unitary op needs a matrix")
-            d = 2 ** len(self.targets)
-            if self.matrix.shape != (d, d):
-                raise CircuitError(
-                    f"unitary on {len(self.targets)} targets needs a {d}x{d} matrix, "
-                    f"got {self.matrix.shape}"
-                )
-            if len(set(self.targets)) != len(self.targets):
-                raise CircuitError(f"unitary targets must be distinct, got {self.targets}")
-            if not _is_unitary(self.matrix):
-                raise CircuitError("matrix is not unitary within tolerance")
-        elif kind == "controlled":
-            if self.control is None or self.matrix is None:
-                raise CircuitError("controlled op needs a control wire and a matrix")
-            d = 2 ** len(self.targets)
-            if self.matrix.shape != (d, d):
-                raise CircuitError(
-                    f"controlled block on {len(self.targets)} targets needs {d}x{d}, "
-                    f"got {self.matrix.shape}"
-                )
-            wires = self.targets + (self.control,)
-            if len(set(wires)) != len(wires):
-                raise CircuitError(f"control {self.control} overlaps targets {self.targets}")
-            if not _is_unitary(self.matrix):
-                raise CircuitError("controlled block matrix is not unitary within tolerance")
-        elif kind == "ancilla":
-            if not self.count or self.count < 1:
-                raise CircuitError(f"ancilla op needs count >= 1, got {self.count}")
-        elif kind == "traceout":
-            if not self.targets:
-                raise CircuitError("traceout needs at least one wire")
-            if len(set(self.targets)) != len(self.targets):
-                raise CircuitError(f"traceout wires must be distinct, got {self.targets}")
-        elif kind == PLACEHOLDER_KIND:
-            if len(self.targets) != 1:
-                raise CircuitError("keyed_pauli takes exactly one target")
-            if self.key_bits is None or len(self.key_bits) != 2:
-                raise CircuitError("keyed_pauli needs two key bit indices")
-            if any(b < 0 for b in self.key_bits):
-                raise CircuitError(f"key bit indices must be >= 0, got {self.key_bits}")
-        else:
+        if not isinstance(kind, str) or kind not in _OP_FIELDS:
             raise UnsupportedGateError(f"unknown gate kind {kind!r}")
+        fields = _OP_FIELDS[kind]
+        for name in ("targets", "matrix", "control", "count", "key_bits"):
+            given = bool(self.targets) if name == "targets" else getattr(self, name) is not None
+            if given and name not in fields:
+                raise CircuitError(f"{name} is not a field of {kind} ops")
+            if not given and name in fields and (kind, name) not in _OPTIONAL_FIELDS:
+                raise CircuitError(f"{kind} op needs {name}")
+        wires = self.touched_wires()
+        if len(set(wires)) != len(wires):
+            raise CircuitError(f"{kind} wires must be distinct, got {wires}")
+        if kind in _ARITY and len(self.targets) != _ARITY[kind]:
+            raise CircuitError(f"{kind} takes {_ARITY[kind]} targets, got {len(self.targets)}")
+        if self.matrix is not None:
+            d = 2 ** len(self.targets)
+            if self.matrix.shape != (d, d):
+                raise CircuitError(
+                    f"{kind} on {len(self.targets)} targets needs a {d}x{d} matrix, "
+                    f"got {self.matrix.shape}"
+                )
+            if not _is_unitary(self.matrix):
+                raise CircuitError(f"{kind} matrix is not unitary within tolerance")
+        if self.count is not None and self.count < 1:
+            raise CircuitError(f"ancilla op needs count >= 1, got {self.count}")
+        if self.key_bits is not None and (len(self.key_bits) != 2 or min(self.key_bits) < 0):
+            raise CircuitError(f"key_bits must be two indices >= 0, got {self.key_bits}")
 
     # -- constructors ------------------------------------------------------
 
@@ -259,10 +251,9 @@ class MixedStateCircuit:
         created = self.input_qubits
         for idx, op in enumerate(self.ops):
             if op.kind == "ancilla":
-                new = list(range(created, created + op.count))
-                live.extend(new)
+                check_capacity(len(live) + op.count, f"ops[{idx}] ancilla introduction")
+                live.extend(range(created, created + op.count))
                 created += op.count
-                check_capacity(len(live), f"ops[{idx}] ancilla introduction")
             elif op.kind == "traceout":
                 missing = [w for w in op.targets if w not in live]
                 if missing:
@@ -534,19 +525,10 @@ def concatenate(first: MixedStateCircuit, second: MixedStateCircuit) -> MixedSta
 
     ops = list(first.ops)
     for op in second.ops:
-        if op.kind == "ancilla":
-            ops.append(op)
-        else:
-            ops.append(
-                GateOp(
-                    op.kind,
-                    tuple(remap(w) for w in op.targets),
-                    matrix=op.matrix,
-                    control=None if op.control is None else remap(op.control),
-                    count=op.count,
-                    key_bits=op.key_bits,
-                )
-            )
+        if op.kind != "ancilla":
+            control = None if op.control is None else remap(op.control)
+            op = replace(op, targets=tuple(remap(w) for w in op.targets), control=control)
+        ops.append(op)
     return MixedStateCircuit(first.input_qubits, tuple(ops), second.output_qubits)
 
 
@@ -619,12 +601,16 @@ def _json_fraction(value, path: str, closed_above: bool) -> float:
     return float(value)
 
 
-def _json_field(doc: dict, path: str):
-    """The value at dotted ``path`` in ``doc``, or a CircuitParseError naming the missing field."""
+def _json_field(doc: dict, path: str, within: str = ""):
+    """The value at dotted ``path`` in ``doc``, or a CircuitParseError naming the missing field.
+
+    ``within`` is the path of ``doc`` in its enclosing document, prefixed in the error.
+    """
+    full = f"{within}.{path}" if within else path
     value = doc
     for key in path.split("."):
         if not isinstance(value, dict) or key not in value:
-            raise CircuitParseError(f"missing field {path!r}")
+            raise CircuitParseError(f"missing field {full!r}")
         value = value[key]
     return value
 
@@ -633,16 +619,12 @@ def serialize_circuit(circuit: MixedStateCircuit) -> bytes:
     ops = []
     for op in circuit.ops:
         doc: dict = {"kind": op.kind}
-        if op.kind == "ancilla":
-            doc["count"] = op.count
-        else:
-            doc["targets"] = list(op.targets)
-        if op.matrix is not None:
-            doc["matrix"] = _matrix_to_json(op.matrix)
-        if op.control is not None:
-            doc["control"] = op.control
-        if op.key_bits is not None:
-            doc["key_bits"] = list(op.key_bits)
+        for name in _OP_FIELDS[op.kind]:
+            value = getattr(op, name)
+            if name == "matrix":
+                doc[name] = _matrix_to_json(value)
+            elif value is not None:
+                doc[name] = list(value) if isinstance(value, tuple) else value
         ops.append(doc)
     doc = {
         "input_qubits": circuit.input_qubits,
@@ -652,77 +634,53 @@ def serialize_circuit(circuit: MixedStateCircuit) -> bytes:
     return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
+def _op_from_json(entry, path: str) -> GateOp:
+    """The op object at ``path``, read against its kind's row of ``_OP_FIELDS``."""
+    if not isinstance(entry, dict):
+        raise CircuitParseError(f"{path}: must be an object")
+    kind = _json_field(entry, "kind", within=path)
+    if not isinstance(kind, str):
+        raise CircuitParseError(f"{path}.kind: must be a string, got {kind!r}")
+    if kind not in _OP_FIELDS:
+        raise UnsupportedGateError(f"{path}.kind: unknown gate kind {kind!r}")
+    fields = _OP_FIELDS[kind]
+    for name in entry:
+        if name != "kind" and name not in fields:
+            raise CircuitParseError(f"{path}.{name}: not a field of {kind} ops")
+    args = {}
+    for name in fields:
+        if name not in entry and (kind, name) in _OPTIONAL_FIELDS:
+            continue
+        value, where = _json_field(entry, name, within=path), f"{path}.{name}"
+        if name == "matrix":
+            args[name] = _matrix_from_json(value, len(args["targets"]), where)
+        elif name in ("targets", "key_bits"):
+            if not isinstance(value, list):
+                raise CircuitParseError(f"{where}: must be a list of integers, got {value!r}")
+            args[name] = tuple(_json_int(v, f"{where}[{j}]") for j, v in enumerate(value))
+        else:
+            args[name] = _json_int(value, where)
+    try:
+        return GateOp(kind, **args)
+    except CircuitError as exc:
+        raise CircuitParseError(f"{path}: {exc}") from exc
+
+
 def parse_circuit(data) -> MixedStateCircuit:
     """Parse the JSON circuit format; errors carry the offending field path."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
         raise CircuitParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CircuitParseError("top level must be an object")
-    for key in ("input_qubits", "output_qubits", "ops"):
-        if key not in doc:
-            raise CircuitParseError(f"missing field {key!r}")
-    n_in = _json_int(doc["input_qubits"], "input_qubits")
-    n_out = _json_int(doc["output_qubits"], "output_qubits")
-    if not isinstance(doc["ops"], list):
+    n_in = _json_int(_json_field(doc, "input_qubits"), "input_qubits")
+    n_out = _json_int(_json_field(doc, "output_qubits"), "output_qubits")
+    entries = _json_field(doc, "ops")
+    if not isinstance(entries, list):
         raise CircuitParseError("ops: must be a list")
-    ops: list[GateOp] = []
-    for idx, entry in enumerate(doc["ops"]):
-        path = f"ops[{idx}]"
-        if not isinstance(entry, dict):
-            raise CircuitParseError(f"{path}: must be an object")
-        kind = entry.get("kind")
-        if not isinstance(kind, str):
-            raise CircuitParseError(f"{path}.kind: missing or not a string")
-        if kind not in _FIXED_GATES and kind not in (
-            "unitary",
-            "controlled",
-            "ancilla",
-            "traceout",
-            PLACEHOLDER_KIND,
-        ):
-            raise UnsupportedGateError(f"{path}.kind: unknown gate kind {kind!r}")
-        targets = entry.get("targets", [])
-        if not isinstance(targets, list):
-            raise CircuitParseError(f"{path}.targets: must be a list of wire indices")
-        targets = [_json_int(t, f"{path}.targets[{j}]") for j, t in enumerate(targets)]
-        matrix = None
-        if kind in ("unitary", "controlled"):
-            if "matrix" not in entry:
-                raise CircuitParseError(f"{path}.matrix: required for kind {kind!r}")
-            matrix = _matrix_from_json(entry["matrix"], len(targets), f"{path}.matrix")
-        control = entry.get("control")
-        if kind == "controlled" and control is None:
-            raise CircuitParseError(f"{path}.control: required wire index")
-        if control is not None:
-            _json_int(control, f"{path}.control")
-        count = entry.get("count")
-        if kind == "ancilla" and count is None:
-            raise CircuitParseError(f"{path}.count: required integer")
-        if count is not None:
-            _json_int(count, f"{path}.count")
-        key_bits = entry.get("key_bits")
-        if kind == PLACEHOLDER_KIND or key_bits is not None:
-            if not isinstance(key_bits, list) or len(key_bits) != 2:
-                raise CircuitParseError(f"{path}.key_bits: required pair of bit indices")
-            key_bits = tuple(_json_int(b, f"{path}.key_bits[{j}]") for j, b in enumerate(key_bits))
-        try:
-            ops.append(
-                GateOp(
-                    kind,
-                    tuple(targets),
-                    matrix=matrix,
-                    control=control,
-                    count=count,
-                    key_bits=key_bits,
-                )
-            )
-        except CircuitError as exc:
-            raise CircuitParseError(f"{path}: {exc}") from exc
+    ops = tuple(_op_from_json(entry, f"ops[{idx}]") for idx, entry in enumerate(entries))
     try:
-        return MixedStateCircuit(n_in, tuple(ops), n_out)
+        return MixedStateCircuit(n_in, ops, n_out)
     except CircuitError as exc:
         raise CircuitParseError(str(exc)) from exc

@@ -54,7 +54,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: must be an integer, got {value!r}")
         for name in ("eps", "delta"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            real = isinstance(value, (int, float)) and not isinstance(value, bool)
+            # unlike math.isfinite, the comparison takes ints beyond the float range
+            if not (real and -math.inf < value < math.inf):
                 raise ConfigError(f"{name}: must be a finite number, got {value!r}")
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError(f"out: must be a path string, got {self.out!r}")
@@ -89,7 +91,7 @@ def load_config(path: str, flag_overrides: dict) -> ExperimentConfig:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("config top level must be an object")
@@ -179,11 +181,19 @@ instances:
   qct.protocol.build_secure_instance(n, eps) -> DIInstance (Pauli one-time pad)
   qct.protocol.build_insecure_instance(verifier, eps, delta) -> DIInstance
   DIInstance JSON: family JSON + {"eps": e, "delta": d, "provenance": tag}
+    tag: SECURE_OTP, INSECURE_FROM_VERIFIER or CUSTOM (the default)
 
 circuit JSON:
   {"input_qubits": n, "output_qubits": m, "ops": [...]}
-  op kinds: H S T X Y Z CNOT CCNOT unitary controlled ancilla traceout keyed_pauli
-  matrices: row-major [re, im] pairs; "control": wire; "count": ancillas
+  each op is {"kind": k, ...} with exactly the fields of its kind:
+    H S T X Y Z CNOT CCNOT    targets
+    unitary                   targets, matrix
+    controlled                targets, matrix, control
+    ancilla                   count
+    traceout                  targets
+    keyed_pauli               targets, key_bits, optional control
+  targets: distinct wires; matrix: row-major [re, im] pairs; control: wire;
+  count: ancillas; key_bits: [x bit, z bit]
 """
 
 

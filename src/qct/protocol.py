@@ -24,6 +24,7 @@ from .channels import (
 from .circuits import GateOp, _json_field, _json_fraction
 from .errors import (
     BudgetExceededError,
+    CircuitParseError,
     DimensionMismatchError,
     WrongSideError,
     check_capacity,
@@ -35,6 +36,7 @@ from .verifier import VerifierCircuit, max_accept_probability
 PROVENANCE_SECURE = "SECURE_OTP"
 PROVENANCE_INSECURE = "INSECURE_FROM_VERIFIER"
 PROVENANCE_CUSTOM = "CUSTOM"
+PROVENANCES = (PROVENANCE_SECURE, PROVENANCE_INSECURE, PROVENANCE_CUSTOM)
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -75,8 +77,6 @@ class DIInstance:
     family: KeyedChannelFamily
     eps: float
     delta: float
-    message_qubits: int
-    key_bits: int
     provenance: str
 
     def __post_init__(self):
@@ -84,10 +84,14 @@ class DIInstance:
             raise DimensionMismatchError(
                 "encryption must not shrink the message register"
             )
-        if self.family.input_qubits != self.message_qubits:
-            raise DimensionMismatchError("family width does not match message_qubits")
-        if self.family.key_bits != self.key_bits:
-            raise DimensionMismatchError("family key bits do not match key_bits")
+
+    @property
+    def message_qubits(self) -> int:
+        return self.family.input_qubits
+
+    @property
+    def key_bits(self) -> int:
+        return self.family.key_bits
 
     def to_json(self) -> dict:
         doc = self.family.to_json()
@@ -99,13 +103,14 @@ class DIInstance:
     @classmethod
     def from_json(cls, doc: dict) -> "DIInstance":
         family = KeyedChannelFamily.from_json(doc)
+        provenance = doc.get("provenance", PROVENANCE_CUSTOM)
+        if provenance not in PROVENANCES:
+            raise CircuitParseError(f"provenance: must be one of {PROVENANCES}, got {provenance!r}")
         return cls(
             family=family,
             eps=_json_fraction(_json_field(doc, "eps"), "eps", closed_above=False),
             delta=_json_fraction(_json_field(doc, "delta"), "delta", closed_above=True),
-            message_qubits=family.input_qubits,
-            key_bits=family.key_bits,
-            provenance=str(doc.get("provenance", PROVENANCE_CUSTOM)),
+            provenance=provenance,
         )
 
 
@@ -169,8 +174,6 @@ def build_secure_instance(message_qubits: int, eps: float) -> DIInstance:
         family=family,
         eps=eps,
         delta=1.0,
-        message_qubits=message_qubits,
-        key_bits=2 * message_qubits,
         provenance=PROVENANCE_SECURE,
     )
 
@@ -184,8 +187,6 @@ def build_identity_instance(message_qubits: int, eps: float) -> DIInstance:
         family=family,
         eps=eps,
         delta=1.0,
-        message_qubits=message_qubits,
-        key_bits=2 * message_qubits,
         provenance=PROVENANCE_CUSTOM,
     )
 
@@ -221,8 +222,6 @@ def build_insecure_instance(v: VerifierCircuit, eps: float, delta: float) -> DII
         family=family,
         eps=eps,
         delta=delta,
-        message_qubits=n,
-        key_bits=2 * n,
         provenance=PROVENANCE_INSECURE,
     )
 

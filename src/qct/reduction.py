@@ -32,7 +32,6 @@ from .channels import (
     to_channel,
 )
 from .circuits import (
-    GATE_CNOT,
     GateOp,
     MixedStateCircuit,
     _json_field,
@@ -58,12 +57,11 @@ from .states import (
     PureState,
     RegisterLayout,
     _seed_record,
-    apply_unitary_vec,
     basis_state,
     random_pure_state,
     trace_norm,
 )
-from .verifier import VerifierCircuit, _initial_columns, max_accept_probability
+from .verifier import VerifierCircuit, _accept_mask, _initial_columns, max_accept_probability
 
 FamilyGenerator = Callable[[int], MixedStateCircuit]
 
@@ -94,39 +92,36 @@ def dummy_qubit_count(witness_qubits: int, delta: float) -> int:
 
 @dataclass(frozen=True)
 class CTInstance:
-    """A compiled circuit-testing instance with its parameters and layout."""
+    """A compiled circuit-testing instance; its register sizes and layout are derived."""
 
     circuit: MixedStateCircuit
     c0: MixedStateCircuit
     c1: MixedStateCircuit
     eps: float
     delta: float
-    layout: RegisterLayout
     witness_qubits: int
-    dummy_qubits: int
-    ancilla_qubits: int
     c0_spec: dict | None = None
     c1_spec: dict | None = None
 
     def __post_init__(self):
-        h, f = self.witness_qubits, self.dummy_qubits
         if not 0.0 < self.eps < 1.0:
             raise ValueError(f"eps must be in (0, 1), got {self.eps}")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError(f"delta must be in (0, 1], got {self.delta}")
-        if f != dummy_qubit_count(h, self.delta):
+        if self.circuit.input_qubits != self.input_qubits or self.circuit.ancilla_total < 1:
             raise CircuitError(
-                f"dummy register has {f} qubits, dimension rule needs "
-                f"{dummy_qubit_count(h, self.delta)}"
+                f"instance circuit takes {self.circuit.input_qubits} qubits and "
+                f"{self.circuit.ancilla_total} ancillas, need h + f = {self.input_qubits} "
+                "and a copy qubit"
             )
-        if self.circuit.input_qubits != h + f:
-            raise CircuitError(
-                f"instance circuit takes {self.circuit.input_qubits} qubits, "
-                f"expected h + f = {h + f}"
-            )
+        widths = (self.input_qubits, self.circuit.output_qubits)
         for label, fam in (("c0", self.c0), ("c1", self.c1)):
-            if fam.input_qubits != h + f or fam.output_qubits != self.circuit.output_qubits:
+            if (fam.input_qubits, fam.output_qubits) != widths:
                 raise CircuitError(f"{label} widths do not match the instance circuit")
+
+    @property
+    def dummy_qubits(self) -> int:
+        return dummy_qubit_count(self.witness_qubits, self.delta)
 
     @property
     def input_qubits(self) -> int:
@@ -134,7 +129,17 @@ class CTInstance:
 
     @property
     def total_qubits(self) -> int:
-        return self.witness_qubits + self.dummy_qubits + self.ancilla_qubits + 1
+        return self.circuit.input_qubits + self.circuit.ancilla_total
+
+    @property
+    def ancilla_qubits(self) -> int:
+        """The shared ancilla register A; the last ancilla is the copy qubit."""
+        return self.circuit.ancilla_total - 1
+
+    @property
+    def layout(self) -> RegisterLayout:
+        registers = [("copy", 1), ("A", self.ancilla_qubits), ("F", self.dummy_qubits)]
+        return RegisterLayout(tuple(r for r in registers if r[1]) + (("H", self.witness_qubits),))
 
     def bound(self) -> float:
         """The claimed closeness bound, three times the square root of eps."""
@@ -154,37 +159,35 @@ class CTInstance:
             "ancilla_qubits": self.ancilla_qubits,
             "layout": {
                 "registers": [list(r) for r in self.layout.registers],
-                "convention": self.layout.convention,
+                "convention": "qubit0-lsb",
             },
         }
 
     @classmethod
     def from_json(cls, doc: dict) -> "CTInstance":
+        """Read a document ``to_json`` wrote; its derived fields must match the instance."""
+        circuit = parse_circuit(json.dumps(_json_field(doc, "circuit")))
         h = _json_int(_json_field(doc, "witness_qubits"), "witness_qubits")
-        f = _json_int(_json_field(doc, "dummy_qubits"), "dummy_qubits")
-        registers = _json_field(doc, "layout.registers")
-        if not isinstance(registers, list) or not all(
-            isinstance(r, list) and len(r) == 2 and isinstance(r[0], str) for r in registers
-        ):
+        if not 1 <= h <= circuit.input_qubits:
             raise CircuitParseError(
-                f"layout.registers: must be a list of [name, count] pairs, got {registers!r}"
+                f"witness_qubits: must be in [1, {circuit.input_qubits}] (the inputs), got {h}"
             )
-        return cls(
-            circuit=parse_circuit(json.dumps(_json_field(doc, "circuit"))),
-            c0=_family_from_json(doc, "c0", h + f),
-            c1=_family_from_json(doc, "c1", h + f),
+        instance = cls(
+            circuit=circuit,
+            c0=_family_from_json(doc, "c0", circuit.input_qubits),
+            c1=_family_from_json(doc, "c1", circuit.input_qubits),
             eps=_json_fraction(_json_field(doc, "eps"), "eps", closed_above=False),
             delta=_json_fraction(_json_field(doc, "delta"), "delta", closed_above=True),
-            layout=RegisterLayout(
-                tuple((n, _json_int(c, "layout.registers")) for n, c in registers),
-                doc["layout"].get("convention", "qubit0-lsb"),
-            ),
             witness_qubits=h,
-            dummy_qubits=f,
-            ancilla_qubits=_json_int(_json_field(doc, "ancilla_qubits"), "ancilla_qubits"),
             c0_spec=doc["c0"],
             c1_spec=doc["c1"],
         )
+        written = instance.to_json()
+        for path in ("dummy_qubits", "ancilla_qubits", "layout.registers", "layout.convention"):
+            got, want = _json_field(doc, path), _json_field(written, path)
+            if json.dumps(got) != json.dumps(want):
+                raise CircuitParseError(f"{path}: the instance implies {want!r}, got {got!r}")
+        return instance
 
 
 def _family_from_json(doc: dict, label: str, width: int) -> MixedStateCircuit:
@@ -321,22 +324,13 @@ def build_ct_circuit(
     )
     circuit = copy_branch_circuit(v, width, a, [accept], [reject])
 
-    registers: list[tuple[str, int]] = [("copy", 1)]
-    if a:
-        registers.append(("A", a))
-    if f:
-        registers.append(("F", f))
-    registers.append(("H", h))
     return CTInstance(
         circuit=circuit,
         c0=c0,
         c1=c1,
         eps=eps,
         delta=delta,
-        layout=RegisterLayout(tuple(registers)),
         witness_qubits=h,
-        dummy_qubits=f,
-        ancilla_qubits=a,
         c0_spec=c0_spec,
         c1_spec=c1_spec,
     )
@@ -371,9 +365,9 @@ def copy_stage_states(v: VerifierCircuit, psi: PureState) -> tuple[np.ndarray, n
     if psi.dim != 2**v.witness_qubits:
         raise DimensionMismatchError("witness does not match the verifier width")
     phi = _initial_columns(v) @ psi.amplitudes
-    n = v.total_qubits + 1
-    state = np.kron(np.array([1.0, 0.0], dtype=np.complex128), phi)
-    phi_prime = apply_unitary_vec(state, n, GATE_CNOT, [v.output_qubit, n - 1])
+    # the CNOT from the output qubit moves the accepted amplitudes to copy = 1
+    mask = _accept_mask(v)
+    phi_prime = np.concatenate([np.where(mask, 0, phi), np.where(mask, phi, 0)])
     return phi, phi_prime
 
 

@@ -113,7 +113,6 @@ class RegisterLayout:
     """Named qubit registers listed in tensor order (first register on top)."""
 
     registers: tuple[tuple[str, int], ...]
-    convention: str = "qubit0-lsb"
 
     def __post_init__(self):
         regs = tuple((str(n), int(c)) for n, c in self.registers)

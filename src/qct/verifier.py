@@ -17,6 +17,7 @@ import numpy as np
 from .circuits import (
     GateOp,
     MixedStateCircuit,
+    _is_unitary,
     _json_field,
     _json_int,
     canonicalize,
@@ -24,12 +25,7 @@ from .circuits import (
     serialize_circuit,
 )
 from .errors import CircuitError, DimensionMismatchError, InvalidStateError, check_capacity
-from .states import (
-    TAU_UNIT,
-    HermitianObservable,
-    PureState,
-    random_unitary,
-)
+from .states import HermitianObservable, PureState, random_unitary
 
 
 @dataclass(frozen=True)
@@ -52,7 +48,7 @@ class VerifierCircuit:
             raise DimensionMismatchError(
                 f"verifier unitary shape {mat.shape} does not match {total} qubits"
             )
-        if np.max(np.abs(mat @ mat.conj().T - np.eye(d))) > TAU_UNIT:
+        if not _is_unitary(mat):
             raise InvalidStateError("verifier matrix is not unitary within tolerance")
         if not 0 <= self.output_qubit < total:
             raise InvalidStateError(f"output qubit {self.output_qubit} out of range")
@@ -71,6 +67,11 @@ def _initial_columns(v: VerifierCircuit) -> np.ndarray:
     return v.unitary[:, cols]
 
 
+def _accept_mask(v: VerifierCircuit) -> np.ndarray:
+    """Basis states of V's register whose output qubit reads one."""
+    return (np.arange(2**v.total_qubits) >> v.output_qubit) & 1 == 1
+
+
 def accept_probability(v: VerifierCircuit, psi: PureState) -> float:
     """Probability that measuring the output qubit of V (witness (x) zeros) yields one."""
     if psi.dim != 2**v.witness_qubits:
@@ -78,15 +79,12 @@ def accept_probability(v: VerifierCircuit, psi: PureState) -> float:
             f"witness dim {psi.dim} does not match {v.witness_qubits} qubits"
         )
     phi = _initial_columns(v) @ psi.amplitudes
-    mask = (np.arange(phi.shape[0]) >> v.output_qubit) & 1 == 1
-    return float(np.sum(np.abs(phi[mask]) ** 2))
+    return float(np.sum(np.abs(phi[_accept_mask(v)]) ** 2))
 
 
 def acceptance_operator(v: VerifierCircuit) -> HermitianObservable:
     """The witness-space observable M with <psi|M|psi> = accept_probability."""
-    v0 = _initial_columns(v)
-    mask = (np.arange(v0.shape[0]) >> v.output_qubit) & 1 == 1
-    accepted = v0[mask, :]
+    accepted = _initial_columns(v)[_accept_mask(v), :]
     m = accepted.conj().T @ accepted
     return HermitianObservable((m + m.conj().T) / 2)
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -55,6 +56,20 @@ class TestGateOps:
         with pytest.raises(UnsupportedGateError):
             GateOp("WOBBLE", (0,))
 
+    @pytest.mark.parametrize(
+        "op, stray",
+        [
+            (dict(kind="X", targets=(0,), control=1), "control"),
+            (dict(kind="X", targets=(0,), matrix=GATE_Z), "matrix"),
+            (dict(kind="X", targets=(0,), count=1), "count"),
+            (dict(kind="X", targets=(0,), key_bits=(0, 1)), "key_bits"),
+            (dict(kind="ancilla", targets=(0,), count=1), "targets"),
+        ],
+    )
+    def test_a_field_outside_the_kind_is_rejected(self, op, stray):
+        with pytest.raises(CircuitError, match=f"{stray} is not a field of {op['kind']}"):
+            GateOp(**op)
+
 
 class TestWellformedness:
     def test_dead_wire_rejected(self):
@@ -69,6 +84,18 @@ class TestWellformedness:
     def test_unknown_wire_rejected(self):
         with pytest.raises(CircuitError):
             MixedStateCircuit(1, (GateOp.x(3),), 1)
+
+    def test_ancilla_count_is_capped_before_allocating(self):
+        with pytest.raises(CapacityError, match=r"ops\[0\]"):
+            MixedStateCircuit(1, (GateOp.ancillas(10**30),), 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=r"ops\[0\]"):
+                MixedStateCircuit(1, (GateOp.ancillas(2 * 10**6),), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_trace_everything_rejected(self):
         with pytest.raises(CircuitError):
@@ -486,6 +513,44 @@ class TestSerialization:
         with pytest.raises(CircuitParseError, match=r"ops\[0\]\.matrix"):
             parse_circuit(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "op, field",
+        [
+            ({"kind": "X", "targets": [0], "control": 1}, "control"),
+            ({"kind": "X", "targets": [0], "matrix": [[0, 0], [1, 0], [1, 0], [0, 0]]}, "matrix"),
+            ({"kind": "X", "targets": [0], "count": 1}, "count"),
+            ({"kind": "X", "targets": [0], "colour": "red"}, "colour"),
+            ({"kind": "ancilla", "count": 1, "targets": [0]}, "targets"),
+        ],
+    )
+    def test_a_field_outside_the_kind_is_rejected(self, op, field):
+        doc = {"input_qubits": 2, "output_qubits": 2, "ops": [op]}
+        with pytest.raises(CircuitParseError, match=rf"ops\[0\]\.{field}: not a field of"):
+            parse_circuit(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "op, field",
+        [
+            ({"targets": [0]}, "kind"),
+            ({"kind": "X"}, "targets"),
+            ({"kind": "unitary", "targets": [0]}, "matrix"),
+            ({"kind": "controlled", "targets": [0], "matrix": [[0, 0], [1, 0], [1, 0], [0, 0]]},
+             "control"),
+            ({"kind": "ancilla"}, "count"),
+            ({"kind": "keyed_pauli", "targets": [0]}, "key_bits"),
+        ],
+    )
+    def test_a_missing_field_is_named(self, op, field):
+        doc = {"input_qubits": 2, "output_qubits": 2, "ops": [op]}
+        with pytest.raises(CircuitParseError, match=rf"missing field 'ops\[0\]\.{field}'"):
+            parse_circuit(json.dumps(doc))
+
+    @pytest.mark.parametrize("kind", [["X"], {"X": 1}, 5, None])
+    def test_kind_must_be_a_string(self, kind):
+        doc = {"input_qubits": 1, "output_qubits": 1, "ops": [{"kind": kind, "targets": [0]}]}
+        with pytest.raises(CircuitParseError, match=r"ops\[0\]\.kind: must be a string"):
+            parse_circuit(json.dumps(doc))
+
     def test_invalid_json(self):
         with pytest.raises(CircuitParseError):
             parse_circuit(b"{nope")
@@ -539,7 +604,7 @@ class TestSerialization:
                     "output_qubits": 1,
                     "ops": [{"kind": "X", "targets": [0], "key_bits": ["a", 0]}],
                 },
-                r"ops\[0\]\.key_bits\[0\]",
+                r"ops\[0\]\.key_bits: not a field",
             ),
             (
                 {

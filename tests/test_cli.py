@@ -1,10 +1,19 @@
 import json
+import re
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from qct.cli import ConfigError, ExperimentConfig, load_config, main, render_body_json
+from qct.circuits import _OP_FIELDS, _OPTIONAL_FIELDS
+from qct.cli import (
+    FIXTURE_CATALOG,
+    ConfigError,
+    ExperimentConfig,
+    load_config,
+    main,
+    render_body_json,
+)
 from qct.experiments import norms_experiment
 
 
@@ -48,7 +57,8 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("n", True), ("shots", 10.0), ("delta", float("nan")), ("eps", float("inf")), ("out", 5)],
+        [("n", True), ("shots", 10.0), ("delta", float("nan")), ("eps", float("inf")), ("out", 5),
+         pytest.param("eps", 10**400, id="eps-beyond-float-range")],
     )
     def test_field_types(self, field, value):
         with pytest.raises(ConfigError, match=f"^{field}:"):
@@ -147,6 +157,13 @@ class TestRun:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"[" * 100_000], ids=["not-utf8", "deep"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(raw)
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "config error: config is not valid JSON" in capsys.readouterr().err
+
     def test_render_is_stable_for_same_rows(self):
         rows = norms_experiment(2, restarts=3)
         config = ExperimentConfig("norms", 2, restarts=3)
@@ -160,6 +177,20 @@ class TestFixturesCommand:
         for name in ("always_reject", "target_state", "rotation", "identity",
                      "depolarizing", "pauli_x_first", "pauli_keyed", "keyed_pauli"):
             assert name in out
+
+    def test_catalog_field_table_matches_the_op_fields(self):
+        table = FIXTURE_CATALOG.split("exactly the fields of its kind:\n")[1].split("\n  targets:")[0]
+        listed, optional = {}, set()
+        for line in table.splitlines():
+            kinds, fields = re.split(r"\s{2,}", line.strip())
+            for kind in kinds.split():
+                for field in fields.split(", "):
+                    if field.startswith("optional "):
+                        field = field.removeprefix("optional ")
+                        optional.add((kind, field))
+                    listed.setdefault(kind, set()).add(field)
+        assert listed == {kind: set(row) for kind, row in _OP_FIELDS.items()}
+        assert optional == _OPTIONAL_FIELDS
 
 
 class TestCircuitValidate:
@@ -175,6 +206,13 @@ class TestCircuitValidate:
         path.write_text('{"input_qubits": 2, "output_qubits": 2, "ops": [{"kind": "CNOT", "targets": [0]}]}')
         assert main(["circuit", "validate", str(path)]) == 1
         assert "ops[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"[" * 100_000], ids=["not-utf8", "deep"])
+    def test_unreadable_circuit_fails(self, tmp_path, capsys, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        assert main(["circuit", "validate", str(path)]) == 1
+        assert "invalid circuit: invalid JSON" in capsys.readouterr().err
 
     def test_inputs_past_the_cap_fail(self, tmp_path, capsys):
         path = tmp_path / "wide.json"

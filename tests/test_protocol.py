@@ -137,6 +137,8 @@ class TestInstances:
             ("delta", 5),
             ("eps", "x"),
             ("eps", None),
+            ("provenance", [1, 2]),
+            ("provenance", 5),
         ],
     )
     def test_from_json_rejects_mistyped_field(self, field, value):
@@ -153,6 +155,7 @@ class TestInstances:
         inst = build_insecure_instance(v, eps=0.04, delta=1.0)
         back = DIInstance.from_json(inst.to_json())
         assert back.provenance == inst.provenance and back.key_bits == inst.key_bits
+        assert back.to_json() == inst.to_json()
         for key in (0, 3):
             a = to_channel(back.family.circuit(key)).choi
             b = to_channel(inst.family.circuit(key)).choi
@@ -350,7 +353,7 @@ class TestObservable:
         from qct.protocol import DIInstance
 
         fam = KeyedChannelFamily(14, lambda k: MixedStateCircuit(1, (), 1), 1, 1)
-        inst = DIInstance(fam, 0.01, 1.0, 1, 14, "CUSTOM")
+        inst = DIInstance(fam, 0.01, 1.0, "CUSTOM")
         with pytest.raises(BudgetExceededError, match="sampled"):
             protocol_observable(inst)
 
@@ -367,7 +370,7 @@ def _widening_instance() -> DIInstance:
         ),
         2,
     )
-    return DIInstance(KeyedChannelFamily.from_template(template, 4), 0.01, 1.0, 1, 4, "CUSTOM")
+    return DIInstance(KeyedChannelFamily.from_template(template, 4), 0.01, 1.0, "CUSTOM")
 
 
 IN_PLACE_CASES = {

@@ -339,6 +339,7 @@ class TestInstanceSerialization:
         doc = inst.to_json()
         back = CTInstance.from_json(doc)
         assert back.eps == inst.eps and back.delta == inst.delta
+        assert back.to_json() == doc
         rho = random_pure_state(2, 5).density()
         assert np.max(np.abs(evaluate(back.circuit, rho).matrix - evaluate(inst.circuit, rho).matrix)) < 1e-12
 
@@ -368,6 +369,7 @@ class TestInstanceSerialization:
             "circuit",
             "layout",
             "layout.registers",
+            "layout.convention",
             "c0",
             "c1",
             "c0.name",
@@ -385,6 +387,28 @@ class TestInstanceSerialization:
             owner = owner[key]
         del owner[last]
         with pytest.raises(CircuitParseError, match=path.split(".")[0]):
+            CTInstance.from_json(doc)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("dummy_qubits", 2),
+            ("ancilla_qubits", -1),
+            ("ancilla_qubits", 5),
+            ("layout.registers", [["Z", 7]]),
+            ("layout.convention", "qubit0-msb"),
+            ("layout.convention", 5),
+        ],
+    )
+    def test_from_json_rejects_a_derived_field_that_disagrees(self, path, value):
+        v = make_toy_verifier("rotation", accept_probability=0.96)
+        doc = build_ct_circuit(v, "identity", "depolarizing", 0.04, 0.5).to_json()
+        *parents, last = path.split(".")
+        owner = doc
+        for key in parents:
+            owner = owner[key]
+        owner[last] = value
+        with pytest.raises(CircuitParseError, match=path):
             CTInstance.from_json(doc)
 
     @pytest.mark.parametrize(

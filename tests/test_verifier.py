@@ -113,6 +113,12 @@ class TestValidation:
         with pytest.raises(InvalidStateError):
             VerifierCircuit(1, 0, np.array([[1, 1], [0, 1]], dtype=complex))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(InvalidStateError, match="not unitary"):
+            VerifierCircuit(1, 0, np.array([[bad, 0], [0, 1]], dtype=complex))
+
     def test_requires_witness(self):
         with pytest.raises(InvalidStateError):
             VerifierCircuit(0, 1, np.eye(2, dtype=complex))
