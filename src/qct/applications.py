@@ -2,8 +2,8 @@
 non-identity, non-isometry, pure fixed point, and minimum output entropy.
 
 Each statistic is a search over pure inputs with seeded multi-restart
-optimization; a Bloch-grid brute-force oracle at one qubit calibrates the
-entropy search.
+optimization; two of them polish with a built-in Nelder-Mead simplex search.
+A Bloch-grid brute-force oracle at one qubit calibrates the entropy search.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .channels import (
     QuantumChannel,
@@ -112,6 +111,63 @@ def _unit_vector(params: np.ndarray, dim: int) -> np.ndarray:
     return v / norm
 
 
+def _nelder_mead(
+    f, x0: np.ndarray, maxiter: int, xatol: float = 1e-4, fatol: float = 1e-4
+) -> tuple[np.ndarray, float]:
+    """Minimize ``f`` from ``x0`` with the Nelder-Mead simplex; return ``(x, f(x))``.
+
+    Step for step the default (non-adaptive) Nelder-Mead of
+    ``scipy.optimize.minimize`` given only ``maxiter``, ``xatol`` and
+    ``fatol``: the same start simplex, coefficients, sorts and stop test, and
+    no cap on function evaluations.  So results match it to the bit.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    n = x0.size
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([f(x) for x in sim], dtype=float)
+    for _ in range(2):  # sorted twice before the first step, as the reference does
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], float(fsim[0])
+
+
 def _kraus_tail_lower_bound(choi: np.ndarray) -> float:
     """Proven lower bound ``max_k (1 - sum_{i>k} lam_i) / k`` on every output norm.
 
@@ -158,11 +214,9 @@ def nonisometry_stat(
             best_val, best_psi = direct, _unit_vector(x0, dim)
         if best_val <= lower + 1e-12:
             break
-        res = optimize.minimize(
-            objective, x0, method="Nelder-Mead", options={"maxiter": 800, "xatol": 1e-7, "fatol": 1e-10}
-        )
-        if res.fun < best_val:
-            best_val, best_psi = float(res.fun), _unit_vector(res.x, dim)
+        x, fun = _nelder_mead(objective, x0, 800, xatol=1e-7, fatol=1e-10)
+        if fun < best_val:
+            best_val, best_psi = fun, _unit_vector(x, dim)
         if best_val <= lower + 1e-12:
             break
     if best_val <= eps:
@@ -238,11 +292,9 @@ def pure_fixed_point_search(
 
     if best_val > 1e-12:
         x0 = np.concatenate([best_psi.real, best_psi.imag])
-        res = optimize.minimize(
-            objective, x0, method="Nelder-Mead", options={"maxiter": 600, "fatol": 1e-11}
-        )
-        if res.fun < best_val:
-            best_val, best_psi = float(res.fun), _unit_vector(res.x, d)
+        x, fun = _nelder_mead(objective, x0, 600, fatol=1e-11)
+        if fun < best_val:
+            best_val, best_psi = fun, _unit_vector(x, d)
     if best_val <= eps:
         side = "YES"
     elif best_val >= 2.0 - eps:

@@ -21,6 +21,7 @@ from .circuits import (
     MixedStateCircuit,
     _json_field,
     _json_int,
+    _json_object,
     evaluate,  # noqa: F401  kept bound here for perfbench/test_perfbench.py's tracer test
     expand_template,
     identity_circuit,
@@ -233,6 +234,10 @@ def pauli_x_first_circuit(n_qubits: int) -> MixedStateCircuit:
     return MixedStateCircuit(n_qubits, (GateOp.x(0),), n_qubits)
 
 
+# The fields of a keyed family document, as ``KeyedChannelFamily.to_json`` writes them.
+_FAMILY_FIELDS = ("key_bits", "template")
+
+
 @dataclass(frozen=True)
 class KeyedChannelFamily:
     """Classical key string -> channel circuit, with shared input/output widths."""
@@ -292,6 +297,7 @@ class KeyedChannelFamily:
 
     @classmethod
     def from_json(cls, doc: dict) -> "KeyedChannelFamily":
+        _json_object(doc, _FAMILY_FIELDS, "keyed families")
         template = parse_circuit(json.dumps(_json_field(doc, "template")))
         key_bits = _json_int(_json_field(doc, "key_bits"), "key_bits")
         try:

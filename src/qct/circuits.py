@@ -615,6 +615,20 @@ def _json_field(doc: dict, path: str, within: str = ""):
     return value
 
 
+def _json_object(doc, fields, what: str, within: str = "") -> None:
+    """Check that ``doc`` is an object whose keys all name ``fields``.
+
+    ``what`` names the kind of object in the error, and ``within`` is the path
+    of ``doc`` in its enclosing document, prefixed to the offending key.
+    """
+    if not isinstance(doc, dict):
+        raise CircuitParseError(f"{within or 'top level'}: must be an object")
+    prefix = f"{within}." if within else ""
+    for key in doc:
+        if key not in fields:
+            raise CircuitParseError(f"{prefix}{key}: not a field of {what}")
+
+
 def serialize_circuit(circuit: MixedStateCircuit) -> bytes:
     ops = []
     for op in circuit.ops:
@@ -644,9 +658,7 @@ def _op_from_json(entry, path: str) -> GateOp:
     if kind not in _OP_FIELDS:
         raise UnsupportedGateError(f"{path}.kind: unknown gate kind {kind!r}")
     fields = _OP_FIELDS[kind]
-    for name in entry:
-        if name != "kind" and name not in fields:
-            raise CircuitParseError(f"{path}.{name}: not a field of {kind} ops")
+    _json_object(entry, ("kind", *fields), f"{kind} ops", within=path)
     args = {}
     for name in fields:
         if name not in entry and (kind, name) in _OPTIONAL_FIELDS:
@@ -672,8 +684,7 @@ def parse_circuit(data) -> MixedStateCircuit:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
         raise CircuitParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CircuitParseError("top level must be an object")
+    _json_object(doc, ("input_qubits", "output_qubits", "ops"), "circuits")
     n_in = _json_int(_json_field(doc, "input_qubits"), "input_qubits")
     n_out = _json_int(_json_field(doc, "output_qubits"), "output_qubits")
     entries = _json_field(doc, "ops")

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
+    _FAMILY_FIELDS,
     KeyedChannelFamily,
     apply_choi_adjoint_to_segment,
     apply_choi_to_segment,
     key_average,
     pauli_otp_family,
 )
-from .circuits import GateOp, _json_field, _json_fraction
+from .circuits import GateOp, _json_field, _json_fraction, _json_object
 from .errors import (
     BudgetExceededError,
     CircuitParseError,
@@ -102,7 +103,9 @@ class DIInstance:
 
     @classmethod
     def from_json(cls, doc: dict) -> "DIInstance":
-        family = KeyedChannelFamily.from_json(doc)
+        own = ("eps", "delta", "provenance")
+        _json_object(doc, (*_FAMILY_FIELDS, *own), "DI instances")
+        family = KeyedChannelFamily.from_json({k: v for k, v in doc.items() if k not in own})
         provenance = doc.get("provenance", PROVENANCE_CUSTOM)
         if provenance not in PROVENANCES:
             raise CircuitParseError(f"provenance: must be one of {PROVENANCES}, got {provenance!r}")

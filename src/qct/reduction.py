@@ -37,6 +37,7 @@ from .circuits import (
     _json_field,
     _json_fraction,
     _json_int,
+    _json_object,
     canonicalize,
     evaluate,
     identity_circuit,
@@ -88,6 +89,13 @@ def dummy_qubit_count(witness_qubits: int, delta: float) -> int:
         return 0
     raw = witness_qubits * (1.0 - delta) / delta
     return int(math.ceil(raw - 1e-12))
+
+
+# The fields of a CT instance document, as ``CTInstance.to_json`` writes them.
+_CT_FIELDS = (
+    "circuit", "c0", "c1", "eps", "delta",
+    "witness_qubits", "dummy_qubits", "ancilla_qubits", "layout",
+)
 
 
 @dataclass(frozen=True)
@@ -166,18 +174,28 @@ class CTInstance:
     @classmethod
     def from_json(cls, doc: dict) -> "CTInstance":
         """Read a document ``to_json`` wrote; its derived fields must match the instance."""
+        _json_object(doc, _CT_FIELDS, "CT instances")
+        layout = _json_field(doc, "layout")
+        _json_object(layout, ("registers", "convention"), "CT instance layouts", within="layout")
         circuit = parse_circuit(json.dumps(_json_field(doc, "circuit")))
         h = _json_int(_json_field(doc, "witness_qubits"), "witness_qubits")
         if not 1 <= h <= circuit.input_qubits:
             raise CircuitParseError(
                 f"witness_qubits: must be in [1, {circuit.input_qubits}] (the inputs), got {h}"
             )
+        delta = _json_fraction(_json_field(doc, "delta"), "delta", closed_above=True)
+        f = dummy_qubit_count(h, delta)
+        if h + f != circuit.input_qubits:
+            raise CircuitParseError(
+                f"witness_qubits, delta: {h} witness qubits at delta {delta} need {h} + {f} "
+                f"dummy = {h + f} inputs, the circuit takes {circuit.input_qubits}"
+            )
         instance = cls(
             circuit=circuit,
             c0=_family_from_json(doc, "c0", circuit.input_qubits),
             c1=_family_from_json(doc, "c1", circuit.input_qubits),
             eps=_json_fraction(_json_field(doc, "eps"), "eps", closed_above=False),
-            delta=_json_fraction(_json_field(doc, "delta"), "delta", closed_above=True),
+            delta=delta,
             witness_qubits=h,
             c0_spec=doc["c0"],
             c1_spec=doc["c1"],
@@ -192,6 +210,7 @@ class CTInstance:
 
 def _family_from_json(doc: dict, label: str, width: int) -> MixedStateCircuit:
     """The ``width``-qubit circuit of the registry family named by ``doc[label]``."""
+    _json_object(_json_field(doc, label), ("name", "params"), "family specs", within=label)
     name = _json_field(doc, f"{label}.name")
     params = _json_field(doc, f"{label}.params")
     if not isinstance(name, str) or name not in FAMILY_REGISTRY:

@@ -20,6 +20,7 @@ from .circuits import (
     _is_unitary,
     _json_field,
     _json_int,
+    _json_object,
     canonicalize,
     parse_circuit,
     serialize_circuit,
@@ -183,6 +184,7 @@ def verifier_to_json(v: VerifierCircuit) -> dict:
 
 
 def verifier_from_json(doc: dict) -> VerifierCircuit:
+    _json_object(doc, ("witness_qubits", "ancilla_qubits", "circuit", "output_qubit"), "verifiers")
     circuit = parse_circuit(json.dumps(_json_field(doc, "circuit")))
     canon = canonicalize(circuit)
     if canon.ancilla_qubits or canon.traced_wires:

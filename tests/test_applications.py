@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,9 +88,9 @@ class TestNonIsometry:
 
     def test_trace_one_of_two_qubits(self, monkeypatch):
         calls = []
-        minimize = applications.optimize.minimize
+        nelder_mead = applications._nelder_mead
         monkeypatch.setattr(
-            applications.optimize, "minimize", lambda *a, **k: calls.append(1) or minimize(*a, **k)
+            applications, "_nelder_mead", lambda *a, **k: calls.append(1) or nelder_mead(*a, **k)
         )
         chan = to_channel(MixedStateCircuit(2, (GateOp.trace_out(1),), 1))
         verdict = nonisometry_stat(chan, 0.1, restarts=5, seed=2)
@@ -140,6 +144,79 @@ class TestNonIsometry:
         unbounded = nonisometry_stat(chan, 0.1, restarts=3, seed=0)
         assert verdict.statistic == unbounded.statistic
         assert verdict.witness.amplitudes.tobytes() == unbounded.witness.amplitudes.tobytes()
+
+
+class TestNelderMead:
+    """The built-in Nelder-Mead against scipy's, on the objectives the searches pass it."""
+
+    @staticmethod
+    def _recorded_calls(monkeypatch, search):
+        calls = []
+        nelder_mead = applications._nelder_mead
+
+        def record(f, x0, maxiter, **options):
+            calls.append((f, x0.copy(), maxiter, options))
+            return nelder_mead(f, x0, maxiter, **options)
+
+        monkeypatch.setattr(applications, "_nelder_mead", record)
+        search()
+        monkeypatch.undo()
+        assert calls
+        return calls
+
+    @staticmethod
+    def _assert_matches_scipy(f, x0, maxiter, options):
+        optimize = pytest.importorskip("scipy.optimize")
+        want = optimize.minimize(
+            f, x0, method="Nelder-Mead", options={"maxiter": maxiter, **options}
+        )
+        x, fun = applications._nelder_mead(f, x0.copy(), maxiter, **options)
+        assert np.array_equal(x, want.x)
+        assert fun == want.fun
+        return want
+
+    SEARCHES = {
+        "nonisometry-n1": lambda: nonisometry_stat(
+            random_channel(1, (34, 1), env_qubits=2), 0.1, restarts=2, seed=0
+        ),
+        "nonisometry-n2": lambda: nonisometry_stat(
+            random_channel(2, (34, 2)), 0.1, restarts=1, seed=1
+        ),
+        "fixed-point-n1": lambda: pure_fixed_point_search(
+            random_channel(1, (35, 1)), 0.01, restarts=3, iters=10, seed=2
+        ),
+        "fixed-point-n2": lambda: pure_fixed_point_search(
+            random_channel(2, (35, 2), env_qubits=2), 0.01, restarts=2, iters=10, seed=3
+        ),
+        "fixed-point-measure-then-flip": lambda: pure_fixed_point_search(
+            to_channel(measure_then_flip_circuit()), 0.01, restarts=10, iters=40, seed=2
+        ),
+    }
+
+    @pytest.mark.parametrize("name", SEARCHES)
+    def test_matches_scipy_on_the_callers_objectives(self, name, monkeypatch):
+        for f, x0, maxiter, options in self._recorded_calls(monkeypatch, self.SEARCHES[name]):
+            self._assert_matches_scipy(f, x0, maxiter, options)
+
+    def test_matches_scipy_from_zero_coordinates_and_at_maxiter(self, monkeypatch):
+        [(f, x0, _, options)] = self._recorded_calls(
+            monkeypatch, self.SEARCHES["fixed-point-measure-then-flip"]
+        )
+        x0[0] = x0[-1] = 0.0  # start simplex steps 0.00025 on these coordinates
+        self._assert_matches_scipy(f, x0, 600, options)
+        capped = self._assert_matches_scipy(f, x0, 9, options)
+        assert capped.nit == 9 and capped.status == 2  # stopped by maxiter
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(applications.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, qct, qct.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestPureFixedPoint:

@@ -555,6 +555,11 @@ class TestSerialization:
         with pytest.raises(CircuitParseError):
             parse_circuit(b"{nope")
 
+    def test_a_stray_top_level_key_is_rejected(self):
+        doc = {"input_qubits": 1, "output_qubits": 1, "ops": [], "colour": 1}
+        with pytest.raises(CircuitParseError, match="colour: not a field of circuits"):
+            parse_circuit(json.dumps(doc))
+
     @pytest.mark.parametrize(
         "doc, path",
         [

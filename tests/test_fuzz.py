@@ -1,13 +1,15 @@
 """Property tests for the document readers.
 
 Every reader either returns an object or raises a ``QctError``, whatever JSON
-value one field of a valid document is replaced with, and circuits drawn from
+value one field of a valid document is replaced with; every reader rejects a
+stray key in any object of a valid document by name; and circuits drawn from
 the op field table survive ``serialize -> parse`` unchanged.
 """
 
 import copy
 import functools
 import json
+import operator
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -118,6 +120,18 @@ def test_any_field_value_yields_an_object_or_a_qct_error(reader, data):
         READERS[reader](_replaced(doc, path, value))
     except QctError:
         pass
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_a_stray_key_in_any_object_is_rejected_by_name(reader):
+    doc = _valid_documents()[reader]
+    for path in [(), *_paths(doc)]:
+        stray = copy.deepcopy(doc)
+        owner = functools.reduce(operator.getitem, path, stray)
+        if isinstance(owner, dict):
+            owner["colour"] = 1
+            with pytest.raises(QctError, match="colour"):
+                READERS[reader](stray)
 
 
 @st.composite

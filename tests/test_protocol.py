@@ -150,6 +150,14 @@ class TestInstances:
         with pytest.raises(CircuitParseError, match=field):
             DIInstance.from_json(doc)
 
+    def test_from_json_rejects_a_stray_key(self):
+        doc = build_secure_instance(1, 0.01).to_json()
+        doc["colour"] = 1
+        with pytest.raises(CircuitParseError, match="^colour: not a field of DI instances"):
+            DIInstance.from_json(doc)
+        del doc["colour"]
+        assert DIInstance.from_json(doc).to_json() == doc
+
     def test_json_round_trip(self):
         v = make_toy_verifier("rotation", accept_probability=0.96)
         inst = build_insecure_instance(v, eps=0.04, delta=1.0)

@@ -428,6 +428,25 @@ class TestInstanceSerialization:
         with pytest.raises(CircuitParseError, match=label):
             CTInstance.from_json(doc)
 
+    @pytest.mark.parametrize("path", ["colour", "layout.colour", "c0.colour"])
+    def test_from_json_rejects_a_stray_key(self, path):
+        v = make_toy_verifier("rotation", accept_probability=0.96)
+        doc = build_ct_circuit(v, "identity", "depolarizing", 0.04, 0.5).to_json()
+        *parents, last = path.split(".")
+        owner = doc
+        for key in parents:
+            owner = owner[key]
+        owner[last] = 1
+        with pytest.raises(CircuitParseError, match=rf"^{path}: not a field of"):
+            CTInstance.from_json(doc)
+
+    def test_from_json_names_witness_qubits_and_delta_when_the_width_disagrees(self):
+        v = make_toy_verifier("target_state", witness_qubits=1, target=1)
+        doc = build_ct_circuit(v, "identity", "depolarizing", 0.01, 0.5).to_json()
+        doc["delta"] = 1.0  # no dummy qubit: h + f = 1, but the circuit takes 2 inputs
+        with pytest.raises(CircuitParseError, match=r"^witness_qubits, delta: .* takes 2"):
+            CTInstance.from_json(doc)
+
     def test_custom_generators_do_not_serialize(self):
         v = make_toy_verifier("target_state", witness_qubits=1, target=1)
         from qct import identity_circuit
