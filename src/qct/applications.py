@@ -8,6 +8,7 @@ A Bloch-grid brute-force oracle at one qubit calibrates the entropy search.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -204,10 +205,9 @@ def nonisometry_stat(
         out = apply_choi_to_segment(channel.choi, d_in, channel.dim_out, rho, 1, d_in)
         return operator_norm(out)
 
-    starts = [np.eye(d_in, dtype=np.complex128).reshape(-1) / math.sqrt(d_in)]
-    starts.extend(_random_starts(dim, restarts, seed))
-    best_val, best_psi = math.inf, starts[0]
-    for start in starts:
+    entangled = np.eye(d_in, dtype=np.complex128).reshape(-1) / math.sqrt(d_in)
+    best_val, best_psi = math.inf, entangled
+    for start in itertools.chain([entangled], _random_starts(dim, restarts, seed)):
         x0 = np.concatenate([start.real, start.imag])
         direct = objective(x0)
         if direct < best_val:

@@ -8,9 +8,10 @@ the more significant qubits) and is normalized to ``tr(choi) = d_in``, i.e.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -19,13 +20,13 @@ from .circuits import (
     PLACEHOLDER_KIND,
     GateOp,
     MixedStateCircuit,
+    _circuit_from_json,
     _json_field,
     _json_int,
     _json_object,
     evaluate,  # noqa: F401  kept bound here for perfbench/test_perfbench.py's tracer test
     expand_template,
     identity_circuit,
-    parse_circuit,
     serialize_circuit,
     stinespring,
 )
@@ -298,7 +299,7 @@ class KeyedChannelFamily:
     @classmethod
     def from_json(cls, doc: dict) -> "KeyedChannelFamily":
         _json_object(doc, _FAMILY_FIELDS, "keyed families")
-        template = parse_circuit(json.dumps(_json_field(doc, "template")))
+        template = _circuit_from_json(_json_field(doc, "template"), "template")
         key_bits = _json_int(_json_field(doc, "key_bits"), "key_bits")
         try:
             return cls.from_template(template, key_bits)
@@ -328,10 +329,15 @@ def key_average(family: KeyedChannelFamily) -> QuantumChannel:
             f"{family.key_bits} key bits exceed the exact enumeration budget of "
             f"{KEY_ENUMERATION_BUDGET_BITS}; use the sampled protocol mode"
         )
-    acc = None
-    for key in range(family.n_keys):
-        choi = family.channel(key).choi
-        acc = choi.copy() if acc is None else acc + choi
+    return _key_mixture(family, (family.channel(key).choi for key in range(family.n_keys)))
+
+
+def _key_mixture(family: KeyedChannelFamily, chois: Iterable[np.ndarray]) -> QuantumChannel:
+    """The uniform mixture of the family's per-key Choi matrices, summed in key order."""
+    chois = iter(chois)
+    acc = next(chois).copy()
+    for choi in chois:
+        acc += choi
     acc /= family.n_keys
     d_in = 2**family.input_qubits
     d_out = 2**family.output_qubits
@@ -472,20 +478,21 @@ def _ascent_max(
 ) -> tuple[float, float, np.ndarray, tuple[float, ...]]:
     """Best ascent value over the starts, the J+ upper bound, the witness and per-start values.
 
-    Starts run in order until the best value reaches the upper bound less ``tol``.
+    Starts run in order (the fixed start, ``extra_starts``, then the seeded
+    random starts) until the best value reaches the upper bound less ``tol``.
+    A random start is drawn only when the ascent reaches it.
     """
     upper = _dual_upper_bound(delta_choi, d_in, d_out)
     stop = upper - tol
-    starts: list[np.ndarray] = []
+    fixed: list[np.ndarray] = []
     if d_ref == d_in:
-        starts.append(_maximally_entangled(d_in))
+        fixed.append(_maximally_entangled(d_in))
     elif d_ref == 1:
-        starts.append(np.ones(d_in, dtype=np.complex128) / np.sqrt(d_in))
-    starts.extend(np.asarray(s, dtype=np.complex128) for s in extra_starts)
-    starts.extend(_random_starts(d_in * d_ref, restarts, seed))
-    best_val, best_psi = -np.inf, starts[0]
+        fixed.append(np.ones(d_in, dtype=np.complex128) / np.sqrt(d_in))
+    fixed.extend(np.asarray(s, dtype=np.complex128) for s in extra_starts)
+    best_val, best_psi = -np.inf, None
     per_restart = []
-    for start in starts:
+    for start in itertools.chain(fixed, _random_starts(d_in * d_ref, restarts, seed)):
         val, psi = _ascend(delta_choi, d_in, d_out, d_ref, start, max_iters, tol, stop)
         per_restart.append(val)
         if val > best_val:
@@ -511,8 +518,8 @@ def diamond_distance(
     from ``seed`` (None is rejected).  The upper bound is ``2 ||Tr_out J+||_inf``
     for the positive part ``J+`` of the Choi difference, capped at 2.  The
     ascent stops as soon as its best value comes within 1e-13 of the upper
-    bound, so when the two meet the distance is settled and later starts do
-    not run.
+    bound, so when the two meet the distance is settled and later starts are
+    neither drawn nor run.
     """
     if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
         raise DimensionMismatchError(
@@ -607,17 +614,20 @@ def check_eps_private(
             f"{family.key_bits} key bits exceed the enumeration budget"
         )
     ident = identity_channel(family.input_qubits)
+    chois = []
     per_key = []
     per_key_upper = []
     per_key_trace = []
     for key in range(family.n_keys):
-        round_trip = compose(decryptor.channel(key), family.channel(key))
+        encrypt = family.channel(key)
+        chois.append(encrypt.choi)
+        round_trip = compose(decryptor.channel(key), encrypt)
         dd = diamond_distance(round_trip, ident, restarts, seed)
         per_key.append(dd.lower_bound)
         per_key_upper.append(dd.upper_bound)
         per_key_trace.append(trace_distance_no_reference(round_trip, ident, restarts, seed))
     omega = depolarizing(family.input_qubits, family.output_qubits)
-    averaged = key_average(family)
+    averaged = _key_mixture(family, chois)
     dd2 = diamond_distance(averaged, omega, restarts, seed)
     d2 = dd2.lower_bound
     d2_trace = trace_distance_no_reference(averaged, omega, restarts, seed)

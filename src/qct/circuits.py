@@ -684,14 +684,20 @@ def parse_circuit(data) -> MixedStateCircuit:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
         raise CircuitParseError(f"invalid JSON: {exc}") from exc
-    _json_object(doc, ("input_qubits", "output_qubits", "ops"), "circuits")
-    n_in = _json_int(_json_field(doc, "input_qubits"), "input_qubits")
-    n_out = _json_int(_json_field(doc, "output_qubits"), "output_qubits")
-    entries = _json_field(doc, "ops")
+    return _circuit_from_json(doc)
+
+
+def _circuit_from_json(doc, within: str = "") -> MixedStateCircuit:
+    """The decoded circuit object ``doc``; ``within`` is its path in an enclosing document."""
+    prefix = f"{within}." if within else ""
+    _json_object(doc, ("input_qubits", "output_qubits", "ops"), "circuits", within)
+    n_in = _json_int(_json_field(doc, "input_qubits", within), f"{prefix}input_qubits")
+    n_out = _json_int(_json_field(doc, "output_qubits", within), f"{prefix}output_qubits")
+    entries = _json_field(doc, "ops", within)
     if not isinstance(entries, list):
-        raise CircuitParseError("ops: must be a list")
-    ops = tuple(_op_from_json(entry, f"ops[{idx}]") for idx, entry in enumerate(entries))
+        raise CircuitParseError(f"{prefix}ops: must be a list")
+    ops = tuple(_op_from_json(entry, f"{prefix}ops[{idx}]") for idx, entry in enumerate(entries))
     try:
         return MixedStateCircuit(n_in, ops, n_out)
     except CircuitError as exc:
-        raise CircuitParseError(str(exc)) from exc
+        raise CircuitParseError(f"{within}: {exc}" if within else str(exc)) from exc

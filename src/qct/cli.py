@@ -98,7 +98,7 @@ def load_config(path: str, flag_overrides: dict) -> ExperimentConfig:
     config_fields = fields(ExperimentConfig)
     unknown = set(doc) - {f.name for f in config_fields}
     if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        raise ConfigError(f"{', '.join(sorted(unknown))}: not a field of configs")
     merged = {f.name: f.default for f in config_fields if f.default is not MISSING}
     merged.update({k: v for k, v in flag_overrides.items() if v is not None})
     merged.update(doc)

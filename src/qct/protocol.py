@@ -31,7 +31,7 @@ from .errors import (
     check_capacity,
 )
 from .reduction import copy_branch_circuit, dummy_qubit_count
-from .states import DensityOperator, PureState, qubit_count
+from .states import DensityOperator, PureState, _require_seed, qubit_count
 from .verifier import VerifierCircuit, max_accept_probability
 
 PROVENANCE_SECURE = "SECURE_OTP"
@@ -313,10 +313,11 @@ def run_protocol_sampled(
 
     The per-shot acceptance probabilities for each key pair are precomputed
     exactly; shots then draw keys and the measurement outcome.  Deterministic
-    per seed.
+    per seed (None is rejected).
     """
     if shots < 1:
         raise ValueError("need at least one shot")
+    _require_seed(seed)
     mat = proof.matrix if isinstance(proof, DensityOperator) else np.asarray(proof, dtype=complex)
     _require_proof_shape(instance, mat)
     n_keys = instance.family.n_keys

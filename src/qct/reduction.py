@@ -16,6 +16,7 @@ traces out the copy and the ancillas.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from .channels import (
 from .circuits import (
     GateOp,
     MixedStateCircuit,
+    _circuit_from_json,
     _json_field,
     _json_fraction,
     _json_int,
@@ -41,7 +43,6 @@ from .circuits import (
     canonicalize,
     evaluate,
     identity_circuit,
-    parse_circuit,
     serialize_circuit,
 )
 from .errors import (
@@ -177,7 +178,7 @@ class CTInstance:
         _json_object(doc, _CT_FIELDS, "CT instances")
         layout = _json_field(doc, "layout")
         _json_object(layout, ("registers", "convention"), "CT instance layouts", within="layout")
-        circuit = parse_circuit(json.dumps(_json_field(doc, "circuit")))
+        circuit = _circuit_from_json(_json_field(doc, "circuit"), "circuit")
         h = _json_int(_json_field(doc, "witness_qubits"), "witness_qubits")
         if not 1 <= h <= circuit.input_qubits:
             raise CircuitParseError(
@@ -219,6 +220,8 @@ def _family_from_json(doc: dict, label: str, width: int) -> MixedStateCircuit:
         )
     if not isinstance(params, dict):
         raise CircuitParseError(f"{label}.params: must be an object, got {params!r}")
+    known = tuple(inspect.signature(FAMILY_REGISTRY[name]).parameters)
+    _json_object(params, known, f"{name} params", within=f"{label}.params")
     try:
         return family_generator(name, **params)(width)
     except (TypeError, ValueError) as exc:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -308,9 +308,10 @@ def basis_state(dim: int, index: int) -> PureState:
 
 
 def random_pure_state(dim: int, seed) -> PureState:
-    """Rotation-invariant random unit vector, deterministic per seed."""
+    """Rotation-invariant random unit vector, deterministic per seed (None is rejected)."""
     if dim < 1:
         raise DimensionMismatchError(f"dim must be >= 1, got {dim}")
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return PureState(v / np.linalg.norm(v))
@@ -335,17 +336,28 @@ def _seed_record(seed) -> int | tuple[int, ...] | None:
     return None
 
 
-def _random_starts(dim: int, count: int, seed) -> list[np.ndarray]:
-    """One random unit vector per child of ``SeedSequence(seed)``; None and bool seeds are rejected."""
+def _require_seed(seed) -> None:
+    """Reject the seeds that name no stream: None (OS entropy) and bools."""
     if seed is None:
-        raise ValueError("seed is required: random starts draw no implicit entropy")
+        raise ValueError("seed is required: qct draws no implicit entropy")
     _seed_record(seed)  # raises on a bool
-    children = np.random.SeedSequence(seed).spawn(count)
-    return [random_pure_state(dim, ss).amplitudes for ss in children]
+
+
+def _random_starts(dim: int, count: int, seed) -> Iterator[np.ndarray]:
+    """Random unit vectors, the k-th drawn from child k of ``SeedSequence(seed)``.
+
+    The seed is checked at the call (None and bools are rejected), but a start
+    is drawn only when the caller's search reaches it, so a search that stops
+    early draws no more.
+    """
+    _require_seed(seed)
+    parent = np.random.SeedSequence(seed)
+    return (random_pure_state(dim, parent.spawn(1)[0]).amplitudes for _ in range(count))
 
 
 def random_density_operator(dim: int, seed, rank: int | None = None) -> DensityOperator:
-    """Random mixed state from a normalized Wishart factor."""
+    """Random mixed state from a normalized Wishart factor (None is rejected)."""
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     r = dim if rank is None else rank
     g = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
@@ -354,7 +366,8 @@ def random_density_operator(dim: int, seed, rank: int | None = None) -> DensityO
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:
-    """Haar-random unitary via QR with phase correction."""
+    """Haar-random unitary via QR with phase correction (None is rejected)."""
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(g)

@@ -17,12 +17,12 @@ import numpy as np
 from .circuits import (
     GateOp,
     MixedStateCircuit,
+    _circuit_from_json,
     _is_unitary,
     _json_field,
     _json_int,
     _json_object,
     canonicalize,
-    parse_circuit,
     serialize_circuit,
 )
 from .errors import CircuitError, DimensionMismatchError, InvalidStateError, check_capacity
@@ -185,7 +185,7 @@ def verifier_to_json(v: VerifierCircuit) -> dict:
 
 def verifier_from_json(doc: dict) -> VerifierCircuit:
     _json_object(doc, ("witness_qubits", "ancilla_qubits", "circuit", "output_qubit"), "verifiers")
-    circuit = parse_circuit(json.dumps(_json_field(doc, "circuit")))
+    circuit = _circuit_from_json(_json_field(doc, "circuit"), "circuit")
     canon = canonicalize(circuit)
     if canon.ancilla_qubits or canon.traced_wires:
         raise CircuitError("verifier circuit must be purely unitary")

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qct import applications
+from qct import applications, states
 from qct.channels import apply_choi_to_segment
 from qct.states import _random_starts
 from qct import (
@@ -16,6 +16,7 @@ from qct import (
     GateOp,
     MixedStateCircuit,
     bloch_grid_min_entropy,
+    build_identity_instance,
     depolarizing,
     diamond_distance,
     identity_channel,
@@ -31,9 +32,11 @@ from qct import (
     random_density_operator,
     random_pure_state,
     random_unitary,
+    run_protocol_sampled,
     to_channel,
     trace_distance_no_reference,
     trace_norm,
+    two_copy_proof,
     von_neumann_entropy,
 )
 
@@ -333,11 +336,66 @@ class TestSeeding:
         assert all(np.array_equal(a, b) for a, b in zip(_random_starts(4, 4, 7), want, strict=True))
 
     def test_tuple_seed_is_its_own_stream(self):
-        a, b = _random_starts(4, 2, (7, 1)), _random_starts(4, 2, (7, 1))
+        a, b = list(_random_starts(4, 2, (7, 1))), list(_random_starts(4, 2, (7, 1)))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
-        assert not np.array_equal(a[0], _random_starts(4, 1, 7)[0])
+        assert not np.array_equal(a[0], list(_random_starts(4, 1, 7))[0])
         verdict = nonisometry_stat(random_channel(1, 3), 0.1, restarts=1, seed=(7, 1))
         assert verdict.statistic >= verdict.lower_bound - 1e-12
+
+    @pytest.mark.parametrize("seed", [7, (7, 1), np.int64(7)], ids=["int", "tuple", "numpy-int"])
+    def test_lazy_starts_are_the_eagerly_spawned_children(self, seed):
+        children = np.random.SeedSequence(seed).spawn(5)
+        eager = [random_pure_state(4, ss).amplitudes for ss in children]
+        lazy = list(_random_starts(4, 5, seed))
+        assert len(lazy) == 5 and all(np.array_equal(a, b) for a, b in zip(lazy, eager))
+
+    @pytest.mark.parametrize(
+        "search, draws",
+        [
+            (lambda: diamond_distance(identity_channel(1), depolarizing(1), restarts=20, seed=0), 0),
+            (
+                lambda: nonisometry_stat(
+                    to_channel(MixedStateCircuit(2, (GateOp.trace_out(1),), 1)), 0.1, restarts=5, seed=2
+                ),
+                0,
+            ),
+            # id vs depolarizing never meets J+ without a reference: every start runs
+            (
+                lambda: trace_distance_no_reference(
+                    identity_channel(1), depolarizing(1), restarts=7, seed=0
+                ),
+                7,
+            ),
+            (lambda: pure_fixed_point_search(depolarizing(1), 0.1, restarts=3, iters=2, seed=0), 3),
+        ],
+        ids=["diamond-settled", "nonisometry-settled", "no-reference-all", "fixed-point-all"],
+    )
+    def test_a_start_is_drawn_only_when_its_search_reaches_it(self, monkeypatch, search, draws):
+        calls = []
+        draw = states.random_pure_state
+        monkeypatch.setattr(states, "random_pure_state", lambda *a: calls.append(1) or draw(*a))
+        search()
+        assert len(calls) == draws
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda seed: random_pure_state(2, seed),
+            lambda seed: random_density_operator(2, seed),
+            lambda seed: random_unitary(2, seed),
+            lambda seed: random_channel(1, seed),
+            lambda seed: run_protocol_sampled(
+                build_identity_instance(1, 0.01), two_copy_proof(random_pure_state(4, 21)), 10, seed
+            ),
+        ],
+        ids=["pure-state", "density-operator", "unitary", "channel", "sampled-protocol"],
+    )
+    def test_random_draws_reject_none_and_bool_seeds(self, draw):
+        with pytest.raises(ValueError, match="seed is required"):
+            draw(None)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            draw(True)
+        draw(np.random.SeedSequence(3).spawn(1)[0])  # a spawned child names its stream
 
     @pytest.mark.parametrize(
         "search",
