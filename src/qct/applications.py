@@ -16,6 +16,7 @@ import numpy as np
 
 from .channels import (
     QuantumChannel,
+    _maximally_entangled,
     apply_choi,
     apply_choi_adjoint_to_segment,
     apply_choi_to_segment,
@@ -205,7 +206,7 @@ def nonisometry_stat(
         out = apply_choi_to_segment(channel.choi, d_in, channel.dim_out, rho, 1, d_in)
         return operator_norm(out)
 
-    entangled = np.eye(d_in, dtype=np.complex128).reshape(-1) / math.sqrt(d_in)
+    entangled = _maximally_entangled(d_in)
     best_val, best_psi = math.inf, entangled
     for start in itertools.chain([entangled], _random_starts(dim, restarts, seed)):
         x0 = np.concatenate([start.real, start.imag])

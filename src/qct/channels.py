@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -241,33 +241,32 @@ _FAMILY_FIELDS = ("key_bits", "template")
 
 @dataclass(frozen=True)
 class KeyedChannelFamily:
-    """Classical key string -> channel circuit, with shared input/output widths."""
+    """Classical key string -> channel circuit: ``template`` expanded per key.
+
+    ``key_bits`` must cover every key bit index the template reads.
+    """
 
     key_bits: int
-    generator: Callable[[int], MixedStateCircuit]
-    input_qubits: int
-    output_qubits: int
-    template: MixedStateCircuit | None = None
+    template: MixedStateCircuit
 
-    @classmethod
-    def from_template(cls, template: MixedStateCircuit, key_bits: int) -> "KeyedChannelFamily":
-        """Expand ``template`` per key; ``key_bits`` must cover every key bit index it reads."""
+    def __post_init__(self):
         needed = max(
-            (b + 1 for op in template.ops if op.kind == PLACEHOLDER_KIND for b in op.key_bits),
+            (b + 1 for op in self.template.ops if op.kind == PLACEHOLDER_KIND for b in op.key_bits),
             default=0,
         )
-        if key_bits < needed:
+        if self.key_bits < needed:
             raise ValueError(
                 f"key_bits must be >= {needed} (non-negative and above every key bit "
-                f"index the template reads), got {key_bits}"
+                f"index the template reads), got {self.key_bits}"
             )
-        return cls(
-            key_bits=key_bits,
-            generator=lambda key: expand_template(template, key),
-            input_qubits=template.input_qubits,
-            output_qubits=template.output_qubits,
-            template=template,
-        )
+
+    @property
+    def input_qubits(self) -> int:
+        return self.template.input_qubits
+
+    @property
+    def output_qubits(self) -> int:
+        return self.template.output_qubits
 
     @property
     def n_keys(self) -> int:
@@ -276,21 +275,12 @@ class KeyedChannelFamily:
     def circuit(self, key: int) -> MixedStateCircuit:
         if not 0 <= key < self.n_keys:
             raise ValueError(f"key {key} out of range for {self.key_bits} key bits")
-        circ = self.generator(key)
-        if circ.input_qubits != self.input_qubits or circ.output_qubits != self.output_qubits:
-            raise DimensionMismatchError(
-                f"generated circuit for key {key} has widths "
-                f"{circ.input_qubits}->{circ.output_qubits}, family declares "
-                f"{self.input_qubits}->{self.output_qubits}"
-            )
-        return circ
+        return expand_template(self.template, key)
 
     def channel(self, key: int) -> QuantumChannel:
         return to_channel(self.circuit(key))
 
     def to_json(self) -> dict:
-        if self.template is None:
-            raise ValueError("only template-backed families serialize")
         return {
             "key_bits": self.key_bits,
             "template": json.loads(serialize_circuit(self.template).decode("utf-8")),
@@ -302,14 +292,14 @@ class KeyedChannelFamily:
         template = _circuit_from_json(_json_field(doc, "template"), "template")
         key_bits = _json_int(_json_field(doc, "key_bits"), "key_bits")
         try:
-            return cls.from_template(template, key_bits)
+            return cls(key_bits, template)
         except ValueError as exc:
             raise CircuitParseError(f"key_bits: {exc}") from exc
 
 
 def pauli_otp_family(n_qubits: int) -> KeyedChannelFamily:
     """The Pauli one-time pad: two key bits per encrypted qubit."""
-    return KeyedChannelFamily.from_template(pauli_otp_template(n_qubits), 2 * n_qubits)
+    return KeyedChannelFamily(2 * n_qubits, pauli_otp_template(n_qubits))
 
 
 def pauli_otp_decryptor(n_qubits: int) -> KeyedChannelFamily:
@@ -319,7 +309,7 @@ def pauli_otp_decryptor(n_qubits: int) -> KeyedChannelFamily:
 
 def identity_keyed_family(n_qubits: int, key_bits: int) -> KeyedChannelFamily:
     """Family that ignores its key and applies the identity."""
-    return KeyedChannelFamily.from_template(identity_circuit(n_qubits), key_bits)
+    return KeyedChannelFamily(key_bits, identity_circuit(n_qubits))
 
 
 def key_average(family: KeyedChannelFamily) -> QuantumChannel:

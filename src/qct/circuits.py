@@ -238,14 +238,14 @@ class MixedStateCircuit:
         object.__setattr__(self, "ops", tuple(self.ops))
         if self.input_qubits < 0:
             raise CircuitError(f"input_qubits must be >= 0, got {self.input_qubits}")
-        live, created = self._replay()
+        live = self._replay()
         if len(live) != self.output_qubits:
             raise CircuitError(
                 f"circuit leaves {len(live)} live wires but declares "
                 f"{self.output_qubits} outputs"
             )
 
-    def _replay(self) -> tuple[list[int], int]:
+    def _replay(self) -> list[int]:
         check_capacity(self.input_qubits, "circuit inputs")
         live = list(range(self.input_qubits))
         created = self.input_qubits
@@ -265,7 +265,7 @@ class MixedStateCircuit:
                 missing = [w for w in op.touched_wires() if w not in live]
                 if missing:
                     raise CircuitError(f"ops[{idx}] touches dead or unknown wires {missing}")
-        return live, created
+        return live
 
     @property
     def ancilla_total(self) -> int:
@@ -276,8 +276,7 @@ class MixedStateCircuit:
         return any(op.kind == PLACEHOLDER_KIND for op in self.ops)
 
     def output_wires(self) -> tuple[int, ...]:
-        live, _ = self._replay()
-        return tuple(live)
+        return tuple(self._replay())
 
 
 @dataclass(frozen=True)

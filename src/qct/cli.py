@@ -36,7 +36,6 @@ class ExperimentConfig:
     experiment: str
     seed: int
     eps: float = 0.04
-    delta: float = 1.0
     n: int = 1
     shots: int = 100_000
     restarts: int = 20
@@ -52,20 +51,16 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name}: must be an integer, got {value!r}")
-        for name in ("eps", "delta"):
-            value = getattr(self, name)
-            real = isinstance(value, (int, float)) and not isinstance(value, bool)
-            # unlike math.isfinite, the comparison takes ints beyond the float range
-            if not (real and -math.inf < value < math.inf):
-                raise ConfigError(f"{name}: must be a finite number, got {value!r}")
+        real = isinstance(self.eps, (int, float)) and not isinstance(self.eps, bool)
+        # unlike math.isfinite, the comparison takes ints beyond the float range
+        if not (real and -math.inf < self.eps < math.inf):
+            raise ConfigError(f"eps: must be a finite number, got {self.eps!r}")
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError(f"out: must be a path string, got {self.out!r}")
         if self.format not in FORMATS:
             raise ConfigError(f"format: {self.format!r} is not one of {FORMATS}")
         if not 0.0 < self.eps < 1.0:
             raise ConfigError(f"eps: {self.eps} outside (0, 1)")
-        if not 0.0 < self.delta <= 1.0:
-            raise ConfigError(f"delta: {self.delta} outside (0, 1]")
         if self.shots < 1:
             raise ConfigError(f"shots: {self.shots} must be >= 1")
         if self.restarts < 1:
@@ -78,7 +73,6 @@ class ExperimentConfig:
             "experiment": self.experiment,
             "seed": self.seed,
             "eps": self.eps,
-            "delta": self.delta,
             "n": self.n,
             "shots": self.shots,
             "restarts": self.restarts,
@@ -178,6 +172,7 @@ circuit families (qct.reduction.family_generator):
 
 instances:
   qct.reduction.build_ct_circuit(verifier, c0, c1, eps, delta) -> CTInstance
+    c0, c1: a family name or a (name, params) pair, e.g. ("pauli_keyed", {"key": 3})
   qct.protocol.build_secure_instance(n, eps) -> DIInstance (Pauli one-time pad)
   qct.protocol.build_insecure_instance(verifier, eps, delta) -> DIInstance
   DIInstance JSON: family JSON + {"eps": e, "delta": d, "provenance": tag}

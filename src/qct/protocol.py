@@ -220,7 +220,7 @@ def build_insecure_instance(v: VerifierCircuit, eps: float, delta: float) -> DII
     copy_wire = n + a
     reject = [GateOp.keyed_pauli(i, (2 * i, 2 * i + 1), control=copy_wire) for i in range(n)]
     template = copy_branch_circuit(v, n, a, [], reject)
-    family = KeyedChannelFamily.from_template(template, 2 * n)
+    family = KeyedChannelFamily(2 * n, template)
     return DIInstance(
         family=family,
         eps=eps,

@@ -109,8 +109,8 @@ class CTInstance:
     eps: float
     delta: float
     witness_qubits: int
-    c0_spec: dict | None = None
-    c1_spec: dict | None = None
+    c0_spec: dict
+    c1_spec: dict
 
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
@@ -155,8 +155,6 @@ class CTInstance:
         return 3.0 * math.sqrt(self.eps)
 
     def to_json(self) -> dict:
-        if self.c0_spec is None or self.c1_spec is None:
-            raise ValueError("only instances built from registry families serialize")
         return {
             "circuit": json.loads(serialize_circuit(self.circuit).decode("utf-8")),
             "c0": self.c0_spec,
@@ -246,13 +244,16 @@ class CTCertificate:
     seed: int | tuple[int, ...] | None = None
 
 
-def _resolve_generator(gen) -> tuple[FamilyGenerator, dict | None]:
-    if isinstance(gen, str):
-        return family_generator(gen), {"name": gen, "params": {}}
-    if isinstance(gen, tuple) and len(gen) == 2 and isinstance(gen[0], str):
-        name, params = gen
+def _resolve_generator(spec) -> tuple[FamilyGenerator, dict]:
+    """A registry family and its document spec, from a name or a ``(name, params)`` pair."""
+    if isinstance(spec, str):
+        return family_generator(spec), {"name": spec, "params": {}}
+    if isinstance(spec, tuple) and len(spec) == 2 and isinstance(spec[0], str):
+        name, params = spec
         return family_generator(name, **params), {"name": name, "params": dict(params)}
-    return gen, None
+    raise TypeError(
+        f"a circuit family is a registry name or a (name, params) pair, got {spec!r}"
+    )
 
 
 def _canonical_family(circuit: MixedStateCircuit, label: str):
@@ -307,9 +308,10 @@ def build_ct_circuit(
     eps: float,
     delta: float,
 ) -> CTInstance:
-    """Compile the verifier and two families into a circuit-testing instance.
+    """Compile the verifier and two registry families into a circuit-testing instance.
 
-    The accepting branch (copy qubit reads one) runs the first family and the
+    Each family is a registry name or a ``(name, params)`` pair.  The
+    accepting branch (copy qubit reads one) runs the first family and the
     rejecting branch runs the second; both controlled blocks share the padded
     ancilla register.
     """
@@ -325,12 +327,6 @@ def build_ct_circuit(
         )
     c0 = c0_gen(width)
     c1 = c1_gen(width)
-    for label, fam in (("c0", c0), ("c1", c1)):
-        if fam.input_qubits != width or fam.output_qubits != width:
-            raise CircuitError(
-                f"{label} must map {width} qubits to {width} qubits, got "
-                f"{fam.input_qubits}->{fam.output_qubits}"
-            )
     canon0 = _canonical_family(c0, "c0")
     canon1 = _canonical_family(c1, "c1")
     a = max(v.ancilla_qubits, canon0.ancilla_qubits, canon1.ancilla_qubits)
@@ -528,7 +524,7 @@ def wellformedness_check(
     samples: int = 50,
     seed=0,
 ) -> WellformednessReport:
-    """Sample pure inputs and flag families whose outputs ever come close.
+    """Sample pure inputs and flag registry families whose outputs ever come close.
 
     Probes include every computational basis state, the uniform plus and
     alternating-sign superpositions, and Haar samples.  For delta below one

@@ -325,22 +325,27 @@ def _seed_record(seed) -> int | tuple[int, ...] | None:
     """``seed`` as a result records it: an int, a tuple of ints, or None.
 
     Python and numpy integers are recorded as ``int`` and sequences of them as
-    tuples of ``int``; a bool names no seed and is rejected.
+    tuples of ``int``; a ``SeedSequence`` or ``Generator`` is accepted and
+    recorded as None.  Anything else (a bool, a float, a string, a sequence
+    with a non-integer entry) names no stream and is rejected.
     """
-    if isinstance(seed, (bool, np.bool_)):
-        raise ValueError(f"seed must be an integer or a sequence of integers, got {seed!r}")
     if _is_integer(seed):
         return int(seed)
     if isinstance(seed, (tuple, list)) and all(_is_integer(s) for s in seed):
         return tuple(int(s) for s in seed)
-    return None
+    if isinstance(seed, (np.random.SeedSequence, np.random.Generator)):
+        return None
+    raise ValueError(
+        f"seed must be an integer, a sequence of integers, a SeedSequence or a Generator, "
+        f"got {seed!r}"
+    )
 
 
 def _require_seed(seed) -> None:
-    """Reject the seeds that name no stream: None (OS entropy) and bools."""
+    """Reject the seeds that name no stream: None (OS entropy), bools and other non-seeds."""
     if seed is None:
         raise ValueError("seed is required: qct draws no implicit entropy")
-    _seed_record(seed)  # raises on a bool
+    _seed_record(seed)  # raises on a bool and on a seed of any other type
 
 
 def _random_starts(dim: int, count: int, seed) -> Iterator[np.ndarray]:

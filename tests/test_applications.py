@@ -16,10 +16,13 @@ from qct import (
     GateOp,
     MixedStateCircuit,
     bloch_grid_min_entropy,
+    build_ct_circuit,
     build_identity_instance,
+    certify_yes,
     depolarizing,
     diamond_distance,
     identity_channel,
+    make_toy_verifier,
     measure_then_flip_circuit,
     min_output_entropy,
     mix,
@@ -326,6 +329,11 @@ class TestDeterminism:
         assert json.dumps(v1.to_row()) == json.dumps(v2.to_row())
 
 
+def _certify_rotation_yes(seed):
+    v = make_toy_verifier("rotation", accept_probability=0.96)
+    return certify_yes(build_ct_circuit(v, "identity", "depolarizing", 0.04, 1.0), v, seed=seed)
+
+
 class TestSeeding:
     def test_integer_seed_starts_are_the_seed_sequence_children(self):
         want = []
@@ -444,3 +452,18 @@ class TestSeeding:
             self.SEARCHES[name](seed)
         with pytest.raises(ValueError, match="seed must be an integer"):
             _random_starts(4, 1, seed)
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda: _certify_rotation_yes(seed=None),
+            lambda: random_pure_state(2, (None, 1)),
+            lambda: diamond_distance(identity_channel(1), depolarizing(1), seed=(3, None)),
+            lambda: random_pure_state(2, 1.5),
+            lambda: random_pure_state(2, "3"),
+        ],
+        ids=["certify-yes-none", "none-in-tuple", "diamond-none-in-tuple", "float", "string"],
+    )
+    def test_seeds_that_name_no_stream_are_rejected(self, draw):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            draw()

@@ -258,10 +258,17 @@ class TestCompletenessSoundness:
         assert complete - p_star >= 0.25 - 4 * 0.0001 - 1e-9
 
     def test_tensorized_security(self):
-        # family with a known small key-average deviation: key zero repeats a Pauli
-        from qct import KeyedChannelFamily, pauli_keyed
-
-        fam = KeyedChannelFamily(2, lambda k: pauli_keyed(1, max(k, 1)), 1, 1)
+        # family with a known small key-average deviation: an ancilla reading one
+        # with probability 0.8 controls the pad, so the average is
+        # 0.2 rho + 0.8 Omega(rho), at diamond distance 0.2 * 1.5 from Omega
+        c, s = math.sqrt(0.2), math.sqrt(0.8)
+        ops = (
+            GateOp.ancillas(1),
+            GateOp.unitary(np.array([[c, -s], [s, c]]), (1,)),
+            GateOp.keyed_pauli(0, (0, 1), control=1),
+            GateOp.trace_out(1),
+        )
+        fam = KeyedChannelFamily(2, MixedStateCircuit(1, ops, 1))
         avg = key_average(fam)
         d2 = diamond_distance(avg, depolarizing(1), restarts=10, seed=0).lower_bound
         assert d2 > 0.1
@@ -357,10 +364,7 @@ class TestObservable:
         assert vals[0] >= -1e-9 and vals[-1] <= 1.0 + 1e-9
 
     def test_budget_error_mentions_sampled_mode(self):
-        from qct import KeyedChannelFamily, MixedStateCircuit
-        from qct.protocol import DIInstance
-
-        fam = KeyedChannelFamily(14, lambda k: MixedStateCircuit(1, (), 1), 1, 1)
+        fam = KeyedChannelFamily(14, MixedStateCircuit(1, (), 1))
         inst = DIInstance(fam, 0.01, 1.0, "CUSTOM")
         with pytest.raises(BudgetExceededError, match="sampled"):
             protocol_observable(inst)
@@ -378,7 +382,7 @@ def _widening_instance() -> DIInstance:
         ),
         2,
     )
-    return DIInstance(KeyedChannelFamily.from_template(template, 4), 0.01, 1.0, "CUSTOM")
+    return DIInstance(KeyedChannelFamily(4, template), 0.01, 1.0, "CUSTOM")
 
 
 IN_PLACE_CASES = {

@@ -447,10 +447,12 @@ class TestInstanceSerialization:
         with pytest.raises(CircuitParseError, match=r"^witness_qubits, delta: .* takes 2"):
             CTInstance.from_json(doc)
 
-    def test_custom_generators_do_not_serialize(self):
+    def test_callable_families_are_rejected(self):
         v = make_toy_verifier("target_state", witness_qubits=1, target=1)
         from qct import identity_circuit
 
-        inst = build_ct_circuit(v, lambda width: identity_circuit(width), "depolarizing", 0.01, 1.0)
-        with pytest.raises(ValueError):
-            inst.to_json()
+        match = r"registry name or a \(name, params\) pair"
+        with pytest.raises(TypeError, match=match):
+            build_ct_circuit(v, identity_circuit, "depolarizing", 0.01, 1.0)
+        with pytest.raises(TypeError, match=match):
+            wellformedness_check("identity", identity_circuit, 0.01, 1.0, 1)
