@@ -9,7 +9,6 @@ the more significant qubits) and is normalized to ``tr(choi) = d_in``, i.e.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,13 +20,13 @@ from .circuits import (
     GateOp,
     MixedStateCircuit,
     _circuit_from_json,
+    _circuit_to_json,
     _json_field,
     _json_int,
     _json_object,
     evaluate,  # noqa: F401  kept bound here for perfbench/test_perfbench.py's tracer test
     expand_template,
     identity_circuit,
-    serialize_circuit,
     stinespring,
 )
 from .errors import (
@@ -283,7 +282,7 @@ class KeyedChannelFamily:
     def to_json(self) -> dict:
         return {
             "key_bits": self.key_bits,
-            "template": json.loads(serialize_circuit(self.template).decode("utf-8")),
+            "template": _circuit_to_json(self.template),
         }
 
     @classmethod

@@ -629,6 +629,11 @@ def _json_object(doc, fields, what: str, within: str = "") -> None:
 
 
 def serialize_circuit(circuit: MixedStateCircuit) -> bytes:
+    return (json.dumps(_circuit_to_json(circuit), indent=2) + "\n").encode("utf-8")
+
+
+def _circuit_to_json(circuit: MixedStateCircuit) -> dict:
+    """The circuit object ``_circuit_from_json`` reads back."""
     ops = []
     for op in circuit.ops:
         doc: dict = {"kind": op.kind}
@@ -639,12 +644,11 @@ def serialize_circuit(circuit: MixedStateCircuit) -> bytes:
             elif value is not None:
                 doc[name] = list(value) if isinstance(value, tuple) else value
         ops.append(doc)
-    doc = {
+    return {
         "input_qubits": circuit.input_qubits,
         "output_qubits": circuit.output_qubits,
         "ops": ops,
     }
-    return (json.dumps(doc, indent=2) + "\n").encode("utf-8")
 
 
 def _op_from_json(entry, path: str) -> GateOp:

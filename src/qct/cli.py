@@ -11,72 +11,56 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import inspect
 import io
 import json
-import math
 import sys
 import time
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .circuits import parse_circuit
-from .errors import QctError
-from .experiments import EXPERIMENTS, ReportRow, full_suite
+from .circuits import _json_fraction, _json_int, _json_object, parse_circuit
+from .errors import CircuitParseError, QctError
+from .experiments import EXPERIMENTS, ReportRow
 
-EXPERIMENT_KINDS = ("norms", "reduction", "applications", "di-protocol", "full-suite")
 FORMATS = ("json", "csv")
+
 
 class ConfigError(QctError):
     """A config document failed validation; the message names the field."""
 
 
+def _json_at_least(value, path: str, least: int) -> int:
+    """A JSON integer >= ``least``; bools, floats and strings are rejected."""
+    if _json_int(value, path) < least:
+        raise CircuitParseError(f"{path}: must be an integer >= {least}, got {value!r}")
+    return value
+
+
+# The reader of each experiment parameter, called as ``reader(value, path)``.  Which
+# of them a config takes, and their defaults, are read off its experiment's signature.
+PARAMETERS = {
+    "eps": functools.partial(_json_fraction, closed_above=False),
+    "n": functools.partial(_json_at_least, least=1),
+    "shots": functools.partial(_json_at_least, least=1),
+    "restarts": functools.partial(_json_at_least, least=1),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A config as ``load_config`` checks it; ``params`` holds every keyword its experiment takes."""
+
     experiment: str
     seed: int
-    eps: float = 0.04
-    n: int = 1
-    shots: int = 100_000
-    restarts: int = 20
+    params: dict
     out: str | None = None
     format: str = "json"
 
-    def __post_init__(self):
-        if self.experiment not in EXPERIMENT_KINDS:
-            raise ConfigError(
-                f"experiment: {self.experiment!r} is not one of {EXPERIMENT_KINDS}"
-            )
-        for name in ("seed", "n", "shots", "restarts"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name}: must be an integer, got {value!r}")
-        real = isinstance(self.eps, (int, float)) and not isinstance(self.eps, bool)
-        # unlike math.isfinite, the comparison takes ints beyond the float range
-        if not (real and -math.inf < self.eps < math.inf):
-            raise ConfigError(f"eps: must be a finite number, got {self.eps!r}")
-        if self.out is not None and not isinstance(self.out, str):
-            raise ConfigError(f"out: must be a path string, got {self.out!r}")
-        if self.format not in FORMATS:
-            raise ConfigError(f"format: {self.format!r} is not one of {FORMATS}")
-        if not 0.0 < self.eps < 1.0:
-            raise ConfigError(f"eps: {self.eps} outside (0, 1)")
-        if self.shots < 1:
-            raise ConfigError(f"shots: {self.shots} must be >= 1")
-        if self.restarts < 1:
-            raise ConfigError(f"restarts: {self.restarts} must be >= 1")
-        if self.n < 1:
-            raise ConfigError(f"n: {self.n} must be >= 1")
-
     def body_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "eps": self.eps,
-            "n": self.n,
-            "shots": self.shots,
-            "restarts": self.restarts,
-        }
+        return {"experiment": self.experiment, "seed": self.seed, **self.params}
 
 
 def load_config(path: str, flag_overrides: dict) -> ExperimentConfig:
@@ -87,34 +71,38 @@ def load_config(path: str, flag_overrides: dict) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}")
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
         raise ConfigError(f"config is not valid JSON: {exc}")
+    try:
+        return _config_from_json(doc, flag_overrides)
+    except CircuitParseError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _config_from_json(doc, flag_overrides: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config top level must be an object")
-    config_fields = fields(ExperimentConfig)
-    unknown = set(doc) - {f.name for f in config_fields}
-    if unknown:
-        raise ConfigError(f"{', '.join(sorted(unknown))}: not a field of configs")
-    merged = {f.name: f.default for f in config_fields if f.default is not MISSING}
-    merged.update({k: v for k, v in flag_overrides.items() if v is not None})
-    merged.update(doc)
-    if "experiment" not in merged:
+    if "experiment" not in doc:
         raise ConfigError("experiment: required field")
+    experiment = doc["experiment"]
+    if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
+        raise ConfigError(f"experiment: {experiment!r} is not one of {tuple(EXPERIMENTS)}")
+    signature = inspect.signature(EXPERIMENTS[experiment]).parameters
+    defaults = {k: p.default for k, p in signature.items() if k != "seed"}
+    _json_object(doc, ("experiment", "seed", "out", "format", *defaults), f"{experiment} configs")
+    flags = {k: v for k, v in flag_overrides.items() if v is not None}
+    merged = {"out": None, "format": "json", **flags, **doc}
     if "seed" not in merged:
         raise ConfigError("seed: required field (no implicit entropy)")
-    return ExperimentConfig(**merged)
+    if merged["out"] is not None and not isinstance(merged["out"], str):
+        raise ConfigError(f"out: must be a path string, got {merged['out']!r}")
+    if merged["format"] not in FORMATS:
+        raise ConfigError(f"format: {merged['format']!r} is not one of {FORMATS}")
+    seed = _json_at_least(merged["seed"], "seed", 0)
+    params = {k: PARAMETERS[k](doc[k], k) if k in doc else v for k, v in defaults.items()}
+    return ExperimentConfig(experiment, seed, params, merged["out"], merged["format"])
 
 
 def run_experiment(config: ExperimentConfig) -> list[ReportRow]:
-    if config.experiment == "full-suite":
-        return full_suite(config.seed, shots=config.shots, restarts=config.restarts)
-    if config.experiment == "norms":
-        return EXPERIMENTS["norms"](config.seed, restarts=config.restarts)
-    if config.experiment == "reduction":
-        return EXPERIMENTS["reduction"](config.seed, eps=config.eps, restarts=config.restarts)
-    if config.experiment == "applications":
-        return EXPERIMENTS["applications"](config.seed)
-    return EXPERIMENTS["di-protocol"](
-        config.seed, shots=config.shots, restarts=config.restarts, message_qubits=config.n
-    )
+    return EXPERIMENTS[config.experiment](config.seed, **config.params)
 
 
 def render_body_json(config: ExperimentConfig, rows: list[ReportRow]) -> bytes:

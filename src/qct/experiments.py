@@ -290,9 +290,8 @@ def applications_experiment(seed: int, restarts: int = 10) -> list[ReportRow]:
 
 
 def di_protocol_experiment(
-    seed: int, shots: int = 100_000, restarts: int = 20, message_qubits: int = 1
+    seed: int, shots: int = 100_000, restarts: int = 20, n: int = 1
 ) -> list[ReportRow]:
-    n = message_qubits
     soundness_target = 0.5 + 1.0 / (2 * 2**n)
     rows: list[ReportRow] = []
 
@@ -377,14 +376,6 @@ def di_protocol_experiment(
     return rows
 
 
-EXPERIMENTS = {
-    "norms": norms_experiment,
-    "reduction": reduction_experiment,
-    "applications": applications_experiment,
-    "di-protocol": di_protocol_experiment,
-}
-
-
 def full_suite(seed: int, shots: int = 100_000, restarts: int = 20) -> list[ReportRow]:
     rows: list[ReportRow] = []
     rows.extend(norms_experiment(seed, restarts=restarts))
@@ -392,3 +383,13 @@ def full_suite(seed: int, shots: int = 100_000, restarts: int = 20) -> list[Repo
     rows.extend(applications_experiment(seed))
     rows.extend(di_protocol_experiment(seed, shots=shots, restarts=restarts))
     return rows
+
+
+# The runnable experiments by config name; a config's parameters are its function's keywords.
+EXPERIMENTS = {
+    "norms": norms_experiment,
+    "reduction": reduction_experiment,
+    "applications": applications_experiment,
+    "di-protocol": di_protocol_experiment,
+    "full-suite": full_suite,
+}

@@ -36,6 +36,7 @@ from .circuits import (
     GateOp,
     MixedStateCircuit,
     _circuit_from_json,
+    _circuit_to_json,
     _json_field,
     _json_fraction,
     _json_int,
@@ -43,7 +44,6 @@ from .circuits import (
     canonicalize,
     evaluate,
     identity_circuit,
-    serialize_circuit,
 )
 from .errors import (
     CapacityError,
@@ -156,7 +156,7 @@ class CTInstance:
 
     def to_json(self) -> dict:
         return {
-            "circuit": json.loads(serialize_circuit(self.circuit).decode("utf-8")),
+            "circuit": _circuit_to_json(self.circuit),
             "c0": self.c0_spec,
             "c1": self.c1_spec,
             "eps": self.eps,

@@ -317,27 +317,28 @@ def random_pure_state(dim: int, seed) -> PureState:
     return PureState(v / np.linalg.norm(v))
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
+def _is_seed_integer(value) -> bool:
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
+    return integer and value >= 0
 
 
 def _seed_record(seed) -> int | tuple[int, ...] | None:
     """``seed`` as a result records it: an int, a tuple of ints, or None.
 
-    Python and numpy integers are recorded as ``int`` and sequences of them as
-    tuples of ``int``; a ``SeedSequence`` or ``Generator`` is accepted and
-    recorded as None.  Anything else (a bool, a float, a string, a sequence
-    with a non-integer entry) names no stream and is rejected.
+    Python and numpy integers >= 0 are recorded as ``int`` and sequences of
+    them as tuples of ``int``; a ``SeedSequence`` or ``Generator`` is accepted
+    and recorded as None.  Anything else (a negative integer, a bool, a float,
+    a string, a sequence with any other entry) names no stream and is rejected.
     """
-    if _is_integer(seed):
+    if _is_seed_integer(seed):
         return int(seed)
-    if isinstance(seed, (tuple, list)) and all(_is_integer(s) for s in seed):
+    if isinstance(seed, (tuple, list)) and all(_is_seed_integer(s) for s in seed):
         return tuple(int(s) for s in seed)
     if isinstance(seed, (np.random.SeedSequence, np.random.Generator)):
         return None
     raise ValueError(
-        f"seed must be an integer, a sequence of integers, a SeedSequence or a Generator, "
-        f"got {seed!r}"
+        f"seed must be an integer >= 0, a sequence of such integers, a SeedSequence or "
+        f"a Generator, got {seed!r}"
     )
 
 

@@ -8,7 +8,6 @@ output qubit defaults to qubit 0 of the post-unitary register.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -18,12 +17,12 @@ from .circuits import (
     GateOp,
     MixedStateCircuit,
     _circuit_from_json,
+    _circuit_to_json,
     _is_unitary,
     _json_field,
     _json_int,
     _json_object,
     canonicalize,
-    serialize_circuit,
 )
 from .errors import CircuitError, DimensionMismatchError, InvalidStateError, check_capacity
 from .states import HermitianObservable, PureState, random_unitary
@@ -178,7 +177,7 @@ def verifier_to_json(v: VerifierCircuit) -> dict:
     return {
         "witness_qubits": v.witness_qubits,
         "ancilla_qubits": v.ancilla_qubits,
-        "circuit": json.loads(serialize_circuit(circuit).decode("utf-8")),
+        "circuit": _circuit_to_json(circuit),
         "output_qubit": v.output_qubit,
     }
 

@@ -1,27 +1,22 @@
 """Acceptance suite: one test per quantitative criterion, each printing a
-PASS/FAIL line.  Rows come from the same experiment functions the CLI runs,
-with the shipped default configuration."""
+PASS/FAIL line.  Rows come from the path ``qct run`` takes: the shipped
+config read by ``load_config`` and run by ``run_experiment``."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from qct.cli import main
-from qct.experiments import full_suite
+from qct.cli import load_config, main, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_PATH = ROOT / "configs" / "full_suite.json"
 REFERENCE_BODY = ROOT / "perfbench" / "reference" / "full_suite_body.json"
-CONFIG = json.loads(CONFIG_PATH.read_text())
-SEED = CONFIG["seed"]
-SHOTS = CONFIG["shots"]
-RESTARTS = CONFIG["restarts"]
 
 
 @pytest.fixture(scope="module")
 def suite_rows():
-    rows = full_suite(SEED, shots=SHOTS, restarts=RESTARTS)
+    rows = run_experiment(load_config(str(CONFIG_PATH), {}))
     return {row.claim: row for row in rows}
 
 
@@ -152,7 +147,7 @@ def test_criterion_10_application_statistics(suite_rows):
 
 def test_rows_match_reference_body(suite_rows):
     reference = json.loads(REFERENCE_BODY.read_text())
-    assert reference["config"]["seed"] == SEED
+    assert reference["config"]["seed"] == load_config(str(CONFIG_PATH), {}).seed
     moved = [
         ref["claim"]
         for ref in reference["rows"]

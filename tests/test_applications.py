@@ -461,8 +461,11 @@ class TestSeeding:
             lambda: diamond_distance(identity_channel(1), depolarizing(1), seed=(3, None)),
             lambda: random_pure_state(2, 1.5),
             lambda: random_pure_state(2, "3"),
+            lambda: random_pure_state(2, -1),
+            lambda: diamond_distance(identity_channel(1), depolarizing(1), seed=(3, -1)),
         ],
-        ids=["certify-yes-none", "none-in-tuple", "diamond-none-in-tuple", "float", "string"],
+        ids=["certify-yes-none", "none-in-tuple", "diamond-none-in-tuple", "float", "string",
+             "negative", "diamond-negative-in-tuple"],
     )
     def test_seeds_that_name_no_stream_are_rejected(self, draw):
         with pytest.raises(ValueError, match="seed must be an integer"):

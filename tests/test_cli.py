@@ -1,3 +1,5 @@
+import functools
+import inspect
 import json
 import re
 from importlib import resources
@@ -8,19 +10,33 @@ import pytest
 from qct.circuits import _OP_FIELDS, _OPTIONAL_FIELDS
 from qct.cli import (
     FIXTURE_CATALOG,
+    PARAMETERS,
     ConfigError,
     ExperimentConfig,
     load_config,
     main,
     render_body_json,
 )
-from qct.experiments import norms_experiment
+from qct.experiments import EXPERIMENTS, norms_experiment
 
 
 def write_config(path: Path, **fields) -> Path:
     cfg = path / "config.json"
     cfg.write_text(json.dumps(fields), encoding="utf-8")
     return cfg
+
+
+def taken(experiment: str) -> list[str]:
+    """The config parameters of ``experiment``: its function's keywords after the seed."""
+    return list(inspect.signature(EXPERIMENTS[experiment]).parameters)[1:]
+
+
+# an experiment that reads each field, so the field's own check is the one that fires
+READER_OF = {"eps": "reduction", "n": "di-protocol", "shots": "di-protocol",
+             "restarts": "norms", "seed": "norms", "out": "norms"}
+# a valid value of each parameter, none of them its default
+VALID = {"eps": 0.3, "n": 2, "shots": 7, "restarts": 3}
+UNREAD = [(e, key) for e in EXPERIMENTS for key in PARAMETERS if key not in taken(e)]
 
 
 class TestConfig:
@@ -49,20 +65,52 @@ class TestConfig:
         with pytest.raises(ConfigError, match="frobnicate"):
             load_config(str(cfg), {})
 
-    def test_parameter_ranges(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig("norms", 1, eps=2.0)
-        with pytest.raises(ConfigError):
-            ExperimentConfig("norms", 1, shots=0)
+    def test_parameter_ranges(self, tmp_path):
+        for field, value in (("eps", 2.0), ("shots", 0)):
+            cfg = write_config(tmp_path, experiment=READER_OF[field], seed=1, **{field: value})
+            with pytest.raises(ConfigError, match=f"^{field}: must be"):
+                load_config(str(cfg), {})
 
     @pytest.mark.parametrize(
         "field, value",
         [("n", True), ("shots", 10.0), ("eps", float("inf")), ("out", 5),
          pytest.param("eps", 10**400, id="eps-beyond-float-range")],
     )
-    def test_field_types(self, field, value):
+    def test_field_types(self, tmp_path, field, value):
+        # json.dumps writes inf as the non-standard Infinity, which json.loads reads back
+        cfg = write_config(tmp_path, experiment=READER_OF[field], seed=1, **{field: value})
         with pytest.raises(ConfigError, match=f"^{field}:"):
-            ExperimentConfig("norms", 1, **{field: value})
+            load_config(str(cfg), {})
+
+    @pytest.mark.parametrize("experiment, key", UNREAD)
+    def test_a_parameter_the_experiment_does_not_read_is_rejected(self, tmp_path, experiment, key):
+        cfg = write_config(tmp_path, experiment=experiment, seed=1, **{key: VALID[key]})
+        with pytest.raises(ConfigError, match=f"^{key}: not a field of {experiment} configs$"):
+            load_config(str(cfg), {})
+
+    def test_every_experiment_parameter_has_a_reader(self):
+        read = set()
+        for experiment, function in EXPERIMENTS.items():
+            assert next(iter(inspect.signature(function).parameters)) == "seed", experiment
+            assert set(taken(experiment)) <= set(PARAMETERS), experiment
+            read.update(taken(experiment))
+        assert read == set(PARAMETERS)
+
+    def test_readme_parameter_table_matches_the_signatures(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| parameters (default)")[1].split("\n\n")[0]
+        rows = re.findall(r"^\| `([\w-]+)` +\| (.+?) +\|$", table, re.MULTILINE)
+        listed = {name: re.findall(r"`(\w+)` \(([\d.]+)\)", cell) for name, cell in rows}
+        assert listed == {
+            name: [(k, str(p.default)) for k, p in inspect.signature(f).parameters.items() if k != "seed"]
+            for name, f in EXPERIMENTS.items()
+        }
+
+    @pytest.mark.parametrize("experiment", [[], {}, 3, None], ids=["list", "object", "number", "null"])
+    def test_experiment_that_is_not_a_name_is_rejected(self, tmp_path, experiment):
+        cfg = write_config(tmp_path, experiment=experiment, seed=1)
+        with pytest.raises(ConfigError, match="^experiment: .* is not one of"):
+            load_config(str(cfg), {})
 
 
 # experiment -> (row, the rows whose timed computations it reads)
@@ -105,7 +153,8 @@ class TestRun:
 
     @pytest.mark.parametrize("experiment", sorted(SIBLING_ROWS))
     def test_sibling_rows_carry_their_computation_ms(self, tmp_path, experiment):
-        cfg = write_config(tmp_path, experiment=experiment, seed=5, shots=1000, restarts=2)
+        params = {k: v for k, v in {"shots": 1000, "restarts": 2}.items() if k in taken(experiment)}
+        cfg = write_config(tmp_path, experiment=experiment, seed=5, **params)
         out = tmp_path / "report.json"
         main(["run", "--config", str(cfg), "--out", str(out)])
         row_ms = json.loads((tmp_path / "report.json.meta.json").read_text())["row_ms"]
@@ -147,12 +196,44 @@ class TestRun:
         [("shots", "many"), ("eps", "x"), ("restarts", 2.5), ("seed", True)],
     )
     def test_mistyped_field_exits_2_naming_it(self, tmp_path, capsys, field, value):
-        fields = {"experiment": "norms", "seed": 1, field: value}
+        fields = {"experiment": READER_OF[field], "seed": 1, field: value}
         cfg = write_config(tmp_path, **fields)
         with pytest.raises(ConfigError, match=f"^{field}:"):
             load_config(str(cfg), {})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r.json")]) == 2
         assert f"config error: {field}:" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2_naming_it(self, tmp_path, capsys):
+        out = str(tmp_path / "r.json")
+        in_file = write_config(tmp_path, experiment="norms", seed=-1)
+        assert main(["run", "--config", str(in_file), "--out", out]) == 2
+        seedless = write_config(tmp_path, experiment="norms")
+        assert main(["run", "--config", str(seedless), "--seed", "-1", "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: seed: must be an integer >= 0, got -1"] * 2
+
+    @pytest.mark.parametrize("given", ["every-parameter", "no-parameter"])
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_body_echoes_the_parameters_the_experiment_receives(
+        self, tmp_path, monkeypatch, experiment, given
+    ):
+        received = []
+
+        @functools.wraps(EXPERIMENTS[experiment])
+        def record(seed, **params):
+            received.append(params)
+            return []
+
+        monkeypatch.setitem(EXPERIMENTS, experiment, record)
+        params = {k: VALID[k] for k in taken(experiment)} if given == "every-parameter" else {}
+        cfg = write_config(tmp_path, experiment=experiment, seed=4, **params)
+        out = tmp_path / "report.json"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        [kwargs] = received
+        assert sorted(kwargs) == sorted(taken(experiment))
+        assert params.items() <= kwargs.items()
+        echo = json.loads(out.read_text())["config"]
+        assert echo == {"experiment": experiment, "seed": 4, **kwargs}
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
@@ -166,7 +247,7 @@ class TestRun:
 
     def test_render_is_stable_for_same_rows(self):
         rows = norms_experiment(2, restarts=3)
-        config = ExperimentConfig("norms", 2, restarts=3)
+        config = ExperimentConfig("norms", 2, {"restarts": 3})
         assert render_body_json(config, rows) == render_body_json(config, rows)
 
 

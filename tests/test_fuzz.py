@@ -63,6 +63,7 @@ READERS = {
     "di-instance": DIInstance.from_json,
     "ct-instance": CTInstance.from_json,
     "config": _read_config,
+    "config-reduction": _read_config,
 }
 
 
@@ -76,8 +77,9 @@ def _valid_documents() -> dict:
         "keyed-family": build_secure_instance(1, 0.01).family.to_json(),
         "di-instance": build_insecure_instance(v, eps=0.04, delta=1.0).to_json(),
         "ct-instance": build_ct_circuit(v, "identity", ("pauli_keyed", {"key": 2}), 0.04, 1.0).to_json(),
-        "config": {"experiment": "norms", "seed": 3, "eps": 0.04, "n": 1,
-                   "shots": 10, "restarts": 2, "out": "report.json", "format": "json"},
+        "config": {"experiment": "di-protocol", "seed": 3, "n": 1, "shots": 10, "restarts": 2,
+                   "out": "report.json", "format": "json"},
+        "config-reduction": {"experiment": "reduction", "seed": 3, "eps": 0.04, "restarts": 2},
     }
 
 
