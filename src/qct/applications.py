@@ -17,6 +17,7 @@ import numpy as np
 from .channels import (
     QuantumChannel,
     _maximally_entangled,
+    _superop,
     apply_choi,
     apply_choi_adjoint_to_segment,
     apply_choi_to_segment,
@@ -268,6 +269,7 @@ def pure_fixed_point_search(
     d = channel.dim_in
     best_val, best_psi = math.inf, None
     for psi in _random_starts(d, restarts, seed):
+        prev = None
         for _ in range(iters):
             rho = np.outer(psi, psi.conj())
             out = apply_choi(channel.choi, d, d, rho)
@@ -280,7 +282,9 @@ def pure_fixed_point_search(
             if abs(np.vdot(nxt, psi)) > 1.0 - 1e-14:
                 psi = nxt
                 break
-            psi = nxt
+            if prev is not None and np.array_equal(nxt, prev):
+                break  # an exact 2-cycle: both of its iterates are already evaluated
+            prev, psi = psi, nxt
         rho = np.outer(psi, psi.conj())
         dist = trace_norm(apply_choi(channel.choi, d, d, rho) - rho)
         if dist < best_val:
@@ -341,6 +345,7 @@ def min_output_entropy(
     starts.extend(_random_starts(d_in, restarts, seed))
     best_val, best_psi = math.inf, starts[0]
     for psi in starts:
+        prev = None
         for _ in range(iters):
             s = von_neumann_entropy(output(psi))
             if s < best_val:
@@ -350,7 +355,9 @@ def min_output_entropy(
             nxt = _top_eigvec_with_tiebreak(pulled_back_log(psi), psi)
             if abs(np.vdot(nxt, psi)) > 1.0 - 1e-14:
                 break
-            psi = nxt
+            if prev is not None and np.array_equal(nxt, prev):
+                break  # an exact 2-cycle: both of its iterates are already evaluated
+            prev, psi = psi, nxt
         s = von_neumann_entropy(output(psi))
         if s < best_val:
             best_val, best_psi = s, psi
@@ -377,21 +384,25 @@ def min_output_entropy(
 
 
 def bloch_grid_min_entropy(channel: QuantumChannel, resolution: int = 32) -> float:
-    """Brute-force entropy minimum for one-qubit channels over a Bloch-sphere grid."""
+    """Brute-force entropy minimum for one-qubit channels over a Bloch-sphere grid.
+
+    Stacked, it still runs one matrix-vector product and one ``eigvalsh`` per state: bit-exact.
+    """
     if channel.dim_in != 2:
         raise DimensionMismatchError("the Bloch grid oracle is for one-qubit inputs")
-    best = math.inf
-    for i in range(resolution):
-        theta = math.pi * (i + 0.5) / resolution
-        for j in range(resolution):
-            phi = 2.0 * math.pi * j / resolution
-            psi = np.array(
-                [math.cos(theta / 2), math.sin(theta / 2) * np.exp(1j * phi)],
-                dtype=np.complex128,
-            )
-            out = apply_choi(channel.choi, 2, channel.dim_out, np.outer(psi, psi.conj()))
-            best = min(best, von_neumann_entropy(out))
-    return best
+    if resolution < 1:
+        raise ValueError(f"resolution must be >= 1, got {resolution}")
+    psis = np.array([
+        [math.cos(theta / 2), math.sin(theta / 2) * np.exp(1j * phi)]
+        for theta in (math.pi * (i + 0.5) / resolution for i in range(resolution))
+        for phi in (2.0 * math.pi * j / resolution for j in range(resolution))
+    ], dtype=np.complex128)
+    rhos = psis[:, :, None] * psis[:, None, :].conj()
+    outs = _superop(channel.choi, 2, channel.dim_out) @ rhos.reshape(-1, 4, 1)
+    vals = np.linalg.eigvalsh(outs.reshape(-1, channel.dim_out, channel.dim_out))
+    kept = vals > 1e-18
+    safe = np.where(kept, vals, 1.0)
+    return float(np.min(-np.sum(safe * np.log(safe), axis=1, where=kept) / np.log(2.0)))
 
 
 def measure_then_flip_circuit() -> MixedStateCircuit:

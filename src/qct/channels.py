@@ -93,10 +93,6 @@ class QuantumChannel:
     def n_qubits_in(self) -> int:
         return qubit_count(self.dim_in)
 
-    @property
-    def n_qubits_out(self) -> int:
-        return qubit_count(self.dim_out)
-
     def apply(self, rho) -> DensityOperator:
         mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
         if mat.shape != (self.dim_in, self.dim_in):

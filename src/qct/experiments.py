@@ -22,6 +22,7 @@ from .circuits import GateOp, MixedStateCircuit
 from .states import (
     HermitianObservable,
     basis_state,
+    operator_norm,
     random_density_operator,
     random_pure_state,
     trace_norm,
@@ -81,7 +82,7 @@ def _bounded_observable(dim: int, seed) -> HermitianObservable:
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     herm = g + g.conj().T
-    herm /= np.linalg.norm(herm, 2)
+    herm /= operator_norm(herm)
     return HermitianObservable((herm + np.eye(dim)) / 2)
 
 

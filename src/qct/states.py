@@ -264,7 +264,7 @@ def trace_norm(x) -> float:
         raise DimensionMismatchError(f"trace norm needs a square matrix, got {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise InvalidStateError("matrix has non-finite entries")
-    return float(np.linalg.norm(mat, "nuc"))
+    return float(np.linalg.svd(mat, compute_uv=False).sum())
 
 
 def operator_norm(x) -> float:
@@ -274,7 +274,7 @@ def operator_norm(x) -> float:
         raise DimensionMismatchError(f"operator norm needs a square matrix, got {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise InvalidStateError("matrix has non-finite entries")
-    return float(np.linalg.norm(mat, 2))
+    return float(np.linalg.svd(mat, compute_uv=False).max(initial=0.0))
 
 
 def purify(rho: DensityOperator) -> PureState:
@@ -363,12 +363,14 @@ def _random_starts(dim: int, count: int, seed) -> Iterator[np.ndarray]:
 
 def random_density_operator(dim: int, seed, rank: int | None = None) -> DensityOperator:
     """Random mixed state from a normalized Wishart factor (None is rejected)."""
+    r = dim if rank is None else rank
+    if dim < 1 or r < 1:
+        raise DimensionMismatchError(f"dim and rank must be >= 1, got dim {dim}, rank {r}")
     _require_seed(seed)
     rng = np.random.default_rng(seed)
-    r = dim if rank is None else rank
     g = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
     mat = g @ g.conj().T
-    return DensityOperator(mat / np.trace(mat))
+    return _trusted(DensityOperator, matrix=mat / np.trace(mat))  # a state by construction
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:

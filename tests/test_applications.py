@@ -300,6 +300,166 @@ class TestMinOutputEntropy:
             bloch_grid_min_entropy(depolarizing(2))
 
 
+def _fixed_point_reference(channel, restarts=10, iters=50, seed=0):
+    """``pure_fixed_point_search`` as it was before its orbit stop: ``(statistic, witness)``."""
+    d = channel.dim_in
+    best_val, best_psi = math.inf, None
+    for psi in _random_starts(d, restarts, seed):
+        for _ in range(iters):
+            rho = np.outer(psi, psi.conj())
+            out = applications.apply_choi(channel.choi, d, d, rho)
+            dist = trace_norm(out - rho)
+            if dist < best_val:
+                best_val, best_psi = dist, psi
+            if dist < 1e-12:
+                break
+            nxt = applications._top_eigvec_with_tiebreak(out, psi)
+            if abs(np.vdot(nxt, psi)) > 1.0 - 1e-14:
+                psi = nxt
+                break
+            psi = nxt
+        rho = np.outer(psi, psi.conj())
+        dist = trace_norm(applications.apply_choi(channel.choi, d, d, rho) - rho)
+        if dist < best_val:
+            best_val, best_psi = dist, psi
+
+    def objective(params):
+        vec = applications._unit_vector(params, d)
+        rho = np.outer(vec, vec.conj())
+        return trace_norm(applications.apply_choi(channel.choi, d, d, rho) - rho)
+
+    if best_val > 1e-12:
+        x0 = np.concatenate([best_psi.real, best_psi.imag])
+        x, fun = applications._nelder_mead(objective, x0, 600, fatol=1e-11)
+        if fun < best_val:
+            best_val, best_psi = fun, applications._unit_vector(x, d)
+    return best_val, best_psi
+
+
+def _min_entropy_reference(channel, restarts=10, iters=60, seed=0):
+    """``min_output_entropy`` as it was before its orbit stop: ``(statistic, witness)``."""
+    d_in, d_out = channel.dim_in, channel.dim_out
+
+    def output(psi):
+        return applications.apply_choi(channel.choi, d_in, d_out, np.outer(psi, psi.conj()))
+
+    def pulled_back_log(psi):
+        vals, vecs = np.linalg.eigh(output(psi))
+        log_out = (vecs * np.log(np.clip(vals, 1e-18, None))) @ vecs.conj().T
+        pulled = applications.apply_choi_adjoint_to_segment(channel.choi, d_in, d_out, log_out)
+        return (pulled + pulled.conj().T) / 2
+
+    starts = [np.eye(d_in, dtype=np.complex128)[:, 0]]
+    starts.extend(_random_starts(d_in, restarts, seed))
+    best_val, best_psi = math.inf, starts[0]
+    for psi in starts:
+        for _ in range(iters):
+            s = von_neumann_entropy(output(psi))
+            if s < best_val:
+                best_val, best_psi = s, psi
+            if s < 1e-12:
+                break
+            nxt = applications._top_eigvec_with_tiebreak(pulled_back_log(psi), psi)
+            if abs(np.vdot(nxt, psi)) > 1.0 - 1e-14:
+                break
+            psi = nxt
+        s = von_neumann_entropy(output(psi))
+        if s < best_val:
+            best_val, best_psi = s, psi
+    return max(best_val, 0.0), best_psi
+
+
+def _bloch_grid_reference(channel, resolution=32):
+    """``bloch_grid_min_entropy`` as the scalar loop it was before stacking."""
+    best = math.inf
+    for i in range(resolution):
+        theta = math.pi * (i + 0.5) / resolution
+        for j in range(resolution):
+            phi = 2.0 * math.pi * j / resolution
+            psi = np.array(
+                [math.cos(theta / 2), math.sin(theta / 2) * np.exp(1j * phi)],
+                dtype=np.complex128,
+            )
+            out = applications.apply_choi(channel.choi, 2, channel.dim_out, np.outer(psi, psi.conj()))
+            best = min(best, von_neumann_entropy(out))
+    return best
+
+
+_ORBIT_CHANNELS = {
+    "measure-then-flip": lambda: to_channel(measure_then_flip_circuit()),
+    "identity": lambda: identity_channel(1),
+    "depolarizing": lambda: depolarizing(1),
+    "half-depolarizing": lambda: mix([identity_channel(1), depolarizing(1)], [0.5, 0.5]),
+    "t-gate": lambda: to_channel(MixedStateCircuit(1, (GateOp.t(0),), 1)),
+    **{f"random-1q-env{e}-{k}": (lambda e=e, k=k: random_channel(1, (36, e, k), env_qubits=e))
+       for e in (1, 2) for k in range(5)},
+    **{f"random-2q-{k}": (lambda k=k: random_channel(2, (37, k))) for k in range(2)},
+}
+
+
+class TestOrbitStop:
+    """The fixed-point searches stop on an exact 2-cycle; nothing they return may move."""
+
+    @pytest.mark.parametrize("name", _ORBIT_CHANNELS)
+    def test_fixed_point_search_equals_the_full_loop(self, name):
+        chan = _ORBIT_CHANNELS[name]()
+        verdict = pure_fixed_point_search(chan, 0.01, restarts=5, seed=7)
+        stat, witness = _fixed_point_reference(chan, restarts=5, seed=7)
+        assert verdict.statistic == stat
+        assert np.array_equal(verdict.witness.amplitudes, witness)
+
+    @pytest.mark.parametrize("name", _ORBIT_CHANNELS)
+    def test_min_output_entropy_equals_the_full_loop(self, name):
+        chan = _ORBIT_CHANNELS[name]()
+        verdict = min_output_entropy(chan, restarts=5, seed=7)
+        stat, witness = _min_entropy_reference(chan, restarts=5, seed=7)
+        assert verdict.statistic == stat
+        assert np.array_equal(verdict.witness.amplitudes, witness)
+
+    def test_measure_then_flip_stops_on_its_cycle(self, monkeypatch):
+        # every restart reaches the |0>, |1> cycle within a few steps; the full loop
+        # made 51 forward applications per restart before the polish
+        applied, before_polish = [], []
+        apply_choi, nelder_mead = applications.apply_choi, applications._nelder_mead
+
+        def count(*args):
+            applied.append(None)
+            return apply_choi(*args)
+
+        def polish(*args, **options):
+            before_polish.append(len(applied))
+            return nelder_mead(*args, **options)
+
+        monkeypatch.setattr(applications, "apply_choi", count)
+        monkeypatch.setattr(applications, "_nelder_mead", polish)
+        chan = to_channel(measure_then_flip_circuit())
+        pure_fixed_point_search(chan, 0.01, restarts=10, iters=50, seed=2)
+        assert before_polish and before_polish[0] <= 50
+
+
+class TestBlochGrid:
+    @pytest.mark.parametrize(
+        "name", ["half-depolarizing", "identity", "t-gate", "measure-then-flip"]
+        + [f"random-1q-env{e}-{k}" for e in (1, 2) for k in range(5)],
+    )
+    def test_stacked_grid_equals_the_scalar_loop(self, name):
+        chan = _ORBIT_CHANNELS[name]()
+        assert bloch_grid_min_entropy(chan) == _bloch_grid_reference(chan)
+
+    def test_stacked_grid_equals_the_scalar_loop_on_wider_outputs(self):
+        u = random_unitary(16, 38)
+        one_to_three = MixedStateCircuit(
+            1, (GateOp.ancillas(3), GateOp.unitary(u, (0, 1, 2, 3)), GateOp.trace_out(3)), 3
+        )
+        for chan in (depolarizing(1, 2), to_channel(one_to_three)):
+            assert bloch_grid_min_entropy(chan, resolution=8) == _bloch_grid_reference(chan, 8)
+
+    @pytest.mark.parametrize("resolution", [0, -3])
+    def test_resolution_below_one_is_rejected(self, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            bloch_grid_min_entropy(depolarizing(1), resolution=resolution)
+
+
 class TestPurityRestriction:
     def test_mixed_probes_never_beat_entropy_minimum(self):
         half = mix([identity_channel(1), depolarizing(1)], [0.5, 0.5])

@@ -242,6 +242,14 @@ class TestNorms:
         with pytest.raises(InvalidStateError):
             operator_norm(bad)
 
+    def test_norms_equal_numpys_matrix_norms_to_the_bit(self):
+        rng = np.random.default_rng(18)
+        for dim in (0, 1, 2, 3, 4, 8, 16):
+            for _ in range(10):
+                a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+                assert trace_norm(a) == float(np.linalg.norm(a, "nuc"))
+                assert operator_norm(a) == float(np.linalg.norm(a, 2))
+
     def test_norm_axioms(self):
         rng = np.random.default_rng(17)
         for _ in range(25):
@@ -286,6 +294,21 @@ class TestRandomStates:
         for seed in range(10):
             psi = random_pure_state(5, seed)
             assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
+
+    def test_density_draw_is_a_state_the_constructor_accepts(self):
+        # the draw skips validation, so every size and rank must pass it anyway
+        for dim in range(1, 65):
+            for rank in range(1, dim + 1):
+                for seed in range(3):
+                    m = random_density_operator(dim, (dim, rank, seed), rank).matrix
+                    assert np.array_equal(DensityOperator(m).matrix, m)
+
+    @pytest.mark.parametrize(
+        "dim, rank, named", [(0, None, "dim 0"), (-1, None, "dim -1"), (2, 0, "rank 0"), (3, -2, "rank -2")]
+    )
+    def test_density_draw_rejects_bad_sizes_by_name(self, dim, rank, named):
+        with pytest.raises(DimensionMismatchError, match=named):
+            random_density_operator(dim, 1, rank)
 
     def test_uniform_first_moment(self):
         total = 0.0
