@@ -43,21 +43,45 @@ MIN_OUTPUT_ENTROPY = "MIN_OUTPUT_ENTROPY"
 
 @dataclass(frozen=True)
 class ProblemVerdict:
+    """A promise-problem statistic with the bounds that decide its side.
+
+    YES lies above ``yes_bound`` for non-identity (an ascent lower bound) and below it for
+    the search minima; it is tested first and always proven.  NO is proven when
+    ``upper_bound`` (non-identity) or ``lower_bound`` (the rest) crosses ``no_bound``.
+    """
+
     problem: str
     statistic: float
     eps: float
     yes_bound: float
     no_bound: float
-    consistent_with: str | None
-    heuristic_only: bool
     witness: PureState
     seed: int | tuple[int, ...] | None
     notes: str = ""
     lower_bound: float | None = None
+    upper_bound: float | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.statistic):
             raise ValueError(f"statistic {self.statistic} is not finite")
+        if not self.eps >= 0.0 or self._yes_first(self.yes_bound) > self._yes_first(self.no_bound):
+            raise ValueError(f"eps {self.eps} must be >= 0 and keep the YES side off the NO side")
+
+    def _yes_first(self, value: float) -> float:  # YES lies at the low end of this axis
+        return -value if self.problem == NON_IDENTITY else value
+
+    @property
+    def consistent_with(self) -> str | None:
+        stat = self._yes_first(self.statistic)
+        if stat <= self._yes_first(self.yes_bound):
+            return "YES"
+        return "NO" if stat >= self._yes_first(self.no_bound) else None
+
+    @property
+    def heuristic_only(self) -> bool:
+        far = self.upper_bound if self.problem == NON_IDENTITY else self.lower_bound
+        proven_no = far is not None and self._yes_first(far) >= self._yes_first(self.no_bound)
+        return self.consistent_with != "YES" and not (self.consistent_with == "NO" and proven_no)
 
     def to_row(self) -> dict:
         return {
@@ -83,24 +107,16 @@ def nonidentity_stat(
     if channel.dim_in != channel.dim_out:
         raise DimensionMismatchError("non-identity check needs equal input and output dims")
     dd = diamond_distance(channel, identity_channel(channel.n_qubits_in), restarts, seed)
-    stat = dd.lower_bound
-    if stat >= 2.0 - eps:
-        side, heuristic = "YES", False
-    elif stat <= eps:
-        side, heuristic = "NO", dd.upper_bound > eps
-    else:
-        side, heuristic = None, True
     return ProblemVerdict(
         problem=NON_IDENTITY,
-        statistic=stat,
+        statistic=dd.lower_bound,
         eps=eps,
         yes_bound=2.0 - eps,
         no_bound=eps,
-        consistent_with=side,
-        heuristic_only=heuristic,
         witness=dd.witness,
         seed=_seed_record(seed),
         notes="efficient-unitary existence clause of the far side is not audited",
+        upper_bound=dd.upper_bound,
     )
 
 
@@ -221,20 +237,12 @@ def nonisometry_stat(
             best_val, best_psi = fun, _unit_vector(x, dim)
         if best_val <= lower + 1e-12:
             break
-    if best_val <= eps:
-        side = "YES"
-    elif best_val >= 1.0 - eps:
-        side = "NO"
-    else:
-        side = None
     return ProblemVerdict(
         problem=NON_ISOMETRY,
         statistic=best_val,
         eps=eps,
         yes_bound=eps,
         no_bound=1.0 - eps,
-        consistent_with=side,
-        heuristic_only=not (side == "YES" or (side == "NO" and lower >= 1.0 - eps)),
         witness=PureState(best_psi),
         seed=_seed_record(seed),
         lower_bound=lower,
@@ -300,20 +308,12 @@ def pure_fixed_point_search(
         x, fun = _nelder_mead(objective, x0, 600, fatol=1e-11)
         if fun < best_val:
             best_val, best_psi = fun, _unit_vector(x, d)
-    if best_val <= eps:
-        side = "YES"
-    elif best_val >= 2.0 - eps:
-        side = "NO"
-    else:
-        side = None
     return ProblemVerdict(
         problem=PURE_FIXED_POINT,
         statistic=best_val,
         eps=eps,
         yes_bound=eps,
         no_bound=2.0 - eps,
-        consistent_with=side,
-        heuristic_only=side != "YES",
         witness=PureState(best_psi),
         seed=_seed_record(seed),
     )
@@ -361,23 +361,12 @@ def min_output_entropy(
         s = von_neumann_entropy(output(psi))
         if s < best_val:
             best_val, best_psi = s, psi
-    best_val = max(best_val, 0.0)
-    yes_bound = eps * log_dim
-    no_bound = (1.0 - eps) * log_dim
-    if best_val <= yes_bound:
-        side = "YES"
-    elif best_val >= no_bound:
-        side = "NO"
-    else:
-        side = None
     return ProblemVerdict(
         problem=MIN_OUTPUT_ENTROPY,
-        statistic=best_val,
+        statistic=max(best_val, 0.0),
         eps=eps,
-        yes_bound=yes_bound,
-        no_bound=no_bound,
-        consistent_with=side,
-        heuristic_only=side != "YES",
+        yes_bound=eps * log_dim,
+        no_bound=(1.0 - eps) * log_dim,
         witness=PureState(best_psi),
         seed=_seed_record(seed),
     )

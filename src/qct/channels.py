@@ -555,8 +555,13 @@ class EpsPrivateReport:
     key_average_bound_trace: float
     decryption_upper_bound: float
     key_average_upper_bound: float
-    verdict: str
     seed: int | tuple[int, ...] | None
+
+    @property
+    def verdict(self) -> str:
+        """VIOLATES when either lower bound exceeds ``eps``, else CONSISTENT-WITH-EPS-PRIVATE."""
+        violated = self.decryption_bound > self.eps or self.key_average_bound > self.eps
+        return VERDICT_VIOLATES if violated else VERDICT_CONSISTENT
 
     @property
     def d1(self) -> float:
@@ -583,8 +588,10 @@ def check_eps_private(
     consistent verdict.  ``decryption_upper_bound`` and
     ``key_average_upper_bound`` are the matching diamond upper bounds: when
     both are at or below ``eps`` the family is proven eps-private.  Each
-    ascent stops once it meets its upper bound.
+    ascent stops once it meets its upper bound.  ``eps`` must be finite and >= 0.
     """
+    if not 0.0 <= eps < np.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
     if decryptor.input_qubits != family.output_qubits or (
         decryptor.output_qubits != family.input_qubits
     ):
@@ -614,19 +621,14 @@ def check_eps_private(
     omega = depolarizing(family.input_qubits, family.output_qubits)
     averaged = _key_mixture(family, chois)
     dd2 = diamond_distance(averaged, omega, restarts, seed)
-    d2 = dd2.lower_bound
-    d2_trace = trace_distance_no_reference(averaged, omega, restarts, seed)
-    d1 = max(per_key)
-    verdict = VERDICT_VIOLATES if (d1 > eps or d2 > eps) else VERDICT_CONSISTENT
     return EpsPrivateReport(
         eps=eps,
-        decryption_bound=d1,
+        decryption_bound=max(per_key),
         decryption_per_key=tuple(per_key),
-        key_average_bound=d2,
+        key_average_bound=dd2.lower_bound,
         decryption_bound_trace=max(per_key_trace),
-        key_average_bound_trace=d2_trace,
+        key_average_bound_trace=trace_distance_no_reference(averaged, omega, restarts, seed),
         decryption_upper_bound=max(per_key_upper),
         key_average_upper_bound=dd2.upper_bound,
-        verdict=verdict,
         seed=_seed_record(seed),
     )

@@ -155,8 +155,11 @@ class ProtocolResult:
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
     """Two-sided Wilson score interval; valid near frequencies of zero and one."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    for name, count in (("successes", successes), ("trials", trials)):
+        if not isinstance(count, (int, np.integer)) or isinstance(count, (bool, np.bool_)):
+            raise ValueError(f"{name} must be an integer count, got {count!r}")
+    if trials < 1 or not 0 <= successes <= trials:
+        raise ValueError(f"successes {successes} must lie in [0, trials] with trials {trials} >= 1")
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom

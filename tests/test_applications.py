@@ -630,3 +630,158 @@ class TestSeeding:
     def test_seeds_that_name_no_stream_are_rejected(self, draw):
         with pytest.raises(ValueError, match="seed must be an integer"):
             draw()
+
+
+def _parent_verdict(problem, statistic, eps, lower, upper):
+    """``(side, heuristic_only)`` by the four per-search chains the verdict rule replaced.
+
+    Minimum output entropy is taken at one output qubit, so its bounds are
+    ``eps`` and ``1 - eps``.
+    """
+    if problem == applications.NON_IDENTITY:
+        if statistic >= 2.0 - eps:
+            side, heuristic = "YES", False
+        elif statistic <= eps:
+            side, heuristic = "NO", upper > eps
+        else:
+            side, heuristic = None, True
+        return side, heuristic
+    if problem == applications.NON_ISOMETRY:
+        if statistic <= eps:
+            side = "YES"
+        elif statistic >= 1.0 - eps:
+            side = "NO"
+        else:
+            side = None
+        return side, not (side == "YES" or (side == "NO" and lower >= 1.0 - eps))
+    if problem == applications.PURE_FIXED_POINT:
+        if statistic <= eps:
+            side = "YES"
+        elif statistic >= 2.0 - eps:
+            side = "NO"
+        else:
+            side = None
+        return side, side != "YES"
+    yes_bound = eps * 1.0
+    no_bound = (1.0 - eps) * 1.0
+    if statistic <= yes_bound:
+        side = "YES"
+    elif statistic >= no_bound:
+        side = "NO"
+    else:
+        side = None
+    return side, side != "YES"
+
+
+# (yes_bound, no_bound) as each search computes them; entropy at one output qubit
+VERDICT_BOUNDS = {
+    applications.NON_IDENTITY: lambda eps: (2.0 - eps, eps),
+    applications.NON_ISOMETRY: lambda eps: (eps, 1.0 - eps),
+    applications.PURE_FIXED_POINT: lambda eps: (eps, 2.0 - eps),
+    applications.MIN_OUTPUT_ENTROPY: lambda eps: (eps * 1.0, (1.0 - eps) * 1.0),
+}
+# the largest eps that keeps the YES side off the NO side
+VERDICT_MAX_EPS = {
+    applications.NON_IDENTITY: 1.0,
+    applications.NON_ISOMETRY: 0.5,
+    applications.PURE_FIXED_POINT: 1.0,
+    applications.MIN_OUTPUT_ENTROPY: 0.5,
+}
+
+
+def _verdict(problem, statistic, eps, lower=None, upper=None):
+    yes_bound, no_bound = VERDICT_BOUNDS[problem](eps)
+    return applications.ProblemVerdict(
+        problem=problem, statistic=statistic, eps=eps, yes_bound=yes_bound, no_bound=no_bound,
+        witness=states.PureState(np.array([1.0, 0.0])), seed=0, lower_bound=lower, upper_bound=upper,
+    )
+
+
+def _far_bounds(problem, far):
+    """``(lower, upper)`` as the searches fill them: the far-side bound, or neither."""
+    if problem == applications.NON_IDENTITY:
+        return None, far
+    if problem == applications.NON_ISOMETRY:
+        return far, None
+    return None, None
+
+
+def _boundary_cases():
+    """Each problem's statistic at, one ulp either side of, and between its two bounds."""
+    cases = []
+    for problem, eps in [(p, 0.1) for p in VERDICT_BOUNDS] + [(applications.MIN_OUTPUT_ENTROPY, 0.5)]:
+        yes_bound, no_bound = VERDICT_BOUNDS[problem](eps)
+        stats = [yes_bound, no_bound, (yes_bound + no_bound) / 2]
+        stats += [math.nextafter(b, d) for b in (yes_bound, no_bound) for d in (-math.inf, math.inf)]
+        fars = [no_bound, math.nextafter(no_bound, -math.inf), math.nextafter(no_bound, math.inf)]
+        cases += [(problem, eps, stat, far) for stat in stats for far in fars]
+    return cases
+
+
+class TestVerdictRule:
+    @pytest.mark.parametrize("problem, eps, stat, far", _boundary_cases())
+    def test_side_and_proof_match_the_per_search_chains(self, problem, eps, stat, far):
+        lower, upper = _far_bounds(problem, far)
+        verdict = _verdict(problem, stat, eps, lower, upper)
+        assert (verdict.consistent_with, verdict.heuristic_only) == _parent_verdict(
+            problem, stat, eps, lower, upper
+        )
+
+    def test_boundary_table_reaches_every_outcome(self):
+        seen = {problem: set() for problem in VERDICT_BOUNDS}
+        for problem, eps, stat, far in _boundary_cases():
+            verdict = _verdict(problem, stat, eps, *_far_bounds(problem, far))
+            seen[problem].add((verdict.consistent_with, verdict.heuristic_only))
+        proven_no = {applications.NON_IDENTITY, applications.NON_ISOMETRY}
+        for problem, outcomes in seen.items():
+            assert {("YES", False), ("NO", True), (None, True)} <= outcomes
+            assert (("NO", False) in outcomes) == (problem in proven_no)
+
+    def test_entropy_tie_goes_to_yes(self):
+        verdict = _verdict(applications.MIN_OUTPUT_ENTROPY, 0.5, 0.5)
+        assert verdict.yes_bound == verdict.no_bound == 0.5
+        assert verdict.consistent_with == "YES" and not verdict.heuristic_only
+
+    def test_nonidentity_no_is_proven_by_its_upper_bound_only(self):
+        eps = 0.1
+        at = _verdict(applications.NON_IDENTITY, 0.05, eps, upper=eps)
+        above = _verdict(applications.NON_IDENTITY, 0.05, eps, upper=math.nextafter(eps, math.inf))
+        by_lower = _verdict(applications.NON_IDENTITY, 0.05, eps, lower=0.0)
+        assert (at.consistent_with, at.heuristic_only) == ("NO", False)
+        assert (above.consistent_with, above.heuristic_only) == ("NO", True)
+        assert (by_lower.consistent_with, by_lower.heuristic_only) == ("NO", True)
+
+    def test_nonidentity_keeps_the_diamond_upper_bound(self):
+        chan = random_channel(1, 5)
+        verdict = nonidentity_stat(chan, 0.1, restarts=5, seed=4)
+        dd = diamond_distance(chan, identity_channel(1), 5, 4)
+        assert verdict.upper_bound == dd.upper_bound and verdict.statistic == dd.lower_bound
+        assert verdict.upper_bound > verdict.statistic  # an open gap, so the field is not a copy
+
+    @pytest.mark.parametrize("problem", sorted(VERDICT_MAX_EPS))
+    def test_eps_up_to_the_shared_boundary_is_accepted(self, problem):
+        for eps in (0.0, VERDICT_MAX_EPS[problem]):
+            assert _verdict(problem, 0.3, eps).eps == eps
+
+    @pytest.mark.parametrize("problem", sorted(VERDICT_MAX_EPS))
+    def test_eps_without_a_gap_is_rejected(self, problem):
+        for eps in (math.nan, -0.1, math.nextafter(VERDICT_MAX_EPS[problem], math.inf), math.inf):
+            with pytest.raises(ValueError, match="eps"):
+                _verdict(problem, 0.3, eps)
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda: nonisometry_stat(identity_channel(1), 2.0, restarts=1),
+            lambda: nonisometry_stat(identity_channel(1), 0.6, restarts=1),
+            lambda: nonidentity_stat(identity_channel(1), math.nan, restarts=1),
+            lambda: nonidentity_stat(identity_channel(1), 1.5, restarts=1),
+            lambda: pure_fixed_point_search(identity_channel(1), -0.01, restarts=1),
+            lambda: min_output_entropy(depolarizing(1), restarts=1, eps=0.75),
+        ],
+        ids=["nonisometry-2", "nonisometry-0.6", "nonidentity-nan", "nonidentity-1.5",
+             "pfp-negative", "moe-0.75"],
+    )
+    def test_searches_reject_eps_without_a_gap(self, search):
+        with pytest.raises(ValueError, match="eps"):
+            search()

@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import math
 import types
 
 import numpy as np
@@ -371,6 +373,31 @@ class TestEpsPrivacy:
         )
         assert leaky.key_average_bound <= leaky.key_average_upper_bound + 1e-12
         assert abs(leaky.key_average_upper_bound - 1.5) <= 1e-12
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -0.1])
+    def test_eps_is_checked_before_any_ascent(self, eps, monkeypatch):
+        def no_ascent(*args, **kwargs):
+            raise AssertionError("an ascent ran before eps was checked")
+
+        monkeypatch.setattr(qct.channels, "diamond_distance", no_ascent)
+        monkeypatch.setattr(qct.channels, "trace_distance_no_reference", no_ascent)
+        fam = identity_keyed_family(1, 2)
+        with pytest.raises(ValueError, match="eps"):
+            check_eps_private(fam, identity_keyed_family(1, 2), eps=eps, restarts=5, seed=0)
+
+    def test_verdict_follows_the_stored_lower_bounds(self):
+        report = check_eps_private(
+            pauli_otp_family(1), pauli_otp_decryptor(1), eps=0.01, restarts=5, seed=0
+        )
+        above = math.nextafter(0.25, math.inf)
+        for d1, d2, verdict in [
+            (0.25, 0.25, VERDICT_CONSISTENT),
+            (above, 0.0, VERDICT_VIOLATES),
+            (0.0, above, VERDICT_VIOLATES),
+            (0.0, 0.0, VERDICT_CONSISTENT),
+        ]:
+            moved = dataclasses.replace(report, eps=0.25, decryption_bound=d1, key_average_bound=d2)
+            assert moved.verdict == verdict
 
     def test_trace_variants_bounded_by_diamond(self):
         fam = identity_keyed_family(1, 2)

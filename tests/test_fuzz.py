@@ -1,14 +1,17 @@
-"""Property tests for the document readers.
+"""Property tests for the document readers and the verdict rule.
 
 Every reader either returns an object or raises a ``QctError``, whatever JSON
 value one field of a valid document is replaced with; every reader rejects a
 stray key in any object of a valid document by name; and circuits drawn from
-the op field table survive ``serialize -> parse`` unchanged.
+the op field table survive ``serialize -> parse`` unchanged.  A
+``ProblemVerdict`` derives the side and proof status the four searches used
+to compute one by one.
 """
 
 import copy
 import functools
 import json
+import math
 import operator
 import re
 import tempfile
@@ -39,6 +42,13 @@ from qct import (
 )
 from qct.circuits import _ARITY, _OP_FIELDS, _OPTIONAL_FIELDS
 from qct.cli import load_config
+from test_applications import (
+    VERDICT_BOUNDS,
+    VERDICT_MAX_EPS,
+    _far_bounds,
+    _parent_verdict,
+    _verdict,
+)
 
 # integers beyond the float range are valid JSON and overflow float conversions
 INTEGERS = st.integers() | st.integers(-(10**400), 10**400)
@@ -196,3 +206,28 @@ def test_serialize_parse_round_trip(circuit):
             b.kind, b.targets, b.control, b.count, b.key_bits
         )
         assert (a.matrix is None and b.matrix is None) or np.array_equal(a.matrix, b.matrix)
+
+
+@st.composite
+def verdict_inputs(draw):
+    """A problem, an eps with a gap, and a statistic and far-side bound that often sit on an edge."""
+    problem = draw(st.sampled_from(sorted(VERDICT_BOUNDS)))
+    top = VERDICT_MAX_EPS[problem]
+    eps = draw(st.floats(0.0, top) | st.sampled_from([0.0, top]))
+    yes_bound, no_bound = VERDICT_BOUNDS[problem](eps)
+    edges = [b for bound in (yes_bound, no_bound) for b in
+             (bound, math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf))]
+    statistic = draw(st.floats(-0.5, 2.5) | st.sampled_from(edges))
+    far = draw(st.floats(-0.5, 2.5) | st.sampled_from(edges))
+    return problem, statistic, eps, far
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(inputs=verdict_inputs())
+def test_verdict_rule_matches_the_per_search_chains(inputs):
+    problem, statistic, eps, far = inputs
+    lower, upper = _far_bounds(problem, far)
+    verdict = _verdict(problem, statistic, eps, lower, upper)
+    assert (verdict.consistent_with, verdict.heuristic_only) == _parent_verdict(
+        problem, statistic, eps, lower, upper
+    )

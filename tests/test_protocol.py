@@ -356,6 +356,18 @@ class TestWilson:
         with pytest.raises(ValueError):
             wilson_interval(0, 0)
 
+    @pytest.mark.parametrize(
+        "successes, trials, name",
+        [(5, 3, "successes 5"), (-1, 3, "successes -1"), (2, 3.5, "trials"), (2.0, 3, "successes"),
+         (True, 3, "successes"), (1, "3", "trials")],
+    )
+    def test_bad_counts_are_named(self, successes, trials, name):
+        with pytest.raises(ValueError, match=name):
+            wilson_interval(successes, trials)
+
+    def test_numpy_integer_counts_are_counts(self):
+        assert wilson_interval(np.int64(750), np.int32(1000)) == wilson_interval(750, 1000)
+
 
 class TestObservable:
     def test_observable_is_positive_contraction(self):
