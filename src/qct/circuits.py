@@ -36,29 +36,16 @@ GATE_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 GATE_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 GATE_Z = np.diag([1, -1]).astype(np.complex128)
 
-
-def _permutation_matrix(dim: int, image) -> np.ndarray:
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    for col in range(dim):
-        m[image(col), col] = 1.0
-    return m
-
-
-# matrix qubit 0 is the control for CNOT; qubits 0,1 are the controls for CCNOT
-GATE_CNOT = _permutation_matrix(4, lambda b: (b & 1) | ((((b >> 1) ^ b) & 1) << 1))
-GATE_CCNOT = _permutation_matrix(
-    8, lambda b: (b & 3) | ((((b >> 2) ^ ((b & (b >> 1)))) & 1) << 2)
-)
-
+# kind -> (V, c): V acts on the last targets where the first c targets are all 1
 _FIXED_GATES = {
-    "H": (GATE_H, 1),
-    "S": (GATE_S, 1),
-    "T": (GATE_T, 1),
-    "X": (GATE_X, 1),
-    "Y": (GATE_Y, 1),
-    "Z": (GATE_Z, 1),
-    "CNOT": (GATE_CNOT, 2),
-    "CCNOT": (GATE_CCNOT, 3),
+    "H": (GATE_H, 0),
+    "S": (GATE_S, 0),
+    "T": (GATE_T, 0),
+    "X": (GATE_X, 0),
+    "Y": (GATE_Y, 0),
+    "Z": (GATE_Z, 0),
+    "CNOT": (GATE_X, 1),
+    "CCNOT": (GATE_X, 2),
 }
 
 PLACEHOLDER_KIND = "keyed_pauli"
@@ -75,7 +62,7 @@ _OP_FIELDS: dict[str, tuple[str, ...]] = {
 }
 # Fields a kind may leave out: a keyed Pauli without a control wire is uncontrolled.
 _OPTIONAL_FIELDS = {(PLACEHOLDER_KIND, "control")}
-_ARITY = {**{kind: arity for kind, (_, arity) in _FIXED_GATES.items()}, PLACEHOLDER_KIND: 1}
+_ARITY = {**{kind: 1 + c for kind, (_, c) in _FIXED_GATES.items()}, PLACEHOLDER_KIND: 1}
 
 
 def _is_unitary(mat: np.ndarray) -> bool:
@@ -211,19 +198,25 @@ class GateOp:
             wires = wires + (self.control,)
         return wires
 
-    def as_unitary(self) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Concrete unitary and the wires it acts on, control wire last."""
+    def action(self) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
+        """``(V, targets, controls)``: V acts on the targets where every control wire is 1."""
         if self.kind in _FIXED_GATES:
-            return _FIXED_GATES[self.kind][0], self.targets
+            v, controls = _FIXED_GATES[self.kind]
+            return v, self.targets[controls:], self.targets[:controls]
         if self.kind == "unitary":
-            return self.matrix, self.targets
+            return self.matrix, self.targets, ()
         if self.kind == "controlled":
-            d = self.matrix.shape[0]
-            block = np.zeros((2 * d, 2 * d), dtype=np.complex128)
-            block[:d, :d] = np.eye(d)
-            block[d:, d:] = self.matrix
-            return block, self.targets + (self.control,)
+            return self.matrix, self.targets, (self.control,)
         raise UnsupportedGateError(f"{self.kind} has no unitary action")
+
+    def as_unitary(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """Concrete unitary and the wires it acts on, control wires last."""
+        v, targets, controls = self.action()
+        if not controls:
+            return v, targets
+        block = np.eye(len(v) << len(controls), dtype=np.complex128)
+        block[-len(v) :, -len(v) :] = v
+        return block, targets + controls
 
 
 @dataclass(frozen=True)
@@ -329,6 +322,8 @@ def identity_circuit(n_qubits: int) -> MixedStateCircuit:
 # Columns per block in ``_dilate``: a block of ``2**total`` rows holds 2**17
 # complex entries (2 MB), so every gate of the loop finds it in cache.
 _BLOCK_ENTRIES = 2**17
+# A one-qubit V with only these entries moves slices, each product exact.
+_EXACT_ENTRIES = frozenset((0, 1, -1, 1j, -1j))
 
 
 def _dilate(circuit: MixedStateCircuit, columns: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -339,20 +334,25 @@ def _dilate(circuit: MixedStateCircuit, columns: int) -> tuple[np.ndarray, tuple
     first ``2**input_qubits`` columns are the inputs with every ancilla at zero.
     The columns run through the gates in blocks of ``max(1, _BLOCK_ENTRIES >>
     total)``, each held as a ``[2] * total + [block]`` tensor whose axis
-    ``total - 1 - w`` is wire ``w``.  A block stays in cache through the whole
-    gate list: each gate is one contraction that leaves its output axes in
-    front, ``order`` records which axis sits where, and one copy per block
-    restores the layout.  Columns never mix, so the blocking changes no bit of
-    the result; the cost is ``2**(total + k)`` multiply-adds per column for
-    each k-qubit gate, with ``left_apply_unitary`` called once per gate and
-    block.
+    ``total - 1 - w`` is wire ``w``, and kept in cache through the whole gate
+    list.  A gate is V on k targets where its c controls are 1.  A one-qubit V
+    with entries in ``_EXACT_ENTRIES`` (X, Y, Z, S, CNOT, CCNOT, controlled
+    Paulis) scales one slice or swaps two: one exact multiply per moved entry,
+    at most ``2**(total - c)`` per column.  Any other V is one
+    ``left_apply_unitary`` contraction, ``2**(total - c + k)`` multiply-adds
+    per column: with controls, on the view where they are 1, copied back;
+    without, leaving its output axes in front, ``order`` recording which axis
+    sits where.  One add of 0.0 per block restores the layout and turns the
+    -0.0 a slice move keeps into the +0.0 a contraction's sum gives.  Columns
+    never mix, and a block width that is a multiple of 4 changes no bit of
+    them; narrower blocks can meet BLAS's edge kernel, which rounds apart.
     """
     if circuit.has_placeholders:
         raise UnsupportedGateError("expand key placeholders before compiling")
     total = circuit.input_qubits + circuit.ancilla_total
     check_capacity(total, "canonical form")
     order = list(range(total + 1))  # order[p]: the axis of the layout held at position p
-    gates: list[tuple[np.ndarray, list[int]]] = []
+    gates: list[tuple] = []
     traced: list[int] = []
     for op in circuit.ops:
         if op.kind == "ancilla":
@@ -360,11 +360,20 @@ def _dilate(circuit: MixedStateCircuit, columns: int) -> tuple[np.ndarray, tuple
         if op.kind == "traceout":
             traced.extend(op.targets)
             continue
-        u, wires = op.as_unitary()
-        axes = [total - 1 - w for w in wires]
-        gates.append((u, [order.index(a) for a in axes]))
-        front = axes[::-1]
-        order = front + [a for a in order if a not in front]
+        v, targets, controls = op.action()
+        at = [order.index(total - 1 - w) for w in targets]
+        held = [order.index(total - 1 - w) for w in controls]
+        view = [1 if p in held else slice(None) for p in range(total + 1)]
+        if v.shape == (2, 2) and all(z in _EXACT_ENTRIES for z in v.flat):
+            lo, hi = list(view), view
+            lo[at[0]], hi[at[0]] = 0, 1
+            gates.append(("scale" if v[0, 1] == 0 else "swap", v, tuple(lo), tuple(hi)))
+        elif controls:
+            gates.append(("control", v, [p - sum(c < p for c in held) for p in at], tuple(view)))
+        else:
+            gates.append(("dense", v, at, None))
+            front = [order[p] for p in reversed(at)]
+            order = front + [a for a in order if a not in front]
     restore = [order.index(a) for a in range(total + 1)]
     mat = np.empty((2**total, columns), dtype=np.complex128)
     blocks = mat.reshape([2] * total + [columns])
@@ -372,9 +381,21 @@ def _dilate(circuit: MixedStateCircuit, columns: int) -> tuple[np.ndarray, tuple
     for start in range(0, columns, width):
         cols = min(width, columns - start)
         arr = np.eye(2**total, cols, -start, dtype=np.complex128).reshape([2] * total + [cols])
-        for u, positions in gates:
-            arr = left_apply_unitary(arr, u, positions)
-        blocks[..., start : start + cols] = arr.transpose(restore)
+        for path, v, a, b in gates:
+            if path == "dense":
+                arr = left_apply_unitary(arr, v, a)
+            elif path == "control":
+                out = left_apply_unitary(arr[b], v, a)
+                arr[b] = np.moveaxis(out, list(range(len(a))), a[::-1])
+            elif path == "scale":  # diagonal V: scale each slice whose entry is not 1
+                for index, z in ((a, v[0, 0]), (b, v[1, 1])):
+                    if z != 1:
+                        np.multiply(arr[index], z, out=arr[index])
+            else:  # anti-diagonal V: swap the two slices, scaling each by its entry
+                moved = arr[b] * v[0, 1]
+                np.multiply(arr[a], v[1, 0], out=arr[b])
+                arr[a] = moved
+        np.add(arr.transpose(restore), 0.0, out=blocks[..., start : start + cols])
     return mat, tuple(traced)
 
 
@@ -413,9 +434,13 @@ def canonicalize(circuit: MixedStateCircuit) -> CanonicalCircuit:
     gives ``delta_i <= (1 + e_i) delta_(i-1) + e_i``, hence
     ``delta_m <= B = sum_i e_i prod_(j>i) (1 + e_j)``, the recurrence the
     bound runs, and ``prod_j (1 + e_j) = 1 + B``.  Rounding: the computed
-    product gains ``E_i`` per gate, whose columns are errors of complex dot
-    products of length at most 8, so ``||E_i||_2 <= ||E_i||_F <= sqrt(2)
-    gamma_10 ||g_i||_F ||U_(i-1)||_F <= 4.5e-15 sqrt(d) ||U_(i-1)||_2``.
+    product gains ``E_i`` per gate.  A slice move writes single products by
+    0, +-1 or +-i, which are exact, so its ``E_i`` is 0 (as is the final add
+    of 0.0).  A controlled contraction leaves the entries with a control at 0
+    exact and sums the rest over ``2**k`` terms, half its block's length.  So
+    the columns of ``E_i`` are errors of complex dot products of length at
+    most 8, and ``||E_i||_2 <= ||E_i||_F <= sqrt(2) gamma_10 ||g_i||_F
+    ||U_(i-1)||_F <= 4.5e-15 sqrt(d) ||U_(i-1)||_2``.
     While every ``e_j`` and ``delta`` stay below 1e-9, ``E_i`` adds at most
     ``2 ||G_i|| ||U_(i-1)|| ||E_i|| + ||E_i||^2 <= 1e-14 sqrt(d)`` to
     ``delta``, growing by at most the factor ``1 + B`` after it.  The check

@@ -201,9 +201,6 @@ class DensityOperator:
     def n_qubits(self) -> int:
         return qubit_count(self.dim)
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
 
 @dataclass(frozen=True)
 class HermitianObservable:
@@ -438,9 +435,11 @@ def left_apply_unitary(arr: np.ndarray, u: np.ndarray, axes: Sequence[int]) -> n
     holds the k output qubits on its first k axes, matrix qubit k-1 first,
     followed by the other axes of ``arr`` in their order.  Nothing is moved
     back, so a gate loop tracks where each qubit sits and restores the layout
-    once, at the end.  ``circuits._dilate`` calls it once per gate and column
-    block, on a ``[2] * total + [block]`` tensor of about 2 MB; a call costs
-    ``2**k`` multiply-adds per entry of ``arr``.
+    once, at the end.  A call costs ``2**k`` multiply-adds per entry of
+    ``arr``.  ``circuits._dilate`` calls it once per column block for each
+    gate that is not a slice move: on the whole ``[2] * total + [block]``
+    tensor of about 2 MB for an uncontrolled gate, and on the view where the
+    controls are 1, ``2**-c`` of it, for a gate with c controls.
     """
     return _gate_first(arr, u, axes)
 

@@ -31,7 +31,17 @@ from qct import (
     to_channel,
 )
 from qct import circuits
-from qct.circuits import GATE_H, GATE_Z, _circuit_to_json, _dilate, _unitarity_bound, stinespring
+from qct.circuits import (
+    GATE_H,
+    GATE_S,
+    GATE_X,
+    GATE_Y,
+    GATE_Z,
+    _circuit_to_json,
+    _dilate,
+    _unitarity_bound,
+    stinespring,
+)
 from qct.states import apply_unitary_mat, partial_trace_wires
 
 
@@ -447,6 +457,9 @@ class TestKernelBlocks:
         ops = [GateOp.ancillas(2)] + _random_gates(rng, list(range(6)), 20) + [GateOp.trace_out(4, 1)]
         circuit = MixedStateCircuit(4, tuple(ops), 4)
         whole = stinespring(circuit)
+        # X Y Z S CNOT CCNOT move slices; H, T and the random matrices contract
+        moved = {"X", "Y", "Z", "S", "CNOT", "CCNOT"}
+        dense = sum(op.kind not in moved for op in ops[1:-1])
         calls = []
         apply = circuits.left_apply_unitary
         monkeypatch.setattr(circuits, "_BLOCK_ENTRIES", 3 * 2**6)  # 3 columns, the last block 1
@@ -455,9 +468,131 @@ class TestKernelBlocks:
         )
         want = _unitary_by_gates(circuit)
         assert np.array_equal(canonicalize(circuit).unitary, want)
-        assert len(calls) == 20 * 22  # gates x ceil(64 / 3) blocks
+        assert len(calls) == dense * 22  # dense gates x ceil(64 / 3) blocks
         assert np.array_equal(_dilate(circuit, 2**4)[0], want[:, : 2**4])
         assert np.array_equal(stinespring(circuit), whole)
+
+
+# Controlled V on the slice path, diagonal and anti-diagonal, each with a phase on slice 0
+CONTROLLED_V = {
+    "controlled diagonal": [GATE_Z, GATE_S, np.diag([1j, -1])],
+    "controlled anti-diagonal": [GATE_X, GATE_Y, np.array([[0, -1j], [1, 0]])],
+}
+KERNEL_KINDS = [
+    "H", "S", "T", "X", "Y", "Z", "CNOT", "CCNOT", "unitary", "unitary X",
+    "controlled dense", *CONTROLLED_V, "ancilla", "traceout",
+]
+
+
+def _kernel_circuit(pick):
+    """12 ops on 3-7 wires for the gate kernel: every gate kind, a controlled V
+    that is diagonal, anti-diagonal or dense, a ``unitary`` equal to X, ancillas
+    and traces.  ``pick(options)`` returns one of the options.
+
+    Two inputs or more, so that ``_dilate``'s blocks, like the ones the checks
+    below set, hold a multiple of 4 columns.  Narrower blocks can meet BLAS's
+    edge kernel, which rounds a contraction apart from the whole-matrix
+    reference, with or without gate structure (see ``_dilate``)."""
+    n_in = pick(range(2, 6))
+    ops = [GateOp.ancillas(3 - n_in)] if n_in < 3 else []
+    live = list(range(max(n_in, 3)))
+    created = len(live)
+    for _ in range(12):
+        kind = pick(KERNEL_KINDS)
+        if kind == "ancilla" and created < 7:
+            ops.append(GateOp.ancillas(1))
+            live.append(created)
+            created += 1
+        elif kind == "traceout" and len(live) > 3:
+            wire = pick(live)
+            ops.append(GateOp.trace_out(wire))
+            live.remove(wire)
+        elif kind not in ("ancilla", "traceout"):
+            a = pick(live)
+            b = pick([w for w in live if w != a])
+            c = pick([w for w in live if w not in (a, b)])
+            if kind == "CNOT":
+                ops.append(GateOp.cnot(a, b))
+            elif kind == "CCNOT":
+                ops.append(GateOp.ccnot(a, b, c))
+            elif kind == "unitary":
+                ops.append(GateOp.unitary(random_unitary(4, pick(range(99))), (a, b)))
+            elif kind == "unitary X":
+                ops.append(GateOp.unitary(GATE_X, (a,)))
+            elif kind == "controlled dense":
+                k = pick([1, 2])
+                v = random_unitary(2**k, pick(range(99)))
+                ops.append(GateOp.controlled(a, v, (b, c)[:k]))
+            elif kind in CONTROLLED_V:
+                ops.append(GateOp.controlled(a, pick(CONTROLLED_V[kind]), (b,)))
+            else:
+                ops.append(GateOp(kind, (a,)))
+    return MixedStateCircuit(n_in, tuple(ops), len(live))
+
+
+def _kraus_by_rows(columns, traced, kept):
+    """Reference Kraus stack: entry (g, o) is the row of ``columns`` whose traced
+    wires spell g, the first traced wire on top, and whose kept wires spell o,
+    the highest kept wire on top."""
+    rows = [
+        sum(((g >> (len(traced) - 1 - i)) & 1) << w for i, w in enumerate(traced))
+        + sum(((o >> j) & 1) << w for j, w in enumerate(kept))
+        for g in range(2 ** len(traced))
+        for o in range(2 ** len(kept))
+    ]
+    return columns[rows].reshape(2 ** len(traced), 2 ** len(kept), -1)
+
+
+def _check_gate_kernel(circuit, columns_per_block):
+    """``canonicalize``, ``_dilate`` and ``stinespring`` equal the gate-by-gate
+    reference bit for bit, in blocks of ``columns_per_block``, with no -0.0."""
+    total = circuit.input_qubits + circuit.ancilla_total
+    inputs = 2**circuit.input_qubits
+    want = _unitary_by_gates(circuit)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(circuits, "_BLOCK_ENTRIES", columns_per_block << total)
+        unitary = canonicalize(circuit).unitary
+        columns, traced = _dilate(circuit, inputs)
+        kraus = stinespring(circuit)
+    assert np.array_equal(unitary, want)
+    assert np.array_equal(columns, want[:, :inputs])
+    assert np.array_equal(kraus, _kraus_by_rows(want[:, :inputs], traced, circuit.output_wires()))
+    for got in (unitary, columns, kraus):
+        parts = got.view(np.float64)
+        assert not np.signbit(parts[parts == 0]).any()
+
+
+class TestGateKernel:
+    @pytest.mark.parametrize("seed", range(24))
+    def test_seeded_circuits_match_the_gate_by_gate_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        pick = lambda options: options[int(rng.integers(len(options)))]  # noqa: E731
+        _check_gate_kernel(_kernel_circuit(pick), pick([4, 12]))
+
+    def test_the_seeded_circuits_reach_every_gate_kind_and_matrix(self):
+        seen = set()
+        for seed in range(24):
+            rng = np.random.default_rng(seed)
+            for op in _kernel_circuit(lambda options: options[int(rng.integers(len(options)))]).ops:
+                exact = op.matrix is not None and np.isin(op.matrix, [0, 1, -1, 1j, -1j]).all()
+                seen.add((op.kind, op.matrix.tobytes() if exact else len(op.targets)))
+        assert {kind for kind, _ in seen} == set(circuits._OP_FIELDS) - {"keyed_pauli"}
+        assert ("unitary", GATE_X.tobytes()) in seen
+        assert {("controlled", 1), ("controlled", 2)} <= seen  # a dense V on 1 and on 2 targets
+        for v in (v for options in CONTROLLED_V.values() for v in options):
+            assert ("controlled", v.astype(complex).tobytes()) in seen
+
+    def test_cnot_and_ccnot_blocks_are_the_permutations(self):
+        cnot, wires = GateOp.cnot(3, 5).as_unitary()
+        assert wires == (5, 3)  # target the low matrix qubit, control the high one
+        assert np.array_equal(cnot, np.eye(4)[[0, 1, 3, 2]])
+        ccnot, wires = GateOp.ccnot(3, 5, 1).as_unitary()
+        assert wires == (1, 3, 5)
+        assert np.array_equal(ccnot, np.eye(8)[[0, 1, 2, 3, 4, 5, 7, 6]])
+        v = random_unitary(2, 0)
+        block, wires = GateOp.controlled(2, v, (0,)).as_unitary()
+        assert wires == (0, 2)
+        assert np.array_equal(block, np.block([[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), v]]))
 
 
 class TestConcatenate:

@@ -5,7 +5,8 @@ value one field of a valid document is replaced with; every reader rejects a
 stray key in any object of a valid document by name; and circuits drawn from
 the op field table survive ``serialize -> parse`` unchanged.  A
 ``ProblemVerdict`` derives the side and proof status the four searches used
-to compute one by one.
+to compute one by one.  The gate kernel equals the gate-by-gate reference bit
+for bit on drawn circuits.
 """
 
 import copy
@@ -49,6 +50,7 @@ from test_applications import (
     _parent_verdict,
     _verdict,
 )
+from test_circuits import _check_gate_kernel, _kernel_circuit
 
 # integers beyond the float range are valid JSON and overflow float conversions
 INTEGERS = st.integers() | st.integers(-(10**400), 10**400)
@@ -231,3 +233,10 @@ def test_verdict_rule_matches_the_per_search_chains(inputs):
     assert (verdict.consistent_with, verdict.heuristic_only) == _parent_verdict(
         problem, statistic, eps, lower, upper
     )
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(data=st.data())
+def test_gate_kernel_matches_the_gate_by_gate_reference(data):
+    pick = lambda options: data.draw(st.sampled_from(options))  # noqa: E731
+    _check_gate_kernel(_kernel_circuit(pick), pick([4, 12]))
