@@ -414,14 +414,18 @@ def _dual_upper_bound(delta_choi: np.ndarray, d_in: int, d_out: int) -> float:
     return min(2.0 * float(np.linalg.eigvalsh(marginal)[-1]), 2.0)
 
 
+# Every ascent runs at most ASCENT_MAX_ITERS steps and ends once a step gains
+# no more than ASCENT_TOL, or its value comes within ASCENT_TOL of the upper bound.
+ASCENT_MAX_ITERS = 200
+ASCENT_TOL = 1e-13
+
+
 def _ascend(
     delta_choi: np.ndarray,
     d_in: int,
     d_out: int,
     d_ref: int,
     psi: np.ndarray,
-    max_iters: int,
-    tol: float,
     stop: float,
 ) -> tuple[float, np.ndarray]:
     """Alternate between the optimal sign observable and the best input state.
@@ -432,14 +436,14 @@ def _ascend(
     """
     best_val, best_psi = -np.inf, psi
     prev = -np.inf
-    for _ in range(max_iters):
+    for _ in range(ASCENT_MAX_ITERS):
         rho = np.outer(psi, psi.conj())
         mapped = apply_choi_to_segment(delta_choi, d_in, d_out, rho, 1, d_ref)
         vals, vecs = np.linalg.eigh(mapped)
         f = float(np.sum(np.abs(vals)))
         if f > best_val:
             best_val, best_psi = f, psi
-        if f >= stop or f <= prev + tol:
+        if f >= stop or f <= prev + ASCENT_TOL:
             break
         prev = f
         sign_obs = (vecs * np.sign(vals)) @ vecs.conj().T
@@ -455,30 +459,23 @@ def _ascent_max(
     d_in: int,
     d_out: int,
     d_ref: int,
+    fixed_starts: Sequence[np.ndarray],
     restarts: int,
     seed,
-    extra_starts: Sequence[np.ndarray] = (),
-    max_iters: int = 200,
-    tol: float = 1e-13,
 ) -> tuple[float, float, np.ndarray, tuple[float, ...]]:
     """Best ascent value over the starts, the J+ upper bound, the witness and per-start values.
 
-    Starts run in order (the fixed start, ``extra_starts``, then the seeded
-    random starts) until the best value reaches the upper bound less ``tol``.
-    A random start is drawn only when the ascent reaches it.
+    Starts run in order (``fixed_starts``, then the seeded random starts)
+    until the best value reaches the upper bound less ``ASCENT_TOL``.  A
+    random start is drawn only when the ascent reaches it.
     """
     upper = _dual_upper_bound(delta_choi, d_in, d_out)
-    stop = upper - tol
-    fixed: list[np.ndarray] = []
-    if d_ref == d_in:
-        fixed.append(_maximally_entangled(d_in))
-    elif d_ref == 1:
-        fixed.append(np.ones(d_in, dtype=np.complex128) / np.sqrt(d_in))
-    fixed.extend(np.asarray(s, dtype=np.complex128) for s in extra_starts)
+    stop = upper - ASCENT_TOL
+    fixed = (np.asarray(s, dtype=np.complex128) for s in fixed_starts)
     best_val, best_psi = -np.inf, None
     per_restart = []
     for start in itertools.chain(fixed, _random_starts(d_in * d_ref, restarts, seed)):
-        val, psi = _ascend(delta_choi, d_in, d_out, d_ref, start, max_iters, tol, stop)
+        val, psi = _ascend(delta_choi, d_in, d_out, d_ref, start, stop)
         per_restart.append(val)
         if val > best_val:
             best_val, best_psi = val, psi
@@ -512,8 +509,9 @@ def diamond_distance(
         )
     check_capacity(2 * a.n_qubits_in, "diamond-distance input")
     delta = a.choi - b.choi
+    starts = (_maximally_entangled(a.dim_in), *extra_starts)
     val, upper, psi, per_restart = _ascent_max(
-        delta, a.dim_in, a.dim_out, a.dim_in, restarts, seed, extra_starts
+        delta, a.dim_in, a.dim_out, a.dim_in, starts, restarts, seed
     )
     return DiamondResult(
         max(val, 0.0), upper, PureState(psi), per_restart, _seed_record(seed)
@@ -531,7 +529,8 @@ def trace_distance_no_reference(
     if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
         raise DimensionMismatchError("channel dims differ")
     delta = a.choi - b.choi
-    val, _, _, _ = _ascent_max(delta, a.dim_in, a.dim_out, 1, restarts, seed)
+    uniform = np.ones(a.dim_in, dtype=np.complex128) / np.sqrt(a.dim_in)
+    val, _, _, _ = _ascent_max(delta, a.dim_in, a.dim_out, 1, (uniform,), restarts, seed)
     return max(val, 0.0)
 
 

@@ -27,12 +27,11 @@ from .errors import (
     BudgetExceededError,
     CircuitParseError,
     DimensionMismatchError,
-    WrongSideError,
     check_capacity,
 )
-from .reduction import copy_branch_circuit, dummy_qubit_count
+from .reduction import _check_promise, _require_side, copy_branch_circuit, dummy_qubit_count
 from .states import DensityOperator, PureState, _require_seed, qubit_count
-from .verifier import VerifierCircuit, max_accept_probability
+from .verifier import VerifierCircuit
 
 PROVENANCE_SECURE = "SECURE_OTP"
 PROVENANCE_INSECURE = "INSECURE_FROM_VERIFIER"
@@ -81,6 +80,9 @@ class DIInstance:
     provenance: str
 
     def __post_init__(self):
+        _check_promise(self.eps, self.delta)
+        if self.provenance not in PROVENANCES:
+            raise ValueError(f"provenance must be one of {PROVENANCES}, got {self.provenance!r}")
         if self.family.output_qubits < self.family.input_qubits:
             raise DimensionMismatchError(
                 "encryption must not shrink the message register"
@@ -176,12 +178,7 @@ def build_secure_instance(message_qubits: int, eps: float) -> DIInstance:
     """The exact Pauli one-time pad as a secure instance."""
     check_capacity(message_qubits, "secure instance")
     family = pauli_otp_family(message_qubits)
-    return DIInstance(
-        family=family,
-        eps=eps,
-        delta=1.0,
-        provenance=PROVENANCE_SECURE,
-    )
+    return DIInstance(family=family, eps=eps, delta=1.0, provenance=PROVENANCE_SECURE)
 
 
 def build_identity_instance(message_qubits: int, eps: float) -> DIInstance:
@@ -189,12 +186,7 @@ def build_identity_instance(message_qubits: int, eps: float) -> DIInstance:
     from .channels import identity_keyed_family
 
     family = identity_keyed_family(message_qubits, 2 * message_qubits)
-    return DIInstance(
-        family=family,
-        eps=eps,
-        delta=1.0,
-        provenance=PROVENANCE_CUSTOM,
-    )
+    return DIInstance(family=family, eps=eps, delta=1.0, provenance=PROVENANCE_CUSTOM)
 
 
 def build_insecure_instance(v: VerifierCircuit, eps: float, delta: float) -> DIInstance:
@@ -206,12 +198,7 @@ def build_insecure_instance(v: VerifierCircuit, eps: float, delta: float) -> DII
     on the rejecting branch; the whole family is one template circuit with
     controlled keyed-Pauli placeholders.
     """
-    p_star, _ = max_accept_probability(v)
-    if p_star < 1.0 - eps - 1e-9:
-        raise WrongSideError(
-            f"verifier accepts with at most {p_star} < {1.0 - eps}; that would "
-            "build a secure instance, certify it with check_eps_private instead"
-        )
+    _require_side(v, eps, "YES")
     h = v.witness_qubits
     f = dummy_qubit_count(h, delta)
     n = h + f
@@ -224,12 +211,7 @@ def build_insecure_instance(v: VerifierCircuit, eps: float, delta: float) -> DII
     reject = [GateOp.keyed_pauli(i, (2 * i, 2 * i + 1), control=copy_wire) for i in range(n)]
     template = copy_branch_circuit(v, n, a, [], reject)
     family = KeyedChannelFamily(2 * n, template)
-    return DIInstance(
-        family=family,
-        eps=eps,
-        delta=delta,
-        provenance=PROVENANCE_INSECURE,
-    )
+    return DIInstance(family=family, eps=eps, delta=delta, provenance=PROVENANCE_INSECURE)
 
 
 # ---------------------------------------------------------------------------

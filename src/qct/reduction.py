@@ -99,13 +99,52 @@ _CT_FIELDS = (
 )
 
 
+def _check_promise(eps: float, delta: float) -> None:
+    """Raise a ValueError naming ``eps`` or ``delta`` when it lies outside its range."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must be in (0, 1), got {eps}")
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must be in (0, 1], got {delta}")
+
+
+def _read_family(spec, label: str, width: int) -> tuple[dict, MixedStateCircuit]:
+    """The checked spec ``{"name", "params"}`` of a registry family and its circuit at ``width``.
+
+    ``spec`` is a registry name, a ``(name, params)`` pair or a spec document,
+    whose parameter values are integers.  Errors name the path from ``label``.
+    """
+    if isinstance(spec, str):
+        spec = {"name": spec, "params": {}}
+    elif isinstance(spec, tuple) and len(spec) == 2:
+        spec = {"name": spec[0], "params": spec[1]}
+    elif not isinstance(spec, dict):
+        raise TypeError(
+            f"a circuit family is a registry name or a (name, params) pair, got {spec!r}"
+        )
+    _json_object(spec, ("name", "params"), "family specs", within=label)
+    name = _json_field(spec, "name", label)
+    params = _json_field(spec, "params", label)
+    if not isinstance(name, str) or name not in FAMILY_REGISTRY:
+        raise CircuitParseError(
+            f"{label}.name: unknown family {name!r}; known: {sorted(FAMILY_REGISTRY)}"
+        )
+    known = tuple(inspect.signature(FAMILY_REGISTRY[name]).parameters)
+    _json_object(params, known, f"{name} params", within=f"{label}.params")
+    for key, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise CircuitParseError(f"{label}.params.{key}: must be an integer, got {value!r}")
+    spec = {"name": name, "params": {key: int(value) for key, value in params.items()}}
+    try:
+        return spec, family_generator(name, **spec["params"])(width)
+    except (TypeError, ValueError) as exc:
+        raise CircuitParseError(f"{label}.params: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class CTInstance:
-    """A compiled circuit-testing instance; its register sizes and layout are derived."""
+    """A compiled circuit-testing instance; its register sizes, layout and families are derived."""
 
     circuit: MixedStateCircuit
-    c0: MixedStateCircuit
-    c1: MixedStateCircuit
     eps: float
     delta: float
     witness_qubits: int
@@ -113,10 +152,7 @@ class CTInstance:
     c1_spec: dict
 
     def __post_init__(self):
-        if not 0.0 < self.eps < 1.0:
-            raise ValueError(f"eps must be in (0, 1), got {self.eps}")
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"delta must be in (0, 1], got {self.delta}")
+        _check_promise(self.eps, self.delta)
         if self.circuit.input_qubits != self.input_qubits or self.circuit.ancilla_total < 1:
             raise CircuitError(
                 f"instance circuit takes {self.circuit.input_qubits} qubits and "
@@ -124,9 +160,22 @@ class CTInstance:
                 "and a copy qubit"
             )
         widths = (self.input_qubits, self.circuit.output_qubits)
-        for label, fam in (("c0", self.c0), ("c1", self.c1)):
+        for label in ("c0", "c1"):
+            spec, fam = _read_family(getattr(self, f"{label}_spec"), label, self.input_qubits)
             if (fam.input_qubits, fam.output_qubits) != widths:
                 raise CircuitError(f"{label} widths do not match the instance circuit")
+            object.__setattr__(self, f"{label}_spec", spec)
+            object.__setattr__(self, f"_{label}", fam)
+
+    @property
+    def c0(self) -> MixedStateCircuit:
+        """The circuit of ``c0_spec`` at the instance width, built once by ``__post_init__``."""
+        return self._c0
+
+    @property
+    def c1(self) -> MixedStateCircuit:
+        """The circuit of ``c1_spec``, likewise."""
+        return self._c1
 
     @property
     def dummy_qubits(self) -> int:
@@ -157,8 +206,8 @@ class CTInstance:
     def to_json(self) -> dict:
         return {
             "circuit": _circuit_to_json(self.circuit),
-            "c0": self.c0_spec,
-            "c1": self.c1_spec,
+            "c0": dict(self.c0_spec, params=dict(self.c0_spec["params"])),
+            "c1": dict(self.c1_spec, params=dict(self.c1_spec["params"])),
             "eps": self.eps,
             "delta": self.delta,
             "witness_qubits": self.witness_qubits,
@@ -189,10 +238,11 @@ class CTInstance:
                 f"witness_qubits, delta: {h} witness qubits at delta {delta} need {h} + {f} "
                 f"dummy = {h + f} inputs, the circuit takes {circuit.input_qubits}"
             )
+        for label in ("c0", "c1"):
+            if not isinstance(_json_field(doc, label), dict):
+                raise CircuitParseError(f"{label}: must be an object")
         instance = cls(
             circuit=circuit,
-            c0=_family_from_json(doc, "c0", circuit.input_qubits),
-            c1=_family_from_json(doc, "c1", circuit.input_qubits),
             eps=_json_fraction(_json_field(doc, "eps"), "eps", closed_above=False),
             delta=delta,
             witness_qubits=h,
@@ -207,53 +257,41 @@ class CTInstance:
         return instance
 
 
-def _family_from_json(doc: dict, label: str, width: int) -> MixedStateCircuit:
-    """The ``width``-qubit circuit of the registry family named by ``doc[label]``."""
-    _json_object(_json_field(doc, label), ("name", "params"), "family specs", within=label)
-    name = _json_field(doc, f"{label}.name")
-    params = _json_field(doc, f"{label}.params")
-    if not isinstance(name, str) or name not in FAMILY_REGISTRY:
-        raise CircuitParseError(
-            f"{label}.name: unknown family {name!r}; known: {sorted(FAMILY_REGISTRY)}"
-        )
-    if not isinstance(params, dict):
-        raise CircuitParseError(f"{label}.params: must be an object, got {params!r}")
-    known = tuple(inspect.signature(FAMILY_REGISTRY[name]).parameters)
-    _json_object(params, known, f"{name} params", within=f"{label}.params")
-    try:
-        return family_generator(name, **params)(width)
-    except (TypeError, ValueError) as exc:
-        raise CircuitParseError(f"{label}.params: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class CTCertificate:
-    """Numerical evidence for one side of the circuit-testing promise."""
+    """Numerical evidence for one side of the circuit-testing promise; its verdict is derived."""
 
     side: str
-    measured_bound: float
     claimed_bound: float
-    passed: bool
     witness: PureState | None
     probe_distances: tuple[float, ...]
     subspace_dim_claimed: float | None = None
     subspace_dim_achieved: int | None = None
     diamond_lower_bound: float | None = None
     diamond_upper_bound: float | None = None
-    heuristic_consistent: bool | None = None
     seed: int | tuple[int, ...] | None = None
 
+    @property
+    def measured_bound(self) -> float:
+        """The largest probe distance; on the NO side, the diamond lower bound if larger."""
+        if self.side == "YES":
+            return max(self.probe_distances)
+        return max(max(self.probe_distances), self.diamond_lower_bound)
 
-def _resolve_generator(spec) -> tuple[FamilyGenerator, dict]:
-    """A registry family and its document spec, from a name or a ``(name, params)`` pair."""
-    if isinstance(spec, str):
-        return family_generator(spec), {"name": spec, "params": {}}
-    if isinstance(spec, tuple) and len(spec) == 2 and isinstance(spec[0], str):
-        name, params = spec
-        return family_generator(name, **params), {"name": name, "params": dict(params)}
-    raise TypeError(
-        f"a circuit family is a registry name or a (name, params) pair, got {spec!r}"
-    )
+    @property
+    def heuristic_consistent(self) -> bool | None:
+        """NO side: the diamond lower bound is within the claim (1e-6 slack); YES: None."""
+        if self.side == "YES":
+            return None
+        return self.diamond_lower_bound <= self.claimed_bound + 1e-6
+
+    @property
+    def passed(self) -> bool:
+        """Probes within the claim (1e-9 slack), and the subspace (YES) or diamond bound (NO)."""
+        probes_within = max(self.probe_distances) <= self.claimed_bound + 1e-9
+        if self.side == "YES":
+            return probes_within and self.subspace_dim_achieved >= self.subspace_dim_claimed - 1e-9
+        return probes_within and self.heuristic_consistent
 
 
 def _canonical_family(circuit: MixedStateCircuit, label: str):
@@ -315,8 +353,6 @@ def build_ct_circuit(
     rejecting branch runs the second; both controlled blocks share the padded
     ancilla register.
     """
-    c0_gen, c0_spec = _resolve_generator(c0_gen)
-    c1_gen, c1_spec = _resolve_generator(c1_gen)
     h = v.witness_qubits
     f = dummy_qubit_count(h, delta)
     width = h + f
@@ -325,8 +361,8 @@ def build_ct_circuit(
             f"delta {delta} forces a dummy register of {f} qubits; the instance "
             f"would need at least {width + 1} wires, above the cap of {max_qubits()}"
         )
-    c0 = c0_gen(width)
-    c1 = c1_gen(width)
+    c0_spec, c0 = _read_family(c0_gen, "c0", width)
+    c1_spec, c1 = _read_family(c1_gen, "c1", width)
     canon0 = _canonical_family(c0, "c0")
     canon1 = _canonical_family(c1, "c1")
     a = max(v.ancilla_qubits, canon0.ancilla_qubits, canon1.ancilla_qubits)
@@ -344,8 +380,6 @@ def build_ct_circuit(
 
     return CTInstance(
         circuit=circuit,
-        c0=c0,
-        c1=c1,
         eps=eps,
         delta=delta,
         witness_qubits=h,
@@ -394,6 +428,19 @@ def copy_stage_states(v: VerifierCircuit, psi: PureState) -> tuple[np.ndarray, n
 # ---------------------------------------------------------------------------
 
 
+def _require_side(v: VerifierCircuit, eps: float, side: str) -> PureState:
+    """The verifier's optimal witness, once its best acceptance ``p*`` is on ``side``.
+
+    The one test of a verifier's promise side: YES needs ``p* >= 1 - eps``
+    and NO needs ``p* <= eps``, each with 1e-9 slack.
+    """
+    p_star, witness = max_accept_probability(v)
+    if not (p_star >= 1.0 - eps - 1e-9 if side == "YES" else p_star <= eps + 1e-9):
+        need = f">= {1.0 - eps}" if side == "YES" else f"<= {eps}"
+        raise WrongSideError(f"{side} side needs acceptance {need}, the verifier reaches {p_star}")
+    return witness
+
+
 def _yes_probe_states(
     instance: CTInstance, witness: PureState, seed
 ) -> list[tuple[np.ndarray, int]]:
@@ -426,32 +473,20 @@ def certify_yes(instance: CTInstance, v: VerifierCircuit, seed=0) -> CTCertifica
     Uses the verifier's optimal witness, dummy-register probes in basis and
     random directions, and product plus reference-entangled variants.
     """
-    p_star, witness = max_accept_probability(v)
-    if p_star < 1.0 - instance.eps - 1e-9:
-        raise WrongSideError(
-            f"verifier accepts with at most {p_star}, need >= {1.0 - instance.eps}"
-        )
-    bound = instance.bound()
+    witness = _require_side(v, instance.eps, "YES")
     distances = []
     for vec, ref in _yes_probe_states(instance, witness, seed):
         rho = DensityOperator(np.outer(vec, vec.conj()))
         lhs = evaluate(instance.circuit, rho, reference_qubits=ref)
         rhs = evaluate(instance.c0, rho, reference_qubits=ref)
         distances.append(trace_norm(lhs.matrix - rhs.matrix))
-    h, f = instance.witness_qubits, instance.dummy_qubits
-    dim_claimed = 2.0 ** ((h + f) * (1.0 - instance.delta))
-    dim_achieved = 2**f
-    measured = max(distances)
-    passed = measured <= bound + 1e-9 and dim_achieved >= dim_claimed - 1e-9
     return CTCertificate(
         side="YES",
-        measured_bound=measured,
-        claimed_bound=bound,
-        passed=passed,
+        claimed_bound=instance.bound(),
         witness=witness,
         probe_distances=tuple(distances),
-        subspace_dim_claimed=dim_claimed,
-        subspace_dim_achieved=dim_achieved,
+        subspace_dim_claimed=2.0 ** (instance.input_qubits * (1.0 - instance.delta)),
+        subspace_dim_achieved=2**instance.dummy_qubits,
         seed=_seed_record(seed),
     )
 
@@ -471,12 +506,7 @@ def certify_no(
     recorded as consistent with the claim; ``diamond_upper_bound`` at or below
     the threshold proves it.
     """
-    p_star, _ = max_accept_probability(v)
-    if p_star > instance.eps + 1e-9:
-        raise WrongSideError(
-            f"verifier accepts with probability {p_star}, need <= {instance.eps}"
-        )
-    bound = instance.bound()
+    _require_side(v, instance.eps, "NO")
     chan, c1 = to_channel(instance.circuit), to_channel(instance.c1)
     delta = chan.choi - c1.choi
     d_in, d_out = chan.dim_in, chan.dim_out
@@ -486,19 +516,13 @@ def certify_no(
         rho = np.outer(psi, psi.conj())
         distances.append(trace_norm(apply_choi_to_segment(delta, d_in, d_out, rho, 1, d_in)))
     dd = diamond_distance(chan, c1, restarts, seed)
-    measured = max(max(distances), dd.lower_bound)
-    heuristic = dd.lower_bound <= bound + 1e-6
-    passed = max(distances) <= bound + 1e-9 and heuristic
     return CTCertificate(
         side="NO",
-        measured_bound=measured,
-        claimed_bound=bound,
-        passed=passed,
+        claimed_bound=instance.bound(),
         witness=dd.witness,
         probe_distances=tuple(distances),
         diamond_lower_bound=dd.lower_bound,
         diamond_upper_bound=dd.upper_bound,
-        heuristic_consistent=heuristic,
         seed=_seed_record(seed),
     )
 
@@ -530,9 +554,7 @@ def wellformedness_check(
     alternating-sign superpositions, and Haar samples.  For delta below one
     the subspace-dimension refinement is reported, not decided.
     """
-    c0_gen, _ = _resolve_generator(c0_gen)
-    c1_gen, _ = _resolve_generator(c1_gen)
-    c0, c1 = c0_gen(width), c1_gen(width)
+    (_, c0), (_, c1) = _read_family(c0_gen, "c0", width), _read_family(c1_gen, "c1", width)
     dim = 2**width
     probes = [basis_state(dim, i).amplitudes for i in range(dim)]
     plus = np.ones(dim, dtype=np.complex128) / math.sqrt(dim)

@@ -393,20 +393,10 @@ def von_neumann_entropy(rho, base: float = 2.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _gate_first(arr: np.ndarray, u: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """``left_apply_unitary``'s contraction under a second name.
-
-    The helpers in this module call it by this name, so each of their calls
-    counts once, as their own, where ``left_apply_unitary`` is traced.
-    """
-    k = len(axes)
-    ur = u.reshape([2] * (2 * k))
-    return np.tensordot(ur, arr, axes=(list(range(k, 2 * k)), list(reversed(axes))))
-
-
 def _contract_unitary(arr: np.ndarray, u: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     """``left_apply_unitary`` with the output qubits moved back onto ``axes``."""
-    return np.moveaxis(_gate_first(arr, u, axes), list(range(len(axes))), list(reversed(axes)))
+    moved = left_apply_unitary(arr, u, axes)
+    return np.moveaxis(moved, list(range(len(axes))), list(reversed(axes)))
 
 
 def apply_unitary_vec(psi: np.ndarray, n: int, u: np.ndarray, targets: Sequence[int]) -> np.ndarray:
@@ -441,15 +431,9 @@ def left_apply_unitary(arr: np.ndarray, u: np.ndarray, axes: Sequence[int]) -> n
     tensor of about 2 MB for an uncontrolled gate, and on the view where the
     controls are 1, ``2**-c`` of it, for a gate with c controls.
     """
-    return _gate_first(arr, u, axes)
-
-
-def permute_wires_mat(mat: np.ndarray, n: int, new_order: Sequence[int]) -> np.ndarray:
-    """Reorder wires of a density matrix; ``new_order[i]`` is the old wire that becomes wire i."""
-    perm = [n - 1 - new_order[n - 1 - j] for j in range(n)]
-    full = perm + [n + p for p in perm]
-    dim = 2**n
-    return mat.reshape([2] * (2 * n)).transpose(full).reshape(dim, dim)
+    k = len(axes)
+    ur = u.reshape([2] * (2 * k))
+    return np.tensordot(ur, arr, axes=(list(range(k, 2 * k)), list(reversed(axes))))
 
 
 def partial_trace_wires(mat: np.ndarray, n: int, traced: Iterable[int]) -> np.ndarray:
@@ -464,8 +448,10 @@ def partial_trace_wires(mat: np.ndarray, n: int, traced: Iterable[int]) -> np.nd
         raise DimensionMismatchError(
             "tracing out every wire leaves a scalar; use np.trace directly"
         )
+    # move the kept wires to the low bits and the traced ones above them, then trace
     new_order = keep + traced
-    moved = permute_wires_mat(mat, n, new_order)
+    perm = [n - 1 - new_order[n - 1 - j] for j in range(n)]
+    moved = mat.reshape([2] * (2 * n)).transpose(perm + [n + p for p in perm])
     dk, dt = 2 ** len(keep), 2 ** len(traced)
     return np.einsum("iaib->ab", moved.reshape(dt, dk, dt, dk))
 

@@ -24,7 +24,7 @@ from .circuits import (
     _json_object,
     canonicalize,
 )
-from .errors import CircuitError, DimensionMismatchError, InvalidStateError, check_capacity
+from .errors import CircuitParseError, DimensionMismatchError, InvalidStateError, check_capacity
 from .states import HermitianObservable, PureState, random_unitary
 
 
@@ -187,10 +187,15 @@ def verifier_from_json(doc: dict) -> VerifierCircuit:
     circuit = _circuit_from_json(_json_field(doc, "circuit"), "circuit")
     canon = canonicalize(circuit)
     if canon.ancilla_qubits or canon.traced_wires:
-        raise CircuitError("verifier circuit must be purely unitary")
-    return VerifierCircuit(
-        _json_int(_json_field(doc, "witness_qubits"), "witness_qubits"),
-        _json_int(_json_field(doc, "ancilla_qubits"), "ancilla_qubits"),
-        canon.unitary,
-        _json_int(doc.get("output_qubit", 0), "output_qubit"),
-    )
+        raise CircuitParseError("circuit: must be purely unitary, with no ancilla or traceout op")
+    h = _json_int(_json_field(doc, "witness_qubits"), "witness_qubits")
+    a = _json_int(_json_field(doc, "ancilla_qubits"), "ancilla_qubits")
+    if h < 1 or a < 0 or h + a != circuit.input_qubits:
+        raise CircuitParseError(
+            f"witness_qubits, ancilla_qubits: need at least one witness qubit and "
+            f"h + a = {circuit.input_qubits} (the circuit's qubits), got {h} and {a}"
+        )
+    output = _json_int(doc.get("output_qubit", 0), "output_qubit")
+    if not 0 <= output < h + a:
+        raise CircuitParseError(f"output_qubit: must be in [0, {h + a}), got {output}")
+    return VerifierCircuit(h, a, canon.unitary, output)

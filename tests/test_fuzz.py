@@ -5,7 +5,8 @@ value one field of a valid document is replaced with; every reader rejects a
 stray key in any object of a valid document by name; and circuits drawn from
 the op field table survive ``serialize -> parse`` unchanged.  A
 ``ProblemVerdict`` derives the side and proof status the four searches used
-to compute one by one.  The gate kernel equals the gate-by-gate reference bit
+to compute one by one, and a ``CTCertificate`` the verdict its two certify
+functions computed inline.  The gate kernel equals the gate-by-gate reference bit
 for bit on drawn circuits.
 """
 
@@ -51,6 +52,7 @@ from test_applications import (
     _verdict,
 )
 from test_circuits import _check_gate_kernel, _kernel_circuit
+from test_reduction import _certificate, _derived, _edges, _parent_no, _parent_yes
 
 # integers beyond the float range are valid JSON and overflow float conversions
 INTEGERS = st.integers() | st.integers(-(10**400), 10**400)
@@ -240,3 +242,31 @@ def test_verdict_rule_matches_the_per_search_chains(inputs):
 def test_gate_kernel_matches_the_gate_by_gate_reference(data):
     pick = lambda options: data.draw(st.sampled_from(options))  # noqa: E731
     _check_gate_kernel(_kernel_circuit(pick), pick([4, 12]))
+
+
+@st.composite
+def certificate_inputs(draw):
+    """A side, a claimed bound, and probe distances, dimensions and a diamond lower bound
+    that often sit on, or one ulp beside, the threshold each is compared with."""
+    bound = draw(st.floats(0.0, 2.0) | st.just(3 * math.sqrt(0.04)))
+    dim_claimed = draw(st.floats(1.0, 16.0) | st.sampled_from([1.0, 2.0**0.5, 4.0]))
+
+    def near(threshold):
+        return draw(st.floats(0.0, 3.0) | st.sampled_from(_edges(threshold)))
+
+    distances = [near(bound + 1e-9) for _ in range(draw(st.integers(1, 4)))]
+    side = draw(st.sampled_from(["YES", "NO"]))
+    if side == "YES":
+        return side, distances, bound, dim_claimed, near(dim_claimed - 1e-9), None
+    return side, distances, bound, None, None, near(bound + 1e-6)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(inputs=certificate_inputs())
+def test_certificate_verdict_matches_the_inline_rule(inputs):
+    side, distances, bound, dim_claimed, dim_achieved, lower = inputs
+    cert = _certificate(side, distances, bound, dim_claimed, dim_achieved, lower)
+    if side == "YES":
+        assert _derived(cert) == _parent_yes(distances, bound, dim_claimed, dim_achieved)
+    else:
+        assert _derived(cert) == _parent_no(distances, bound, lower)

@@ -455,3 +455,32 @@ class TestInPlaceBranches:
         exact = exact_accept_probability(inst, proof).probability
         lo, hi = run_protocol_sampled(inst, proof, shots=100_000, seed=31).ci95
         assert lo <= exact <= hi
+
+
+class TestInstanceRanges:
+    @pytest.mark.parametrize(
+        "field, eps, delta, provenance",
+        [
+            ("eps", 2.0, 1.0, PROVENANCE_SECURE),
+            ("eps", float("nan"), 1.0, PROVENANCE_SECURE),
+            ("eps", 0.0, 1.0, PROVENANCE_SECURE),
+            ("eps", 1.0, 1.0, PROVENANCE_SECURE),
+            ("delta", 0.01, 0.0, PROVENANCE_SECURE),
+            ("delta", 0.01, 1.5, PROVENANCE_SECURE),
+            ("delta", 0.01, float("nan"), PROVENANCE_SECURE),
+            ("provenance", 0.01, 1.0, "SECURE"),
+        ],
+    )
+    def test_the_constructor_names_a_field_out_of_range(self, field, eps, delta, provenance):
+        family = build_secure_instance(1, 0.01).family
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            DIInstance(family, eps, delta, provenance)
+
+    def test_builders_reject_an_eps_their_reader_rejects(self):
+        with pytest.raises(ValueError, match="^eps must be"):
+            build_secure_instance(1, 2.0)
+        with pytest.raises(ValueError, match="^eps must be"):
+            build_identity_instance(1, float("nan"))
+        v = make_toy_verifier("rotation", accept_probability=0.96)
+        with pytest.raises(ValueError, match="^eps must be"):
+            build_insecure_instance(v, 1.5, 1.0)

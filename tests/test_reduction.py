@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 from importlib import resources
 
@@ -5,6 +7,7 @@ import numpy as np
 import pytest
 
 from qct import (
+    CTCertificate,
     CTInstance,
     CapacityError,
     CircuitParseError,
@@ -21,14 +24,18 @@ from qct import (
     dummy_qubit_count,
     evaluate,
     family_generator,
+    build_insecure_instance,
     make_toy_verifier,
+    max_accept_probability,
+    pauli_x_first_circuit,
     random_pure_state,
     serialize_circuit,
     to_channel,
     trace_norm,
     wellformedness_check,
 )
-from qct.reduction import FAMILY_REGISTRY, _yes_probe_states
+from qct import reduction
+from qct.reduction import FAMILY_REGISTRY, _require_side, _yes_probe_states
 
 
 class TestDimensionRule:
@@ -456,3 +463,243 @@ class TestInstanceSerialization:
             build_ct_circuit(v, identity_circuit, "depolarizing", 0.01, 1.0)
         with pytest.raises(TypeError, match=match):
             wellformedness_check("identity", identity_circuit, 0.01, 1.0, 1)
+
+
+# ---------------------------------------------------------------------------
+# One rule per decision: the verifier's side, a certificate's verdict, and an
+# instance's families
+# ---------------------------------------------------------------------------
+
+EPS = 0.04
+BOUND = 3 * math.sqrt(EPS)
+DIM_CLAIMED = 2.0 ** (2 * (1 - 0.5))
+
+
+def _parent_yes(distances, bound, dim_claimed, dim_achieved):
+    """``(measured_bound, passed, heuristic_consistent)`` as ``certify_yes`` wrote them inline."""
+    measured = max(distances)
+    passed = measured <= bound + 1e-9 and dim_achieved >= dim_claimed - 1e-9
+    return measured, passed, None
+
+
+def _parent_no(distances, bound, lower):
+    """``(measured_bound, passed, heuristic_consistent)`` as ``certify_no`` wrote them inline."""
+    measured = max(max(distances), lower)
+    heuristic = lower <= bound + 1e-6
+    passed = max(distances) <= bound + 1e-9 and heuristic
+    return measured, passed, heuristic
+
+
+def _edges(x):
+    """``x`` and the floats one ulp either side of it."""
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+def _certificate(side, distances, bound, dim_claimed=None, dim_achieved=None, lower=None):
+    return CTCertificate(
+        side=side, claimed_bound=bound, witness=None, probe_distances=tuple(distances),
+        subspace_dim_claimed=dim_claimed, subspace_dim_achieved=dim_achieved,
+        diamond_lower_bound=lower,
+    )
+
+
+def _derived(cert):
+    return cert.measured_bound, cert.passed, cert.heuristic_consistent
+
+
+def _yes_table():
+    """Probe maximum and achieved dimension each at, and one ulp either side of, its threshold."""
+    return [
+        ((0.1, probe), dim)
+        for probe in _edges(BOUND + 1e-9)
+        for dim in _edges(DIM_CLAIMED - 1e-9)
+    ]
+
+
+def _no_table():
+    """Probe maximum and diamond lower bound each at, and one ulp either side of, its threshold."""
+    return [
+        ((probe, 0.1), lower)
+        for probe in _edges(BOUND + 1e-9)
+        for lower in [0.1, *_edges(BOUND + 1e-6)]
+    ]
+
+
+class TestCertificateVerdict:
+    def test_a_certificate_has_nine_fields(self):
+        assert len(dataclasses.fields(CTCertificate)) == 9
+
+    @pytest.mark.parametrize("distances, dim", _yes_table())
+    def test_yes_verdict_matches_the_inline_rule(self, distances, dim):
+        cert = _certificate("YES", distances, BOUND, DIM_CLAIMED, dim)
+        assert _derived(cert) == _parent_yes(distances, BOUND, DIM_CLAIMED, dim)
+
+    @pytest.mark.parametrize("distances, lower", _no_table())
+    def test_no_verdict_matches_the_inline_rule(self, distances, lower):
+        cert = _certificate("NO", distances, BOUND, lower=lower)
+        assert _derived(cert) == _parent_no(distances, BOUND, lower)
+
+    def test_the_tables_reach_every_outcome(self):
+        yes = [_derived(_certificate("YES", d, BOUND, DIM_CLAIMED, dim)) for d, dim in _yes_table()]
+        no = [_derived(_certificate("NO", d, BOUND, lower=lower)) for d, lower in _no_table()]
+        assert {out[1:] for out in yes} == {(True, None), (False, None)}
+        assert {out[1:] for out in no} == {(True, True), (False, True), (False, False)}
+        # a dimension that alone fails, and a diamond lower bound that is the measured bound
+        assert any(
+            not out[1] and max(d) <= BOUND + 1e-9 for (d, _), out in zip(_yes_table(), yes)
+        )
+        assert any(out[0] == lower > max(d) for (d, lower), out in zip(_no_table(), no))
+
+    @pytest.mark.parametrize("delta", [1.0, 0.5])
+    def test_certify_yes_records_the_numbers_its_verdict_reads(self, delta):
+        v = make_toy_verifier("rotation", accept_probability=0.96)
+        inst = build_ct_circuit(v, "identity", "depolarizing", EPS, delta)
+        cert = certify_yes(inst, v, seed=1)
+        assert cert.claimed_bound == inst.bound()
+        assert cert.subspace_dim_claimed == 2.0 ** (inst.input_qubits * (1 - delta))
+        assert cert.subspace_dim_achieved == 2**inst.dummy_qubits
+        dims = cert.subspace_dim_claimed, cert.subspace_dim_achieved
+        assert _derived(cert) == _parent_yes(cert.probe_distances, inst.bound(), *dims)
+
+    def test_certify_no_records_the_numbers_its_verdict_reads(self):
+        v = make_toy_verifier("rotation", accept_probability=EPS)
+        inst = build_ct_circuit(v, "identity", "depolarizing", EPS, 1.0)
+        cert = certify_no(inst, v, restarts=2, seed=1, samples=5)
+        assert cert.claimed_bound == inst.bound()
+        assert cert.measured_bound == cert.diamond_lower_bound  # the ascent beats the samples
+        want = _parent_no(cert.probe_distances, inst.bound(), cert.diamond_lower_bound)
+        assert _derived(cert) == want
+
+
+class TestRequireSide:
+    @staticmethod
+    def _accepts(monkeypatch, p, witness=None):
+        """Make every verifier's best acceptance ``p``; returns the witness it reports."""
+        witness = witness if witness is not None else basis_state(2, 1)
+        monkeypatch.setattr(reduction, "max_accept_probability", lambda v: (p, witness))
+        return witness
+
+    @pytest.mark.parametrize(
+        "side, edge, inward", [("YES", 1.0 - EPS - 1e-9, math.inf), ("NO", EPS + 1e-9, -math.inf)]
+    )
+    def test_the_edge_passes_and_one_ulp_outside_raises(self, monkeypatch, side, edge, inward):
+        v = make_toy_verifier("rotation", accept_probability=0.5)
+        for p in (edge, math.nextafter(edge, inward)):
+            witness = self._accepts(monkeypatch, p)
+            assert _require_side(v, EPS, side) is witness
+        self._accepts(monkeypatch, math.nextafter(edge, -inward))
+        with pytest.raises(WrongSideError, match=f"^{side} side"):
+            _require_side(v, EPS, side)
+
+    def test_every_caller_raises_on_the_wrong_side(self, monkeypatch):
+        v = make_toy_verifier("rotation", accept_probability=0.5)
+        inst = build_ct_circuit(v, "identity", "depolarizing", EPS, 1.0)
+        self._accepts(monkeypatch, math.nextafter(1.0 - EPS - 1e-9, -math.inf))
+        with pytest.raises(WrongSideError, match="^YES side"):
+            certify_yes(inst, v)
+        with pytest.raises(WrongSideError, match="^YES side"):
+            build_insecure_instance(v, EPS, 1.0)
+        self._accepts(monkeypatch, math.nextafter(EPS + 1e-9, math.inf))
+        with pytest.raises(WrongSideError, match="^NO side"):
+            certify_no(inst, v, restarts=1, samples=1)
+
+    def test_every_caller_runs_at_the_edge(self, monkeypatch):
+        v = make_toy_verifier("rotation", accept_probability=0.5)
+        inst = build_ct_circuit(v, "identity", "depolarizing", EPS, 1.0)
+        self._accepts(monkeypatch, 1.0 - EPS - 1e-9, max_accept_probability(v)[1])
+        assert certify_yes(inst, v).side == "YES"
+        assert build_insecure_instance(v, EPS, 1.0).eps == EPS
+        self._accepts(monkeypatch, EPS + 1e-9)
+        assert certify_no(inst, v, restarts=1, samples=1).side == "NO"
+
+
+REGISTRY_SPECS = ["identity", "depolarizing", "pauli_x_first", ("pauli_keyed", {"key": 3})]
+
+
+def _family_bytes(spec, width):
+    name, params = (spec, {}) if isinstance(spec, str) else spec
+    return serialize_circuit(family_generator(name, **params)(width))
+
+
+class TestFamiliesFromSpecs:
+    def test_an_instance_has_six_fields(self):
+        assert [f.name for f in dataclasses.fields(CTInstance)] == [
+            "circuit", "eps", "delta", "witness_qubits", "c0_spec", "c1_spec"
+        ]
+
+    @pytest.mark.parametrize("index", range(len(REGISTRY_SPECS)))
+    def test_a_read_instance_rebuilds_both_families(self, index):
+        c0, c1 = REGISTRY_SPECS[index], REGISTRY_SPECS[(index + 1) % len(REGISTRY_SPECS)]
+        v = make_toy_verifier("rotation", accept_probability=0.96)
+        inst = build_ct_circuit(v, c0, c1, EPS, 0.5)
+        back = CTInstance.from_json(inst.to_json())
+        for label, spec in (("c0", c0), ("c1", c1)):
+            want = _family_bytes(spec, inst.input_qubits)
+            assert serialize_circuit(getattr(inst, label)) == want
+            assert serialize_circuit(getattr(back, label)) == want
+
+    def test_replacing_a_spec_replaces_its_family(self):
+        v = make_toy_verifier("rotation", accept_probability=0.96)
+        inst = build_ct_circuit(v, "identity", "depolarizing", EPS, 1.0)
+        moved = dataclasses.replace(inst, c0_spec="pauli_x_first")
+        assert moved.to_json()["c0"] == moved.c0_spec == {"name": "pauli_x_first", "params": {}}
+        assert serialize_circuit(moved.c0) == serialize_circuit(pauli_x_first_circuit(1))
+        assert serialize_circuit(moved.c1) == serialize_circuit(inst.c1)
+        with pytest.raises(TypeError):
+            dataclasses.replace(inst, c0=pauli_x_first_circuit(1))
+
+    def test_to_json_hands_out_copies_of_the_specs(self):
+        v = make_toy_verifier("rotation", accept_probability=0.96)
+        inst = build_ct_circuit(v, "identity", ("pauli_keyed", {"key": 2}), EPS, 1.0)
+        inst.to_json()["c1"]["params"]["key"] = 0
+        assert inst.to_json()["c1"] == {"name": "pauli_keyed", "params": {"key": 2}}
+
+    @pytest.mark.parametrize("bad", [True, 1.0, "1", 2.5])
+    def test_a_family_parameter_must_be_an_integer(self, bad):
+        v = make_toy_verifier("rotation", accept_probability=0.96)
+        doc = build_ct_circuit(v, "identity", ("pauli_keyed", {"key": 2}), EPS, 1.0).to_json()
+        doc["c1"]["params"]["key"] = bad
+        match = r"^c1\.params\.key: must be an integer"
+        with pytest.raises(CircuitParseError, match=match):
+            CTInstance.from_json(doc)
+        with pytest.raises(CircuitParseError, match=match):
+            build_ct_circuit(v, "identity", ("pauli_keyed", {"key": bad}), EPS, 1.0)
+        with pytest.raises(CircuitParseError, match=match):
+            wellformedness_check("identity", ("pauli_keyed", {"key": bad}), EPS, 1.0, 1)
+
+    def test_a_numpy_integer_parameter_is_stored_as_int(self):
+        v = make_toy_verifier("rotation", accept_probability=0.96)
+        inst = build_ct_circuit(v, "identity", ("pauli_keyed", {"key": np.int64(2)}), EPS, 1.0)
+        key = inst.c1_spec["params"]["key"]
+        assert type(key) is int and key == 2
+        doc = json.loads(json.dumps(inst.to_json()))
+        assert CTInstance.from_json(doc).to_json() == doc
+
+    @pytest.mark.parametrize(
+        "c0, c1, match",
+        [
+            ("nope", "identity", r"^c0\.name: unknown family 'nope'"),
+            ("identity", ("pauli_keyed", {"colour": 2}), r"^c1\.params\.colour: not a field"),
+            ("identity", ("pauli_keyed", {}), r"^c1\.params: "),
+            ("identity", ("pauli_keyed", {"key": 99}), r"^c1\.params: key 99 out of range"),
+            ("identity", ("pauli_keyed", [2]), r"^c1\.params: must be an object"),
+        ],
+    )
+    def test_build_names_a_bad_family_by_its_path(self, c0, c1, match):
+        v = make_toy_verifier("rotation", accept_probability=0.96)
+        with pytest.raises(CircuitParseError, match=match):
+            build_ct_circuit(v, c0, c1, EPS, 1.0)
+
+    def test_a_document_family_must_be_an_object(self):
+        v = make_toy_verifier("rotation", accept_probability=0.96)
+        doc = build_ct_circuit(v, "identity", "depolarizing", EPS, 1.0).to_json()
+        doc["c1"] = "depolarizing"
+        with pytest.raises(CircuitParseError, match=r"^c1: must be an object"):
+            CTInstance.from_json(doc)
+
+    @pytest.mark.parametrize("field, value", [("eps", float("nan")), ("eps", 1.0), ("delta", 1.5)])
+    def test_the_constructor_checks_eps_and_delta(self, field, value):
+        v = make_toy_verifier("rotation", accept_probability=0.96)
+        inst = build_ct_circuit(v, "identity", "depolarizing", EPS, 1.0)
+        with pytest.raises(ValueError, match=f"^{field} must be in"):
+            dataclasses.replace(inst, **{field: value})

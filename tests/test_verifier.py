@@ -154,3 +154,29 @@ class TestSerialization:
             doc[field] = value
         with pytest.raises(CircuitParseError, match=field):
             verifier_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("witness_qubits", 2, r"^witness_qubits, ancilla_qubits: .*= 2 .*got 2 and 1"),
+            ("ancilla_qubits", 0, r"^witness_qubits, ancilla_qubits: .*got 1 and 0"),
+            ("witness_qubits", 0, r"^witness_qubits, ancilla_qubits: .*got 0 and 1"),
+            ("output_qubit", 7, r"^output_qubit: must be in \[0, 2\), got 7"),
+            ("output_qubit", -1, r"^output_qubit: must be in \[0, 2\), got -1"),
+        ],
+    )
+    def test_from_json_names_a_field_that_disagrees_with_the_circuit(self, field, value, match):
+        doc = verifier_to_json(make_toy_verifier("rotation", accept_probability=0.5))
+        doc[field] = value
+        with pytest.raises(CircuitParseError, match=match):
+            verifier_from_json(doc)
+
+    def test_from_json_names_a_circuit_that_is_not_unitary(self):
+        doc = verifier_to_json(make_toy_verifier("rotation", accept_probability=0.5))
+        doc["circuit"] = {
+            "input_qubits": 2,
+            "output_qubits": 2,
+            "ops": [{"kind": "ancilla", "count": 1}, {"kind": "traceout", "targets": [2]}],
+        }
+        with pytest.raises(CircuitParseError, match=r"^circuit: must be purely unitary"):
+            verifier_from_json(doc)
