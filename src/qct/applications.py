@@ -83,16 +83,6 @@ class ProblemVerdict:
         proven_no = far is not None and self._yes_first(far) >= self._yes_first(self.no_bound)
         return self.consistent_with != "YES" and not (self.consistent_with == "NO" and proven_no)
 
-    def to_row(self) -> dict:
-        return {
-            "problem": self.problem,
-            "statistic": self.statistic,
-            "eps": self.eps,
-            "side": self.consistent_with,
-            "witness": [[float(z.real), float(z.imag)] for z in self.witness.amplitudes],
-            "seed": self.seed,
-        }
-
 
 def nonidentity_stat(
     channel: QuantumChannel, eps: float, restarts: int = 20, seed=0
@@ -261,6 +251,33 @@ def _top_eigvec_with_tiebreak(mat: np.ndarray, previous: np.ndarray) -> np.ndarr
     return members[:, 0]
 
 
+def _fixed_point_min(value, towards, starts, iters: int) -> tuple[float, np.ndarray]:
+    """The smallest ``value`` met on the orbits from ``starts``, and the state that has it.
+
+    ``value(psi)`` returns ``(value, output)``; the next state is the top eigenvector of
+    ``towards(output)``.  An orbit stops after ``iters`` steps, at a value below 1e-12,
+    on convergence (overlap above 1 - 1e-14, staying put) or on an exact 2-cycle.
+    """
+    best_val, best_psi = math.inf, None
+    for psi in starts:
+        prev = None
+        for _ in range(iters):
+            val, out = value(psi)
+            if val < best_val:
+                best_val, best_psi = val, psi
+            if val < 1e-12:
+                break
+            nxt = _top_eigvec_with_tiebreak(towards(out), psi)
+            if abs(np.vdot(nxt, psi)) > 1.0 - 1e-14 or np.array_equal(nxt, prev):
+                break  # converged (stay put), or an exact 2-cycle whose two iterates are valued
+            prev, psi = psi, nxt
+        else:  # the orbit ran out of steps; its last state is not yet valued
+            val = value(psi)[0]
+            if val < best_val:
+                best_val, best_psi = val, psi
+    return best_val, best_psi
+
+
 def pure_fixed_point_search(
     channel: QuantumChannel, eps: float, restarts: int = 10, iters: int = 50, seed=0
 ) -> ProblemVerdict:
@@ -275,28 +292,15 @@ def pure_fixed_point_search(
     if restarts < 1:
         raise ValueError("need at least one restart")
     d = channel.dim_in
-    best_val, best_psi = math.inf, None
-    for psi in _random_starts(d, restarts, seed):
-        prev = None
-        for _ in range(iters):
-            rho = np.outer(psi, psi.conj())
-            out = apply_choi(channel.choi, d, d, rho)
-            dist = trace_norm(out - rho)
-            if dist < best_val:
-                best_val, best_psi = dist, psi
-            if dist < 1e-12:
-                break
-            nxt = _top_eigvec_with_tiebreak(out, psi)
-            if abs(np.vdot(nxt, psi)) > 1.0 - 1e-14:
-                psi = nxt
-                break
-            if prev is not None and np.array_equal(nxt, prev):
-                break  # an exact 2-cycle: both of its iterates are already evaluated
-            prev, psi = psi, nxt
+
+    def distance(psi: np.ndarray) -> tuple[float, np.ndarray]:
         rho = np.outer(psi, psi.conj())
-        dist = trace_norm(apply_choi(channel.choi, d, d, rho) - rho)
-        if dist < best_val:
-            best_val, best_psi = dist, psi
+        out = apply_choi(channel.choi, d, d, rho)
+        return trace_norm(out - rho), out
+
+    best_val, best_psi = _fixed_point_min(
+        distance, lambda out: out, _random_starts(d, restarts, seed), iters
+    )
 
     def objective(params: np.ndarray) -> float:
         vec = _unit_vector(params, d)
@@ -330,11 +334,11 @@ def min_output_entropy(
     d_in, d_out = channel.dim_in, channel.dim_out
     log_dim = math.log2(d_out)
 
-    def output(psi: np.ndarray) -> np.ndarray:
-        return apply_choi(channel.choi, d_in, d_out, np.outer(psi, psi.conj()))
+    def entropy(psi: np.ndarray) -> tuple[float, np.ndarray]:
+        out = apply_choi(channel.choi, d_in, d_out, np.outer(psi, psi.conj()))
+        return von_neumann_entropy(out), out
 
-    def pulled_back_log(psi: np.ndarray) -> np.ndarray:
-        out = output(psi)
+    def pulled_back_log(out: np.ndarray) -> np.ndarray:
         vals, vecs = np.linalg.eigh(out)
         logs = np.log(np.clip(vals, 1e-18, None))
         log_out = (vecs * logs) @ vecs.conj().T
@@ -343,24 +347,7 @@ def min_output_entropy(
 
     starts = [np.eye(d_in, dtype=np.complex128)[:, 0]]
     starts.extend(_random_starts(d_in, restarts, seed))
-    best_val, best_psi = math.inf, starts[0]
-    for psi in starts:
-        prev = None
-        for _ in range(iters):
-            s = von_neumann_entropy(output(psi))
-            if s < best_val:
-                best_val, best_psi = s, psi
-            if s < 1e-12:
-                break
-            nxt = _top_eigvec_with_tiebreak(pulled_back_log(psi), psi)
-            if abs(np.vdot(nxt, psi)) > 1.0 - 1e-14:
-                break
-            if prev is not None and np.array_equal(nxt, prev):
-                break  # an exact 2-cycle: both of its iterates are already evaluated
-            prev, psi = psi, nxt
-        s = von_neumann_entropy(output(psi))
-        if s < best_val:
-            best_val, best_psi = s, psi
+    best_val, best_psi = _fixed_point_min(entropy, pulled_back_log, starts, iters)
     return ProblemVerdict(
         problem=MIN_OUTPUT_ENTROPY,
         statistic=max(best_val, 0.0),

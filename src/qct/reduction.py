@@ -20,12 +20,12 @@ import inspect
 import json
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .channels import (
-    apply_choi_to_segment,
     depolarizing_circuit,
     diamond_distance,
     pauli_keyed,
@@ -42,8 +42,9 @@ from .circuits import (
     _json_int,
     _json_object,
     canonicalize,
-    evaluate,
+    evaluate,  # noqa: F401  kept bound here for perfbench/test_perfbench.py's tracer test
     identity_circuit,
+    stinespring,
 )
 from .errors import (
     CapacityError,
@@ -55,7 +56,6 @@ from .errors import (
     max_qubits,
 )
 from .states import (
-    DensityOperator,
     PureState,
     RegisterLayout,
     _seed_record,
@@ -107,16 +107,19 @@ def _check_promise(eps: float, delta: float) -> None:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
 
 
-def _read_family(spec, label: str, width: int) -> tuple[dict, MixedStateCircuit]:
-    """The checked spec ``{"name", "params"}`` of a registry family and its circuit at ``width``.
+def _read_family(spec, label: str, width: int) -> tuple[MappingProxyType, MixedStateCircuit]:
+    """The checked, read-only spec ``{"name", "params"}`` of a registry family and its circuit.
 
-    ``spec`` is a registry name, a ``(name, params)`` pair or a spec document,
-    whose parameter values are integers.  Errors name the path from ``label``.
+    ``spec`` is a registry name, a ``(name, params)`` pair, a spec document or
+    a spec this function returned, whose parameter values are integers.  The
+    circuit has ``width`` inputs.  Errors name the path from ``label``.
     """
     if isinstance(spec, str):
         spec = {"name": spec, "params": {}}
     elif isinstance(spec, tuple) and len(spec) == 2:
         spec = {"name": spec[0], "params": spec[1]}
+    elif isinstance(spec, MappingProxyType):
+        spec = {"name": spec["name"], "params": dict(spec["params"])}
     elif not isinstance(spec, dict):
         raise TypeError(
             f"a circuit family is a registry name or a (name, params) pair, got {spec!r}"
@@ -133,23 +136,27 @@ def _read_family(spec, label: str, width: int) -> tuple[dict, MixedStateCircuit]
     for key, value in params.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise CircuitParseError(f"{label}.params.{key}: must be an integer, got {value!r}")
-    spec = {"name": name, "params": {key: int(value) for key, value in params.items()}}
+    params = {key: int(value) for key, value in params.items()}
+    spec = MappingProxyType({"name": name, "params": MappingProxyType(params)})
     try:
-        return spec, family_generator(name, **spec["params"])(width)
+        return spec, family_generator(name, **params)(width)
     except (TypeError, ValueError) as exc:
         raise CircuitParseError(f"{label}.params: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class CTInstance:
-    """A compiled circuit-testing instance; its register sizes, layout and families are derived."""
+    """A compiled circuit-testing instance; its register sizes, layout and families are derived.
+
+    The family specs are stored read-only, so they always describe ``c0`` and ``c1``.
+    """
 
     circuit: MixedStateCircuit
     eps: float
     delta: float
     witness_qubits: int
-    c0_spec: dict
-    c1_spec: dict
+    c0_spec: MappingProxyType
+    c1_spec: MappingProxyType
 
     def __post_init__(self):
         _check_promise(self.eps, self.delta)
@@ -206,8 +213,8 @@ class CTInstance:
     def to_json(self) -> dict:
         return {
             "circuit": _circuit_to_json(self.circuit),
-            "c0": dict(self.c0_spec, params=dict(self.c0_spec["params"])),
-            "c1": dict(self.c1_spec, params=dict(self.c1_spec["params"])),
+            "c0": {"name": self.c0_spec["name"], "params": dict(self.c0_spec["params"])},
+            "c1": {"name": self.c1_spec["name"], "params": dict(self.c1_spec["params"])},
             "eps": self.eps,
             "delta": self.delta,
             "witness_qubits": self.witness_qubits,
@@ -441,29 +448,40 @@ def _require_side(v: VerifierCircuit, eps: float, side: str) -> PureState:
     return witness
 
 
-def _yes_probe_states(
-    instance: CTInstance, witness: PureState, seed
-) -> list[tuple[np.ndarray, int]]:
-    """Pure probe vectors in the accepting subspace, with reference sizes."""
+def _probe_distances(a: MixedStateCircuit, b: MixedStateCircuit, probes) -> list[float]:
+    """Trace distances between the outputs of ``a`` and ``b`` on each probe vector.
+
+    A probe lives on input (x) reference, so its reference size is its length
+    over the input dimension.  Its output under a Kraus stack K is ``V V^dagger``,
+    where row g of V is ``(K_g (x) I) psi``; outputs plus reference must fit the cap.
+    """
+    stacks = (stinespring(a), stinespring(b))
+    d_in = 2**a.input_qubits
+    distances = []
+    for psi in probes:
+        ref = psi.size // d_in
+        check_capacity(a.output_qubits + ref.bit_length() - 1, "probe outputs plus reference")
+        lhs, rhs = ((kraus @ psi.reshape(d_in, ref)).reshape(len(kraus), -1) for kraus in stacks)
+        distances.append(trace_norm(lhs.T @ lhs.conj() - rhs.T @ rhs.conj()))
+    return distances
+
+
+def _yes_probe_states(instance: CTInstance, witness: PureState, seed) -> list[np.ndarray]:
+    """Pure probe vectors in the accepting subspace, some entangled with a reference."""
     h, f = instance.witness_qubits, instance.dummy_qubits
     gamma = witness.amplitudes
-    probes: list[tuple[np.ndarray, int]] = []
     if f == 0:
-        probes.append((gamma, 0))
-        for s in range(2):
-            ref = random_pure_state(2**h, (seed, s)).amplitudes
-            probes.append((np.kron(gamma, ref), h))
-        return probes
+        refs = [random_pure_state(2**h, (seed, s)).amplitudes for s in range(2)]
+        return [gamma] + [np.kron(gamma, ref) for ref in refs]
     dim_f = 2**f
     xis = [basis_state(dim_f, 0).amplitudes, basis_state(dim_f, min(1, dim_f - 1)).amplitudes]
     xis.append(random_pure_state(dim_f, (seed, 0)).amplitudes)
-    for xi in xis:
-        probes.append((np.kron(xi, gamma), 0))
+    probes = [np.kron(xi, gamma) for xi in xis]
     # reference-entangled probes sum_jr W[j, r] |j> (x) gamma (x) |r>, W = identity and random
     w = random_pure_state(dim_f * dim_f, (seed, 1)).amplitudes.reshape(dim_f, dim_f)
     weights = np.stack([np.eye(dim_f, dtype=np.complex128), w])
     for vec in np.einsum("kjr,g->kjgr", weights, gamma).reshape(2, -1):
-        probes.append((vec / np.linalg.norm(vec), f))
+        probes.append(vec / np.linalg.norm(vec))
     return probes
 
 
@@ -474,17 +492,12 @@ def certify_yes(instance: CTInstance, v: VerifierCircuit, seed=0) -> CTCertifica
     random directions, and product plus reference-entangled variants.
     """
     witness = _require_side(v, instance.eps, "YES")
-    distances = []
-    for vec, ref in _yes_probe_states(instance, witness, seed):
-        rho = DensityOperator(np.outer(vec, vec.conj()))
-        lhs = evaluate(instance.circuit, rho, reference_qubits=ref)
-        rhs = evaluate(instance.c0, rho, reference_qubits=ref)
-        distances.append(trace_norm(lhs.matrix - rhs.matrix))
+    probes = _yes_probe_states(instance, witness, seed)
     return CTCertificate(
         side="YES",
         claimed_bound=instance.bound(),
         witness=witness,
-        probe_distances=tuple(distances),
+        probe_distances=tuple(_probe_distances(instance.circuit, instance.c0, probes)),
         subspace_dim_claimed=2.0 ** (instance.input_qubits * (1.0 - instance.delta)),
         subspace_dim_achieved=2**instance.dummy_qubits,
         seed=_seed_record(seed),
@@ -500,21 +513,15 @@ def certify_no(
 ) -> CTCertificate:
     """Probe the rejecting side: the instance must track the second family.
 
-    Samples entangled inputs for trace-norm distances, each one application of
-    the Choi difference with a reference as large as the input, and bounds the
-    diamond distance from both sides.  A lower bound below the threshold is
-    recorded as consistent with the claim; ``diamond_upper_bound`` at or below
-    the threshold proves it.
+    Samples inputs entangled with a reference as large as the input for
+    trace-norm distances, and bounds the diamond distance from both sides.  A
+    lower bound below the threshold is recorded as consistent with the claim;
+    ``diamond_upper_bound`` at or below the threshold proves it.
     """
     _require_side(v, instance.eps, "NO")
     chan, c1 = to_channel(instance.circuit), to_channel(instance.c1)
-    delta = chan.choi - c1.choi
-    d_in, d_out = chan.dim_in, chan.dim_out
-    distances = []
-    for s in range(samples):
-        psi = random_pure_state(d_in * d_in, (seed, s)).amplitudes
-        rho = np.outer(psi, psi.conj())
-        distances.append(trace_norm(apply_choi_to_segment(delta, d_in, d_out, rho, 1, d_in)))
+    probes = [random_pure_state(chan.dim_in**2, (seed, s)).amplitudes for s in range(samples)]
+    distances = _probe_distances(instance.circuit, instance.c1, probes)
     dd = diamond_distance(chan, c1, restarts, seed)
     return CTCertificate(
         side="NO",
@@ -563,11 +570,7 @@ def wellformedness_check(
     probes.append(signs / math.sqrt(dim))
     for s in range(samples):
         probes.append(random_pure_state(dim, (seed, s)).amplitudes)
-    min_distance = math.inf
-    for vec in probes:
-        rho = DensityOperator(np.outer(vec, vec.conj()))
-        d = trace_norm(evaluate(c0, rho).matrix - evaluate(c1, rho).matrix)
-        min_distance = min(min_distance, d)
+    min_distance = min(_probe_distances(c0, c1, probes))
     flagged = min_distance <= 2.0 * eps
     note = (
         "delta = 1: sampled pure states decide the promise directly"

@@ -12,6 +12,7 @@ from qct import (
     CapacityError,
     CircuitParseError,
     DensityOperator,
+    VerifierCircuit,
     WrongSideError,
     basis_state,
     build_ct_circuit,
@@ -220,8 +221,8 @@ class TestCertifyYes:
             )
             want.append(vec / np.linalg.norm(vec))
         probes = _yes_probe_states(inst, gamma, 4)
-        for (got, ref), expected in zip(probes[-2:], want):
-            assert ref == inst.dummy_qubits
+        for got, expected in zip(probes[-2:], want):
+            assert got.size == 2 ** (inst.input_qubits + inst.dummy_qubits)
             assert np.max(np.abs(got - expected)) < 1e-15
 
     def test_wrong_side(self):
@@ -648,6 +649,20 @@ class TestFamiliesFromSpecs:
         with pytest.raises(TypeError):
             dataclasses.replace(inst, c0=pauli_x_first_circuit(1))
 
+    def test_the_specs_are_read_only(self):
+        v = make_toy_verifier("rotation", accept_probability=0.96)
+        inst = build_ct_circuit(v, "identity", ("pauli_keyed", {"key": 2}), EPS, 1.0)
+        with pytest.raises(TypeError):
+            inst.c1_spec["params"]["key"] = 0
+        with pytest.raises(TypeError):
+            inst.c1_spec["name"] = "identity"
+        assert inst.to_json()["c1"] == {"name": "pauli_keyed", "params": {"key": 2}}
+        moved = dataclasses.replace(inst, eps=0.05)
+        assert moved.c1_spec == {"name": "pauli_keyed", "params": {"key": 2}}
+        assert serialize_circuit(moved.c1) == serialize_circuit(inst.c1)
+        doc = json.loads(json.dumps(inst.to_json()))
+        assert CTInstance.from_json(doc).to_json() == doc
+
     def test_to_json_hands_out_copies_of_the_specs(self):
         v = make_toy_verifier("rotation", accept_probability=0.96)
         inst = build_ct_circuit(v, "identity", ("pauli_keyed", {"key": 2}), EPS, 1.0)
@@ -703,3 +718,94 @@ class TestFamiliesFromSpecs:
         inst = build_ct_circuit(v, "identity", "depolarizing", EPS, 1.0)
         with pytest.raises(ValueError, match=f"^{field} must be in"):
             dataclasses.replace(inst, **{field: value})
+
+
+def _evaluate_distances(a, b, probes):
+    """Probe distances through two density-matrix ``evaluate`` calls: the reference."""
+    d_in = 2**a.input_qubits
+    distances = []
+    for vec in probes:
+        ref = (vec.size // d_in).bit_length() - 1
+        rho = DensityOperator(np.outer(vec, vec.conj()))
+        lhs = evaluate(a, rho, reference_qubits=ref)
+        rhs = evaluate(b, rho, reference_qubits=ref)
+        distances.append(trace_norm(lhs.matrix - rhs.matrix))
+    return distances
+
+
+def _output_qubit_one_verifier():
+    """A rotation verifier (acceptance 0.96) whose output lands on its second ancilla."""
+    theta = 2 * math.asin(math.sqrt(0.96))
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    ry = np.array([[c, -s], [s, c]], dtype=complex)
+    p0, p1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
+    v_mat = np.kron(p0, np.eye(4)) + np.kron(p1, np.kron(ry, np.eye(2)))
+    return VerifierCircuit(1, 2, v_mat, output_qubit=1)
+
+
+def _rotation_verifier():
+    return make_toy_verifier("rotation", accept_probability=0.96)
+
+
+# name: (verifier, second family, delta)
+YES_PROBE_CASES = {
+    "rotation-delta-1": (_rotation_verifier, "depolarizing", 1.0),
+    "rotation-delta-half": (_rotation_verifier, "depolarizing", 0.5),
+    "target-state": (
+        lambda: make_toy_verifier("target_state", witness_qubits=2, target=3), "pauli_x_first", 0.5
+    ),
+    "output-qubit-1": (_output_qubit_one_verifier, "depolarizing", 1.0),
+}
+
+
+class TestProbeDistances:
+    """The Kraus-stack probe loop against the density-matrix evaluator it replaced."""
+
+    @pytest.mark.parametrize("name", YES_PROBE_CASES)
+    def test_certify_yes_matches_evaluate(self, name):
+        make, c1, delta = YES_PROBE_CASES[name]
+        v = make()
+        inst = build_ct_circuit(v, "identity", c1, EPS, delta)
+        cert = certify_yes(inst, v, seed=3)
+        want = _evaluate_distances(inst.circuit, inst.c0, _yes_probe_states(inst, cert.witness, 3))
+        assert len(cert.probe_distances) == len(want)
+        assert np.max(np.abs(np.array(cert.probe_distances) - want)) <= 1e-12
+        if name != "target-state":
+            assert max(want) > 0.01
+
+    @pytest.mark.parametrize("c0", ["identity", "pauli_x_first"])
+    def test_wellformedness_matches_evaluate(self, c0, monkeypatch):
+        seen, probe = [], reduction._probe_distances
+
+        def record(a, b, probes):
+            seen.append(probes)
+            return probe(a, b, probes)
+
+        monkeypatch.setattr(reduction, "_probe_distances", record)
+        report = wellformedness_check(c0, "depolarizing", EPS, 1.0, 2, samples=10, seed=5)
+        fam0, fam1 = family_generator(c0)(2), family_generator("depolarizing")(2)
+        want = _evaluate_distances(fam0, fam1, seen[0])
+        assert len(want) == report.probe_count
+        assert abs(report.min_distance - min(want)) <= 1e-12
+
+    def test_outputs_plus_reference_must_fit_the_cap(self):
+        # 9 wires fit the cap of 12; a probe with 7 reference qubits has 14 output qubits
+        v = make_toy_verifier("target_state", witness_qubits=7)
+        inst = build_ct_circuit(v, "identity", "pauli_x_first", EPS, 1.0)
+        assert inst.total_qubits == 9
+        with pytest.raises(CapacityError, match="probe outputs plus reference needs 14"):
+            certify_yes(inst, v)
+
+    def test_outputs_plus_reference_are_checked_before_an_output_is_built(self, monkeypatch):
+        monkeypatch.setenv("QCT_MAX_QUBITS", "6")
+        v = make_toy_verifier("target_state", witness_qubits=4)
+        inst = build_ct_circuit(v, "identity", "pauli_x_first", EPS, 1.0)
+        with pytest.raises(CapacityError, match="probe outputs plus reference needs 8"):
+            certify_yes(inst, v)
+
+    def test_ancillas_do_not_count_against_the_probe_cap(self, monkeypatch):
+        # 4 wires and a 1-qubit reference: 5 live qubits in the dilation, 2 in each output
+        v = make_toy_verifier("rotation", accept_probability=0.96)
+        inst = build_ct_circuit(v, "identity", "depolarizing", EPS, 1.0)
+        monkeypatch.setenv("QCT_MAX_QUBITS", str(inst.total_qubits))
+        assert certify_yes(inst, v, seed=1).passed
