@@ -302,14 +302,9 @@ def pure_fixed_point_search(
         distance, lambda out: out, _random_starts(d, restarts, seed), iters
     )
 
-    def objective(params: np.ndarray) -> float:
-        vec = _unit_vector(params, d)
-        rho = np.outer(vec, vec.conj())
-        return trace_norm(apply_choi(channel.choi, d, d, rho) - rho)
-
     if best_val > 1e-12:
         x0 = np.concatenate([best_psi.real, best_psi.imag])
-        x, fun = _nelder_mead(objective, x0, 600, fatol=1e-11)
+        x, fun = _nelder_mead(lambda x: distance(_unit_vector(x, d))[0], x0, 600, fatol=1e-11)
         if fun < best_val:
             best_val, best_psi = fun, _unit_vector(x, d)
     return ProblemVerdict(

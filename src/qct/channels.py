@@ -162,7 +162,11 @@ def to_channel(circuit: MixedStateCircuit) -> QuantumChannel:
     The canonical form (inputs plus every ancilla) and inputs plus outputs must fit the cap.
     """
     check_capacity(circuit.input_qubits + circuit.output_qubits, "Choi matrix")
-    kraus = stinespring(circuit)
+    return _kraus_channel(stinespring(circuit))
+
+
+def _kraus_channel(kraus: np.ndarray) -> QuantumChannel:
+    """The channel of a Kraus stack of shape ``(kraus count, d_out, d_in)``."""
     n_traced, d_out, d_in = kraus.shape
     k = kraus.transpose(1, 2, 0).reshape(d_out * d_in, n_traced)
     choi = k @ k.conj().T  # Hermitian and PSD by construction

@@ -67,8 +67,8 @@ def load_config(path: str, flag_overrides: dict) -> ExperimentConfig:
     """Merge precedence: built-in defaults, then CLI flags, then the config file."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}")
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nested too deep
         raise ConfigError(f"config is not valid JSON: {exc}")
     try:
@@ -113,10 +113,10 @@ def render_body_json(config: ExperimentConfig, rows: list[ReportRow]) -> bytes:
 def render_body_csv(rows: list[ReportRow]) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["experiment", "claim", "measured", "bound", "pass", "ms"])
+    writer.writerow(["experiment", "claim", "measured", "bound", "pass"])
     for r in rows:
         writer.writerow(
-            [r.experiment, r.claim, repr(r.measured), repr(r.bound), str(r.passed).lower(), f"{r.ms:.3f}"]
+            [r.experiment, r.claim, repr(r.measured), repr(r.bound), str(r.passed).lower()]
         )
     return buf.getvalue().encode("utf-8")
 
@@ -124,11 +124,7 @@ def render_body_csv(rows: list[ReportRow]) -> bytes:
 def write_report(
     config: ExperimentConfig, rows: list[ReportRow], out_path: Path, total_ms: float
 ) -> None:
-    """Write the report body and its ``.meta.json`` sidecar.
-
-    ``total_ms`` is the wall time of the whole run; summing ``row_ms`` would
-    count a computation once per sibling row that reads it.
-    """
+    """Write the report body and its ``.meta.json`` sidecar of wall times."""
     if config.format == "json":
         out_path.write_bytes(render_body_json(config, rows))
     else:
@@ -206,8 +202,8 @@ def main(argv=None) -> int:
     if args.command == "circuit":
         try:
             circuit = parse_circuit(Path(args.file).read_bytes())
-        except FileNotFoundError:
-            print(f"error: no such file: {args.file}", file=sys.stderr)
+        except OSError as exc:
+            print(f"error: cannot read {args.file}: {exc.strerror or exc}", file=sys.stderr)
             return 1
         except QctError as exc:
             print(f"invalid circuit: {exc}", file=sys.stderr)
@@ -233,7 +229,11 @@ def main(argv=None) -> int:
         return 1
     run_ms = (time.perf_counter() - start) * 1000.0
     out_path = Path(config.out) if config.out else Path(f"qct-report.{config.format}")
-    write_report(config, rows, out_path, run_ms)
+    try:
+        write_report(config, rows, out_path, run_ms)
+    except OSError as exc:
+        print(f"error: cannot write report {out_path}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     all_pass = all(r.passed for r in rows)
     for r in rows:
         status = "PASS" if r.passed else "FAIL"

@@ -1,15 +1,16 @@
 """Deterministic experiments reproducing every quantitative claim as report rows.
 
-Each row compares a measured value against a bound in a stated direction;
-wall times are tracked separately so report bodies stay byte-identical for a
-fixed configuration and seed.
+Each row compares a measured value against a bound in a stated direction, and
+its pass flag follows from those three.  A row's wall time stays out of its
+body, so report bodies are byte-identical for a fixed configuration and seed.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,6 +30,9 @@ from .states import (
 )
 
 
+_COMPARE = {"<=": operator.le, ">=": operator.ge}
+
+
 @dataclass(frozen=True)
 class ReportRow:
     experiment: str
@@ -36,8 +40,15 @@ class ReportRow:
     measured: float
     bound: float
     direction: str  # "<=" or ">="
-    passed: bool
     ms: float
+
+    def __post_init__(self):
+        if self.direction not in _COMPARE:
+            raise ValueError(f"{self.claim}: direction must be <= or >=, got {self.direction!r}")
+
+    @property
+    def passed(self) -> bool:
+        return _COMPARE[self.direction](self.measured, self.bound)
 
     def body_dict(self) -> dict:
         return {
@@ -50,31 +61,24 @@ class ReportRow:
         }
 
 
-def _row(experiment: str, claim: str, measured: float, bound: float, direction: str, t0: float) -> ReportRow:
-    measured = float(measured)
-    bound = float(bound)
-    passed = measured <= bound if direction == "<=" else measured >= bound
-    return ReportRow(
-        experiment=experiment,
-        claim=claim,
-        measured=measured,
-        bound=bound,
-        direction=direction,
-        passed=passed,
-        ms=(time.perf_counter() - t0) * 1000.0,
-    )
+class _Rows(list):
+    """The rows of one experiment, each timed from the row before it.
 
-
-def _sibling(
-    source: ReportRow | list[ReportRow], claim: str, measured: float, bound: float, direction: str
-) -> ReportRow:
-    """A further row read off the computations its source rows timed.
-
-    It carries the sum of their ``ms``, so no row claims work it did not time.
+    A row's ``ms`` runs from the previous row, or from the recorder's making,
+    so a row read off an earlier computation costs microseconds and the rows
+    add up to the experiment's time.
     """
-    sources = [source] if isinstance(source, ReportRow) else source
-    new = _row(sources[0].experiment, claim, measured, bound, direction, time.perf_counter())
-    return replace(new, ms=sum(r.ms for r in sources))
+
+    def __init__(self, experiment: str):
+        super().__init__()
+        self.experiment = experiment
+        self._last = time.perf_counter()
+
+    def add(self, claim: str, measured: float, bound: float, direction: str) -> None:
+        now = time.perf_counter()
+        ms = (now - self._last) * 1000.0
+        self.append(ReportRow(self.experiment, claim, float(measured), float(bound), direction, ms))
+        self._last = now
 
 
 def _bounded_observable(dim: int, seed) -> HermitianObservable:
@@ -92,15 +96,13 @@ def _bounded_observable(dim: int, seed) -> HermitianObservable:
 
 
 def norms_experiment(seed: int, restarts: int = 20) -> list[ReportRow]:
-    rows: list[ReportRow] = []
+    rows = _Rows("norms")
 
     for n in (1, 2):
-        t0 = time.perf_counter()
         avg = ch.key_average(ch.pauli_otp_family(n))
         dev = float(np.max(np.abs(avg.choi - ch.depolarizing(n).choi)))
-        rows.append(_row("norms", f"Eq1-key-average-n{n}", dev, 1e-12, "<=", t0))
+        rows.add(f"Eq1-key-average-n{n}", dev, 1e-12, "<=")
 
-    t0 = time.perf_counter()
     dims = [2, 4, 8]
     worst = -math.inf
     for i in range(200):
@@ -111,10 +113,9 @@ def norms_experiment(seed: int, restarts: int = 20) -> list[ReportRow]:
         lhs = x.expectation(rho)
         rhs = x.expectation(sigma) + trace_norm(rho.matrix - sigma.matrix)
         worst = max(worst, lhs - rhs)
-    rows.append(_row("norms", "Lemma1-measurement-continuity", worst, 1e-9, "<=", t0))
+    rows.add("Lemma1-measurement-continuity", worst, 1e-9, "<=")
 
     for d in (2, 4):
-        t0 = time.perf_counter()
         st = pr.build_swap_test(d)
         dev = 0.0
         for i in range(20):
@@ -125,8 +126,7 @@ def norms_experiment(seed: int, restarts: int = 20) -> list[ReportRow]:
             )
             law = (1 + abs(a.overlap(b)) ** 2) / 2
             dev = max(dev, abs(p - law))
-        rows.append(_row("norms", f"SwapTest-pure-D{d}", dev, 1e-9, "<=", t0))
-        t0 = time.perf_counter()
+        rows.add(f"SwapTest-pure-D{d}", dev, 1e-9, "<=")
         dev = 0.0
         for i in range(20):
             r1 = random_density_operator(d, (seed, 22, d, i)).matrix
@@ -134,7 +134,7 @@ def norms_experiment(seed: int, restarts: int = 20) -> list[ReportRow]:
             p = st.symmetric_probability(np.kron(r1, r2))
             law = (1 + float(np.real(np.trace(r1 @ r2)))) / 2
             dev = max(dev, abs(p - law))
-        rows.append(_row("norms", f"SwapTest-mixed-D{d}", dev, 1e-9, "<=", t0))
+        rows.add(f"SwapTest-mixed-D{d}", dev, 1e-9, "<=")
 
     diamond_cases = [
         ("Diamond-id-vs-depolarizing-1q", ch.identity_channel(1), ch.depolarizing(1), 1.5),
@@ -147,9 +147,8 @@ def norms_experiment(seed: int, restarts: int = 20) -> list[ReportRow]:
         ),
     ]
     for claim, a, b, target in diamond_cases:
-        t0 = time.perf_counter()
         dd = ch.diamond_distance(a, b, restarts=restarts, seed=seed)
-        rows.append(_row("norms", claim, abs(dd.lower_bound - target), 1e-6, "<=", t0))
+        rows.add(claim, abs(dd.lower_bound - target), 1e-6, "<=")
     return rows
 
 
@@ -159,9 +158,8 @@ def norms_experiment(seed: int, restarts: int = 20) -> list[ReportRow]:
 
 
 def reduction_experiment(seed: int, eps: float = 0.04, restarts: int = 20) -> list[ReportRow]:
-    rows: list[ReportRow] = []
+    rows = _Rows("reduction")
 
-    t0 = time.perf_counter()
     exact_dev = 0.0
     majorant_margin = -math.inf
     for p in np.linspace(0.05, 0.95, 10):
@@ -183,53 +181,36 @@ def reduction_experiment(seed: int, eps: float = 0.04, restarts: int = 20) -> li
             yes_form - 3 * math.sqrt(1 - p),
             no_form - 3 * math.sqrt(p),
         )
-    distortion = _row("reduction", "Eq2-Eq3-copy-distortion", exact_dev, 1e-9, "<=", t0)
-    rows.append(distortion)
-    rows.append(_sibling(distortion, "Eq2-Eq3-majorant-strict", majorant_margin, 0.0, "<="))
+    rows.add("Eq2-Eq3-copy-distortion", exact_dev, 1e-9, "<=")
+    rows.add("Eq2-Eq3-majorant-strict", majorant_margin, 0.0, "<=")
 
     v_yes = vf.make_toy_verifier("rotation", accept_probability=1.0 - eps)
     bound = 3 * math.sqrt(eps)
     subspace_deficit = -math.inf
-    rotation_rows: list[ReportRow] = []
     for delta, tag in ((1.0, "delta-1"), (0.5, "delta-half")):
-        t0 = time.perf_counter()
         inst = red.build_ct_circuit(v_yes, "identity", "depolarizing", eps, delta)
         cert = red.certify_yes(inst, v_yes, seed=seed)
-        rotation_rows.append(
-            _row("reduction", f"Prop1-rotation-{tag}", cert.measured_bound, bound, "<=", t0)
-        )
+        rows.add(f"Prop1-rotation-{tag}", cert.measured_bound, bound, "<=")
         h, f = inst.witness_qubits, inst.dummy_qubits
         subspace_deficit = max(subspace_deficit, (h + f) * (1 - delta) - f)
-    rows.extend(rotation_rows)
-    rows.append(
-        _sibling(rotation_rows, "Prop1-subspace-dimension-log2-deficit", subspace_deficit, 0.0, "<=")
-    )
+    rows.add("Prop1-subspace-dimension-log2-deficit", subspace_deficit, 0.0, "<=")
 
-    t0 = time.perf_counter()
     v_target = vf.make_toy_verifier("target_state", witness_qubits=1, target=1)
     inst = red.build_ct_circuit(v_target, "identity", "depolarizing", eps, 1.0)
     cert = red.certify_yes(inst, v_target, seed=seed)
-    rows.append(_row("reduction", "Prop1-target-state-exact", cert.measured_bound, 1e-9, "<=", t0))
+    rows.add("Prop1-target-state-exact", cert.measured_bound, 1e-9, "<=")
 
-    t0 = time.perf_counter()
     v_reject = vf.make_toy_verifier("always_reject", witness_qubits=1)
     inst = red.build_ct_circuit(v_reject, "identity", "depolarizing", eps, 1.0)
     cert = red.certify_no(inst, v_reject, restarts=restarts, seed=seed, samples=50)
-    rows.append(
-        _row("reduction", "Prop2-always-reject-sampled", max(cert.probe_distances), 1e-9, "<=", t0)
-    )
+    rows.add("Prop2-always-reject-sampled", max(cert.probe_distances), 1e-9, "<=")
 
-    t0 = time.perf_counter()
     v_low = vf.make_toy_verifier("rotation", accept_probability=eps)
     inst = red.build_ct_circuit(v_low, "identity", "depolarizing", eps, 1.0)
     cert = red.certify_no(inst, v_low, restarts=restarts, seed=seed, samples=50)
-    sampled = _row(
-        "reduction", "Prop2-rotation-sampled", max(cert.probe_distances), bound, "<=", t0
-    )
-    rows.append(sampled)
-    ascent, upper = cert.diamond_lower_bound, cert.diamond_upper_bound
-    rows.append(_sibling(sampled, "Prop2-rotation-diamond-ascent", ascent, bound + 1e-6, "<="))
-    rows.append(_sibling(sampled, "Prop2-rotation-diamond-upper", upper, bound, "<="))
+    rows.add("Prop2-rotation-sampled", max(cert.probe_distances), bound, "<=")
+    rows.add("Prop2-rotation-diamond-ascent", cert.diamond_lower_bound, bound + 1e-6, "<=")
+    rows.add("Prop2-rotation-diamond-upper", cert.diamond_upper_bound, bound, "<=")
     return rows
 
 
@@ -239,49 +220,32 @@ def reduction_experiment(seed: int, eps: float = 0.04, restarts: int = 20) -> li
 
 
 def applications_experiment(seed: int, restarts: int = 10) -> list[ReportRow]:
-    rows: list[ReportRow] = []
+    rows = _Rows("applications")
 
-    t0 = time.perf_counter()
     t_gate = ch.to_channel(MixedStateCircuit(1, (GateOp.t(0),), 1))
     verdict = ap.min_output_entropy(t_gate, restarts=restarts, seed=seed)
-    rows.append(_row("applications", "MOE-unitary-zero", verdict.statistic, 1e-9, "<=", t0))
+    rows.add("MOE-unitary-zero", verdict.statistic, 1e-9, "<=")
 
     for n in (1, 2):
-        t0 = time.perf_counter()
         verdict = ap.min_output_entropy(ch.depolarizing(n), restarts=restarts, seed=seed)
-        rows.append(
-            _row("applications", f"MOE-depolarizing-n{n}", abs(verdict.statistic - n), 1e-9, "<=", t0)
-        )
+        rows.add(f"MOE-depolarizing-n{n}", abs(verdict.statistic - n), 1e-9, "<=")
 
-    t0 = time.perf_counter()
     half = ch.mix([ch.identity_channel(1), ch.depolarizing(1)], [0.5, 0.5])
     verdict = ap.min_output_entropy(half, restarts=restarts, seed=seed)
     grid = ap.bloch_grid_min_entropy(half, resolution=32)
-    rows.append(
-        _row("applications", "MOE-half-depolarizing-vs-grid", abs(verdict.statistic - grid), 1e-3, "<=", t0)
-    )
+    rows.add("MOE-half-depolarizing-vs-grid", abs(verdict.statistic - grid), 1e-3, "<=")
 
-    t0 = time.perf_counter()
     verdict = ap.pure_fixed_point_search(ch.identity_channel(1), 0.01, restarts=restarts, seed=seed)
-    rows.append(_row("applications", "PFP-identity", verdict.statistic, 1e-9, "<=", t0))
+    rows.add("PFP-identity", verdict.statistic, 1e-9, "<=")
 
-    t0 = time.perf_counter()
     mx = ch.to_channel(ap.measure_then_flip_circuit())
     verdict = ap.pure_fixed_point_search(mx, 0.01, restarts=restarts, seed=seed)
-    rows.append(
-        _row("applications", "PFP-measure-then-flip", verdict.statistic, 1.0 - 1e-6, ">=", t0)
-    )
+    rows.add("PFP-measure-then-flip", verdict.statistic, 1.0 - 1e-6, ">=")
 
-    t0 = time.perf_counter()
     tr_chan = ch.to_channel(MixedStateCircuit(2, (GateOp.trace_out(1),), 1))
     verdict = ap.nonisometry_stat(tr_chan, 0.1, restarts=5, seed=seed)
-    trace_row = _row(
-        "applications", "NonIsometry-trace-one-of-two", verdict.statistic, 0.5 + 1e-9, "<=", t0
-    )
-    rows.append(trace_row)
-    rows.append(
-        _sibling(trace_row, "NonIsometry-trace-one-of-two-lower", verdict.lower_bound, 0.5 - 1e-9, ">=")
-    )
+    rows.add("NonIsometry-trace-one-of-two", verdict.statistic, 0.5 + 1e-9, "<=")
+    rows.add("NonIsometry-trace-one-of-two-lower", verdict.lower_bound, 0.5 - 1e-9, ">=")
     return rows
 
 
@@ -294,46 +258,26 @@ def di_protocol_experiment(
     seed: int, shots: int = 100_000, restarts: int = 20, n: int = 1
 ) -> list[ReportRow]:
     soundness_target = 0.5 + 1.0 / (2 * 2**n)
-    rows: list[ReportRow] = []
+    rows = _Rows("di-protocol")
 
-    t0 = time.perf_counter()
     insecure = pr.build_identity_instance(n, 0.01)
     psi = random_pure_state(4**n, (seed, 1))
     complete = pr.exact_accept_probability(insecure, pr.two_copy_proof(psi), "psi-tensor-psi")
-    complete_row = _row(
-        "di-protocol", "Protocol1-completeness-exact", complete.probability, 1.0 - 1e-9, ">=", t0
-    )
-    rows.append(complete_row)
+    rows.add("Protocol1-completeness-exact", complete.probability, 1.0 - 1e-9, ">=")
 
-    t0 = time.perf_counter()
     secure = pr.build_secure_instance(n, 0.01)
     p_star, best_proof = pr.optimal_proof_accept(secure)
-    soundness_row = _row(
-        "di-protocol", "Protocol1-soundness-exact", abs(p_star - soundness_target), 1e-9, "<=", t0
-    )
-    rows.append(soundness_row)
+    rows.add("Protocol1-soundness-exact", abs(p_star - soundness_target), 1e-9, "<=")
 
-    t0 = time.perf_counter()
     sampled = pr.run_protocol_sampled(
         secure, best_proof.density(), shots=shots, seed=seed, proof_spec="optimal"
     )
     lo, hi = sampled.ci95
-    low = _row(
-        "di-protocol", "Protocol1-soundness-sampled-wilson-low", lo, soundness_target, "<=", t0
-    )
-    rows.append(low)
-    rows.append(
-        _sibling(low, "Protocol1-soundness-sampled-wilson-high", hi, soundness_target, ">=")
-    )
-
+    rows.add("Protocol1-soundness-sampled-wilson-low", lo, soundness_target, "<=")
+    rows.add("Protocol1-soundness-sampled-wilson-high", hi, soundness_target, ">=")
     gap = complete.probability - p_star
-    rows.append(
-        _sibling(
-            [complete_row, soundness_row], "Protocol1-gap", gap, 0.5 - 1.0 / (2 * 2**n) - 1e-6, ">="
-        )
-    )
+    rows.add("Protocol1-gap", gap, 0.5 - 1.0 / (2 * 2**n) - 1e-6, ">=")
 
-    t0 = time.perf_counter()
     otp_report = ch.check_eps_private(
         pr.build_secure_instance(1, 0.01).family,
         ch.pauli_otp_decryptor(1),
@@ -341,19 +285,11 @@ def di_protocol_experiment(
         restarts=restarts,
         seed=seed,
     )
-    otp_row = _row(
-        "di-protocol",
-        "EpsPrivate-OTP-verdict-consistent",
-        1.0 if otp_report.verdict == ch.VERDICT_CONSISTENT else 0.0,
-        1.0,
-        ">=",
-        t0,
-    )
-    rows.append(otp_row)
-    rows.append(_sibling(otp_row, "EpsPrivate-OTP-d1", otp_report.d1, 1e-9, "<="))
-    rows.append(_sibling(otp_row, "EpsPrivate-OTP-d2", otp_report.d2, 1e-9, "<="))
+    consistent = 1.0 if otp_report.verdict == ch.VERDICT_CONSISTENT else 0.0
+    rows.add("EpsPrivate-OTP-verdict-consistent", consistent, 1.0, ">=")
+    rows.add("EpsPrivate-OTP-d1", otp_report.d1, 1e-9, "<=")
+    rows.add("EpsPrivate-OTP-d2", otp_report.d2, 1e-9, "<=")
 
-    t0 = time.perf_counter()
     leaky = pr.build_identity_instance(1, 0.1)
     leaky_report = ch.check_eps_private(
         leaky.family,
@@ -362,28 +298,19 @@ def di_protocol_experiment(
         restarts=restarts,
         seed=seed,
     )
-    leaky_row = _row(
-        "di-protocol",
-        "EpsPrivate-identity-family-verdict-violates",
-        1.0 if leaky_report.verdict == ch.VERDICT_VIOLATES else 0.0,
-        1.0,
-        ">=",
-        t0,
-    )
-    rows.append(leaky_row)
-    rows.append(
-        _sibling(leaky_row, "EpsPrivate-identity-family-d2", leaky_report.d2, 1.5 - 1e-9, ">=")
-    )
+    violates = 1.0 if leaky_report.verdict == ch.VERDICT_VIOLATES else 0.0
+    rows.add("EpsPrivate-identity-family-verdict-violates", violates, 1.0, ">=")
+    rows.add("EpsPrivate-identity-family-d2", leaky_report.d2, 1.5 - 1e-9, ">=")
     return rows
 
 
 def full_suite(seed: int, shots: int = 100_000, restarts: int = 20) -> list[ReportRow]:
-    rows: list[ReportRow] = []
-    rows.extend(norms_experiment(seed, restarts=restarts))
-    rows.extend(reduction_experiment(seed, restarts=restarts))
-    rows.extend(applications_experiment(seed))
-    rows.extend(di_protocol_experiment(seed, shots=shots, restarts=restarts))
-    return rows
+    return [
+        *norms_experiment(seed, restarts=restarts),
+        *reduction_experiment(seed, restarts=restarts),
+        *applications_experiment(seed),
+        *di_protocol_experiment(seed, shots=shots, restarts=restarts),
+    ]
 
 
 # The runnable experiments by config name; a config's parameters are its function's keywords.

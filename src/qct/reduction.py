@@ -26,11 +26,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channels import (
+    _kraus_channel,
     depolarizing_circuit,
     diamond_distance,
     pauli_keyed,
     pauli_x_first_circuit,
-    to_channel,
 )
 from .circuits import (
     GateOp,
@@ -448,20 +448,19 @@ def _require_side(v: VerifierCircuit, eps: float, side: str) -> PureState:
     return witness
 
 
-def _probe_distances(a: MixedStateCircuit, b: MixedStateCircuit, probes) -> list[float]:
-    """Trace distances between the outputs of ``a`` and ``b`` on each probe vector.
+def _probe_distances(ka: np.ndarray, kb: np.ndarray, probes) -> list[float]:
+    """Trace distances between the outputs of Kraus stacks ``ka`` and ``kb`` on each probe.
 
     A probe lives on input (x) reference, so its reference size is its length
     over the input dimension.  Its output under a Kraus stack K is ``V V^dagger``,
     where row g of V is ``(K_g (x) I) psi``; outputs plus reference must fit the cap.
     """
-    stacks = (stinespring(a), stinespring(b))
-    d_in = 2**a.input_qubits
+    _, d_out, d_in = ka.shape
     distances = []
     for psi in probes:
         ref = psi.size // d_in
-        check_capacity(a.output_qubits + ref.bit_length() - 1, "probe outputs plus reference")
-        lhs, rhs = ((kraus @ psi.reshape(d_in, ref)).reshape(len(kraus), -1) for kraus in stacks)
+        check_capacity((d_out * ref).bit_length() - 1, "probe outputs plus reference")
+        lhs, rhs = ((kraus @ psi.reshape(d_in, ref)).reshape(len(kraus), -1) for kraus in (ka, kb))
         distances.append(trace_norm(lhs.T @ lhs.conj() - rhs.T @ rhs.conj()))
     return distances
 
@@ -497,7 +496,9 @@ def certify_yes(instance: CTInstance, v: VerifierCircuit, seed=0) -> CTCertifica
         side="YES",
         claimed_bound=instance.bound(),
         witness=witness,
-        probe_distances=tuple(_probe_distances(instance.circuit, instance.c0, probes)),
+        probe_distances=tuple(
+            _probe_distances(stinespring(instance.circuit), stinespring(instance.c0), probes)
+        ),
         subspace_dim_claimed=2.0 ** (instance.input_qubits * (1.0 - instance.delta)),
         subspace_dim_achieved=2**instance.dummy_qubits,
         seed=_seed_record(seed),
@@ -519,10 +520,11 @@ def certify_no(
     ``diamond_upper_bound`` at or below the threshold proves it.
     """
     _require_side(v, instance.eps, "NO")
-    chan, c1 = to_channel(instance.circuit), to_channel(instance.c1)
-    probes = [random_pure_state(chan.dim_in**2, (seed, s)).amplitudes for s in range(samples)]
-    distances = _probe_distances(instance.circuit, instance.c1, probes)
-    dd = diamond_distance(chan, c1, restarts, seed)
+    check_capacity(instance.input_qubits + instance.circuit.output_qubits, "Choi matrix")
+    ka, kb = stinespring(instance.circuit), stinespring(instance.c1)
+    probes = [random_pure_state(ka.shape[2] ** 2, (seed, s)).amplitudes for s in range(samples)]
+    distances = _probe_distances(ka, kb, probes)
+    dd = diamond_distance(_kraus_channel(ka), _kraus_channel(kb), restarts, seed)
     return CTCertificate(
         side="NO",
         claimed_bound=instance.bound(),
@@ -570,7 +572,7 @@ def wellformedness_check(
     probes.append(signs / math.sqrt(dim))
     for s in range(samples):
         probes.append(random_pure_state(dim, (seed, s)).amplitudes)
-    min_distance = min(_probe_distances(c0, c1, probes))
+    min_distance = min(_probe_distances(stinespring(c0), stinespring(c1), probes))
     flagged = min_distance <= 2.0 * eps
     note = (
         "delta = 1: sampled pure states decide the promise directly"

@@ -4,12 +4,15 @@ import json
 import re
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from qct import experiments
 from qct.circuits import _OP_FIELDS, _OPTIONAL_FIELDS
 from qct.cli import (
     FIXTURE_CATALOG,
+    FORMATS,
     PARAMETERS,
     ConfigError,
     ExperimentConfig,
@@ -17,7 +20,7 @@ from qct.cli import (
     main,
     render_body_json,
 )
-from qct.experiments import EXPERIMENTS, norms_experiment
+from qct.experiments import EXPERIMENTS, ReportRow, _Rows, norms_experiment
 
 
 def write_config(path: Path, **fields) -> Path:
@@ -113,30 +116,6 @@ class TestConfig:
             load_config(str(cfg), {})
 
 
-# experiment -> (row, the rows whose timed computations it reads)
-SIBLING_ROWS = {
-    "applications": [
-        ("NonIsometry-trace-one-of-two-lower", "NonIsometry-trace-one-of-two"),
-    ],
-    "reduction": [
-        ("Eq2-Eq3-majorant-strict", "Eq2-Eq3-copy-distortion"),
-        (
-            "Prop1-subspace-dimension-log2-deficit",
-            ("Prop1-rotation-delta-1", "Prop1-rotation-delta-half"),
-        ),
-        ("Prop2-rotation-diamond-ascent", "Prop2-rotation-sampled"),
-        ("Prop2-rotation-diamond-upper", "Prop2-rotation-sampled"),
-    ],
-    "di-protocol": [
-        ("Protocol1-soundness-sampled-wilson-high", "Protocol1-soundness-sampled-wilson-low"),
-        ("Protocol1-gap", ("Protocol1-completeness-exact", "Protocol1-soundness-exact")),
-        ("EpsPrivate-OTP-d1", "EpsPrivate-OTP-verdict-consistent"),
-        ("EpsPrivate-OTP-d2", "EpsPrivate-OTP-verdict-consistent"),
-        ("EpsPrivate-identity-family-d2", "EpsPrivate-identity-family-verdict-violates"),
-    ],
-}
-
-
 class TestRun:
     def test_norms_run_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, experiment="norms", seed=11, restarts=5)
@@ -151,29 +130,21 @@ class TestRun:
         meta = json.loads((tmp_path / "report.json.meta.json").read_text())
         assert "timestamp" in meta and set(meta["row_ms"]) == {r["claim"] for r in body["rows"]}
 
-    @pytest.mark.parametrize("experiment", sorted(SIBLING_ROWS))
-    def test_sibling_rows_carry_their_computation_ms(self, tmp_path, experiment):
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    def test_row_times_add_up_to_the_run_time(self, tmp_path, experiment):
+        # each row is timed from the row before it, so no computation is counted twice
         params = {k: v for k, v in {"shots": 1000, "restarts": 2}.items() if k in taken(experiment)}
         cfg = write_config(tmp_path, experiment=experiment, seed=5, **params)
         out = tmp_path / "report.json"
-        main(["run", "--config", str(cfg), "--out", str(out)])
-        row_ms = json.loads((tmp_path / "report.json.meta.json").read_text())["row_ms"]
-        for row, source in SIBLING_ROWS[experiment]:
-            sources = (source,) if isinstance(source, str) else source
-            assert row_ms[row] == sum(row_ms[s] for s in sources), row
-
-    def test_total_ms_counts_each_computation_once(self, tmp_path):
-        cfg = write_config(tmp_path, experiment="reduction", seed=5, restarts=2)
-        out = tmp_path / "report.json"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         meta = json.loads((tmp_path / "report.json.meta.json").read_text())
-        siblings = {row for row, _ in SIBLING_ROWS["reduction"]}
-        distinct_ms = sum(ms for claim, ms in meta["row_ms"].items() if claim not in siblings)
-        assert distinct_ms <= meta["total_ms"] <= distinct_ms + 20.0
+        rows_ms = sum(meta["row_ms"].values())
+        assert rows_ms <= meta["total_ms"] <= rows_ms + 20.0
 
-    def test_report_bodies_byte_identical(self, tmp_path):
-        cfg = write_config(tmp_path, experiment="norms", seed=3, restarts=5)
-        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_report_bodies_byte_identical(self, tmp_path, fmt):
+        cfg = write_config(tmp_path, experiment="norms", seed=3, restarts=5, format=fmt)
+        out1, out2 = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
         assert main(["run", "--config", str(cfg), "--out", str(out1)]) == 0
         assert main(["run", "--config", str(cfg), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
@@ -183,8 +154,14 @@ class TestRun:
         out = tmp_path / "report.csv"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "experiment,claim,measured,bound,pass,ms"
+        assert lines[0] == "experiment,claim,measured,bound,pass"
         assert all(line.split(",")[4] == "true" for line in lines[1:])
+
+    def test_report_in_a_missing_directory_exits_1_naming_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, experiment="norms", seed=5, restarts=1)
+        out = tmp_path / "absent" / "report.json"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"error: cannot write report {out}: " in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, experiment="norms")
@@ -238,6 +215,10 @@ class TestRun:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 
+    def test_directory_as_config_exits_2_naming_it(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path)]) == 2
+        assert f"config error: cannot read config {tmp_path}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"[" * 100_000], ids=["not-utf8", "deep"])
     def test_unreadable_config_exits_2(self, tmp_path, capsys, raw):
         cfg = tmp_path / "config.json"
@@ -249,6 +230,32 @@ class TestRun:
         rows = norms_experiment(2, restarts=3)
         config = ExperimentConfig("norms", 2, {"restarts": 3})
         assert render_body_json(config, rows) == render_body_json(config, rows)
+
+
+class TestReportRow:
+    @pytest.mark.parametrize("direction", ["<=", ">="])
+    def test_a_value_at_its_bound_passes(self, direction):
+        assert ReportRow("e", "c", 0.5, 0.5, direction, 0.0).passed
+
+    def test_pass_follows_the_direction(self):
+        assert not ReportRow("e", "c", 0.4, 0.5, ">=", 0.0).passed
+        assert ReportRow("e", "c", 0.4, 0.5, "<=", 0.0).passed
+        assert not ReportRow("e", "c", 0.6, 0.5, "<=", 0.0).passed
+
+    @pytest.mark.parametrize("direction", ["<", "=", "=>", ""])
+    def test_an_unknown_direction_is_rejected(self, direction):
+        rows = _Rows("e")
+        with pytest.raises(ValueError, match="^c: direction must be"):
+            rows.add("c", 0.4, 0.5, direction)
+        assert rows == []
+
+    def test_a_row_is_timed_from_the_row_before_it(self, monkeypatch):
+        clock = iter([1.0, 3.0, 3.5])
+        monkeypatch.setattr(experiments, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+        rows = _Rows("e")
+        rows.add("a", 1, 2, "<=")
+        rows.add("b", 1, 2, "<=")
+        assert [r.ms for r in rows] == [2000.0, 500.0]
 
 
 class TestFixturesCommand:
@@ -303,3 +310,7 @@ class TestCircuitValidate:
 
     def test_missing_file(self, capsys):
         assert main(["circuit", "validate", "/nonexistent/file.json"]) == 1
+
+    def test_directory_fails_naming_it(self, tmp_path, capsys):
+        assert main(["circuit", "validate", str(tmp_path)]) == 1
+        assert f"error: cannot read {tmp_path}: " in capsys.readouterr().err

@@ -35,7 +35,7 @@ from qct import (
     trace_norm,
     wellformedness_check,
 )
-from qct import reduction
+from qct import channels, reduction
 from qct.reduction import FAMILY_REGISTRY, _require_side, _yes_probe_states
 
 
@@ -318,6 +318,24 @@ class TestCertifyNo:
         inst = build_ct_circuit(v, "identity", "depolarizing", 0.04, 1.0)
         with pytest.raises(WrongSideError):
             certify_no(inst, v)
+
+    def test_builds_each_kraus_stack_once(self, monkeypatch):
+        v = make_toy_verifier("rotation", accept_probability=0.04)
+        inst = build_ct_circuit(v, "identity", "depolarizing", 0.04, 1.0)
+        built = []
+        for module in (channels, reduction):
+            real = module.stinespring
+            monkeypatch.setattr(module, "stinespring", lambda c, f=real: built.append(c) or f(c))
+        certify_no(inst, v, restarts=2, seed=0, samples=5)
+        assert built == [inst.circuit, inst.c1]
+
+    def test_the_choi_cap_is_checked_before_a_stack_is_built(self, monkeypatch):
+        v = make_toy_verifier("rotation", accept_probability=0.04)
+        inst = build_ct_circuit(v, "identity", "depolarizing", 0.04, 1.0)
+        monkeypatch.setenv("QCT_MAX_QUBITS", str(2 * inst.input_qubits - 1))
+        monkeypatch.setattr(reduction, "stinespring", lambda c: pytest.fail("stack built"))
+        with pytest.raises(CapacityError, match="^Choi matrix needs 2 qubits"):
+            certify_no(inst, v, restarts=2, seed=0, samples=5)
 
 
 class TestWellformedness:
