@@ -57,7 +57,6 @@ class ProblemVerdict:
     no_bound: float
     witness: PureState
     seed: int | tuple[int, ...] | None
-    notes: str = ""
     lower_bound: float | None = None
     upper_bound: float | None = None
 
@@ -76,6 +75,12 @@ class ProblemVerdict:
         if stat <= self._yes_first(self.yes_bound):
             return "YES"
         return "NO" if stat >= self._yes_first(self.no_bound) else None
+
+    @property
+    def notes(self) -> str:
+        if self.problem == NON_IDENTITY:
+            return "efficient-unitary existence clause of the far side is not audited"
+        return ""
 
     @property
     def heuristic_only(self) -> bool:
@@ -105,7 +110,6 @@ def nonidentity_stat(
         no_bound=eps,
         witness=dd.witness,
         seed=_seed_record(seed),
-        notes="efficient-unitary existence clause of the far side is not audited",
         upper_bound=dd.upper_bound,
     )
 

@@ -395,11 +395,15 @@ class DiamondResult:
     runs no further starts once its lower bound meets ``upper_bound``.
     """
 
-    lower_bound: float
     upper_bound: float
     witness: PureState
     per_restart: tuple[float, ...]
     seed: int | tuple[int, ...] | None
+
+    @property
+    def lower_bound(self) -> float:
+        """The best start's value: a trace norm, so never negative."""
+        return max(self.per_restart)
 
 
 def _maximally_entangled(d: int) -> np.ndarray:
@@ -514,12 +518,10 @@ def diamond_distance(
     check_capacity(2 * a.n_qubits_in, "diamond-distance input")
     delta = a.choi - b.choi
     starts = (_maximally_entangled(a.dim_in), *extra_starts)
-    val, upper, psi, per_restart = _ascent_max(
+    _, upper, psi, per_restart = _ascent_max(
         delta, a.dim_in, a.dim_out, a.dim_in, starts, restarts, seed
     )
-    return DiamondResult(
-        max(val, 0.0), upper, PureState(psi), per_restart, _seed_record(seed)
-    )
+    return DiamondResult(upper, PureState(psi), per_restart, _seed_record(seed))
 
 
 def trace_distance_no_reference(
@@ -551,7 +553,6 @@ class EpsPrivateReport:
     """Certified lower bounds against the two privacy conditions, and the diamond upper bounds."""
 
     eps: float
-    decryption_bound: float
     decryption_per_key: tuple[float, ...]
     key_average_bound: float
     decryption_bound_trace: float
@@ -561,18 +562,15 @@ class EpsPrivateReport:
     seed: int | tuple[int, ...] | None
 
     @property
+    def decryption_bound(self) -> float:
+        """The worst key's lower bound."""
+        return max(self.decryption_per_key)
+
+    @property
     def verdict(self) -> str:
         """VIOLATES when either lower bound exceeds ``eps``, else CONSISTENT-WITH-EPS-PRIVATE."""
         violated = self.decryption_bound > self.eps or self.key_average_bound > self.eps
         return VERDICT_VIOLATES if violated else VERDICT_CONSISTENT
-
-    @property
-    def d1(self) -> float:
-        return self.decryption_bound
-
-    @property
-    def d2(self) -> float:
-        return self.key_average_bound
 
 
 def check_eps_private(
@@ -626,7 +624,6 @@ def check_eps_private(
     dd2 = diamond_distance(averaged, omega, restarts, seed)
     return EpsPrivateReport(
         eps=eps,
-        decryption_bound=max(per_key),
         decryption_per_key=tuple(per_key),
         key_average_bound=dd2.lower_bound,
         decryption_bound_trace=max(per_key_trace),

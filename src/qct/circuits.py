@@ -274,13 +274,12 @@ class MixedStateCircuit:
 
 @dataclass(frozen=True)
 class CanonicalCircuit:
-    """Ancillas first, one unitary, traces last."""
+    """Ancillas first, one unitary, traces last; the wires not traced are the outputs."""
 
     input_qubits: int
     ancilla_qubits: int
     unitary: np.ndarray
     traced_wires: tuple[int, ...]
-    output_qubits: int
 
     def __post_init__(self):
         mat = np.array(self.unitary, dtype=np.complex128)
@@ -294,10 +293,14 @@ class CanonicalCircuit:
             )
         if not _is_unitary(mat):
             raise CircuitError("canonical matrix is not unitary within tolerance")
-        if len(self.traced_wires) + self.output_qubits != total:
-            raise CircuitError("traced wires and outputs must partition the wires")
         if len(set(self.traced_wires)) != len(self.traced_wires):
             raise CircuitError("traced wires must be distinct")
+        if not all(0 <= w < total for w in self.traced_wires):
+            raise CircuitError(f"traced wires {self.traced_wires} must lie in range({total})")
+
+    @property
+    def output_qubits(self) -> int:
+        return self.input_qubits + self.ancilla_qubits - len(self.traced_wires)
 
     def to_circuit(self) -> MixedStateCircuit:
         total = self.input_qubits + self.ancilla_qubits
@@ -462,7 +465,6 @@ def canonicalize(circuit: MixedStateCircuit) -> CanonicalCircuit:
         ancilla_qubits=circuit.ancilla_total,
         unitary=unitary,
         traced_wires=traced,
-        output_qubits=circuit.output_qubits,
     )
 
 

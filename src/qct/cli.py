@@ -113,11 +113,10 @@ def render_body_json(config: ExperimentConfig, rows: list[ReportRow]) -> bytes:
 def render_body_csv(rows: list[ReportRow]) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["experiment", "claim", "measured", "bound", "pass"])
+    writer.writerow(["experiment", "claim", "measured", "bound", "direction", "pass"])
     for r in rows:
-        writer.writerow(
-            [r.experiment, r.claim, repr(r.measured), repr(r.bound), str(r.passed).lower()]
-        )
+        measured, bound, passed = repr(r.measured), repr(r.bound), str(r.passed).lower()
+        writer.writerow([r.experiment, r.claim, measured, bound, r.direction, passed])
     return buf.getvalue().encode("utf-8")
 
 
@@ -221,6 +220,11 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    out_path = Path(config.out) if config.out else Path(f"qct-report.{config.format}")
+    if not out_path.parent.is_dir():
+        print(f"error: cannot write report {out_path}: {out_path.parent} is not a directory",
+              file=sys.stderr)
+        return 1
     start = time.perf_counter()
     try:
         rows = run_experiment(config)
@@ -228,7 +232,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     run_ms = (time.perf_counter() - start) * 1000.0
-    out_path = Path(config.out) if config.out else Path(f"qct-report.{config.format}")
     try:
         write_report(config, rows, out_path, run_ms)
     except OSError as exc:

@@ -262,20 +262,18 @@ def di_protocol_experiment(
 
     insecure = pr.build_identity_instance(n, 0.01)
     psi = random_pure_state(4**n, (seed, 1))
-    complete = pr.exact_accept_probability(insecure, pr.two_copy_proof(psi), "psi-tensor-psi")
-    rows.add("Protocol1-completeness-exact", complete.probability, 1.0 - 1e-9, ">=")
+    complete = pr.exact_accept_probability(insecure, pr.two_copy_proof(psi))
+    rows.add("Protocol1-completeness-exact", complete, 1.0 - 1e-9, ">=")
 
     secure = pr.build_secure_instance(n, 0.01)
     p_star, best_proof = pr.optimal_proof_accept(secure)
     rows.add("Protocol1-soundness-exact", abs(p_star - soundness_target), 1e-9, "<=")
 
-    sampled = pr.run_protocol_sampled(
-        secure, best_proof.density(), shots=shots, seed=seed, proof_spec="optimal"
-    )
+    sampled = pr.run_protocol_sampled(secure, best_proof.density(), shots=shots, seed=seed)
     lo, hi = sampled.ci95
     rows.add("Protocol1-soundness-sampled-wilson-low", lo, soundness_target, "<=")
     rows.add("Protocol1-soundness-sampled-wilson-high", hi, soundness_target, ">=")
-    gap = complete.probability - p_star
+    gap = complete - p_star
     rows.add("Protocol1-gap", gap, 0.5 - 1.0 / (2 * 2**n) - 1e-6, ">=")
 
     otp_report = ch.check_eps_private(
@@ -287,8 +285,8 @@ def di_protocol_experiment(
     )
     consistent = 1.0 if otp_report.verdict == ch.VERDICT_CONSISTENT else 0.0
     rows.add("EpsPrivate-OTP-verdict-consistent", consistent, 1.0, ">=")
-    rows.add("EpsPrivate-OTP-d1", otp_report.d1, 1e-9, "<=")
-    rows.add("EpsPrivate-OTP-d2", otp_report.d2, 1e-9, "<=")
+    rows.add("EpsPrivate-OTP-d1", otp_report.decryption_bound, 1e-9, "<=")
+    rows.add("EpsPrivate-OTP-d2", otp_report.key_average_bound, 1e-9, "<=")
 
     leaky = pr.build_identity_instance(1, 0.1)
     leaky_report = ch.check_eps_private(
@@ -300,7 +298,7 @@ def di_protocol_experiment(
     )
     violates = 1.0 if leaky_report.verdict == ch.VERDICT_VIOLATES else 0.0
     rows.add("EpsPrivate-identity-family-verdict-violates", violates, 1.0, ">=")
-    rows.add("EpsPrivate-identity-family-d2", leaky_report.d2, 1.5 - 1e-9, ">=")
+    rows.add("EpsPrivate-identity-family-d2", leaky_report.key_average_bound, 1.5 - 1e-9, ">=")
     return rows
 
 

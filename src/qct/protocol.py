@@ -10,7 +10,7 @@ accepts on the symmetric outcome of the swap test across the branches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import (
     check_capacity,
 )
 from .reduction import _check_promise, _require_side, copy_branch_circuit, dummy_qubit_count
-from .states import DensityOperator, PureState, _require_seed, qubit_count
+from .states import DensityOperator, PureState, _require_seed, _seed_record, qubit_count
 from .verifier import VerifierCircuit
 
 PROVENANCE_SECURE = "SECURE_OTP"
@@ -43,17 +43,22 @@ WILSON_Z = 1.959963984540054  # two-sided 95%
 
 @dataclass(frozen=True)
 class SwapTest:
-    """Projective measurement onto the symmetric subspace of a doubled register."""
+    """Projective measurement onto the symmetric subspace of a doubled register.
+
+    The projector, (identity plus swap) / 2, is built from ``branch_dimension``,
+    which must be a power of two whose doubled register fits the qubit cap.
+    """
 
     branch_dimension: int
-    projector: np.ndarray
+    projector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p = np.asarray(self.projector)
         d = self.branch_dimension
-        if p.shape != (d * d, d * d):
-            raise DimensionMismatchError("projector shape does not match the branch dimension")
-        object.__setattr__(self, "projector", p)
+        check_capacity(2 * qubit_count(d), "swap test")
+        swap = np.eye(d * d, dtype=np.complex128).reshape(d, d, d, d).transpose(1, 0, 2, 3)
+        proj = (np.eye(d * d) + swap.reshape(d * d, d * d)) / 2.0
+        proj.setflags(write=False)
+        object.__setattr__(self, "projector", proj)
 
     def symmetric_probability(self, rho_pair) -> float:
         mat = rho_pair.matrix if isinstance(rho_pair, DensityOperator) else np.asarray(rho_pair)
@@ -61,13 +66,8 @@ class SwapTest:
 
 
 def build_swap_test(branch_dimension: int) -> SwapTest:
-    """Symmetric projector (identity plus swap) / 2 on a doubled register."""
-    check_capacity(2 * qubit_count(branch_dimension), "swap test")
-    d = branch_dimension
-    swap = np.eye(d * d, dtype=np.complex128).reshape(d, d, d, d).transpose(1, 0, 2, 3)
-    proj = (np.eye(d * d) + swap.reshape(d * d, d * d)) / 2.0
-    proj.setflags(write=False)
-    return SwapTest(d, proj)
+    """The swap test on two branches of ``branch_dimension`` each."""
+    return SwapTest(branch_dimension)
 
 
 @dataclass(frozen=True)
@@ -121,38 +121,25 @@ class DIInstance:
 
 @dataclass(frozen=True)
 class ProtocolResult:
-    """Outcome of one protocol evaluation, exact or sampled."""
+    """One sampled protocol run: ``accepts`` of ``shots`` swap tests accepted under ``seed``."""
 
-    mode: str
-    proof_spec: str
-    probability: float | None = None
-    shots: int | None = None
-    accepts: int | None = None
-    frequency: float | None = None
-    ci95: tuple[float, float] | None = None
-    seed: int | None = None
+    shots: int
+    accepts: int
+    seed: int | tuple[int, ...]
 
     def __post_init__(self):
-        for value in (self.probability, self.frequency):
-            if value is not None and not -1e-9 <= value <= 1.0 + 1e-9:
-                raise ValueError(f"probability {value} outside [0, 1]")
-
-    def to_json(self, instance: DIInstance | None = None) -> dict:
-        doc: dict = {"mode": self.mode, "proof_spec": self.proof_spec, "seed": self.seed}
-        if instance is not None:
-            doc["instance"] = instance.to_json()
-        if self.mode == "EXACT":
-            doc["p"] = self.probability
-        else:
-            doc.update(
-                {
-                    "shots": self.shots,
-                    "accepts": self.accepts,
-                    "freq": self.frequency,
-                    "ci95": list(self.ci95),
-                }
+        if self.shots < 1 or not 0 <= self.accepts <= self.shots:
+            raise ValueError(
+                f"accepts {self.accepts} must lie in [0, shots] with shots {self.shots} >= 1"
             )
-        return doc
+
+    @property
+    def frequency(self) -> float:
+        return self.accepts / self.shots
+
+    @property
+    def ci95(self) -> tuple[float, float]:
+        return wilson_interval(self.accepts, self.shots)
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
@@ -249,9 +236,7 @@ def protocol_observable(instance: DIInstance) -> np.ndarray:
     return (pulled + pulled.conj().T) / 2
 
 
-def exact_accept_probability(
-    instance: DIInstance, proof, proof_spec: str = "custom"
-) -> ProtocolResult:
+def exact_accept_probability(instance: DIInstance, proof) -> float:
     """Exact symmetric-outcome probability for a given proof state.
 
     Averaging over the two independent uniform keys commutes with the rest of
@@ -261,7 +246,7 @@ def exact_accept_probability(
     _require_proof_shape(instance, mat)
     obs = protocol_observable(instance)
     p = float(np.real(np.trace(obs @ mat)))
-    return ProtocolResult(mode="EXACT", proof_spec=proof_spec, probability=min(max(p, 0.0), 1.0))
+    return min(max(p, 0.0), 1.0)
 
 
 def optimal_proof_accept(instance: DIInstance) -> tuple[float, PureState]:
@@ -291,9 +276,7 @@ def _key_pair_table(instance: DIInstance, proof: np.ndarray) -> np.ndarray:
     return np.real(np.stack(pushed) @ np.stack(pulled).T)
 
 
-def run_protocol_sampled(
-    instance: DIInstance, proof, shots: int, seed: int, proof_spec: str = "custom"
-) -> ProtocolResult:
+def run_protocol_sampled(instance: DIInstance, proof, shots: int, seed: int) -> ProtocolResult:
     """Sample the literal protocol: draw key pairs, encrypt both branches, swap-test.
 
     The per-shot acceptance probabilities for each key pair are precomputed
@@ -315,16 +298,7 @@ def run_protocol_sampled(
     keys = rng.integers(0, n_keys, size=(shots, 2))
     draws = rng.random(shots)
     accepts = int(np.sum(draws < accept_prob[keys[:, 0], keys[:, 1]]))
-    freq = accepts / shots
-    return ProtocolResult(
-        mode="SAMPLED",
-        proof_spec=proof_spec,
-        shots=shots,
-        accepts=accepts,
-        frequency=freq,
-        ci95=wilson_interval(accepts, shots),
-        seed=seed,
-    )
+    return ProtocolResult(shots, accepts, _seed_record(seed))
 
 
 def two_copy_proof(psi: PureState) -> DensityOperator:

@@ -541,11 +541,20 @@ class WellformednessReport:
     """Sampled evidence that two families stay far apart on pure inputs."""
 
     min_distance: float
-    flagged: bool
     probe_count: int
     eps: float
     delta: float
-    subspace_note: str
+
+    @property
+    def flagged(self) -> bool:
+        """Some probe's outputs lie within ``2 eps`` of each other."""
+        return self.min_distance <= 2.0 * self.eps
+
+    @property
+    def subspace_note(self) -> str:
+        if self.delta == 1.0:
+            return "delta = 1: sampled pure states decide the promise directly"
+        return "delta < 1: the subspace-dimension refinement is not machine-checked"
 
 
 def wellformedness_check(
@@ -573,17 +582,4 @@ def wellformedness_check(
     for s in range(samples):
         probes.append(random_pure_state(dim, (seed, s)).amplitudes)
     min_distance = min(_probe_distances(stinespring(c0), stinespring(c1), probes))
-    flagged = min_distance <= 2.0 * eps
-    note = (
-        "delta = 1: sampled pure states decide the promise directly"
-        if delta == 1.0
-        else "delta < 1: the subspace-dimension refinement is not machine-checked"
-    )
-    return WellformednessReport(
-        min_distance=min_distance,
-        flagged=flagged,
-        probe_count=len(probes),
-        eps=eps,
-        delta=delta,
-        subspace_note=note,
-    )
+    return WellformednessReport(min_distance, len(probes), eps, delta)

@@ -274,34 +274,10 @@ def operator_norm(x) -> float:
     return float(np.linalg.svd(mat, compute_uv=False).max(initial=0.0))
 
 
-def purify(rho: DensityOperator) -> PureState:
-    """Pure state on the doubled space whose reference-side partial trace is ``rho``.
-
-    The original system sits on the more significant qubits, the reference
-    copy on the less significant ones.
-    """
-    vals, vecs = np.linalg.eigh(rho.matrix)
-    if vals[0] < -TAU_PSD:
-        raise InvalidStateError(f"eigenvalue {vals[0]} below PSD tolerance")
-    vals = np.clip(vals, 0.0, None)
-    d = rho.dim
-    psi = np.zeros(d * d, dtype=np.complex128)
-    for k in range(d):
-        if vals[k] == 0.0:
-            continue
-        psi += np.sqrt(vals[k]) * np.kron(vecs[:, k], _basis_vector(d, k))
-    psi /= np.linalg.norm(psi)
-    return PureState(psi)
-
-
-def _basis_vector(dim: int, index: int) -> np.ndarray:
+def basis_state(dim: int, index: int) -> PureState:
     v = np.zeros(dim, dtype=np.complex128)
     v[index] = 1.0
-    return v
-
-
-def basis_state(dim: int, index: int) -> PureState:
-    return PureState(_basis_vector(dim, index))
+    return PureState(v)
 
 
 def random_pure_state(dim: int, seed) -> PureState:

@@ -1,7 +1,6 @@
 import dataclasses
 import functools
 import math
-import types
 
 import numpy as np
 import pytest
@@ -72,12 +71,6 @@ class TestQuantumChannel:
     def test_trusted_constructor_is_not_public(self):
         from qct.states import _trusted
 
-        public = [
-            name
-            for name, value in vars(qct).items()
-            if not name.startswith("_") and not isinstance(value, types.ModuleType)
-        ]
-        assert len(public) == 92
         assert not any(value is _trusted for value in vars(qct).values())
 
     def test_computed_channels_are_frozen(self):
@@ -348,20 +341,20 @@ class TestEpsPrivacy:
             pauli_otp_family(1), pauli_otp_decryptor(1), eps=0.01, restarts=5, seed=0
         )
         assert report.verdict == VERDICT_CONSISTENT
-        assert report.d1 < 1e-9 and report.d2 < 1e-9
+        assert report.decryption_bound < 1e-9 and report.key_average_bound < 1e-9
 
     def test_identity_family_violates_secrecy(self):
         fam = identity_keyed_family(1, 2)
         report = check_eps_private(fam, identity_keyed_family(1, 2), eps=0.1, restarts=5, seed=0)
         assert report.verdict == VERDICT_VIOLATES
-        assert report.d2 >= 1.5 - 1e-9
+        assert report.key_average_bound >= 1.5 - 1e-9
 
     def test_pad_without_decryption_violates(self):
         report = check_eps_private(
             pauli_otp_family(1), identity_keyed_family(1, 2), eps=0.1, restarts=5, seed=0
         )
         assert report.verdict == VERDICT_VIOLATES
-        assert report.d1 >= 2.0 - 1e-6
+        assert report.decryption_bound >= 2.0 - 1e-6
 
     def test_upper_bounds_prove_the_pad_private(self):
         report = check_eps_private(
@@ -396,7 +389,9 @@ class TestEpsPrivacy:
             (0.0, above, VERDICT_VIOLATES),
             (0.0, 0.0, VERDICT_CONSISTENT),
         ]:
-            moved = dataclasses.replace(report, eps=0.25, decryption_bound=d1, key_average_bound=d2)
+            moved = dataclasses.replace(
+                report, eps=0.25, decryption_per_key=(0.0, d1), key_average_bound=d2
+            )
             assert moved.verdict == verdict
 
     def test_trace_variants_bounded_by_diamond(self):

@@ -261,9 +261,9 @@ class TestCertifiedUnitarity:
 
     def test_public_constructor_rejects_non_unitary(self):
         with pytest.raises(CircuitError, match="not unitary"):
-            CanonicalCircuit(1, 0, np.array([[1, 1], [0, 1]]), (), 1)
+            CanonicalCircuit(1, 0, np.array([[1, 1], [0, 1]]), ())
         with pytest.raises(CircuitError, match="not unitary"):
-            CanonicalCircuit(1, 0, (1 + 1e-8) * GATE_H, (), 1)
+            CanonicalCircuit(1, 0, (1 + 1e-8) * GATE_H, ())
 
     def test_ten_wire_unitary_equals_gate_by_gate_reference(self):
         rng = np.random.default_rng(2024)

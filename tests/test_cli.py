@@ -1,6 +1,7 @@
 import functools
 import inspect
 import json
+import operator
 import re
 from importlib import resources
 from pathlib import Path
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from qct import experiments
+from qct import cli, experiments
 from qct.circuits import _OP_FIELDS, _OPTIONAL_FIELDS
 from qct.cli import (
     FIXTURE_CATALOG,
@@ -154,10 +155,19 @@ class TestRun:
         out = tmp_path / "report.csv"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "experiment,claim,measured,bound,pass"
-        assert all(line.split(",")[4] == "true" for line in lines[1:])
+        assert lines[0] == "experiment,claim,measured,bound,direction,pass"
+        for line in lines[1:]:  # each row's pass is checked again from its own columns
+            _, _, measured, bound, direction, passed = line.split(",")
+            assert passed == "true"
+            assert {"<=": operator.le, ">=": operator.ge}[direction](float(measured), float(bound))
 
-    def test_report_in_a_missing_directory_exits_1_naming_it(self, tmp_path, capsys):
+    def test_report_in_a_missing_directory_exits_1_naming_it(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_run(config):
+            raise AssertionError("the experiment ran before the report path was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", no_run)
         cfg = write_config(tmp_path, experiment="norms", seed=5, restarts=1)
         out = tmp_path / "absent" / "report.json"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1

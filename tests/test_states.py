@@ -15,7 +15,6 @@ from qct import (
     basis_state,
     operator_norm,
     partial_trace,
-    purify,
     random_channel,
     random_density_operator,
     random_pure_state,
@@ -258,30 +257,6 @@ class TestNorms:
             c = complex(rng.standard_normal(), rng.standard_normal())
             assert trace_norm(a + b) <= trace_norm(a) + trace_norm(b) + 1e-9
             assert abs(trace_norm(c * a) - abs(c) * trace_norm(a)) < 1e-9
-
-
-class TestPurify:
-    @pytest.mark.parametrize(
-        "matrix",
-        [
-            np.diag([1.0, 0.0]),
-            np.eye(2) / 2,
-            np.diag([0.75, 0.25]),
-        ],
-    )
-    def test_round_trip(self, matrix):
-        rho = DensityOperator(matrix.astype(complex))
-        psi = purify(rho)
-        assert psi.dim == rho.dim**2
-        reduced = partial_trace_wires(psi.density().matrix, 2 * rho.n_qubits, list(range(rho.n_qubits)))
-        assert np.max(np.abs(reduced - rho.matrix)) < 1e-12
-
-    def test_random_round_trips(self):
-        for seed in range(5):
-            rho = random_density_operator(4, seed)
-            psi = purify(rho)
-            reduced = partial_trace_wires(psi.density().matrix, 4, [0, 1])
-            assert np.max(np.abs(reduced - rho.matrix)) < 1e-10
 
 
 class TestRandomStates:
