@@ -19,6 +19,7 @@ from .channels import (
     KeyedChannelFamily,
     apply_choi_adjoint_to_segment,
     apply_choi_to_segment,
+    identity_keyed_family,
     key_average,
     pauli_otp_family,
 )
@@ -43,11 +44,8 @@ WILSON_Z = 1.959963984540054  # two-sided 95%
 
 @dataclass(frozen=True)
 class SwapTest:
-    """Projective measurement onto the symmetric subspace of a doubled register.
-
-    The projector, (identity plus swap) / 2, is built from ``branch_dimension``,
-    which must be a power of two whose doubled register fits the qubit cap.
-    """
+    """The projector (I + swap) / 2 onto the symmetric subspace of two registers of
+    ``branch_dimension`` each, a power of two whose doubled register fits the qubit cap."""
 
     branch_dimension: int
     projector: np.ndarray = field(init=False, repr=False, compare=False)
@@ -84,9 +82,7 @@ class DIInstance:
         if self.provenance not in PROVENANCES:
             raise ValueError(f"provenance must be one of {PROVENANCES}, got {self.provenance!r}")
         if self.family.output_qubits < self.family.input_qubits:
-            raise DimensionMismatchError(
-                "encryption must not shrink the message register"
-            )
+            raise DimensionMismatchError("encryption must not shrink the message register")
 
     @property
     def message_qubits(self) -> int:
@@ -142,11 +138,15 @@ class ProtocolResult:
         return wilson_interval(self.accepts, self.shots)
 
 
+def _require_count(name: str, count) -> None:
+    if not isinstance(count, (int, np.integer)) or isinstance(count, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer count, got {count!r}")
+
+
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
     """Two-sided Wilson score interval; valid near frequencies of zero and one."""
-    for name, count in (("successes", successes), ("trials", trials)):
-        if not isinstance(count, (int, np.integer)) or isinstance(count, (bool, np.bool_)):
-            raise ValueError(f"{name} must be an integer count, got {count!r}")
+    _require_count("successes", successes)
+    _require_count("trials", trials)
     if trials < 1 or not 0 <= successes <= trials:
         raise ValueError(f"successes {successes} must lie in [0, trials] with trials {trials} >= 1")
     p_hat = successes / trials
@@ -170,8 +170,6 @@ def build_secure_instance(message_qubits: int, eps: float) -> DIInstance:
 
 def build_identity_instance(message_qubits: int, eps: float) -> DIInstance:
     """A maximally insecure instance: every key leaves the message untouched."""
-    from .channels import identity_keyed_family
-
     family = identity_keyed_family(message_qubits, 2 * message_qubits)
     return DIInstance(family=family, eps=eps, delta=1.0, provenance=PROVENANCE_CUSTOM)
 
@@ -211,69 +209,70 @@ def _register_dims(instance: DIInstance) -> tuple[int, int]:
     return 2**instance.message_qubits, 2**instance.family.output_qubits
 
 
-def _require_proof_shape(instance: DIInstance, mat: np.ndarray) -> None:
+def _swapped_reference_trace(instance: DIInstance, proof) -> np.ndarray:
+    """tau = tr_R[(I (x) F_R) rho] on H1 (x) H2, so that tr[(W (x) F_R) rho] = tr[W tau]."""
+    rho = proof.matrix if isinstance(proof, DensityOperator) else np.asarray(proof, dtype=complex)
     d_h, _ = _register_dims(instance)
-    expected = d_h**4
-    if mat.shape != (expected, expected):
+    if rho.shape != (d_h**4, d_h**4):
         raise DimensionMismatchError(
-            f"proof must live on two copies of message (x) reference with the "
-            f"reference as large as the message (total dim {expected}); the "
-            f"norm stabilizes at that reference size, larger references are "
-            f"rejected. Got dim {mat.shape[0]}"
+            f"proof must live on H1 R1 H2 R2 (total dim {d_h**4}): the norm stabilizes once each "
+            f"reference matches its message, so larger ones are rejected. Got dim {rho.shape[0]}"
         )
+    return np.einsum("axbyeyfx->abef", rho.reshape((d_h,) * 8)).reshape(d_h**2, d_h**2)
 
 
 def protocol_observable(instance: DIInstance) -> np.ndarray:
-    """Pull the symmetric projector back through the key-averaged channel on H2, then on H1.
+    """Q = (I + W) / 2 on H1 (x) H2: the ciphertext pair's symmetric projector pulled back
+    through the key average on H2, then on H1.
 
-    The average acts in place on each message register, its Choi matrix built once.
+    The swap of two (ciphertext, reference) pairs is F_out (x) F_R and the average keeps I
+    under its adjoint, so up to register order the protocol accepts on (I + W (x) F_R) / 2.
     """
     d_h, d_o = _register_dims(instance)
-    p_sym = build_swap_test(d_o * d_h).projector
     averaged = key_average(instance.family).choi
-    pulled = apply_choi_adjoint_to_segment(averaged, d_h, d_o, p_sym, d_o * d_h, d_h)
-    pulled = apply_choi_adjoint_to_segment(averaged, d_h, d_o, pulled, 1, d_h**3)
+    p_sym = build_swap_test(d_o).projector
+    pulled = apply_choi_adjoint_to_segment(averaged, d_h, d_o, p_sym, d_o, 1)
+    pulled = apply_choi_adjoint_to_segment(averaged, d_h, d_o, pulled, 1, d_h)
     return (pulled + pulled.conj().T) / 2
 
 
 def exact_accept_probability(instance: DIInstance, proof) -> float:
-    """Exact symmetric-outcome probability for a given proof state.
-
-    Averaging over the two independent uniform keys commutes with the rest of
-    the protocol, so each branch applies the key-averaged channel once.
-    """
-    mat = proof.matrix if isinstance(proof, DensityOperator) else np.asarray(proof, dtype=complex)
-    _require_proof_shape(instance, mat)
-    obs = protocol_observable(instance)
-    p = float(np.real(np.trace(obs @ mat)))
+    """Exact symmetric-outcome probability of a proof, (1 + tr[W tau]) / 2; averaging over the
+    two independent keys commutes with the protocol, so W reads the key average."""
+    tau = _swapped_reference_trace(instance, proof)
+    w = 2 * protocol_observable(instance) - np.eye(len(tau))
+    p = (1 + float(np.real(np.sum(w.T * tau)))) / 2
     return min(max(p, 0.0), 1.0)
 
 
 def optimal_proof_accept(instance: DIInstance) -> tuple[float, PureState]:
-    """Best achievable acceptance over all proofs, from the exact eigenvalue oracle."""
-    obs = protocol_observable(instance)
-    vals, vecs = np.linalg.eigh(obs)
-    p = float(min(max(vals[-1], 0.0), 1.0))
-    return p, PureState(vecs[:, -1])
+    """Best acceptance over all proofs, max(q_max, 1 - q_min) over Q's spectrum, and a witness:
+    Q's top eigenvector times |d-1, d-1> on R1 R2, or its bottom one times the singlet."""
+    d_h, _ = _register_dims(instance)
+    vals, vecs = np.linalg.eigh(protocol_observable(instance))
+    e = np.eye(d_h * d_h)
+    if vals[-1] >= 1 - vals[0]:
+        p, message, ref = vals[-1], vecs[:, -1], e[-1]
+    else:
+        p, message, ref = 1 - vals[0], vecs[:, 0], (e[1] - e[d_h]) / math.sqrt(2)
+    proof = np.kron(message, ref).reshape((d_h,) * 4).transpose(0, 2, 1, 3)
+    return float(min(max(p, 0.0), 1.0)), PureState(proof.reshape(-1))
 
 
-def _key_pair_table(instance: DIInstance, proof: np.ndarray) -> np.ndarray:
+def _key_pair_table(instance: DIInstance, tau: np.ndarray) -> np.ndarray:
     """Acceptance probability for each key pair: ``[k1, k2]`` encrypts H1 under k1, H2 under k2.
 
-    Each key's channel pushes the proof through H1 once and pulls the
-    symmetric projector back through H2 once; ``tr(A B) = sum(A^T * B)``
-    then gives the whole table as one matrix product.
+    Each key pushes tau through H1 and pulls the ciphertext swap F_out back through H2 once;
+    ``tr(A B) = sum(A^T * B)`` then gives the whole table as one matrix product.
     """
     d_h, d_o = _register_dims(instance)
-    p_sym = build_swap_test(d_o * d_h).projector
+    f_out = 2 * build_swap_test(d_o).projector - np.eye(d_o * d_o)
     pushed, pulled = [], []
     for key in range(instance.family.n_keys):
         choi = instance.family.channel(key).choi
-        pushed.append(apply_choi_to_segment(choi, d_h, d_o, proof, 1, d_h**3).T.reshape(-1))
-        pulled.append(
-            apply_choi_adjoint_to_segment(choi, d_h, d_o, p_sym, d_o * d_h, d_h).reshape(-1)
-        )
-    return np.real(np.stack(pushed) @ np.stack(pulled).T)
+        pushed.append(apply_choi_to_segment(choi, d_h, d_o, tau, 1, d_h).T.reshape(-1))
+        pulled.append(apply_choi_adjoint_to_segment(choi, d_h, d_o, f_out, d_o, 1).reshape(-1))
+    return (1 + np.real(np.stack(pushed) @ np.stack(pulled).T)) / 2
 
 
 def run_protocol_sampled(instance: DIInstance, proof, shots: int, seed: int) -> ProtocolResult:
@@ -283,17 +282,17 @@ def run_protocol_sampled(instance: DIInstance, proof, shots: int, seed: int) -> 
     exactly; shots then draw keys and the measurement outcome.  Deterministic
     per seed (None is rejected).
     """
+    _require_count("shots", shots)
     if shots < 1:
         raise ValueError("need at least one shot")
     _require_seed(seed)
-    mat = proof.matrix if isinstance(proof, DensityOperator) else np.asarray(proof, dtype=complex)
-    _require_proof_shape(instance, mat)
+    tau = _swapped_reference_trace(instance, proof)
     n_keys = instance.family.n_keys
     if n_keys * n_keys > 4096:
         raise BudgetExceededError(
             f"{n_keys} keys give {n_keys * n_keys} key pairs, beyond the sampled-mode table"
         )
-    accept_prob = _key_pair_table(instance, mat)
+    accept_prob = _key_pair_table(instance, tau)
     rng = np.random.default_rng(seed)
     keys = rng.integers(0, n_keys, size=(shots, 2))
     draws = rng.random(shots)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -39,11 +40,13 @@ from qct import (
     two_copy_proof,
     wilson_interval,
 )
+from qct import protocol
 from qct.channels import apply_choi_adjoint_to_segment, apply_choi_to_segment, tensor_channels
 from qct.protocol import (
     PROVENANCE_INSECURE,
     PROVENANCE_SECURE,
     _key_pair_table,
+    _swapped_reference_trace,
     protocol_observable,
 )
 
@@ -171,6 +174,10 @@ class TestInstances:
             assert np.max(np.abs(a - b)) < 1e-12
 
 
+def _secure_soundness(n: int) -> float:
+    return 0.5 + 2.0 ** -(n + 1)
+
+
 class TestExactProtocol:
     def test_identical_pure_proof_accepts_surely(self):
         inst = build_identity_instance(1, 0.01)
@@ -185,17 +192,39 @@ class TestExactProtocol:
         # both branches output the four-dimensional maximally mixed state
         assert abs(result - (1 + 1 / 4) / 2) < 1e-9
 
-    def test_optimal_proof_values(self):
-        p1, proof1 = optimal_proof_accept(build_secure_instance(1, 0.01))
-        assert abs(p1 - 0.75) < 1e-9
-        result = exact_accept_probability(build_secure_instance(1, 0.01), proof1.density())
-        assert abs(result - p1) < 1e-9
-        p2, _ = optimal_proof_accept(build_secure_instance(2, 0.01))
-        assert abs(p2 - (0.5 + 1 / (2 * 4))) < 1e-9
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_optimal_proof_values(self, n):
+        # the pad averages to the completely depolarizing channel, so W = I/d
+        p_star, _ = optimal_proof_accept(build_secure_instance(n, 0.01))
+        assert abs(p_star - _secure_soundness(n)) < 1e-12
 
-    def test_identity_family_optimum_is_one(self):
-        p, _ = optimal_proof_accept(build_identity_instance(1, 0.01))
-        assert abs(p - 1.0) < 1e-9
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_identity_family_optimum_is_one(self, n):
+        # W = F, whose top eigenvalue is 1
+        p, _ = optimal_proof_accept(build_identity_instance(n, 0.01))
+        assert abs(p - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("p_star", [0.96, 0.99])
+    @pytest.mark.parametrize("delta, n", [(1.0, 1), (0.5, 2)])
+    def test_rotation_optimum_closed_form(self, p_star, delta, n):
+        inst = _rotation_instance(p_star, delta)
+        assert inst.message_qubits == n
+        s = _secure_soundness(n)
+        assert abs(optimal_proof_accept(inst)[0] - (s + (1 - s) * p_star**2)) < 1e-12
+
+    def test_three_message_qubits_take_under_50_ms(self):
+        inst = build_secure_instance(3, 0.01)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            optimal_proof_accept(inst)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.05
+
+    def test_secure_witness_is_pinned(self):
+        # the report's sampled Wilson rows draw their shots with this witness
+        _, witness = optimal_proof_accept(build_secure_instance(1, 0.01))
+        assert np.array_equal(witness.amplitudes, np.eye(16)[15])
 
     def test_reference_size_is_pinned(self):
         inst = build_secure_instance(1, 0.01)
@@ -325,6 +354,23 @@ class TestSampledProtocol:
         b = run_protocol_sampled(inst, proof.density(), shots=2000, seed=9)
         assert a.accepts == b.accepts
 
+    @pytest.mark.parametrize("shots", [10.0, True])
+    def test_non_integer_shots_are_named_before_the_table(self, shots, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the key-pair table was built")
+
+        monkeypatch.setattr(protocol, "_key_pair_table", unreachable)
+        proof = two_copy_proof(random_pure_state(4, 21))
+        with pytest.raises(ValueError, match="^shots must be an integer count"):
+            run_protocol_sampled(build_secure_instance(1, 0.01), proof, shots=shots, seed=5)
+
+    def test_numpy_integer_shots_are_a_count(self):
+        inst = build_secure_instance(1, 0.01)
+        proof = two_copy_proof(random_pure_state(4, 21))
+        result = run_protocol_sampled(inst, proof, shots=np.int64(10), seed=5)
+        assert result.accepts == run_protocol_sampled(inst, proof, shots=10, seed=5).accepts
+
+
 class TestWilson:
     def test_interval_contains_frequency(self):
         lo, hi = wilson_interval(750, 1000)
@@ -381,10 +427,39 @@ def _widening_instance() -> DIInstance:
     return DIInstance(KeyedChannelFamily(4, template), 0.01, 1.0, "CUSTOM")
 
 
-IN_PLACE_CASES = {
+def _random_keyed_instance(n: int) -> DIInstance:
+    """A seeded non-unital n-qubit family: a keyed pad on qubit 0, controlled by an ancilla
+    that two random unitaries entangle with the message."""
+    wires = tuple(range(n + 1))
+    template = MixedStateCircuit(
+        n,
+        (
+            GateOp.ancillas(1),
+            GateOp.unitary(random_unitary(2 ** (n + 1), (41, n)), wires),
+            GateOp.keyed_pauli(0, (0, 1), control=n),
+            GateOp.unitary(random_unitary(2 ** (n + 1), (43, n)), wires),
+            GateOp.trace_out(n),
+        ),
+        n,
+    )
+    return DIInstance(KeyedChannelFamily(2, template), 0.01, 1.0, "CUSTOM")
+
+
+def _rotation_instance(accept_probability: float, delta: float) -> DIInstance:
+    v = make_toy_verifier("rotation", accept_probability=accept_probability)
+    return build_insecure_instance(v, eps=1 - accept_probability, delta=delta)
+
+
+REFERENCE_CASES = {
     "secure-n1": lambda: build_secure_instance(1, 0.01),
     "secure-n2": lambda: build_secure_instance(2, 0.01),
     "widening-1to2": _widening_instance,
+    "identity-n1": lambda: build_identity_instance(1, 0.01),
+    "identity-n2": lambda: build_identity_instance(2, 0.01),
+    "rotation-delta-1": lambda: _rotation_instance(0.96, 1.0),
+    "rotation-delta-half": lambda: _rotation_instance(0.96, 0.5),
+    "random-n1": lambda: _random_keyed_instance(1),
+    "random-n2": lambda: _random_keyed_instance(2),
 }
 
 
@@ -417,18 +492,31 @@ def _tensored_table(inst, proof):
 
 
 class TestInPlaceBranches:
-    """Each key channel acts on its own message register, never as ``channel (x) id``."""
+    """The message-pair oracle against the full two-branch ``channel (x) id_R`` references."""
 
-    @pytest.mark.parametrize("case", sorted(IN_PLACE_CASES))
-    def test_observable_matches_tensored_reference(self, case):
-        inst = IN_PLACE_CASES[case]()
-        assert np.max(np.abs(protocol_observable(inst) - _tensored_observable(inst))) <= 1e-12
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_exact_acceptance_matches_tensored_reference(self, case):
+        inst = REFERENCE_CASES[case]()
+        reference = _tensored_observable(inst)
+        for seed in range(3):
+            proof = random_density_operator(len(reference), (23, seed))
+            expected = float(np.real(np.trace(reference @ proof.matrix)))
+            assert abs(exact_accept_probability(inst, proof) - expected) <= 1e-12
 
-    @pytest.mark.parametrize("case", sorted(IN_PLACE_CASES))
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_optimum_and_witness_match_tensored_reference(self, case):
+        inst = REFERENCE_CASES[case]()
+        reference = _tensored_observable(inst)
+        p_star, witness = optimal_proof_accept(inst)
+        assert abs(p_star - np.linalg.eigvalsh(reference)[-1]) <= 1e-12
+        value = np.real(np.vdot(witness.amplitudes, reference @ witness.amplitudes))
+        assert abs(value - p_star) <= 1e-12
+
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_key_pair_table_matches_tensored_reference(self, case):
-        inst = IN_PLACE_CASES[case]()
-        proof = random_density_operator(4**inst.message_qubits * 4**inst.message_qubits, 23).matrix
-        table = _key_pair_table(inst, proof)
+        inst = REFERENCE_CASES[case]()
+        proof = random_density_operator(16**inst.message_qubits, 23).matrix
+        table = _key_pair_table(inst, _swapped_reference_trace(inst, proof))
         assert np.max(np.abs(table - _tensored_table(inst, proof))) <= 1e-12
         exact = exact_accept_probability(inst, proof)
         assert abs(table.mean() - exact) <= 1e-12
