@@ -15,6 +15,8 @@ import functools
 import inspect
 import io
 import json
+import os
+import stat
 import sys
 import time
 from dataclasses import dataclass
@@ -120,22 +122,36 @@ def render_body_csv(rows: list[ReportRow]) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+def _write_over(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` over its old contents, then cut it to ``len(data)``.
+
+    The file is opened without ``O_TRUNC``: on ext4 (``auto_da_alloc``) an open
+    that truncates a file written moments before waits until those bytes reach
+    the disk, while writing over them and cutting the tail afterwards does not.
+    Only a regular file is cut; a device or a pipe has no length to cut.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as f:
+        f.write(data)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            f.truncate()
+
+
 def write_report(
     config: ExperimentConfig, rows: list[ReportRow], out_path: Path, total_ms: float
 ) -> None:
     """Write the report body and its ``.meta.json`` sidecar of wall times."""
     if config.format == "json":
-        out_path.write_bytes(render_body_json(config, rows))
+        _write_over(out_path, render_body_json(config, rows))
     else:
-        out_path.write_bytes(render_body_csv(rows))
+        _write_over(out_path, render_body_csv(rows))
     meta = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "total_ms": total_ms,
         "row_ms": {r.claim: r.ms for r in rows},
     }
-    Path(str(out_path) + ".meta.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    sidecar = json.dumps(meta, sort_keys=True, indent=2) + "\n"
+    _write_over(Path(str(out_path) + ".meta.json"), sidecar.encode("utf-8"))
 
 
 FIXTURE_CATALOG = """\

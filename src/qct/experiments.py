@@ -21,9 +21,12 @@ from . import reduction as red
 from . import verifier as vf
 from .circuits import GateOp, MixedStateCircuit
 from .states import (
-    HermitianObservable,
+    TAU_UNIT,
+    _complex_gaussian,
+    _reject_non_hermitian,
+    _singular_values,
+    _wishart,
     basis_state,
-    operator_norm,
     random_density_operator,
     random_pure_state,
     trace_norm,
@@ -81,13 +84,23 @@ class _Rows(list):
         self._last = now
 
 
-def _bounded_observable(dim: int, seed) -> HermitianObservable:
-    """Random observable squeezed into the operator interval [0, 1]."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    herm = g + g.conj().T
-    herm /= operator_norm(herm)
-    return HermitianObservable((herm + np.eye(dim)) / 2)
+def _gaussian_stack(dim: int, seeds) -> np.ndarray:
+    """Complex Gaussian ``dim x dim`` factors, the k-th drawn alone from ``seeds[k]``."""
+    return np.array([_complex_gaussian((dim, dim), s) for s in seeds])
+
+
+def _bounded_observables(g: np.ndarray) -> np.ndarray:
+    """Random observables squeezed into the operator interval [0, 1], one per factor of ``g``."""
+    herm = g + g.conj().swapaxes(-1, -2)
+    herm /= _singular_values(herm).max(axis=-1)[:, None, None]  # operator norms
+    x = (herm + np.eye(g.shape[-1])) / 2
+    _reject_non_hermitian(x, TAU_UNIT, "observable")
+    return x
+
+
+def _expectations(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """``Re tr(x_k rho_k)`` for each pair of a stack of observables and states."""
+    return np.trace(x @ rho, axis1=-2, axis2=-1).real
 
 
 # ---------------------------------------------------------------------------
@@ -103,16 +116,15 @@ def norms_experiment(seed: int, restarts: int = 20) -> list[ReportRow]:
         dev = float(np.max(np.abs(avg.choi - ch.depolarizing(n).choi)))
         rows.add(f"Eq1-key-average-n{n}", dev, 1e-12, "<=")
 
-    dims = [2, 4, 8]
     worst = -math.inf
-    for i in range(200):
-        dim = dims[i % 3]
-        x = _bounded_observable(dim, (seed, 10, i))
-        rho = random_density_operator(dim, (seed, 11, i))
-        sigma = random_density_operator(dim, (seed, 12, i))
-        lhs = x.expectation(rho)
-        rhs = x.expectation(sigma) + trace_norm(rho.matrix - sigma.matrix)
-        worst = max(worst, lhs - rhs)
+    for first, dim in enumerate((2, 4, 8)):  # draw i of 200 has dimension (2, 4, 8)[i % 3]
+        draws = range(first, 200, 3)
+        x = _bounded_observables(_gaussian_stack(dim, [(seed, 10, i) for i in draws]))
+        rho = _wishart(_gaussian_stack(dim, [(seed, 11, i) for i in draws]))
+        sigma = _wishart(_gaussian_stack(dim, [(seed, 12, i) for i in draws]))
+        lhs = _expectations(x, rho)
+        rhs = _expectations(x, sigma) + _singular_values(rho - sigma).sum(axis=-1)  # trace norms
+        worst = max(worst, float(np.max(lhs - rhs)))
     rows.add("Lemma1-measurement-continuity", worst, 1e-9, "<=")
 
     for d in (2, 4):

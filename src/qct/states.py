@@ -66,9 +66,12 @@ def _reject_nonfinite(norm: float, a: np.ndarray, what: str) -> None:
 
 
 def _reject_non_hermitian(mat: np.ndarray, tol: float, what: str) -> None:
-    """Raise when ``mat`` has a non-finite entry or deviates from ``mat^H`` by more than ``tol``."""
+    """Raise when ``mat`` has a non-finite entry or deviates from ``mat^H`` by more than ``tol``.
+
+    ``mat`` is one matrix or a stack of them, each compared with its own adjoint.
+    """
     with np.errstate(invalid="ignore"):  # inf - inf is NaN; _reject_nonfinite reports it
-        skew = np.max(np.abs(mat - mat.conj().T))
+        skew = np.max(np.abs(mat - mat.conj().swapaxes(-1, -2)))
     _reject_nonfinite(skew, mat, what)
     if skew > tol:
         raise InvalidStateError(f"{what} is not Hermitian within tolerance")
@@ -254,14 +257,19 @@ def tensor(a, b):
     return np.kron(am, bm)
 
 
+def _singular_values(mat: np.ndarray) -> np.ndarray:
+    """Singular values of a matrix, or of each matrix of a stack; non-finite entries raise."""
+    if not np.all(np.isfinite(mat)):
+        raise InvalidStateError("matrix has non-finite entries")
+    return np.linalg.svd(mat, compute_uv=False)
+
+
 def trace_norm(x) -> float:
     """Sum of the singular values of a square matrix."""
     mat = _as_complex(x)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatchError(f"trace norm needs a square matrix, got {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise InvalidStateError("matrix has non-finite entries")
-    return float(np.linalg.svd(mat, compute_uv=False).sum())
+    return float(_singular_values(mat).sum())
 
 
 def operator_norm(x) -> float:
@@ -269,9 +277,7 @@ def operator_norm(x) -> float:
     mat = _as_complex(x)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatchError(f"operator norm needs a square matrix, got {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise InvalidStateError("matrix has non-finite entries")
-    return float(np.linalg.svd(mat, compute_uv=False).max(initial=0.0))
+    return float(_singular_values(mat).max(initial=0.0))
 
 
 def basis_state(dim: int, index: int) -> PureState:
@@ -284,9 +290,7 @@ def random_pure_state(dim: int, seed) -> PureState:
     """Rotation-invariant random unit vector, deterministic per seed (None is rejected)."""
     if dim < 1:
         raise DimensionMismatchError(f"dim must be >= 1, got {dim}")
-    _require_seed(seed)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v = _complex_gaussian((dim,), seed)
     return PureState(v / np.linalg.norm(v))
 
 
@@ -334,23 +338,35 @@ def _random_starts(dim: int, count: int, seed) -> Iterator[np.ndarray]:
     return (random_pure_state(dim, parent.spawn(1)[0]).amplitudes for _ in range(count))
 
 
+def _complex_gaussian(shape: tuple[int, ...], seed) -> np.ndarray:
+    """``a + 1j b`` of ``shape``, ``a`` then ``b`` standard normal from one seeded generator.
+
+    Every random state, observable and unitary draws its Gaussian factor here
+    (None is rejected).
+    """
+    _require_seed(seed)
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _wishart(g: np.ndarray) -> np.ndarray:
+    """The state ``g g^H / tr(g g^H)`` of a factor ``g``, or of each factor of a stack."""
+    mat = g @ g.conj().swapaxes(-1, -2)
+    return mat / np.trace(mat, axis1=-2, axis2=-1)[..., None, None]
+
+
 def random_density_operator(dim: int, seed, rank: int | None = None) -> DensityOperator:
     """Random mixed state from a normalized Wishart factor (None is rejected)."""
     r = dim if rank is None else rank
     if dim < 1 or r < 1:
         raise DimensionMismatchError(f"dim and rank must be >= 1, got dim {dim}, rank {r}")
-    _require_seed(seed)
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
-    mat = g @ g.conj().T
-    return _trusted(DensityOperator, matrix=mat / np.trace(mat))  # a state by construction
+    mat = _wishart(_complex_gaussian((dim, r), seed))
+    return _trusted(DensityOperator, matrix=mat)  # a state by construction
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:
     """Haar-random unitary via QR with phase correction (None is rejected)."""
-    _require_seed(seed)
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    g = _complex_gaussian((dim, dim), seed)
     q, r = np.linalg.qr(g)
     phases = np.diag(r) / np.abs(np.diag(r))
     return q * phases

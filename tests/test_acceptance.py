@@ -3,11 +3,21 @@ PASS/FAIL line.  Rows come from the path ``qct run`` takes: the shipped
 config read by ``load_config`` and run by ``run_experiment``."""
 
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qct.cli import load_config, main, run_experiment
+from qct.experiments import _gaussian_stack, norms_experiment
+from qct.states import (
+    DensityOperator,
+    HermitianObservable,
+    operator_norm,
+    random_density_operator,
+    trace_norm,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_PATH = ROOT / "configs" / "full_suite.json"
@@ -44,6 +54,51 @@ def test_criterion_02_measurement_continuity(suite_rows):
         suite_rows,
         ["Lemma1-measurement-continuity"],
     )
+
+
+def serial_density(dim: int, seed, rank: int | None = None) -> np.ndarray:
+    """One seeded Wishart draw written out: the matrix ``random_density_operator`` returns."""
+    r = dim if rank is None else rank
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
+    mat = g @ g.conj().T
+    return mat / np.trace(mat)
+
+
+def serial_lemma1_worst(seed: int) -> float:
+    """The Lemma-1 row computed one draw at a time, each through the public types."""
+    worst = -math.inf
+    for i in range(200):
+        dim = (2, 4, 8)[i % 3]
+        rng = np.random.default_rng((seed, 10, i))
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        herm = g + g.conj().T
+        herm /= operator_norm(herm)
+        x = HermitianObservable((herm + np.eye(dim)) / 2)
+        rho = DensityOperator(serial_density(dim, (seed, 11, i)))
+        sigma = DensityOperator(serial_density(dim, (seed, 12, i)))
+        lhs = x.expectation(rho)
+        rhs = x.expectation(sigma) + trace_norm(rho.matrix - sigma.matrix)
+        worst = max(worst, lhs - rhs)
+    return worst
+
+
+@pytest.mark.parametrize("seed", [load_config(str(CONFIG_PATH), {}).seed, 0, 7])
+def test_stacked_lemma1_row_equals_the_serial_loop(seed):
+    rows = {row.claim: row for row in norms_experiment(seed, restarts=1)}
+    assert rows["Lemma1-measurement-continuity"].measured == serial_lemma1_worst(seed)
+
+
+@pytest.mark.parametrize("dim, seed, rank", [(1, 0, None), (2, 5, None), (4, (3, 4), None),
+                                             (8, 77, None), (8, 2, 3), (64, 1, None)])
+def test_density_draw_keeps_its_matrices(dim, seed, rank):
+    drawn = random_density_operator(dim, seed, rank).matrix
+    assert np.array_equal(drawn, serial_density(dim, seed, rank))
+
+
+def test_every_seed_of_a_stack_is_checked():
+    with pytest.raises(ValueError, match="seed is required"):
+        _gaussian_stack(2, [(1, 10, 0), None])
 
 
 def test_criterion_03_swap_test_laws(suite_rows):

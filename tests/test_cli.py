@@ -1,7 +1,9 @@
+import errno
 import functools
 import inspect
 import json
 import operator
+import os
 import re
 from importlib import resources
 from pathlib import Path
@@ -172,6 +174,53 @@ class TestRun:
         out = tmp_path / "absent" / "report.json"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
         assert f"error: cannot write report {out}: " in capsys.readouterr().err
+
+    def test_report_onto_a_directory_exits_1_naming_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, experiment="norms", seed=5, restarts=1)
+        out = tmp_path / "taken"
+        out.mkdir()
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: cannot write report {out}: {os.strerror(errno.EISDIR)}" in err
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_a_shorter_report_over_a_longer_one_leaves_no_tail(self, tmp_path, fmt):
+        # a rewrite goes over the old bytes, so the body and sidecar must be cut to length
+        out, fresh = tmp_path / f"report.{fmt}", tmp_path / f"fresh.{fmt}"
+        sidecar = Path(f"{out}.meta.json")
+
+        def run(path, **fields):
+            cfg = write_config(tmp_path, seed=5, restarts=1, format=fmt, **fields)
+            main(["run", "--config", str(cfg), "--out", str(path)])
+
+        run(out, experiment="full-suite", shots=1000)
+        long_body, long_meta = out.stat().st_size, sidecar.stat().st_size
+        run(out, experiment="norms")
+        run(fresh, experiment="norms")
+        assert out.stat().st_size < long_body and sidecar.stat().st_size < long_meta
+        assert out.read_bytes() == fresh.read_bytes()
+        meta = sidecar.read_text(encoding="utf-8")
+        assert meta == json.dumps(json.loads(meta), sort_keys=True, indent=2) + "\n"
+
+    def test_a_rewrite_never_opens_with_o_trunc(self, tmp_path, monkeypatch):
+        # on ext4 an open that truncates a file written moments before waits on the disk
+        cfg = write_config(tmp_path, experiment="norms", seed=5, restarts=1)
+        out = tmp_path / "report.json"
+        argv = ["run", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        opened, real_open = [], os.open
+
+        def spy(path, flags, *args, **kwargs):
+            opened.append((os.fspath(path), flags))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", spy)
+        assert main(argv) == 0
+        assert {path for path, _ in opened} >= {str(out), f"{out}.meta.json"}
+        assert [path for path, flags in opened if flags & os.O_TRUNC] == []
+
+    def test_a_device_is_written_but_not_cut(self):
+        cli._write_over(Path(os.devnull), b"row\n")
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = write_config(tmp_path, experiment="norms")

@@ -24,7 +24,13 @@ from qct import (
     trace_norm,
 )
 from qct.reduction import copy_stage_states
-from qct.states import TAU_PSD, partial_trace_wires
+from qct.states import (
+    TAU_PSD,
+    TAU_UNIT,
+    _reject_non_hermitian,
+    _singular_values,
+    partial_trace_wires,
+)
 from qct.verifier import make_toy_verifier
 
 
@@ -248,6 +254,23 @@ class TestNorms:
                 a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
                 assert trace_norm(a) == float(np.linalg.norm(a, "nuc"))
                 assert operator_norm(a) == float(np.linalg.norm(a, 2))
+
+    def test_stacked_checks_read_each_matrix(self):
+        # a stack is checked matrix by matrix: a transpose of the whole array would miss this
+        herm = np.array([[[1, 2j], [-2j, 0]], [[0, 1], [1, 0]]], dtype=complex)
+        _reject_non_hermitian(herm, TAU_UNIT, "observable")
+        skew = herm.copy()
+        skew[1, 0, 1] = 0.5
+        with pytest.raises(InvalidStateError, match="observable is not Hermitian"):
+            _reject_non_hermitian(skew, TAU_UNIT, "observable")
+        skew[1, 0, 1] = np.nan
+        with pytest.raises(InvalidStateError, match="observable has non-finite entries"):
+            _reject_non_hermitian(skew, TAU_UNIT, "observable")
+        with pytest.raises(InvalidStateError, match="non-finite entries"):
+            _singular_values(skew)
+        assert np.array_equal(
+            _singular_values(herm), [np.linalg.svd(m, compute_uv=False) for m in herm]
+        )
 
     def test_norm_axioms(self):
         rng = np.random.default_rng(17)
