@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .circuits import (
     _json_field,
     _json_int,
     _json_object,
+    _kraus_stacks,
     evaluate,  # noqa: F401  kept bound here for perfbench/test_perfbench.py's tracer test
     expand_template,
     identity_circuit,
@@ -242,7 +243,13 @@ _FAMILY_FIELDS = ("key_bits", "template")
 class KeyedChannelFamily:
     """Classical key string -> channel circuit: ``template`` expanded per key.
 
-    ``key_bits`` must cover every key bit index the template reads.
+    ``key_bits`` must cover every key bit index the template reads.  ``circuit``
+    and ``channel`` expand one key; the key averages, privacy checks and key-pair
+    tables read ``_channels``, which compiles the template once for every key:
+    ``_dilate`` carries the key in the column index, as its most significant
+    bits, and moves each keyed Pauli's slices where its key bit is 1.  Slice
+    moves are exact and columns never mix, so every key's channel keeps the
+    bits of ``channel(key)``.
     """
 
     key_bits: int
@@ -279,6 +286,17 @@ class KeyedChannelFamily:
     def channel(self, key: int) -> QuantumChannel:
         return to_channel(self.circuit(key))
 
+    def _channels(self) -> Iterator[QuantumChannel]:
+        """``channel(key)`` for every key in key order, from one compilation of the template.
+
+        The Kraus stacks arrive a group of keys at a time; each key still gets
+        ``_kraus_channel``'s trace-preservation check.
+        """
+        check_capacity(self.input_qubits + self.output_qubits, "Choi matrix")
+        for stacks in _kraus_stacks(self.template, self.key_bits):
+            for kraus in stacks:
+                yield _kraus_channel(kraus)
+
     def to_json(self) -> dict:
         return {
             "key_bits": self.key_bits,
@@ -312,13 +330,16 @@ def identity_keyed_family(n_qubits: int, key_bits: int) -> KeyedChannelFamily:
 
 
 def key_average(family: KeyedChannelFamily) -> QuantumChannel:
-    """Uniform mixture over all keys; exact enumeration up to the budget."""
+    """Uniform mixture over all keys; exact enumeration up to the budget.
+
+    Each key's Choi matrix is added in key order as its group of keys arrives.
+    """
     if family.key_bits > KEY_ENUMERATION_BUDGET_BITS:
         raise BudgetExceededError(
             f"{family.key_bits} key bits exceed the exact enumeration budget of "
             f"{KEY_ENUMERATION_BUDGET_BITS}; use the sampled protocol mode"
         )
-    return _key_mixture(family, (family.channel(key).choi for key in range(family.n_keys)))
+    return _key_mixture(family, (channel.choi for channel in family._channels()))
 
 
 def _key_mixture(family: KeyedChannelFamily, chois: Iterable[np.ndarray]) -> QuantumChannel:
@@ -611,10 +632,9 @@ def check_eps_private(
     per_key = []
     per_key_upper = []
     per_key_trace = []
-    for key in range(family.n_keys):
-        encrypt = family.channel(key)
+    for encrypt, decrypt in zip(family._channels(), decryptor._channels()):
         chois.append(encrypt.choi)
-        round_trip = compose(decryptor.channel(key), encrypt)
+        round_trip = compose(decrypt, encrypt)
         dd = diamond_distance(round_trip, ident, restarts, seed)
         per_key.append(dd.lower_bound)
         per_key_upper.append(dd.upper_bound)

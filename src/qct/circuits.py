@@ -12,7 +12,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -329,31 +329,43 @@ _BLOCK_ENTRIES = 2**17
 _EXACT_ENTRIES = frozenset((0, 1, -1, 1j, -1j))
 
 
-def _dilate(circuit: MixedStateCircuit, columns: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The first ``columns`` columns of the circuit's unitary, and its traced wires.
+def _dilate(
+    circuit: MixedStateCircuit, columns: int, key_bits: int = 0
+) -> tuple[Iterator[np.ndarray], tuple[int, ...]]:
+    """The first ``columns`` columns of the circuit's unitary for every key, and its traced wires.
 
     Ancillas are hoisted to the start and traces deferred to the end.  Wire
     ids are bit positions, so ancillas are the most significant wires and the
     first ``2**input_qubits`` columns are the inputs with every ancilla at zero.
-    The columns run through the gates in blocks of ``max(1, _BLOCK_ENTRIES >>
-    total)``, each held as a ``[2] * total + [block]`` tensor whose axis
-    ``total - 1 - w`` is wire ``w``, and kept in cache through the whole gate
-    list.  A gate is V on k targets where its c controls are 1.  A one-qubit V
-    with entries in ``_EXACT_ENTRIES`` (X, Y, Z, S, CNOT, CCNOT, controlled
-    Paulis) scales one slice or swaps two: one exact multiply per moved entry,
-    at most ``2**(total - c)`` per column.  Any other V is one
+    A template's ``key_bits`` key bits are the most significant column bits:
+    column ``key * columns + j`` is column j of ``expand_template(circuit,
+    key)``'s unitary, and the columns come in groups of whole keys, ``max(width,
+    columns)`` each, so a group holds at most ``_BLOCK_ENTRIES`` entries or one
+    key.  A circuit without key bits is one group.
+    The columns run through the gates in blocks of ``width = max(1,
+    _BLOCK_ENTRIES >> total)``, each held as a ``[2] * total + [block]`` tensor
+    whose axis ``total - 1 - w`` is wire ``w``, and kept in cache through the
+    whole gate list.  A gate is V on k targets where its c controls are 1.  A
+    one-qubit V with entries in ``_EXACT_ENTRIES`` (X, Y, Z, S, CNOT, CCNOT,
+    controlled Paulis) scales one slice or swaps two: one exact multiply per
+    moved entry, at most ``2**(total - c)`` per column.  A keyed Pauli is the
+    X swap and the Z scale ``expand_template`` would emit, each on the view
+    where its key bit (and its control) is 1; a key bit that is constant over
+    a block moves the whole block or none of it.  Any other V is one
     ``left_apply_unitary`` contraction, ``2**(total - c + k)`` multiply-adds
     per column: with controls, on the view where they are 1, copied back;
     without, leaving its output axes in front, ``order`` recording which axis
     sits where.  One add of 0.0 per block restores the layout and turns the
     -0.0 a slice move keeps into the +0.0 a contraction's sum gives.  Columns
     never mix, and a block width that is a multiple of 4 changes no bit of
-    them; narrower blocks can meet BLAS's edge kernel, which rounds apart.
+    them; narrower blocks can meet BLAS's edge kernel, which rounds apart.  So
+    every key's columns keep the bits that compiling its expanded circuit gives.
     """
-    if circuit.has_placeholders:
+    if any(op.kind == PLACEHOLDER_KIND and max(op.key_bits) >= key_bits for op in circuit.ops):
         raise UnsupportedGateError("expand key placeholders before compiling")
     total = circuit.input_qubits + circuit.ancilla_total
     check_capacity(total, "canonical form")
+    key_shift = columns.bit_length() - 1  # column bit of key bit 0
     order = list(range(total + 1))  # order[p]: the axis of the layout held at position p
     gates: list[tuple] = []
     traced: list[int] = []
@@ -363,43 +375,70 @@ def _dilate(circuit: MixedStateCircuit, columns: int) -> tuple[np.ndarray, tuple
         if op.kind == "traceout":
             traced.extend(op.targets)
             continue
-        v, targets, controls = op.action()
-        at = [order.index(total - 1 - w) for w in targets]
-        held = [order.index(total - 1 - w) for w in controls]
-        view = [1 if p in held else slice(None) for p in range(total + 1)]
-        if v.shape == (2, 2) and all(z in _EXACT_ENTRIES for z in v.flat):
-            lo, hi = list(view), view
-            lo[at[0]], hi[at[0]] = 0, 1
-            gates.append(("scale" if v[0, 1] == 0 else "swap", v, tuple(lo), tuple(hi)))
-        elif controls:
-            gates.append(("control", v, [p - sum(c < p for c in held) for p in at], tuple(view)))
+        if op.kind == PLACEHOLDER_KIND:
+            controls = () if op.control is None else (op.control,)
+            moves = [(GATE_X, op.targets, controls, key_shift + op.key_bits[0])]
+            moves.append((GATE_Z, op.targets, controls, key_shift + op.key_bits[1]))
         else:
-            gates.append(("dense", v, at, None))
-            front = [order[p] for p in reversed(at)]
-            order = front + [a for a in order if a not in front]
+            moves = [(*op.action(), None)]
+        for v, targets, controls, bit in moves:
+            at = [order.index(total - 1 - w) for w in targets]
+            held = [order.index(total - 1 - w) for w in controls]
+            view = [1 if p in held else slice(None) for p in range(total + 1)]
+            if v.shape == (2, 2) and all(z in _EXACT_ENTRIES for z in v.flat):
+                lo, hi = list(view), view
+                lo[at[0]], hi[at[0]] = 0, 1
+                path = "scale" if v[0, 1] == 0 else "swap"
+                gates.append((path, v, tuple(lo), tuple(hi), bit))
+            elif controls:
+                at = [p - sum(c < p for c in held) for p in at]
+                gates.append(("control", v, at, tuple(view), None))
+            else:
+                gates.append(("dense", v, at, None, None))
+                front = [order[p] for p in reversed(at)]
+                order = front + [a for a in order if a not in front]
     restore = [order.index(a) for a in range(total + 1)]
-    mat = np.empty((2**total, columns), dtype=np.complex128)
-    blocks = mat.reshape([2] * total + [columns])
     width = max(1, _BLOCK_ENTRIES >> total)
-    for start in range(0, columns, width):
-        cols = min(width, columns - start)
-        arr = np.eye(2**total, cols, -start, dtype=np.complex128).reshape([2] * total + [cols])
-        for path, v, a, b in gates:
-            if path == "dense":
-                arr = left_apply_unitary(arr, v, a)
-            elif path == "control":
-                out = left_apply_unitary(arr[b], v, a)
-                arr[b] = np.moveaxis(out, list(range(len(a))), a[::-1])
-            elif path == "scale":  # diagonal V: scale each slice whose entry is not 1
-                for index, z in ((a, v[0, 0]), (b, v[1, 1])):
-                    if z != 1:
-                        np.multiply(arr[index], z, out=arr[index])
-            else:  # anti-diagonal V: swap the two slices, scaling each by its entry
-                moved = arr[b] * v[0, 1]
-                np.multiply(arr[a], v[1, 0], out=arr[b])
-                arr[a] = moved
-        np.add(arr.transpose(restore), 0.0, out=blocks[..., start : start + cols])
-    return mat, tuple(traced)
+    every = columns << key_bits
+    group = min(max(width, columns), every)
+
+    def groups() -> Iterator[np.ndarray]:
+        for first in range(0, every, group):
+            mat = np.empty((2**total, group), dtype=np.complex128)
+            blocks = mat.reshape([2] * total + [group])
+            for start in range(first, first + group, width):
+                cols = min(width, first + group - start)
+                if cols <= columns:
+                    arr = np.eye(2**total, cols, -(start % columns), dtype=np.complex128)
+                else:  # whole keys, each starting from the same columns
+                    arr = np.tile(np.eye(2**total, columns, dtype=np.complex128), cols // columns)
+                arr = arr.reshape([2] * total + [cols])
+                for path, v, a, b, bit in gates:
+                    part = arr
+                    if bit is not None and 1 << bit >= cols:  # constant over the block
+                        if not (start >> bit) & 1:
+                            continue
+                    elif bit is not None:  # the columns where the key bit is 1
+                        split = (cols >> bit + 1, 2, 1 << bit)
+                        part = arr.reshape(arr.shape[:-1] + split)[..., 1, :]
+                    if path == "dense":
+                        arr = left_apply_unitary(arr, v, a)
+                    elif path == "control":
+                        out = left_apply_unitary(arr[b], v, a)
+                        arr[b] = np.moveaxis(out, list(range(len(a))), a[::-1])
+                    elif path == "scale":  # diagonal V: scale each slice whose entry is not 1
+                        for index, z in ((a, v[0, 0]), (b, v[1, 1])):
+                            if z != 1:
+                                np.multiply(part[index], z, out=part[index])
+                    else:  # anti-diagonal V: swap the two slices, scaling each by its entry
+                        moved = part[b] * v[0, 1]
+                        np.multiply(part[a], v[1, 0], out=part[b])
+                        part[a] = moved
+                at = start - first
+                np.add(arr.transpose(restore), 0.0, out=blocks[..., at : at + cols])
+            yield mat
+
+    return groups(), tuple(traced)
 
 
 def _unitarity_bound(circuit: MixedStateCircuit, dim: int) -> float:
@@ -456,7 +495,8 @@ def canonicalize(circuit: MixedStateCircuit) -> CanonicalCircuit:
     for the rounding of the bound itself.
     """
     total = circuit.input_qubits + circuit.ancilla_total
-    unitary, traced = _dilate(circuit, 2**total)
+    groups, traced = _dilate(circuit, 2**total)
+    unitary = next(groups)
     if _unitarity_bound(circuit, 2**total) > TAU_UNIT / 2 and not _is_unitary(unitary):
         raise CircuitError("canonical matrix is not unitary within tolerance")
     return _trusted(
@@ -474,14 +514,24 @@ def stinespring(circuit: MixedStateCircuit) -> np.ndarray:
     ``kraus[g]`` maps the inputs to the output register for traced-wire basis
     state ``g``, so the channel is ``rho -> sum_g kraus[g] rho kraus[g]^dagger``.
     """
-    n_in = circuit.input_qubits
-    total = n_in + circuit.ancilla_total
-    isometry, traced = _dilate(circuit, 2**n_in)
-    kept = circuit.output_wires()
+    return next(_kraus_stacks(circuit))[0]
+
+
+def _kraus_stacks(template: MixedStateCircuit, key_bits: int = 0) -> Iterator[np.ndarray]:
+    """Every key's ``stinespring`` stack from one ``_dilate`` pass, as ``(keys, traced, kept,
+    in)`` arrays of whole keys in key order; key k's stack is ``stinespring(expand_template(
+    template, k))`` bit for bit."""
+    n_in = template.input_qubits
+    total = n_in + template.ancilla_total
+    groups, traced = _dilate(template, 2**n_in, key_bits)
+    kept = template.output_wires()
     # tensor axis of wire w is total-1-w; the output's top qubit is the highest kept wire
     axes = [total - 1 - w for w in traced] + [total - 1 - w for w in reversed(kept)]
-    arr = isometry.reshape([2] * total + [2**n_in]).transpose(axes + [total])
-    return arr.reshape(2 ** len(traced), 2 ** len(kept), 2**n_in)
+    shape = (2 ** len(traced), 2 ** len(kept), 2**n_in)
+    for mat in groups:
+        keys = mat.shape[1] >> n_in
+        arr = mat.reshape([2] * total + [keys, 2**n_in]).transpose([total, *axes, total + 1])
+        yield arr.reshape(keys, *shape)
 
 
 def evaluate(

@@ -40,6 +40,8 @@ PROVENANCE_CUSTOM = "CUSTOM"
 PROVENANCES = (PROVENANCE_SECURE, PROVENANCE_INSECURE, PROVENANCE_CUSTOM)
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
+# Shots per draw in the sampled protocol; its table has at most 4096 key pairs (a uint16).
+_SHOT_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -268,8 +270,8 @@ def _key_pair_table(instance: DIInstance, tau: np.ndarray) -> np.ndarray:
     d_h, d_o = _register_dims(instance)
     f_out = 2 * build_swap_test(d_o).projector - np.eye(d_o * d_o)
     pushed, pulled = [], []
-    for key in range(instance.family.n_keys):
-        choi = instance.family.channel(key).choi
+    for channel in instance.family._channels():
+        choi = channel.choi
         pushed.append(apply_choi_to_segment(choi, d_h, d_o, tau, 1, d_h).T.reshape(-1))
         pulled.append(apply_choi_adjoint_to_segment(choi, d_h, d_o, f_out, d_o, 1).reshape(-1))
     return (1 + np.real(np.stack(pushed) @ np.stack(pulled).T)) / 2
@@ -279,8 +281,9 @@ def run_protocol_sampled(instance: DIInstance, proof, shots: int, seed: int) -> 
     """Sample the literal protocol: draw key pairs, encrypt both branches, swap-test.
 
     The per-shot acceptance probabilities for each key pair are precomputed
-    exactly; shots then draw keys and the measurement outcome.  Deterministic
-    per seed (None is rejected).
+    exactly; shots then draw keys and the measurement outcome, in chunks of
+    ``_SHOT_CHUNK`` that keep the generator's stream, so memory holds one key-pair
+    index per shot.  Deterministic per seed (None is rejected).
     """
     _require_count("shots", shots)
     if shots < 1:
@@ -292,11 +295,17 @@ def run_protocol_sampled(instance: DIInstance, proof, shots: int, seed: int) -> 
         raise BudgetExceededError(
             f"{n_keys} keys give {n_keys * n_keys} key pairs, beyond the sampled-mode table"
         )
-    accept_prob = _key_pair_table(instance, tau)
+    accept_prob = _key_pair_table(instance, tau).reshape(-1)
     rng = np.random.default_rng(seed)
-    keys = rng.integers(0, n_keys, size=(shots, 2))
-    draws = rng.random(shots)
-    accepts = int(np.sum(draws < accept_prob[keys[:, 0], keys[:, 1]]))
+    # every key pair, then every outcome, as one draw of each would give them
+    pairs = np.empty(shots, dtype=np.uint16)
+    for start in range(0, shots, _SHOT_CHUNK):
+        keys = rng.integers(0, n_keys, size=(min(_SHOT_CHUNK, shots - start), 2))
+        pairs[start : start + len(keys)] = keys[:, 0] * n_keys + keys[:, 1]
+    accepts = 0
+    for start in range(0, shots, _SHOT_CHUNK):
+        chunk = pairs[start : start + _SHOT_CHUNK]
+        accepts += int(np.count_nonzero(rng.random(len(chunk)) < accept_prob[chunk]))
     return ProtocolResult(shots, accepts, _seed_record(seed))
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,116 @@ class TestKeyAverage:
         avg = key_average(pauli_otp_family(1))
         quantum = to_channel(depolarizing_circuit(1))
         assert np.max(np.abs(avg.choi - quantum.choi)) < 1e-9
+
+
+def _hand_built_family() -> KeyedChannelFamily:
+    """Two inputs and two ancillas: a controlled keyed Pauli after an ancilla, a dense
+    gate and a mid-circuit trace, then an uncontrolled one; the key bits are read out
+    of order, so that a kernel reading them reversed or swapped differs."""
+    ops = (
+        GateOp.ancillas(1),
+        GateOp.h(2),
+        GateOp.unitary(qct.random_unitary(4, 3), (0, 2)),
+        GateOp.keyed_pauli(1, (3, 0), control=2),
+        GateOp.ancillas(1),
+        GateOp.cnot(1, 3),
+        GateOp.trace_out(2),
+        GateOp.keyed_pauli(0, (1, 2)),
+        GateOp.controlled(3, qct.random_unitary(2, 4), (0,)),
+        GateOp.trace_out(3),
+    )
+    return KeyedChannelFamily(4, MixedStateCircuit(2, ops, 2))
+
+
+def _insecure_family(kind: str, delta: float, **params) -> KeyedChannelFamily:
+    eps = 0.04 if kind == "rotation" else 0.01
+    return qct.build_insecure_instance(qct.make_toy_verifier(kind, **params), eps, delta).family
+
+
+KERNEL_FAMILIES = {
+    "pad-n1": lambda: pauli_otp_family(1),
+    "pad-n2": lambda: pauli_otp_family(2),
+    "pad-n3": lambda: pauli_otp_family(3),
+    "rotation-delta-1": lambda: _insecure_family("rotation", 1.0, accept_probability=0.96),
+    "rotation-delta-half": lambda: _insecure_family("rotation", 0.5, accept_probability=0.96),
+    "target-state": lambda: _insecure_family("target_state", 0.5, witness_qubits=1, target=1),
+    "identity-unread-key-bits": lambda: identity_keyed_family(1, 2),
+    "hand-built": _hand_built_family,
+}
+
+
+def _check_family_kernel(family, want=None):
+    """Every key's channel from one compilation equals ``to_channel`` of its expanded
+    circuit bit for bit, and the key average is their key-ordered sum over the key count."""
+    if want is None:
+        want = [to_channel(family.circuit(key)).choi for key in range(family.n_keys)]
+    got = [channel.choi for channel in family._channels()]
+    assert len(got) == family.n_keys
+    for key, (a, b) in enumerate(zip(got, want)):
+        assert np.array_equal(a, b), f"key {key}"
+    total = want[0].copy()
+    for choi in want[1:]:
+        total += choi
+    assert np.array_equal(key_average(family).choi, total / family.n_keys)
+
+
+class TestFamilyKernel:
+    @pytest.mark.parametrize("case", KERNEL_FAMILIES)
+    def test_every_key_matches_its_expanded_circuit(self, case):
+        _check_family_kernel(KERNEL_FAMILIES[case]())
+
+    @pytest.mark.parametrize(
+        "case, entries",
+        [("pad-n3", 2**5), ("pad-n3", 2**8), ("hand-built", 2**6), ("hand-built", 2**8)],
+    )
+    def test_keys_across_column_blocks(self, case, entries, monkeypatch):
+        # pad-n3 at 2**5 splits each key into two blocks; the others hold 1 or 4 keys a block
+        family = KERNEL_FAMILIES[case]()
+        want = [to_channel(family.circuit(key)).choi for key in range(family.n_keys)]
+        groups = []
+        stacks = qct.circuits._kraus_stacks
+        monkeypatch.setattr(qct.circuits, "_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(
+            qct.channels, "_kraus_stacks", lambda *a: (groups.append(g) or g for g in stacks(*a))
+        )
+        _check_family_kernel(family, want)
+        assert len(groups) > 2
+
+    def test_groups_of_a_twelve_bit_family_stay_within_the_block(self):
+        template = pauli_otp_template(3)  # 8 rows, 8 columns a key, 4096 keys
+        groups = list(qct.circuits._kraus_stacks(template, 12))
+        assert sum(len(g) for g in groups) == 2**12 and len(groups) > 1
+        assert all(g.size <= qct.circuits._BLOCK_ENTRIES for g in groups)
+
+    @pytest.mark.parametrize(
+        "scale, raises", [(1.01, True), (math.sqrt(1 + 2e-8), True), (math.sqrt(1 + 0.5e-8), False)]
+    )
+    def test_trace_preservation_is_checked_per_key(self, scale, raises, monkeypatch):
+        stacks = qct.circuits._kraus_stacks
+
+        def scaled(*args):
+            for group in stacks(*args):
+                group[5] *= scale  # the sixth key only
+                yield group
+
+        monkeypatch.setattr(qct.channels, "_kraus_stacks", scaled)
+        family = pauli_otp_family(2)
+        if raises:
+            with pytest.raises(InvalidStateError, match="not TP"):
+                key_average(family)
+        else:
+            key_average(family)
+
+    def test_key_average_holds_no_stack_of_choi_matrices(self):
+        family = pauli_otp_family(3)  # 64 keys of 64x64 Choi matrices, 4 MB as one stack
+        key_average(family)
+        tracemalloc.start()
+        try:
+            key_average(family)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestCompose:

@@ -287,7 +287,7 @@ class TestCertifiedUnitarity:
             for op in _random_gates(rng, list(range(6)), 60)
         ]
         circuit = MixedStateCircuit(6, tuple(ops), 6)
-        unitary, _ = _dilate(circuit, 2**6)
+        unitary = next(_dilate(circuit, 2**6)[0])
         check = np.max(np.abs(unitary @ unitary.conj().T - np.eye(2**6)))
         assert check <= _unitarity_bound(circuit, 2**6)
 
@@ -398,7 +398,8 @@ class TestStinespring:
     def test_canonical_unitary_extends_the_compiled_columns(self):
         circuit = _random_mixed_circuit(0)
         n = circuit.input_qubits
-        columns, traced = _dilate(circuit, 2**n)
+        groups, traced = _dilate(circuit, 2**n)
+        columns = next(groups)
         canon = canonicalize(circuit)
         assert traced == canon.traced_wires == (0, 3, 1)
         assert np.array_equal(canon.unitary[:, : 2**n], columns)
@@ -469,7 +470,7 @@ class TestKernelBlocks:
         want = _unitary_by_gates(circuit)
         assert np.array_equal(canonicalize(circuit).unitary, want)
         assert len(calls) == dense * 22  # dense gates x ceil(64 / 3) blocks
-        assert np.array_equal(_dilate(circuit, 2**4)[0], want[:, : 2**4])
+        assert np.array_equal(next(_dilate(circuit, 2**4)[0]), want[:, : 2**4])
         assert np.array_equal(stinespring(circuit), whole)
 
 
@@ -552,7 +553,8 @@ def _check_gate_kernel(circuit, columns_per_block):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(circuits, "_BLOCK_ENTRIES", columns_per_block << total)
         unitary = canonicalize(circuit).unitary
-        columns, traced = _dilate(circuit, inputs)
+        groups, traced = _dilate(circuit, inputs)
+        columns = next(groups)
         kraus = stinespring(circuit)
     assert np.array_equal(unitary, want)
     assert np.array_equal(columns, want[:, :inputs])

@@ -333,6 +333,18 @@ class TestReductionProtocolIntegration:
         assert p_opt >= exact - 1e-9
 
 
+def _one_shot_accepts(inst, proof, shots, seed):
+    """The sampled run's count with every key pair and outcome drawn in one call each."""
+    table = _key_pair_table(inst, _swapped_reference_trace(inst, proof))
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, inst.family.n_keys, size=(shots, 2))
+    draws = rng.random(shots)
+    return int(np.sum(draws < table[keys[:, 0], keys[:, 1]]))
+
+
+CHUNK = protocol._SHOT_CHUNK
+
+
 class TestSampledProtocol:
     def test_exact_unity_instance(self):
         inst = build_identity_instance(1, 0.01)
@@ -369,6 +381,31 @@ class TestSampledProtocol:
         proof = two_copy_proof(random_pure_state(4, 21))
         result = run_protocol_sampled(inst, proof, shots=np.int64(10), seed=5)
         assert result.accepts == run_protocol_sampled(inst, proof, shots=10, seed=5).accepts
+
+    @pytest.mark.parametrize("seed", [0, 20260809])
+    @pytest.mark.parametrize("n", [1, 2])  # 4 and 16 keys
+    @pytest.mark.parametrize("shots", [1, CHUNK - 1, CHUNK, CHUNK + 1, 100_003])
+    def test_chunks_keep_the_one_shot_stream(self, shots, n, seed):
+        inst = build_secure_instance(n, 0.01)
+        proof = two_copy_proof(random_pure_state(4**n, seed))
+        result = run_protocol_sampled(inst, proof, shots=shots, seed=seed)
+        assert result.accepts == _one_shot_accepts(inst, proof.matrix, shots, seed)
+
+    @pytest.mark.parametrize("shots", [6, 7, 8, 20])
+    def test_odd_chunks_keep_the_one_shot_stream(self, shots, monkeypatch):
+        monkeypatch.setattr(protocol, "_SHOT_CHUNK", 7)
+        inst = _rotation_instance(0.96, 0.5)  # 16 keys
+        proof = two_copy_proof(random_pure_state(16, shots))
+        result = run_protocol_sampled(inst, proof, shots=shots, seed=shots)
+        assert result.accepts == _one_shot_accepts(inst, proof.matrix, shots, shots)
+
+    def test_the_wilson_rows_keep_their_counts(self):
+        # the report's sampled run: the optimal n = 1 proof, its shots and seed
+        inst = build_secure_instance(1, 0.01)
+        proof = optimal_proof_accept(inst)[1].density()
+        result = run_protocol_sampled(inst, proof, shots=100_000, seed=20260809)
+        accepts = _one_shot_accepts(inst, proof.matrix, 100_000, 20260809)
+        assert result.ci95 == wilson_interval(accepts, 100_000)
 
 
 class TestWilson:
