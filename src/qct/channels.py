@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -290,8 +290,14 @@ class KeyedChannelFamily:
         """``channel(key)`` for every key in key order, from one compilation of the template.
 
         The Kraus stacks arrive a group of keys at a time; each key still gets
-        ``_kraus_channel``'s trace-preservation check.
+        ``_kraus_channel``'s trace-preservation check.  Every exact key enumeration
+        comes through here, so this is where ``KEY_ENUMERATION_BUDGET_BITS`` is enforced.
         """
+        if self.key_bits > KEY_ENUMERATION_BUDGET_BITS:
+            raise BudgetExceededError(
+                f"{self.key_bits} key bits exceed the key-enumeration budget of "
+                f"{KEY_ENUMERATION_BUDGET_BITS} bits"
+            )
         check_capacity(self.input_qubits + self.output_qubits, "Choi matrix")
         for stacks in _kraus_stacks(self.template, self.key_bits):
             for kraus in stacks:
@@ -330,28 +336,14 @@ def identity_keyed_family(n_qubits: int, key_bits: int) -> KeyedChannelFamily:
 
 
 def key_average(family: KeyedChannelFamily) -> QuantumChannel:
-    """Uniform mixture over all keys; exact enumeration up to the budget.
-
-    Each key's Choi matrix is added in key order as its group of keys arrives.
-    """
-    if family.key_bits > KEY_ENUMERATION_BUDGET_BITS:
-        raise BudgetExceededError(
-            f"{family.key_bits} key bits exceed the exact enumeration budget of "
-            f"{KEY_ENUMERATION_BUDGET_BITS}; use the sampled protocol mode"
-        )
-    return _key_mixture(family, (channel.choi for channel in family._channels()))
-
-
-def _key_mixture(family: KeyedChannelFamily, chois: Iterable[np.ndarray]) -> QuantumChannel:
-    """The uniform mixture of the family's per-key Choi matrices, summed in key order."""
-    chois = iter(chois)
-    acc = next(chois).copy()
-    for choi in chois:
-        acc += choi
+    """Uniform mixture over all keys within the budget, Choi matrices added in key order."""
+    channels = family._channels()
+    first = next(channels)
+    acc = first.choi.copy()
+    for channel in channels:
+        acc += channel.choi
     acc /= family.n_keys
-    d_in = 2**family.input_qubits
-    d_out = 2**family.output_qubits
-    return _trusted(QuantumChannel, dim_in=d_in, dim_out=d_out, choi=acc)
+    return _trusted(QuantumChannel, dim_in=first.dim_in, dim_out=first.dim_out, choi=acc)
 
 
 def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
@@ -576,8 +568,6 @@ class EpsPrivateReport:
     eps: float
     decryption_per_key: tuple[float, ...]
     key_average_bound: float
-    decryption_bound_trace: float
-    key_average_bound_trace: float
     decryption_upper_bound: float
     key_average_upper_bound: float
     seed: int | tuple[int, ...] | None
@@ -623,31 +613,19 @@ def check_eps_private(
         )
     if decryptor.key_bits != family.key_bits:
         raise DimensionMismatchError("family and decryptor disagree on key bits")
-    if family.key_bits > KEY_ENUMERATION_BUDGET_BITS:
-        raise BudgetExceededError(
-            f"{family.key_bits} key bits exceed the enumeration budget"
-        )
     ident = identity_channel(family.input_qubits)
-    chois = []
     per_key = []
     per_key_upper = []
-    per_key_trace = []
     for encrypt, decrypt in zip(family._channels(), decryptor._channels()):
-        chois.append(encrypt.choi)
-        round_trip = compose(decrypt, encrypt)
-        dd = diamond_distance(round_trip, ident, restarts, seed)
+        dd = diamond_distance(compose(decrypt, encrypt), ident, restarts, seed)
         per_key.append(dd.lower_bound)
         per_key_upper.append(dd.upper_bound)
-        per_key_trace.append(trace_distance_no_reference(round_trip, ident, restarts, seed))
     omega = depolarizing(family.input_qubits, family.output_qubits)
-    averaged = _key_mixture(family, chois)
-    dd2 = diamond_distance(averaged, omega, restarts, seed)
+    dd2 = diamond_distance(key_average(family), omega, restarts, seed)
     return EpsPrivateReport(
         eps=eps,
         decryption_per_key=tuple(per_key),
         key_average_bound=dd2.lower_bound,
-        decryption_bound_trace=max(per_key_trace),
-        key_average_bound_trace=trace_distance_no_reference(averaged, omega, restarts, seed),
         decryption_upper_bound=max(per_key_upper),
         key_average_upper_bound=dd2.upper_bound,
         seed=_seed_record(seed),

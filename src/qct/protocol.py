@@ -31,7 +31,14 @@ from .errors import (
     check_capacity,
 )
 from .reduction import _check_promise, _require_side, copy_branch_circuit, dummy_qubit_count
-from .states import DensityOperator, PureState, _require_seed, _seed_record, qubit_count
+from .states import (
+    DensityOperator,
+    PureState,
+    _require_count,
+    _require_seed,
+    _seed_record,
+    qubit_count,
+)
 from .verifier import VerifierCircuit
 
 PROVENANCE_SECURE = "SECURE_OTP"
@@ -62,6 +69,11 @@ class SwapTest:
 
     def symmetric_probability(self, rho_pair) -> float:
         mat = rho_pair.matrix if isinstance(rho_pair, DensityOperator) else np.asarray(rho_pair)
+        if mat.shape != self.projector.shape:
+            raise DimensionMismatchError(
+                f"pair state shape {mat.shape} does not match the swap test's "
+                f"{self.projector.shape}"
+            )
         return float(np.real(np.trace(self.projector @ mat)))
 
 
@@ -138,11 +150,6 @@ class ProtocolResult:
     @property
     def ci95(self) -> tuple[float, float]:
         return wilson_interval(self.accepts, self.shots)
-
-
-def _require_count(name: str, count) -> None:
-    if not isinstance(count, (int, np.integer)) or isinstance(count, (bool, np.bool_)):
-        raise ValueError(f"{name} must be an integer count, got {count!r}")
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:

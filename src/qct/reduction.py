@@ -58,6 +58,7 @@ from .errors import (
 from .states import (
     PureState,
     RegisterLayout,
+    _require_count,
     _seed_record,
     basis_state,
     random_pure_state,
@@ -519,6 +520,9 @@ def certify_no(
     lower bound below the threshold is recorded as consistent with the claim;
     ``diamond_upper_bound`` at or below the threshold proves it.
     """
+    _require_count("samples", samples)
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     _require_side(v, instance.eps, "NO")
     check_capacity(instance.input_qubits + instance.circuit.output_qubits, "Choi matrix")
     ka, kb = stinespring(instance.circuit), stinespring(instance.c1)

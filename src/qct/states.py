@@ -326,13 +326,22 @@ def _require_seed(seed) -> None:
     _seed_record(seed)  # raises on a bool and on a seed of any other type
 
 
+def _require_count(name: str, count) -> None:
+    """Reject a count that is not a Python or numpy integer (bools included)."""
+    if not isinstance(count, (int, np.integer)) or isinstance(count, (bool, np.bool_)):
+        raise ValueError(f"{name} must be an integer count, got {count!r}")
+
+
 def _random_starts(dim: int, count: int, seed) -> Iterator[np.ndarray]:
     """Random unit vectors, the k-th drawn from child k of ``SeedSequence(seed)``.
 
-    The seed is checked at the call (None and bools are rejected), but a start
-    is drawn only when the caller's search reaches it, so a search that stops
-    early draws no more.
+    The count (an integer >= 0, as the searches' ``restarts``) and the seed are
+    checked at the call (None and bools are rejected), but a start is drawn only
+    when the caller's search reaches it, so a search that stops early draws no more.
     """
+    _require_count("restarts", count)
+    if count < 0:
+        raise ValueError(f"restarts must be >= 0, got {count}")
     _require_seed(seed)
     parent = np.random.SeedSequence(seed)
     return (random_pure_state(dim, parent.spawn(1)[0]).amplitudes for _ in range(count))

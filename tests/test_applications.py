@@ -18,6 +18,7 @@ from qct import (
     build_ct_circuit,
     build_identity_instance,
     certify_yes,
+    check_eps_private,
     depolarizing,
     diamond_distance,
     identity_channel,
@@ -28,6 +29,8 @@ from qct import (
     nonidentity_stat,
     nonisometry_stat,
     operator_norm,
+    pauli_otp_decryptor,
+    pauli_otp_family,
     pauli_x_first_circuit,
     pure_fixed_point_search,
     random_channel,
@@ -637,6 +640,26 @@ class TestSeeding:
             self.SEARCHES[name](seed)
         with pytest.raises(ValueError, match="seed must be an integer"):
             _random_starts(4, 1, seed)
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda r: diamond_distance(identity_channel(1), depolarizing(1), restarts=r),
+            lambda r: trace_distance_no_reference(identity_channel(1), depolarizing(1), restarts=r),
+            lambda r: check_eps_private(
+                pauli_otp_family(1), pauli_otp_decryptor(1), 0.01, restarts=r
+            ),
+            lambda r: nonisometry_stat(depolarizing(1), 0.1, restarts=r),
+            lambda r: min_output_entropy(depolarizing(1), restarts=r, iters=2),
+        ],
+        ids=["diamond", "no-reference", "eps-private", "nonisometry", "entropy"],
+    )
+    def test_restarts_is_a_count_of_at_least_zero(self, search):
+        for bad in (-3, 2.0, True, np.bool_(False)):
+            with pytest.raises(ValueError, match="^restarts must be"):
+                search(bad)
+        search(0)
+        search(np.int64(1))
 
     @pytest.mark.parametrize(
         "draw",

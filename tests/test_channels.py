@@ -484,7 +484,6 @@ class TestEpsPrivacy:
             raise AssertionError("an ascent ran before eps was checked")
 
         monkeypatch.setattr(qct.channels, "diamond_distance", no_ascent)
-        monkeypatch.setattr(qct.channels, "trace_distance_no_reference", no_ascent)
         fam = identity_keyed_family(1, 2)
         with pytest.raises(ValueError, match="eps"):
             check_eps_private(fam, identity_keyed_family(1, 2), eps=eps, restarts=5, seed=0)
@@ -506,11 +505,90 @@ class TestEpsPrivacy:
             assert moved.verdict == verdict
 
     def test_trace_variants_bounded_by_diamond(self):
-        fam = identity_keyed_family(1, 2)
-        report = check_eps_private(fam, identity_keyed_family(1, 2), eps=0.1, restarts=5, seed=0)
-        assert report.key_average_bound_trace <= report.key_average_bound + 1e-9
         no_ref = trace_distance_no_reference(identity_channel(1), depolarizing(1), restarts=5, seed=0)
         assert abs(no_ref - 1.0) < 1e-6  # best separable probe reaches 2(1 - 1/d)
+        dd = diamond_distance(identity_channel(1), depolarizing(1), restarts=5, seed=0)
+        assert no_ref <= dd.lower_bound + 1e-9  # the diamond norm's reference only helps
+
+    def test_runs_no_reference_free_ascent(self, monkeypatch):
+        def no_ascent(*args, **kwargs):
+            raise AssertionError("a reference-free ascent ran")
+
+        monkeypatch.setattr(qct.channels, "trace_distance_no_reference", no_ascent)
+        insecure = _insecure_family("rotation", 1.0, accept_probability=0.96)
+        report = check_eps_private(insecure, pauli_otp_decryptor(1), 0.04, restarts=1)
+        assert report.verdict == VERDICT_VIOLATES
+
+    def test_holds_no_list_of_choi_matrices(self):
+        args = pauli_otp_family(3), pauli_otp_decryptor(3)  # 64 keys of 64x64 Choi matrices
+        check_eps_private(*args, eps=0.01, restarts=1, seed=0)
+        tracemalloc.start()
+        try:
+            check_eps_private(*args, eps=0.01, restarts=1, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    # each case: (family, decryptor, eps), then (key_average_bound, decryption_per_key,
+    # decryption_upper_bound, key_average_upper_bound) at restarts=1, seed=0, as the
+    # check that also ran two reference-free ascents gave them
+    PARENT_BOUNDS = {
+        "pad-n1": (
+            lambda: (pauli_otp_family(1), pauli_otp_decryptor(1), 0.01),
+            (0.0, (0.0,) * 4, 0.0, 0.0),
+        ),
+        "pad-n2": (
+            lambda: (pauli_otp_family(2), pauli_otp_decryptor(2), 0.01),
+            (0.0, (0.0,) * 16, 0.0, 0.0),
+        ),
+        "identity": (
+            lambda: (identity_keyed_family(1, 2), identity_keyed_family(1, 2), 0.1),
+            (1.4999999999999996, (0.0,) * 4, 0.0, 1.4999999999999998),
+        ),
+        "rotation-insecure": (
+            lambda: (
+                _insecure_family("rotation", 1.0, accept_probability=0.96),
+                pauli_otp_decryptor(1),
+                0.04,
+            ),
+            (
+                0.96,
+                (0.9599999999999997, 1.919996970208567, 0.9599999999999997, 1.919996970208567),
+                2.0,
+                0.96,
+            ),
+        ),
+        # keys summed in another order move the key average's bounds in the last bits
+        "hand-built": (
+            lambda: (_hand_built_family(), pauli_otp_decryptor(2), 0.04),
+            (
+                0.7380870350863746,
+                (
+                    1.9703431596973608, 1.9395665456859565, 1.9923197802635824,
+                    1.9235841025809046, 2.000000000000001, 2.000000000000001,
+                    2.000000000000001, 2.000000000000001, 1.9949722424299168,
+                    1.9999931647784033, 1.9999966188029281, 1.994364475004749,
+                    1.999998052696954, 1.9999972361616662, 1.9977205044034037,
+                    1.9999952846086528,
+                ),
+                2.0,
+                0.7380870350863751,
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", PARENT_BOUNDS)
+    def test_bounds_keep_their_bits(self, case):
+        make, want = self.PARENT_BOUNDS[case]
+        report = check_eps_private(*make(), restarts=1, seed=0)
+        got = (
+            report.key_average_bound,
+            report.decryption_per_key,
+            report.decryption_upper_bound,
+            report.key_average_upper_bound,
+        )
+        assert got == want
 
 
 class TestFamilySerialization:

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+import qct
 from qct import (
     BudgetExceededError,
     CircuitParseError,
@@ -81,6 +82,12 @@ class TestSwapTest:
             r2 = random_density_operator(d, (4, d, i)).matrix
             p = st.symmetric_probability(np.kron(r1, r2))
             assert abs(p - (1 + float(np.real(np.trace(r1 @ r2)))) / 2) < 1e-9
+
+    @pytest.mark.parametrize("shape", [(8, 8), (4, 2), (4,)])
+    def test_pair_state_of_the_wrong_shape_is_named(self, shape):
+        with pytest.raises(DimensionMismatchError, match=r"\(4, 4\)") as err:
+            build_swap_test(2).symmetric_probability(np.zeros(shape))
+        assert str(shape) in str(err.value)
 
 
 class TestInstances:
@@ -442,11 +449,28 @@ class TestObservable:
         vals = np.linalg.eigvalsh(obs)
         assert vals[0] >= -1e-9 and vals[-1] <= 1.0 + 1e-9
 
-    def test_budget_error_mentions_sampled_mode(self):
-        fam = KeyedChannelFamily(14, MixedStateCircuit(1, (), 1))
+    @pytest.mark.parametrize(
+        "enumerate_keys",
+        [
+            lambda inst: key_average(inst.family),
+            lambda inst: check_eps_private(inst.family, inst.family, 0.01, restarts=1),
+            protocol_observable,
+            lambda inst: exact_accept_probability(inst, np.eye(16) / 16),
+        ],
+        ids=["key-average", "eps-private", "observable", "exact-accept"],
+    )
+    def test_every_key_enumeration_meets_one_budget_before_compiling(
+        self, enumerate_keys, monkeypatch
+    ):
+        def no_compile(*args):
+            raise AssertionError("a key compiled before the budget was checked")
+
+        monkeypatch.setattr(qct.channels, "_kraus_stacks", no_compile)
+        fam = KeyedChannelFamily(13, MixedStateCircuit(1, (), 1))
         inst = DIInstance(fam, 0.01, 1.0, "CUSTOM")
-        with pytest.raises(BudgetExceededError, match="sampled"):
-            protocol_observable(inst)
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_keys(inst)
+        assert str(err.value) == "13 key bits exceed the key-enumeration budget of 12 bits"
 
 
 def _widening_instance() -> DIInstance:

@@ -265,6 +265,15 @@ class TestCertifyNo:
         assert max(cert.probe_distances) < 1e-9
         assert cert.heuristic_consistent
 
+    @pytest.mark.parametrize("samples", [0, -2, 2.0, True])
+    def test_samples_must_be_a_positive_count(self, samples, monkeypatch):
+        v = make_toy_verifier("always_reject", witness_qubits=1)
+        inst = build_ct_circuit(v, "identity", "depolarizing", 0.04, 1.0)
+        monkeypatch.setattr(reduction, "stinespring", lambda c: pytest.fail("stack built"))
+        monkeypatch.setattr(reduction, "diamond_distance", lambda *a: pytest.fail("ascent ran"))
+        with pytest.raises(ValueError, match="^samples must be"):
+            certify_no(inst, v, restarts=1, seed=0, samples=samples)
+
     def test_rotation_within_bound(self):
         v = make_toy_verifier("rotation", accept_probability=0.04)
         inst = build_ct_circuit(v, "identity", "depolarizing", 0.04, 1.0)
