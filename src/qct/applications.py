@@ -29,6 +29,7 @@ from .errors import DimensionMismatchError
 from .states import (
     PureState,
     _random_starts,
+    _require_count,
     _seed_record,
     operator_norm,
     trace_norm,
@@ -262,6 +263,9 @@ def _fixed_point_min(value, towards, starts, iters: int) -> tuple[float, np.ndar
     ``towards(output)``.  An orbit stops after ``iters`` steps, at a value below 1e-12,
     on convergence (overlap above 1 - 1e-14, staying put) or on an exact 2-cycle.
     """
+    _require_count("iters", iters)
+    if iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters}")
     best_val, best_psi = math.inf, None
     for psi in starts:
         prev = None
@@ -293,8 +297,9 @@ def pure_fixed_point_search(
     """
     if channel.dim_in != channel.dim_out:
         raise DimensionMismatchError("fixed-point search needs equal input and output dims")
+    _require_count("restarts", restarts)
     if restarts < 1:
-        raise ValueError("need at least one restart")
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     d = channel.dim_in
 
     def distance(psi: np.ndarray) -> tuple[float, np.ndarray]:

@@ -264,10 +264,6 @@ class MixedStateCircuit:
     def ancilla_total(self) -> int:
         return sum(op.count for op in self.ops if op.kind == "ancilla")
 
-    @property
-    def has_placeholders(self) -> bool:
-        return any(op.kind == PLACEHOLDER_KIND for op in self.ops)
-
     def output_wires(self) -> tuple[int, ...]:
         return tuple(self._replay())
 

@@ -22,15 +22,16 @@ from .channels import (
     identity_keyed_family,
     key_average,
     pauli_otp_family,
+    pauli_otp_template,
 )
-from .circuits import GateOp, _json_field, _json_fraction, _json_object
+from .circuits import _json_field, _json_fraction, _json_object
 from .errors import (
     BudgetExceededError,
     CircuitParseError,
     DimensionMismatchError,
     check_capacity,
 )
-from .reduction import _check_promise, _require_side, copy_branch_circuit, dummy_qubit_count
+from .reduction import _check_promise, _instance_width, _require_side, copy_branch_circuit
 from .states import (
     DensityOperator,
     PureState,
@@ -187,24 +188,15 @@ def build_insecure_instance(v: VerifierCircuit, eps: float, delta: float) -> DII
     """Compile a verifier into a keyed family that skips encryption on the
     accepting subspace.
 
-    Per key, the member circuit is the circuit-testing compilation with the
-    key-discarding identity on the accepting branch and the keyed Pauli pad
-    on the rejecting branch; the whole family is one template circuit with
-    controlled keyed-Pauli placeholders.
+    The template is the circuit-testing layout with nothing on the accepting
+    branch and the Pauli pad template on the rejecting branch, so per key the
+    member circuit discards the key when V accepts and applies that key's
+    Pauli to every message qubit when it rejects.
     """
     _require_side(v, eps, "YES")
-    h = v.witness_qubits
-    f = dummy_qubit_count(h, delta)
-    n = h + f
-    a = v.ancilla_qubits
-    total = n + a + 1
-    check_capacity(total, f"insecure instance (h={h}, f={f})")
-    # accepting branch (copy reads one) discards the key and does nothing;
-    # the rejecting branch applies the keyed Pauli to every message qubit
-    copy_wire = n + a
-    reject = [GateOp.keyed_pauli(i, (2 * i, 2 * i + 1), control=copy_wire) for i in range(n)]
-    template = copy_branch_circuit(v, n, a, [], reject)
-    family = KeyedChannelFamily(2 * n, template)
+    width = _instance_width(v, delta)
+    template = copy_branch_circuit(v, width, [], pauli_otp_template(width).ops)
+    family = KeyedChannelFamily(2 * width, template)
     return DIInstance(family=family, eps=eps, delta=delta, provenance=PROVENANCE_INSECURE)
 
 

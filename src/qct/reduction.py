@@ -8,10 +8,11 @@ Wire plan of the compiled circuit (inputs low, ancillas above):
 * wires ``h+f..h+f+a-1``  shared ancilla register A (becomes the garbage G)
 * wire  ``h+f+a``         the copy qubit
 
-The instance applies V, copies its output qubit with a CNOT, undoes V, then
-runs the first family's unitary when the copy reads one (the verifier
-accepted) and the second family's unitary when it reads zero, and finally
-traces out the copy and the ancillas.
+A is as wide as V's ancillas or the widest branch, whichever is more.  The
+instance applies V, copies its output qubit with a CNOT, undoes V, then runs
+each branch controlled by the copy qubit: the first family's unitary when the
+copy reads one (the verifier accepted), the second family's when it reads
+zero.  Finally it traces out the copy and the ancillas.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from .states import (
     RegisterLayout,
     _require_count,
     _seed_record,
+    _trusted,
     basis_state,
     random_pure_state,
     trace_norm,
@@ -302,45 +304,51 @@ class CTCertificate:
         return probes_within and self.heuristic_consistent
 
 
-def _canonical_family(circuit: MixedStateCircuit, label: str):
-    canon = canonicalize(circuit)
-    anc_wires = set(
-        range(circuit.input_qubits, circuit.input_qubits + canon.ancilla_qubits)
-    )
-    if set(canon.traced_wires) != anc_wires:
-        raise CircuitError(
-            f"{label} must trace exactly its ancilla wires so the compiled "
-            f"circuit can share one garbage register"
+def _instance_width(v: VerifierCircuit, delta: float) -> int:
+    """The compiled instance's inputs: the witness register plus the dummy register."""
+    f = dummy_qubit_count(v.witness_qubits, delta)
+    width = v.witness_qubits + f
+    if width + 1 > max_qubits():
+        raise CapacityError(
+            f"delta {delta} forces a dummy register of {f} qubits; the instance "
+            f"would need at least {width + 1} wires, above the cap of {max_qubits()}"
         )
-    return canon
+    return width
 
 
 def copy_branch_circuit(
     v: VerifierCircuit,
     width: int,
-    ancilla_qubits: int,
     accept_ops: Sequence[GateOp],
     reject_ops: Sequence[GateOp],
 ) -> MixedStateCircuit:
     """The copy-and-branch layout shared by every compiled instance.
 
-    Introduces ``ancilla_qubits`` ancillas plus the copy qubit (wire
-    ``width + ancilla_qubits``), applies V, copies its output qubit with a
-    CNOT, undoes V, runs ``accept_ops``, then ``reject_ops`` between two X
-    flips of the copy qubit, and traces out the ancillas and the copy.
+    The ancilla register A holds V's ancillas and every wire a branch op
+    reaches above the ``width`` inputs; the copy qubit sits above A.  Applies
+    V, copies its output qubit with a CNOT, undoes V, runs ``accept_ops``,
+    then ``reject_ops`` between two X flips of the copy qubit, and traces out
+    A and the copy.  Each branch op, an uncontrolled ``unitary`` or
+    ``keyed_pauli``, runs controlled by the copy qubit.
     """
-    copy_wire = width + ancilla_qubits
-    v_targets = tuple(range(width, width + v.ancilla_qubits)) + tuple(
-        range(v.witness_qubits)
-    )
+    reach = [t + 1 - width for op in (*accept_ops, *reject_ops) for t in op.targets]
+    a = max([v.ancilla_qubits, *reach])
+    check_capacity(width + a + 1, f"compiled instance ({width} inputs, {a} ancillas)")
+    copy_wire = width + a
+
+    def controlled(op: GateOp) -> GateOp:  # the op's parts were validated when it was built
+        kind = "controlled" if op.kind == "unitary" else op.kind
+        return _trusted(GateOp, **{**vars(op), "kind": kind, "control": copy_wire})
+
+    v_targets = (*range(width, width + v.ancilla_qubits), *range(v.witness_qubits))
     ops = [
-        GateOp.ancillas(ancilla_qubits + 1),
+        GateOp.ancillas(a + 1),
         GateOp.unitary(v.unitary, v_targets),
         GateOp.cnot(v_targets[v.output_qubit], copy_wire),
         GateOp.unitary(v.unitary.conj().T, v_targets),
-        *accept_ops,
+        *map(controlled, accept_ops),
         GateOp.x(copy_wire),
-        *reject_ops,
+        *map(controlled, reject_ops),
         GateOp.x(copy_wire),
         GateOp.trace_out(*range(width, copy_wire + 1)),
     ]
@@ -361,39 +369,19 @@ def build_ct_circuit(
     rejecting branch runs the second; both controlled blocks share the padded
     ancilla register.
     """
-    h = v.witness_qubits
-    f = dummy_qubit_count(h, delta)
-    width = h + f
-    if width + 1 > max_qubits():
-        raise CapacityError(
-            f"delta {delta} forces a dummy register of {f} qubits; the instance "
-            f"would need at least {width + 1} wires, above the cap of {max_qubits()}"
-        )
-    c0_spec, c0 = _read_family(c0_gen, "c0", width)
-    c1_spec, c1 = _read_family(c1_gen, "c1", width)
-    canon0 = _canonical_family(c0, "c0")
-    canon1 = _canonical_family(c1, "c1")
-    a = max(v.ancilla_qubits, canon0.ancilla_qubits, canon1.ancilla_qubits)
-    total = width + a + 1
-    check_capacity(total, f"circuit-testing instance (h={h}, f={f}, ancillas={a})")
-
-    copy_wire = width + a
-    accept = GateOp.controlled(
-        copy_wire, canon0.unitary, tuple(range(width + canon0.ancilla_qubits))
-    )
-    reject = GateOp.controlled(
-        copy_wire, canon1.unitary, tuple(range(width + canon1.ancilla_qubits))
-    )
-    circuit = copy_branch_circuit(v, width, a, [accept], [reject])
-
-    return CTInstance(
-        circuit=circuit,
-        eps=eps,
-        delta=delta,
-        witness_qubits=h,
-        c0_spec=c0_spec,
-        c1_spec=c1_spec,
-    )
+    width = _instance_width(v, delta)
+    specs, bodies = {}, []
+    for label, gen in (("c0", c0_gen), ("c1", c1_gen)):
+        specs[f"{label}_spec"], family = _read_family(gen, label, width)
+        canon = canonicalize(family)
+        if set(canon.traced_wires) != set(range(width, width + canon.ancilla_qubits)):
+            raise CircuitError(
+                f"{label} must trace exactly its ancilla wires so the compiled "
+                f"circuit can share one garbage register"
+            )
+        bodies.append([GateOp.unitary(canon.unitary, range(width + canon.ancilla_qubits))])
+    circuit = copy_branch_circuit(v, width, *bodies)
+    return CTInstance(circuit, eps, delta, v.witness_qubits, **specs)
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +564,9 @@ def wellformedness_check(
     alternating-sign superpositions, and Haar samples.  For delta below one
     the subspace-dimension refinement is reported, not decided.
     """
+    _require_count("samples", samples)
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     (_, c0), (_, c1) = _read_family(c0_gen, "c0", width), _read_family(c1_gen, "c1", width)
     dim = 2**width
     probes = [basis_state(dim, i).amplitudes for i in range(dim)]

@@ -25,7 +25,7 @@ from .circuits import (
     canonicalize,
 )
 from .errors import CircuitParseError, DimensionMismatchError, InvalidStateError, check_capacity
-from .states import HermitianObservable, PureState, random_unitary
+from .states import HermitianObservable, PureState, _require_count, random_unitary
 
 
 @dataclass(frozen=True)
@@ -111,6 +111,10 @@ def rotation_angle_for_accept_probability(p: float) -> float:
 
 def make_toy_verifier(kind: str, **params) -> VerifierCircuit:
     """Fixture verifiers: always_reject, target_state, rotation, random_unitary."""
+    for name, least in (("witness_qubits", 1), ("ancilla_qubits", 0)):
+        _require_count(name, params.get(name, 1))
+        if params.get(name, 1) < least:
+            raise ValueError(f"{name} must be >= {least}, got {params[name]}")
     if kind == "always_reject":
         h = int(params.pop("witness_qubits", 1))
         _reject_unknown(kind, params)
@@ -120,15 +124,7 @@ def make_toy_verifier(kind: str, **params) -> VerifierCircuit:
         h = int(params.pop("witness_qubits", 1))
         _reject_unknown(kind, params)
         d = 2**h
-        if target is None:
-            target_vec = np.zeros(d, dtype=np.complex128)
-            target_vec[-1] = 1.0
-        elif isinstance(target, int):
-            target_vec = np.zeros(d, dtype=np.complex128)
-            target_vec[target] = 1.0
-        else:
-            target_vec = np.asarray(target, dtype=np.complex128)
-            target_vec = target_vec / np.linalg.norm(target_vec)
+        target_vec = _target_vector(d - 1 if target is None else target, d)
         proj = np.outer(target_vec, target_vec.conj())
         x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
         u = np.kron(np.eye(d) - proj, np.eye(2)) + np.kron(proj, x)
@@ -156,6 +152,20 @@ def make_toy_verifier(kind: str, **params) -> VerifierCircuit:
         _reject_unknown(kind, params)
         return VerifierCircuit(h, a, random_unitary(2 ** (h + a), seed))
     raise ValueError(f"unknown toy verifier kind {kind!r}")
+
+
+def _target_vector(target, d: int) -> np.ndarray:
+    """The unit target state: a basis index in [0, d), or a nonzero finite vector of d entries."""
+    if isinstance(target, (int, np.integer)) and not isinstance(target, (bool, np.bool_)):
+        vec = np.eye(1, d, target, dtype=np.complex128)[0]  # zero outside [0, d)
+    else:
+        try:
+            vec = np.asarray(target, dtype=np.complex128)
+        except (TypeError, ValueError):
+            vec = np.zeros(0)
+    if vec.shape == (d,) and 0 < np.linalg.norm(vec) < math.inf:
+        return vec / np.linalg.norm(vec)
+    raise ValueError(f"target must be an index in [0, {d}) or a nonzero {d}-vector, got {target!r}")
 
 
 def _reject_unknown(kind: str, params: dict) -> None:

@@ -43,6 +43,7 @@ from qct import (
     trace_norm,
     two_copy_proof,
     von_neumann_entropy,
+    wellformedness_check,
 )
 
 
@@ -660,6 +661,40 @@ class TestSeeding:
                 search(bad)
         search(0)
         search(np.int64(1))
+
+    @pytest.mark.parametrize(
+        "call, bad, message",
+        [
+            (lambda n: pure_fixed_point_search(depolarizing(1), 0.1, restarts=n), "3",
+             "restarts must be an integer count"),
+            (lambda n: pure_fixed_point_search(depolarizing(1), 0.1, restarts=n), None,
+             "restarts must be an integer count"),
+            (lambda n: pure_fixed_point_search(depolarizing(1), 0.1, restarts=n), 0,
+             "restarts must be >= 1"),
+            (lambda n: wellformedness_check("identity", "depolarizing", 0.1, 1.0, 1, samples=n),
+             -5, "samples must be >= 0"),
+            (lambda n: wellformedness_check("identity", "depolarizing", 0.1, 1.0, 1, samples=n),
+             2.5, "samples must be an integer count"),
+            (lambda n: wellformedness_check("identity", "depolarizing", 0.1, 1.0, 1, samples=n),
+             True, "samples must be an integer count"),
+            (lambda n: pure_fixed_point_search(depolarizing(1), 0.1, restarts=1, iters=n), 2.5,
+             "iters must be an integer count"),
+            (lambda n: pure_fixed_point_search(depolarizing(1), 0.1, restarts=1, iters=n), -1,
+             "iters must be >= 0"),
+            (lambda n: min_output_entropy(depolarizing(1), restarts=1, iters=n), 2.5,
+             "iters must be an integer count"),
+            (lambda n: min_output_entropy(depolarizing(1), restarts=1, iters=n), -1,
+             "iters must be >= 0"),
+        ],
+        ids=["restarts-str", "restarts-none", "restarts-zero", "samples-negative",
+             "samples-float", "samples-bool", "fixed-point-iters-float",
+             "fixed-point-iters-negative", "entropy-iters-float", "entropy-iters-negative"],
+    )
+    def test_search_counts_are_integers_in_range(self, call, bad, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            call(bad)
+        legal = 1 if message.startswith("restarts") else 0  # no Haar probe or no step is legal
+        call(legal)
 
     @pytest.mark.parametrize(
         "draw",

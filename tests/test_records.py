@@ -6,8 +6,10 @@ aggregate from the computation it summarizes.
 """
 
 import dataclasses
+import importlib.util
 import math
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +110,22 @@ def test_public_names_match_the_snapshot():
     )
     assert len(PUBLIC_NAMES) == 91
     assert public == PUBLIC_NAMES
+
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.mark.skipif(not TRACER.exists(), reason="no perfbench/ in this checkout")
+def test_every_name_the_benchmark_traces_resolves():
+    """perfbench's tracer wraps these qct names; one removed would drop its layer's spans."""
+    spec = importlib.util.spec_from_file_location("qct_bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    targets = [(owner, name) for _, owner, name in tracer.TARGETS if owner.startswith("qct.")]
+    assert len(targets) >= 36
+    for owner, name in targets:
+        obj = tracer._resolve(owner)
+        assert (name in vars(obj)) if isinstance(obj, type) else hasattr(obj, name), (owner, name)
 
 
 class TestRejections:

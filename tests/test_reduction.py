@@ -12,6 +12,8 @@ from qct import (
     CapacityError,
     CircuitParseError,
     DensityOperator,
+    GateOp,
+    MixedStateCircuit,
     VerifierCircuit,
     WrongSideError,
     basis_state,
@@ -35,7 +37,7 @@ from qct import (
     trace_norm,
     wellformedness_check,
 )
-from qct import channels, reduction
+from qct import channels, circuits, reduction
 from qct.reduction import FAMILY_REGISTRY, _require_side, _yes_probe_states
 
 
@@ -107,6 +109,86 @@ class TestBuild:
         h, f = inst.witness_qubits, inst.dummy_qubits
         assert f == dummy_qubit_count(h, 0.5) == 2
         assert inst.total_qubits == h + f + inst.ancilla_qubits + 1
+
+
+def _hand_wired_insecure_template(v, delta):
+    """The insecure template wired op by op: V's ancillas, the copy qubit above them, and a
+    keyed Pauli on each message qubit i, on key bits (2i, 2i+1), controlled by the copy."""
+    h = v.witness_qubits
+    n = h + dummy_qubit_count(h, delta)
+    copy = n + v.ancilla_qubits
+    v_targets = (*range(n, copy), *range(h))
+    ops = [
+        GateOp.ancillas(v.ancilla_qubits + 1),
+        GateOp.unitary(v.unitary, v_targets),
+        GateOp.cnot(v_targets[v.output_qubit], copy),
+        GateOp.unitary(v.unitary.conj().T, v_targets),
+        GateOp.x(copy),
+        *(GateOp.keyed_pauli(i, (2 * i, 2 * i + 1), control=copy) for i in range(n)),
+        GateOp.x(copy),
+        GateOp.trace_out(*range(n, copy + 1)),
+    ]
+    return MixedStateCircuit(n, tuple(ops), n)
+
+
+# name: (verifier, eps, delta)
+INSECURE_CASES = {
+    "rotation-delta-1": (lambda: make_toy_verifier("rotation", accept_probability=0.96), 0.04, 1.0),
+    "rotation-delta-half": (
+        lambda: make_toy_verifier("rotation", accept_probability=0.96), 0.04, 0.5
+    ),
+    "target-state-h2": (
+        lambda: make_toy_verifier("target_state", witness_qubits=2, target=3), 0.04, 0.5
+    ),
+    "random-unitary-2-ancillas": (
+        lambda: make_toy_verifier("random_unitary", ancilla_qubits=2, seed=0), 0.5, 1.0
+    ),
+}
+
+
+class TestCopyBranchLayout:
+    """Both reductions compile through ``copy_branch_circuit``, which owns the wire plan."""
+
+    @pytest.mark.parametrize("name", INSECURE_CASES)
+    def test_insecure_template_is_the_hand_wired_circuit(self, name):
+        make, eps, delta = INSECURE_CASES[name]
+        v = make()
+        template = build_insecure_instance(v, eps, delta).family.template
+        assert serialize_circuit(template) == serialize_circuit(
+            _hand_wired_insecure_template(v, delta)
+        )
+
+    @pytest.mark.parametrize("build, calls", [
+        (lambda v: build_ct_circuit(v, "identity", "depolarizing", 0.04, 1.0), 6),
+        (lambda v: build_ct_circuit(v, "identity", "depolarizing", 0.04, 0.5), 8),
+        (lambda v: build_insecure_instance(v, 0.04, 1.0), 2),
+    ], ids=["ct-delta-1", "ct-delta-half", "insecure"])
+    def test_each_matrix_is_checked_for_unitarity_once(self, build, calls, monkeypatch):
+        v, seen = make_toy_verifier("rotation", accept_probability=0.96), []
+        real = circuits._is_unitary
+        monkeypatch.setattr(circuits, "_is_unitary", lambda mat: seen.append(mat) or real(mat))
+        build(v)
+        assert len(seen) == calls
+
+    def test_insecure_builder_names_delta_when_the_dummy_register_is_too_large(self):
+        v = make_toy_verifier("rotation", accept_probability=0.96)
+        with pytest.raises(CapacityError, match="^delta 0.01 forces a dummy register of 99"):
+            build_insecure_instance(v, 0.04, 0.01)
+
+    @pytest.mark.parametrize("build, cap, match", [
+        # depolarizing's 2 key ancillas outnumber V's one, so the copy qubit is wire 3
+        (lambda v: build_ct_circuit(v, "identity", "depolarizing", 0.04, 1.0), 3,
+         r"^compiled instance \(1 inputs, 2 ancillas\) needs 4 qubits"),
+        (lambda v: build_insecure_instance(v, 0.04, 1.0), 2,
+         r"^compiled instance \(1 inputs, 1 ancillas\) needs 3 qubits"),
+    ], ids=["ct-family-ancillas", "insecure"])
+    def test_the_copy_qubit_must_fit_the_cap(self, build, cap, match, monkeypatch):
+        v = make_toy_verifier("rotation", accept_probability=0.96)
+        monkeypatch.setenv("QCT_MAX_QUBITS", str(cap))
+        with pytest.raises(CapacityError, match=match):
+            build(v)
+        monkeypatch.setenv("QCT_MAX_QUBITS", str(cap + 1))
+        assert build(v).eps == 0.04
 
 
 class TestBranchCorrectness:

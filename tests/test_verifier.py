@@ -63,6 +63,36 @@ class TestFixtures:
         with pytest.raises(ValueError):
             make_toy_verifier("rotation", theta=1.0, frobs=2)
 
+    @pytest.mark.parametrize(
+        "kind, params, name",
+        [
+            ("target_state", {"witness_qubits": 2.7}, "witness_qubits"),
+            ("target_state", {"witness_qubits": "2"}, "witness_qubits"),
+            ("always_reject", {"witness_qubits": True}, "witness_qubits"),
+            ("random_unitary", {"ancilla_qubits": 1.0}, "ancilla_qubits"),
+            ("target_state", {"witness_qubits": -1}, "witness_qubits"),
+            ("always_reject", {"witness_qubits": 0}, "witness_qubits"),
+            ("random_unitary", {"ancilla_qubits": -1}, "ancilla_qubits"),
+            ("target_state", {"target": 5}, "target"),
+            ("target_state", {"target": -1}, "target"),
+            ("target_state", {"target": 1.0}, "target"),
+            ("target_state", {"target": True}, "target"),
+            ("target_state", {"target": [1, 0, 0]}, "target"),
+            ("target_state", {"target": [0, 0]}, "target"),
+            ("target_state", {"target": [1, np.nan]}, "target"),
+            ("target_state", {"target": "1"}, "target"),
+        ],
+    )
+    def test_fixture_parameters_are_checked_not_coerced(self, kind, params, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            make_toy_verifier(kind, **params)
+
+    @pytest.mark.parametrize("target", [1, np.int64(1), [0, 2], np.array([0, 1j])])
+    def test_a_target_is_an_index_or_a_vector(self, target):
+        v = make_toy_verifier("target_state", witness_qubits=1, target=target)
+        assert abs(accept_probability(v, basis_state(2, 1)) - 1.0) < 1e-12
+        assert accept_probability(v, basis_state(2, 0)) < 1e-12
+
 
 class TestAcceptanceOperator:
     def test_matches_direct_probability_on_random_witnesses(self):
