@@ -263,9 +263,7 @@ def _fixed_point_min(value, towards, starts, iters: int) -> tuple[float, np.ndar
     ``towards(output)``.  An orbit stops after ``iters`` steps, at a value below 1e-12,
     on convergence (overlap above 1 - 1e-14, staying put) or on an exact 2-cycle.
     """
-    _require_count("iters", iters)
-    if iters < 0:
-        raise ValueError(f"iters must be >= 0, got {iters}")
+    _require_count("iters", iters, 0)
     best_val, best_psi = math.inf, None
     for psi in starts:
         prev = None
@@ -297,9 +295,7 @@ def pure_fixed_point_search(
     """
     if channel.dim_in != channel.dim_out:
         raise DimensionMismatchError("fixed-point search needs equal input and output dims")
-    _require_count("restarts", restarts)
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    _require_count("restarts", restarts, 1)
     d = channel.dim_in
 
     def distance(psi: np.ndarray) -> tuple[float, np.ndarray]:

@@ -43,6 +43,7 @@ from .states import (
     PureState,
     _min_eig_below,
     _random_starts,
+    _require_count,
     _seed_record,
     _reject_non_hermitian,
     _trusted,
@@ -51,6 +52,15 @@ from .states import (
 )
 
 KEY_ENUMERATION_BUDGET_BITS = 12
+
+
+def _require_key_budget(bits: int, what: str) -> None:
+    """Refuse to enumerate ``2**bits`` keys or key pairs beyond the one key budget."""
+    if bits > KEY_ENUMERATION_BUDGET_BITS:
+        raise BudgetExceededError(
+            f"{bits} {what} bits exceed the key-enumeration budget of "
+            f"{KEY_ENUMERATION_BUDGET_BITS} bits"
+        )
 
 
 def _reject_non_tp(choi: np.ndarray, d_in: int, d_out: int) -> None:
@@ -259,12 +269,8 @@ class KeyedChannelFamily:
         needed = max(
             (b + 1 for op in self.template.ops if op.kind == PLACEHOLDER_KIND for b in op.key_bits),
             default=0,
-        )
-        if self.key_bits < needed:
-            raise ValueError(
-                f"key_bits must be >= {needed} (non-negative and above every key bit "
-                f"index the template reads), got {self.key_bits}"
-            )
+        )  # above every key bit index the template reads
+        _require_count("key_bits", self.key_bits, needed)
 
     @property
     def input_qubits(self) -> int:
@@ -293,11 +299,7 @@ class KeyedChannelFamily:
         ``_kraus_channel``'s trace-preservation check.  Every exact key enumeration
         comes through here, so this is where ``KEY_ENUMERATION_BUDGET_BITS`` is enforced.
         """
-        if self.key_bits > KEY_ENUMERATION_BUDGET_BITS:
-            raise BudgetExceededError(
-                f"{self.key_bits} key bits exceed the key-enumeration budget of "
-                f"{KEY_ENUMERATION_BUDGET_BITS} bits"
-            )
+        _require_key_budget(self.key_bits, "key")
         check_capacity(self.input_qubits + self.output_qubits, "Choi matrix")
         for stacks in _kraus_stacks(self.template, self.key_bits):
             for kraus in stacks:

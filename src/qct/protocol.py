@@ -17,6 +17,7 @@ import numpy as np
 from .channels import (
     _FAMILY_FIELDS,
     KeyedChannelFamily,
+    _require_key_budget,
     apply_choi_adjoint_to_segment,
     apply_choi_to_segment,
     identity_keyed_family,
@@ -25,12 +26,7 @@ from .channels import (
     pauli_otp_template,
 )
 from .circuits import _json_field, _json_fraction, _json_object
-from .errors import (
-    BudgetExceededError,
-    CircuitParseError,
-    DimensionMismatchError,
-    check_capacity,
-)
+from .errors import CircuitParseError, DimensionMismatchError, check_capacity
 from .reduction import _check_promise, _instance_width, _require_side, copy_branch_circuit
 from .states import (
     DensityOperator,
@@ -48,7 +44,7 @@ PROVENANCE_CUSTOM = "CUSTOM"
 PROVENANCES = (PROVENANCE_SECURE, PROVENANCE_INSECURE, PROVENANCE_CUSTOM)
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
-# Shots per draw in the sampled protocol; its table has at most 4096 key pairs (a uint16).
+# Shots per draw in the sampled protocol.
 _SHOT_CHUNK = 8192
 
 
@@ -153,13 +149,13 @@ class ProtocolResult:
         return wilson_interval(self.accepts, self.shots)
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
-    """Two-sided Wilson score interval; valid near frequencies of zero and one."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Two-sided 95% Wilson score interval; valid near frequencies of zero and one."""
     _require_count("successes", successes)
     _require_count("trials", trials)
     if trials < 1 or not 0 <= successes <= trials:
         raise ValueError(f"successes {successes} must lie in [0, trials] with trials {trials} >= 1")
-    p_hat = successes / trials
+    p_hat, z = successes / trials, WILSON_Z
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(p_hat * (1 - p_hat) / trials + z * z / (4 * trials * trials))
@@ -284,20 +280,15 @@ def run_protocol_sampled(instance: DIInstance, proof, shots: int, seed: int) -> 
     ``_SHOT_CHUNK`` that keep the generator's stream, so memory holds one key-pair
     index per shot.  Deterministic per seed (None is rejected).
     """
-    _require_count("shots", shots)
-    if shots < 1:
-        raise ValueError("need at least one shot")
+    _require_count("shots", shots, 1)
     _require_seed(seed)
+    _require_key_budget(2 * instance.family.key_bits, "key-pair")
     tau = _swapped_reference_trace(instance, proof)
     n_keys = instance.family.n_keys
-    if n_keys * n_keys > 4096:
-        raise BudgetExceededError(
-            f"{n_keys} keys give {n_keys * n_keys} key pairs, beyond the sampled-mode table"
-        )
     accept_prob = _key_pair_table(instance, tau).reshape(-1)
     rng = np.random.default_rng(seed)
     # every key pair, then every outcome, as one draw of each would give them
-    pairs = np.empty(shots, dtype=np.uint16)
+    pairs = np.empty(shots, dtype=np.min_scalar_type(n_keys * n_keys - 1))
     for start in range(0, shots, _SHOT_CHUNK):
         keys = rng.integers(0, n_keys, size=(min(_SHOT_CHUNK, shots - start), 2))
         pairs[start : start + len(keys)] = keys[:, 0] * n_keys + keys[:, 1]

@@ -59,6 +59,7 @@ from .errors import (
 from .states import (
     PureState,
     RegisterLayout,
+    _is_integer,
     _require_count,
     _seed_record,
     _trusted,
@@ -137,7 +138,7 @@ def _read_family(spec, label: str, width: int) -> tuple[MappingProxyType, MixedS
     known = tuple(inspect.signature(FAMILY_REGISTRY[name]).parameters)
     _json_object(params, known, f"{name} params", within=f"{label}.params")
     for key, value in params.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not _is_integer(value):
             raise CircuitParseError(f"{label}.params.{key}: must be an integer, got {value!r}")
     params = {key: int(value) for key, value in params.items()}
     spec = MappingProxyType({"name": name, "params": MappingProxyType(params)})
@@ -369,6 +370,7 @@ def build_ct_circuit(
     rejecting branch runs the second; both controlled blocks share the padded
     ancilla register.
     """
+    _check_promise(eps, delta)
     width = _instance_width(v, delta)
     specs, bodies = {}, []
     for label, gen in (("c0", c0_gen), ("c1", c1_gen)):
@@ -456,11 +458,12 @@ def _probe_distances(ka: np.ndarray, kb: np.ndarray, probes) -> list[float]:
 
 def _yes_probe_states(instance: CTInstance, witness: PureState, seed) -> list[np.ndarray]:
     """Pure probe vectors in the accepting subspace, some entangled with a reference."""
-    h, f = instance.witness_qubits, instance.dummy_qubits
+    f = instance.dummy_qubits
     gamma = witness.amplitudes
     if f == 0:
-        refs = [random_pure_state(2**h, (seed, s)).amplitudes for s in range(2)]
-        return [gamma] + [np.kron(gamma, ref) for ref in refs]
+        # S = span{gamma}; for D = C - C0, ||(D (x) id)(gamma gamma^+ (x) r r^+)||_1 equals
+        # ||D(gamma gamma^+)||_1, so gamma alone is the supremum over S (x) R
+        return [gamma]
     dim_f = 2**f
     xis = [basis_state(dim_f, 0).amplitudes, basis_state(dim_f, min(1, dim_f - 1)).amplitudes]
     xis.append(random_pure_state(dim_f, (seed, 0)).amplitudes)
@@ -476,8 +479,8 @@ def _yes_probe_states(instance: CTInstance, witness: PureState, seed) -> list[np
 def certify_yes(instance: CTInstance, v: VerifierCircuit, seed=0) -> CTCertificate:
     """Probe the accepting subspace: the instance must track the first family.
 
-    Uses the verifier's optimal witness, dummy-register probes in basis and
-    random directions, and product plus reference-entangled variants.
+    Uses the verifier's optimal witness, alone at delta = 1 where it is exact, else
+    dummy-register probes in basis and random directions, product and reference-entangled.
     """
     witness = _require_side(v, instance.eps, "YES")
     probes = _yes_probe_states(instance, witness, seed)
@@ -508,9 +511,7 @@ def certify_no(
     lower bound below the threshold is recorded as consistent with the claim;
     ``diamond_upper_bound`` at or below the threshold proves it.
     """
-    _require_count("samples", samples)
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    _require_count("samples", samples, 1)
     _require_side(v, instance.eps, "NO")
     check_capacity(instance.input_qubits + instance.circuit.output_qubits, "Choi matrix")
     ka, kb = stinespring(instance.circuit), stinespring(instance.c1)
@@ -564,9 +565,7 @@ def wellformedness_check(
     alternating-sign superpositions, and Haar samples.  For delta below one
     the subspace-dimension refinement is reported, not decided.
     """
-    _require_count("samples", samples)
-    if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
+    _require_count("samples", samples, 0)
     (_, c0), (_, c1) = _read_family(c0_gen, "c0", width), _read_family(c1_gen, "c1", width)
     dim = 2**width
     probes = [basis_state(dim, i).amplitudes for i in range(dim)]

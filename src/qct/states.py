@@ -237,15 +237,11 @@ def tensor(a, b):
     Both operands must share the element kind (vector with vector, matrix
     with matrix).  The first operand ends up on the more significant qubits.
     """
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        check_capacity(qubit_count(a.dim * b.dim), "tensor product")
-        return PureState(np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, DensityOperator) and isinstance(b, DensityOperator):
-        check_capacity(qubit_count(a.dim * b.dim), "tensor product")
-        return DensityOperator(np.kron(a.matrix, b.matrix))
-    if isinstance(a, HermitianObservable) and isinstance(b, HermitianObservable):
-        check_capacity(qubit_count(a.dim * b.dim), "tensor product")
-        return HermitianObservable(np.kron(a.matrix, b.matrix))
+    for kind in (PureState, DensityOperator, HermitianObservable):
+        if isinstance(a, kind) and isinstance(b, kind):
+            check_capacity(qubit_count(a.dim * b.dim), "tensor product")
+            field = "amplitudes" if kind is PureState else "matrix"
+            return kind(np.kron(getattr(a, field), getattr(b, field)))
     am, bm = np.asarray(a), np.asarray(b)
     if am.ndim != bm.ndim or am.ndim not in (1, 2):
         raise DimensionMismatchError(
@@ -294,9 +290,13 @@ def random_pure_state(dim: int, seed) -> PureState:
     return PureState(v / np.linalg.norm(v))
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool (``np.bool_`` is no ``np.integer``)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _is_seed_integer(value) -> bool:
-    integer = isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.bool_))
-    return integer and value >= 0
+    return _is_integer(value) and value >= 0
 
 
 def _seed_record(seed) -> int | tuple[int, ...] | None:
@@ -326,10 +326,12 @@ def _require_seed(seed) -> None:
     _seed_record(seed)  # raises on a bool and on a seed of any other type
 
 
-def _require_count(name: str, count) -> None:
-    """Reject a count that is not a Python or numpy integer (bools included)."""
-    if not isinstance(count, (int, np.integer)) or isinstance(count, (bool, np.bool_)):
+def _require_count(name: str, count, least: int | None = None) -> None:
+    """Reject a count that fails ``_is_integer`` or, given ``least``, lies below it."""
+    if not _is_integer(count):
         raise ValueError(f"{name} must be an integer count, got {count!r}")
+    if least is not None and count < least:
+        raise ValueError(f"{name} must be >= {least}, got {count}")
 
 
 def _random_starts(dim: int, count: int, seed) -> Iterator[np.ndarray]:
@@ -339,9 +341,7 @@ def _random_starts(dim: int, count: int, seed) -> Iterator[np.ndarray]:
     checked at the call (None and bools are rejected), but a start is drawn only
     when the caller's search reaches it, so a search that stops early draws no more.
     """
-    _require_count("restarts", count)
-    if count < 0:
-        raise ValueError(f"restarts must be >= 0, got {count}")
+    _require_count("restarts", count, 0)
     _require_seed(seed)
     parent = np.random.SeedSequence(seed)
     return (random_pure_state(dim, parent.spawn(1)[0]).amplitudes for _ in range(count))

@@ -25,7 +25,7 @@ from .circuits import (
     canonicalize,
 )
 from .errors import CircuitParseError, DimensionMismatchError, InvalidStateError, check_capacity
-from .states import HermitianObservable, PureState, _require_count, random_unitary
+from .states import HermitianObservable, PureState, _is_integer, _require_count, random_unitary
 
 
 @dataclass(frozen=True)
@@ -111,18 +111,20 @@ def rotation_angle_for_accept_probability(p: float) -> float:
 
 def make_toy_verifier(kind: str, **params) -> VerifierCircuit:
     """Fixture verifiers: always_reject, target_state, rotation, random_unitary."""
-    for name, least in (("witness_qubits", 1), ("ancilla_qubits", 0)):
-        _require_count(name, params.get(name, 1))
-        if params.get(name, 1) < least:
-            raise ValueError(f"{name} must be >= {least}, got {params[name]}")
+    h, a = params.get("witness_qubits", 1), params.get("ancilla_qubits", 1)
+    _require_count("witness_qubits", h, 1)
+    _require_count("ancilla_qubits", a, 0)
+    h, a = int(h), int(a)  # plain ints for the circuit's fields; each kind checks, then builds
     if kind == "always_reject":
-        h = int(params.pop("witness_qubits", 1))
+        params.pop("witness_qubits", None)
         _reject_unknown(kind, params)
+        check_capacity(h + 1, "verifier circuit")
         return VerifierCircuit(h, 1, np.eye(2 ** (h + 1), dtype=np.complex128))
     if kind == "target_state":
         target = params.pop("target", None)
-        h = int(params.pop("witness_qubits", 1))
+        params.pop("witness_qubits", None)
         _reject_unknown(kind, params)
+        check_capacity(h + 1, "verifier circuit")
         d = 2**h
         target_vec = _target_vector(d - 1 if target is None else target, d)
         proj = np.outer(target_vec, target_vec.conj())
@@ -146,17 +148,18 @@ def make_toy_verifier(kind: str, **params) -> VerifierCircuit:
         u = np.kron(p0, np.eye(2)) + np.kron(p1, ry)
         return VerifierCircuit(1, 1, u)
     if kind == "random_unitary":
-        h = int(params.pop("witness_qubits", 1))
-        a = int(params.pop("ancilla_qubits", 1))
+        params.pop("witness_qubits", None)
+        params.pop("ancilla_qubits", None)
         seed = params.pop("seed", 0)
         _reject_unknown(kind, params)
+        check_capacity(h + a, "verifier circuit")
         return VerifierCircuit(h, a, random_unitary(2 ** (h + a), seed))
     raise ValueError(f"unknown toy verifier kind {kind!r}")
 
 
 def _target_vector(target, d: int) -> np.ndarray:
     """The unit target state: a basis index in [0, d), or a nonzero finite vector of d entries."""
-    if isinstance(target, (int, np.integer)) and not isinstance(target, (bool, np.bool_)):
+    if _is_integer(target):
         vec = np.eye(1, d, target, dtype=np.complex128)[0]  # zero outside [0, d)
     else:
         try:

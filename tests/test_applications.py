@@ -13,15 +13,19 @@ from qct.states import _random_starts
 from qct import (
     DimensionMismatchError,
     GateOp,
+    KeyedChannelFamily,
     MixedStateCircuit,
     bloch_grid_min_entropy,
     build_ct_circuit,
     build_identity_instance,
+    build_secure_instance,
+    certify_no,
     certify_yes,
     check_eps_private,
     depolarizing,
     diamond_distance,
     identity_channel,
+    identity_circuit,
     make_toy_verifier,
     measure_then_flip_circuit,
     min_output_entropy,
@@ -523,6 +527,17 @@ def _certify_rotation_yes(seed):
     return certify_yes(build_ct_circuit(v, "identity", "depolarizing", 0.04, 1.0), v, seed=seed)
 
 
+def _sampled_shots(shots):
+    proof = two_copy_proof(random_pure_state(4, 21))
+    return run_protocol_sampled(build_secure_instance(1, 0.01), proof, shots=shots, seed=5)
+
+
+def _certify_no_samples(samples):
+    v = make_toy_verifier("always_reject", witness_qubits=1)
+    inst = build_ct_circuit(v, "identity", "depolarizing", 0.04, 1.0)
+    return certify_no(inst, v, restarts=1, samples=samples)
+
+
 class TestSeeding:
     def test_integer_seed_starts_are_the_seed_sequence_children(self):
         want = []
@@ -663,38 +678,50 @@ class TestSeeding:
         search(np.int64(1))
 
     @pytest.mark.parametrize(
-        "call, bad, message",
+        "call, bad, message, least",
         [
             (lambda n: pure_fixed_point_search(depolarizing(1), 0.1, restarts=n), "3",
-             "restarts must be an integer count"),
+             "restarts must be an integer count", 1),
             (lambda n: pure_fixed_point_search(depolarizing(1), 0.1, restarts=n), None,
-             "restarts must be an integer count"),
+             "restarts must be an integer count", 1),
             (lambda n: pure_fixed_point_search(depolarizing(1), 0.1, restarts=n), 0,
-             "restarts must be >= 1"),
+             "restarts must be >= 1", 1),
             (lambda n: wellformedness_check("identity", "depolarizing", 0.1, 1.0, 1, samples=n),
-             -5, "samples must be >= 0"),
+             -5, "samples must be >= 0", 0),
             (lambda n: wellformedness_check("identity", "depolarizing", 0.1, 1.0, 1, samples=n),
-             2.5, "samples must be an integer count"),
+             2.5, "samples must be an integer count", 0),
             (lambda n: wellformedness_check("identity", "depolarizing", 0.1, 1.0, 1, samples=n),
-             True, "samples must be an integer count"),
+             True, "samples must be an integer count", 0),
             (lambda n: pure_fixed_point_search(depolarizing(1), 0.1, restarts=1, iters=n), 2.5,
-             "iters must be an integer count"),
+             "iters must be an integer count", 0),
             (lambda n: pure_fixed_point_search(depolarizing(1), 0.1, restarts=1, iters=n), -1,
-             "iters must be >= 0"),
+             "iters must be >= 0", 0),
             (lambda n: min_output_entropy(depolarizing(1), restarts=1, iters=n), 2.5,
-             "iters must be an integer count"),
+             "iters must be an integer count", 0),
             (lambda n: min_output_entropy(depolarizing(1), restarts=1, iters=n), -1,
-             "iters must be >= 0"),
+             "iters must be >= 0", 0),
+            (_sampled_shots, 0, "shots must be >= 1", 1),
+            (_sampled_shots, 1.0, "shots must be an integer count", 1),
+            (_sampled_shots, np.bool_(True), "shots must be an integer count", 1),
+            (_certify_no_samples, 0, "samples must be >= 1", 1),
+            (_certify_no_samples, "1", "samples must be an integer count", 1),
+            (lambda n: KeyedChannelFamily(n, identity_circuit(1)), -1, "key_bits must be >= 0", 0),
+            (lambda n: KeyedChannelFamily(n, identity_circuit(1)), 2.0,
+             "key_bits must be an integer count", 0),
+            (lambda n: KeyedChannelFamily(n, identity_circuit(1)), True,
+             "key_bits must be an integer count", 0),
         ],
         ids=["restarts-str", "restarts-none", "restarts-zero", "samples-negative",
              "samples-float", "samples-bool", "fixed-point-iters-float",
-             "fixed-point-iters-negative", "entropy-iters-float", "entropy-iters-negative"],
+             "fixed-point-iters-negative", "entropy-iters-float", "entropy-iters-negative",
+             "sampled-shots-zero", "sampled-shots-float", "sampled-shots-numpy-bool",
+             "certify-no-samples-zero", "certify-no-samples-str", "family-key-bits-negative",
+             "family-key-bits-float", "family-key-bits-bool"],
     )
-    def test_search_counts_are_integers_in_range(self, call, bad, message):
+    def test_search_counts_are_integers_in_range(self, call, bad, message, least):
         with pytest.raises(ValueError, match=f"^{message}"):
             call(bad)
-        legal = 1 if message.startswith("restarts") else 0  # no Haar probe or no step is legal
-        call(legal)
+        call(least)  # the least count is legal: no Haar probe, no step, no key bit
 
     @pytest.mark.parametrize(
         "draw",

@@ -472,6 +472,20 @@ class TestObservable:
             enumerate_keys(inst)
         assert str(err.value) == "13 key bits exceed the key-enumeration budget of 12 bits"
 
+    def test_a_sampled_run_meets_the_budget_in_key_pairs_before_compiling(self, monkeypatch):
+        proof = two_copy_proof(random_pure_state(4, 21))
+        inst = DIInstance(KeyedChannelFamily(6, MixedStateCircuit(1, (), 1)), 0.01, 1.0, "CUSTOM")
+        assert run_protocol_sampled(inst, proof, shots=10, seed=0).accepts == 10  # 4096 pairs
+
+        def no_compile(*args):
+            raise AssertionError("a key compiled before the budget was checked")
+
+        monkeypatch.setattr(qct.channels, "_kraus_stacks", no_compile)
+        inst = DIInstance(KeyedChannelFamily(7, MixedStateCircuit(1, (), 1)), 0.01, 1.0, "CUSTOM")
+        with pytest.raises(BudgetExceededError) as err:
+            run_protocol_sampled(inst, proof, shots=10, seed=0)
+        assert str(err.value) == "14 key-pair bits exceed the key-enumeration budget of 12 bits"
+
 
 def _widening_instance() -> DIInstance:
     """A keyed 1 -> 2 qubit family, so ciphertext and message registers differ in size."""

@@ -112,6 +112,17 @@ def test_public_names_match_the_snapshot():
     assert public == PUBLIC_NAMES
 
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "qct"
+
+
+def test_the_count_rule_is_stated_once():
+    """Only ``states`` spells out what an integer count is; every other module calls it."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "states.py":
+            text = path.read_text()
+            assert "np.bool_" not in text and "must be an integer count" not in text, path.name
+
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 

@@ -83,6 +83,13 @@ class TestBuild:
         assert inst.layout.wires("H") == (0,)
         assert inst.layout.wires("copy") == (inst.total_qubits - 1,)
 
+    @pytest.mark.parametrize("eps", [0.0, 1.0, math.nan])
+    def test_eps_is_checked_before_a_family_is_built(self, eps, monkeypatch):
+        monkeypatch.setattr(reduction, "canonicalize", lambda c: pytest.fail("family built"))
+        v = make_toy_verifier("rotation", accept_probability=0.96)
+        with pytest.raises(ValueError, match="^eps must be in"):
+            build_ct_circuit(v, "identity", "depolarizing", eps, 1.0)
+
     def test_shapes_delta_half(self):
         v = make_toy_verifier("rotation", accept_probability=0.96)
         inst = build_ct_circuit(v, "identity", "depolarizing", 0.04, 0.5)
@@ -312,6 +319,29 @@ class TestCertifyYes:
         inst = build_ct_circuit(v, "identity", "depolarizing", 0.04, 1.0)
         with pytest.raises(WrongSideError):
             certify_yes(inst, v)
+
+    def test_delta_one_probes_gamma_alone(self):
+        # 9 wires; gamma (x) r with r on 7 qubits would need 14 output qubits, gamma needs 7
+        v = make_toy_verifier("target_state", witness_qubits=7)
+        inst = build_ct_circuit(v, "identity", "pauli_x_first", 0.04, 1.0)
+        cert = certify_yes(inst, v)
+        assert cert.passed and cert.probe_distances == (0.0,)
+
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_delta_one_gamma_gives_every_product_probe_distance(self, h):
+        # rotation acceptance 0.96 on the lowest witness qubit, the others idle
+        v = VerifierCircuit(h, 1, np.kron(np.eye(2 ** (h - 1)), _rotation_verifier().unitary))
+        inst = build_ct_circuit(v, "identity", "depolarizing", 0.04, 1.0)
+        cert = certify_yes(inst, v, seed=4)
+        gamma = cert.witness.amplitudes
+        # the delta = 1 probes before gamma stood alone: gamma (x) r for two Haar r on h qubits
+        refs = [random_pure_state(2**h, (4, s)).amplitudes for s in range(2)]
+        products = [np.kron(gamma, ref) for ref in refs]
+        ka, kb = circuits.stinespring(inst.circuit), circuits.stinespring(inst.c0)
+        (distance,) = cert.probe_distances
+        assert distance > 0.01
+        for product in reduction._probe_distances(ka, kb, products):
+            assert abs(product - distance) <= 1e-15
 
     def test_nonzero_output_qubit_flows_through(self):
         import math as m
@@ -898,23 +928,30 @@ class TestProbeDistances:
         assert abs(report.min_distance - min(want)) <= 1e-12
 
     def test_outputs_plus_reference_must_fit_the_cap(self):
-        # 9 wires fit the cap of 12; a probe with 7 reference qubits has 14 output qubits
-        v = make_toy_verifier("target_state", witness_qubits=7)
-        inst = build_ct_circuit(v, "identity", "pauli_x_first", EPS, 1.0)
-        assert inst.total_qubits == 9
+        # h = 4 at delta = 4/9 takes f = 5: 11 wires fit the cap of 12, but a probe entangled
+        # with a 5-qubit reference has 9 + 5 = 14 output qubits
+        v = make_toy_verifier("target_state", witness_qubits=4)
+        inst = build_ct_circuit(v, "identity", "pauli_x_first", EPS, 4 / 9)
+        assert (inst.dummy_qubits, inst.total_qubits) == (5, 11)
         with pytest.raises(CapacityError, match="probe outputs plus reference needs 14"):
             certify_yes(inst, v)
 
     def test_outputs_plus_reference_are_checked_before_an_output_is_built(self, monkeypatch):
-        monkeypatch.setenv("QCT_MAX_QUBITS", "6")
-        v = make_toy_verifier("target_state", witness_qubits=4)
-        inst = build_ct_circuit(v, "identity", "pauli_x_first", EPS, 1.0)
-        with pytest.raises(CapacityError, match="probe outputs plus reference needs 8"):
+        # h = 2 at delta = 1/3 takes f = 4: 8 wires fit a cap of 8, an entangled probe needs 10
+        monkeypatch.setenv("QCT_MAX_QUBITS", "8")
+        v = make_toy_verifier("target_state", witness_qubits=2)
+        inst = build_ct_circuit(v, "identity", "pauli_x_first", EPS, 1 / 3)
+        assert (inst.dummy_qubits, inst.total_qubits) == (4, 8)
+        built = []
+        monkeypatch.setattr(reduction, "trace_norm", lambda m: built.append(m.shape) or 0.0)
+        with pytest.raises(CapacityError, match="probe outputs plus reference needs 10"):
             certify_yes(inst, v)
+        assert built == [(64, 64)] * 3  # the three product probes, and no entangled one
 
     def test_ancillas_do_not_count_against_the_probe_cap(self, monkeypatch):
-        # 4 wires and a 1-qubit reference: 5 live qubits in the dilation, 2 in each output
+        # 7 wires and a 1-qubit reference: 8 live qubits in the dilation, 2 + 1 in each output
         v = make_toy_verifier("rotation", accept_probability=0.96)
-        inst = build_ct_circuit(v, "identity", "depolarizing", EPS, 1.0)
+        inst = build_ct_circuit(v, "identity", "depolarizing", EPS, 0.5)
+        assert (inst.dummy_qubits, inst.total_qubits) == (1, 7)
         monkeypatch.setenv("QCT_MAX_QUBITS", str(inst.total_qubits))
         assert certify_yes(inst, v, seed=1).passed

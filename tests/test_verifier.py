@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qct import (
+    CapacityError,
     CircuitParseError,
     InvalidStateError,
     VerifierCircuit,
@@ -86,6 +89,25 @@ class TestFixtures:
     def test_fixture_parameters_are_checked_not_coerced(self, kind, params, name):
         with pytest.raises(ValueError, match=f"^{name} must be"):
             make_toy_verifier(kind, **params)
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("always_reject", {"witness_qubits": 8}),
+            ("target_state", {"witness_qubits": 8}),
+            ("random_unitary", {"witness_qubits": 6, "ancilla_qubits": 2}),
+        ],
+    )
+    def test_fixtures_check_the_cap_before_they_build(self, kind, params, monkeypatch):
+        monkeypatch.setenv("QCT_MAX_QUBITS", "3")
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="verifier circuit"):
+                make_toy_verifier(kind, **params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**19  # a 2^9-square complex matrix alone is 4 MB
 
     @pytest.mark.parametrize("target", [1, np.int64(1), [0, 2], np.array([0, 1j])])
     def test_a_target_is_an_index_or_a_vector(self, target):
