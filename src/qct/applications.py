@@ -366,8 +366,7 @@ def bloch_grid_min_entropy(channel: QuantumChannel, resolution: int = 32) -> flo
     """
     if channel.dim_in != 2:
         raise DimensionMismatchError("the Bloch grid oracle is for one-qubit inputs")
-    if resolution < 1:
-        raise ValueError(f"resolution must be >= 1, got {resolution}")
+    _require_count("resolution", resolution, 1)
     psis = np.array([
         [math.cos(theta / 2), math.sin(theta / 2) * np.exp(1j * phi)]
         for theta in (math.pi * (i + 0.5) / resolution for i in range(resolution))

@@ -21,8 +21,8 @@ from .circuits import (
     MixedStateCircuit,
     _circuit_from_json,
     _circuit_to_json,
+    _fields_of,
     _json_field,
-    _json_int,
     _json_object,
     _kraus_stacks,
     evaluate,  # noqa: F401  kept bound here for perfbench/test_perfbench.py's tracer test
@@ -32,7 +32,6 @@ from .circuits import (
 )
 from .errors import (
     BudgetExceededError,
-    CircuitParseError,
     DimensionMismatchError,
     InvalidStateError,
     check_capacity,
@@ -86,6 +85,8 @@ class QuantumChannel:
     choi: np.ndarray
 
     def __post_init__(self):
+        for name in ("dim_in", "dim_out"):
+            object.__setattr__(self, name, _require_count(name, getattr(self, name), 1))
         mat = np.array(self.choi, dtype=np.complex128)
         d = self.dim_in * self.dim_out
         if mat.shape != (d, d):
@@ -270,7 +271,7 @@ class KeyedChannelFamily:
             (b + 1 for op in self.template.ops if op.kind == PLACEHOLDER_KIND for b in op.key_bits),
             default=0,
         )  # above every key bit index the template reads
-        _require_count("key_bits", self.key_bits, needed)
+        object.__setattr__(self, "key_bits", _require_count("key_bits", self.key_bits, needed))
 
     @property
     def input_qubits(self) -> int:
@@ -315,11 +316,8 @@ class KeyedChannelFamily:
     def from_json(cls, doc: dict) -> "KeyedChannelFamily":
         _json_object(doc, _FAMILY_FIELDS, "keyed families")
         template = _circuit_from_json(_json_field(doc, "template"), "template")
-        key_bits = _json_int(_json_field(doc, "key_bits"), "key_bits")
-        try:
-            return cls(key_bits, template)
-        except ValueError as exc:
-            raise CircuitParseError(f"key_bits: {exc}") from exc
+        with _fields_of(""):
+            return cls(_json_field(doc, "key_bits"), template)
 
 
 def pauli_otp_family(n_qubits: int) -> KeyedChannelFamily:

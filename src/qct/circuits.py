@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -23,7 +24,7 @@ from .errors import (
     UnsupportedGateError,
     check_capacity,
 )
-from .states import TAU_UNIT, DensityOperator, _trusted, left_apply_unitary
+from .states import TAU_UNIT, DensityOperator, _require_count, _trusted, left_apply_unitary
 
 # ---------------------------------------------------------------------------
 # Gate matrices
@@ -65,6 +66,11 @@ _OPTIONAL_FIELDS = {(PLACEHOLDER_KIND, "control")}
 _ARITY = {**{kind: 1 + c for kind, (_, c) in _FIXED_GATES.items()}, PLACEHOLDER_KIND: 1}
 
 
+def _counts(name: str, values, least: int | None = None) -> tuple[int, ...]:
+    """``values`` as a tuple of ``int``, entry i checked by ``_require_count`` as ``name[i]``."""
+    return tuple(_require_count(f"{name}[{i}]", v, least) for i, v in enumerate(values))
+
+
 def _is_unitary(mat: np.ndarray) -> bool:
     # non-finite entries fail before the product, which would warn on inf * 0
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not np.isfinite(mat).all():
@@ -90,13 +96,17 @@ class GateOp:
     key_bits: tuple[int, int] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(int(t) for t in self.targets))
+        object.__setattr__(self, "targets", _counts("targets", self.targets))
         if self.matrix is not None:
             mat = np.array(self.matrix, dtype=np.complex128)
             mat.setflags(write=False)
             object.__setattr__(self, "matrix", mat)
+        if self.control is not None:
+            object.__setattr__(self, "control", _require_count("control", self.control))
+        if self.count is not None:
+            object.__setattr__(self, "count", _require_count("count", self.count, 1))
         if self.key_bits is not None:
-            object.__setattr__(self, "key_bits", tuple(int(b) for b in self.key_bits))
+            object.__setattr__(self, "key_bits", _counts("key_bits", self.key_bits, 0))
         self._validate()
 
     def _validate(self):
@@ -124,10 +134,8 @@ class GateOp:
                 )
             if not _is_unitary(self.matrix):
                 raise CircuitError(f"{kind} matrix is not unitary within tolerance")
-        if self.count is not None and self.count < 1:
-            raise CircuitError(f"ancilla op needs count >= 1, got {self.count}")
-        if self.key_bits is not None and (len(self.key_bits) != 2 or min(self.key_bits) < 0):
-            raise CircuitError(f"key_bits must be two indices >= 0, got {self.key_bits}")
+        if self.key_bits is not None and len(self.key_bits) != 2:
+            raise CircuitError(f"key_bits must be two indices, got {self.key_bits}")
 
     # -- constructors ------------------------------------------------------
 
@@ -228,9 +236,9 @@ class MixedStateCircuit:
     output_qubits: int
 
     def __post_init__(self):
+        for name, least in (("input_qubits", 0), ("output_qubits", 0)):
+            object.__setattr__(self, name, _require_count(name, getattr(self, name), least))
         object.__setattr__(self, "ops", tuple(self.ops))
-        if self.input_qubits < 0:
-            raise CircuitError(f"input_qubits must be >= 0, got {self.input_qubits}")
         live = self._replay()
         if len(live) != self.output_qubits:
             raise CircuitError(
@@ -278,10 +286,12 @@ class CanonicalCircuit:
     traced_wires: tuple[int, ...]
 
     def __post_init__(self):
+        for name in ("input_qubits", "ancilla_qubits"):
+            object.__setattr__(self, name, _require_count(name, getattr(self, name), 0))
+        object.__setattr__(self, "traced_wires", _counts("traced_wires", self.traced_wires))
         mat = np.array(self.unitary, dtype=np.complex128)
         mat.setflags(write=False)
         object.__setattr__(self, "unitary", mat)
-        object.__setattr__(self, "traced_wires", tuple(self.traced_wires))
         total = self.input_qubits + self.ancilla_qubits
         if mat.shape != (2**total, 2**total):
             raise CircuitError(
@@ -657,11 +667,22 @@ def _matrix_from_json(entries, arity: int, path: str) -> np.ndarray:
     return np.array(values, dtype=np.complex128).reshape(d, d)
 
 
-def _json_int(value, path: str) -> int:
-    """A JSON integer; bools, floats and strings are rejected rather than coerced."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise CircuitParseError(f"{path}: must be an integer, got {value!r}")
-    return value
+def _json_int(value, path: str, least: int | None = None) -> int:
+    """``_require_count`` for a document field no constructor stores, failing as a parse error."""
+    with _fields_of(""):
+        return _require_count(path, value, least)
+
+
+@contextmanager
+def _fields_of(within: str):
+    """Re-raise a constructor's error as a CircuitParseError under the document path ``within``:
+    a ``ValueError`` starts with its field's name, a ``CircuitError`` is about the whole object."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CircuitParseError(f"{within}.{exc}" if within else str(exc)) from exc
+    except CircuitError as exc:
+        raise CircuitParseError(f"{within}: {exc}" if within else str(exc)) from exc
 
 
 def _json_fraction(value, path: str, closed_above: bool) -> float:
@@ -741,17 +762,12 @@ def _op_from_json(entry, path: str) -> GateOp:
             continue
         value, where = _json_field(entry, name, within=path), f"{path}.{name}"
         if name == "matrix":
-            args[name] = _matrix_from_json(value, len(args["targets"]), where)
-        elif name in ("targets", "key_bits"):
-            if not isinstance(value, list):
-                raise CircuitParseError(f"{where}: must be a list of integers, got {value!r}")
-            args[name] = tuple(_json_int(v, f"{where}[{j}]") for j, v in enumerate(value))
-        else:
-            args[name] = _json_int(value, where)
-    try:
+            value = _matrix_from_json(value, len(args["targets"]), where)
+        elif name in ("targets", "key_bits") and not isinstance(value, list):
+            raise CircuitParseError(f"{where}: must be a list of integers, got {value!r}")
+        args[name] = value
+    with _fields_of(path):
         return GateOp(kind, **args)
-    except CircuitError as exc:
-        raise CircuitParseError(f"{path}: {exc}") from exc
 
 
 def parse_circuit(data) -> MixedStateCircuit:
@@ -767,13 +783,11 @@ def _circuit_from_json(doc, within: str = "") -> MixedStateCircuit:
     """The decoded circuit object ``doc``; ``within`` is its path in an enclosing document."""
     prefix = f"{within}." if within else ""
     _json_object(doc, ("input_qubits", "output_qubits", "ops"), "circuits", within)
-    n_in = _json_int(_json_field(doc, "input_qubits", within), f"{prefix}input_qubits")
-    n_out = _json_int(_json_field(doc, "output_qubits", within), f"{prefix}output_qubits")
+    n_in = _json_field(doc, "input_qubits", within)
+    n_out = _json_field(doc, "output_qubits", within)
     entries = _json_field(doc, "ops", within)
     if not isinstance(entries, list):
         raise CircuitParseError(f"{prefix}ops: must be a list")
     ops = tuple(_op_from_json(entry, f"{prefix}ops[{idx}]") for idx, entry in enumerate(entries))
-    try:
+    with _fields_of(within):
         return MixedStateCircuit(n_in, ops, n_out)
-    except CircuitError as exc:
-        raise CircuitParseError(f"{within}: {exc}" if within else str(exc)) from exc

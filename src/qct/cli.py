@@ -34,20 +34,11 @@ class ConfigError(QctError):
     """A config document failed validation; the message names the field."""
 
 
-def _json_at_least(value, path: str, least: int) -> int:
-    """A JSON integer >= ``least``; bools, floats and strings are rejected."""
-    if _json_int(value, path) < least:
-        raise CircuitParseError(f"{path}: must be an integer >= {least}, got {value!r}")
-    return value
-
-
 # The reader of each experiment parameter, called as ``reader(value, path)``.  Which
 # of them a config takes, and their defaults, are read off its experiment's signature.
 PARAMETERS = {
     "eps": functools.partial(_json_fraction, closed_above=False),
-    "n": functools.partial(_json_at_least, least=1),
-    "shots": functools.partial(_json_at_least, least=1),
-    "restarts": functools.partial(_json_at_least, least=1),
+    **dict.fromkeys(("n", "shots", "restarts"), functools.partial(_json_int, least=1)),
 }
 
 
@@ -98,7 +89,7 @@ def _config_from_json(doc, flag_overrides: dict) -> ExperimentConfig:
         raise ConfigError(f"out: must be a path string, got {merged['out']!r}")
     if merged["format"] not in FORMATS:
         raise ConfigError(f"format: {merged['format']!r} is not one of {FORMATS}")
-    seed = _json_at_least(merged["seed"], "seed", 0)
+    seed = _json_int(merged["seed"], "seed", 0)
     params = {k: PARAMETERS[k](doc[k], k) if k in doc else v for k, v in defaults.items()}
     return ExperimentConfig(experiment, seed, params, merged["out"], merged["format"])
 

@@ -315,6 +315,7 @@ def di_protocol_experiment(
 
 
 def full_suite(seed: int, shots: int = 100_000, restarts: int = 20) -> list[ReportRow]:
+    """The four experiments; ``restarts`` reaches all but applications, which runs its own 10."""
     return [
         *norms_experiment(seed, restarts=restarts),
         *reduction_experiment(seed, restarts=restarts),

@@ -57,7 +57,8 @@ class SwapTest:
     projector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = self.branch_dimension
+        d = _require_count("branch_dimension", self.branch_dimension, 1)
+        object.__setattr__(self, "branch_dimension", d)
         check_capacity(2 * qubit_count(d), "swap test")
         swap = np.eye(d * d, dtype=np.complex128).reshape(d, d, d, d).transpose(1, 0, 2, 3)
         proj = (np.eye(d * d) + swap.reshape(d * d, d * d)) / 2.0
@@ -115,15 +116,14 @@ class DIInstance:
         own = ("eps", "delta", "provenance")
         _json_object(doc, (*_FAMILY_FIELDS, *own), "DI instances")
         family = KeyedChannelFamily.from_json({k: v for k, v in doc.items() if k not in own})
-        provenance = doc.get("provenance", PROVENANCE_CUSTOM)
-        if provenance not in PROVENANCES:
-            raise CircuitParseError(f"provenance: must be one of {PROVENANCES}, got {provenance!r}")
-        return cls(
-            family=family,
-            eps=_json_fraction(_json_field(doc, "eps"), "eps", closed_above=False),
-            delta=_json_fraction(_json_field(doc, "delta"), "delta", closed_above=True),
-            provenance=provenance,
-        )
+        eps = _json_fraction(_json_field(doc, "eps"), "eps", closed_above=False)
+        delta = _json_fraction(_json_field(doc, "delta"), "delta", closed_above=True)
+        try:
+            return cls(family, eps, delta, doc.get("provenance", PROVENANCE_CUSTOM))
+        except ValueError as exc:  # eps and delta were read in range: the provenance's message
+            raise CircuitParseError(str(exc)) from exc
+        except DimensionMismatchError as exc:
+            raise CircuitParseError(f"template: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -135,10 +135,9 @@ class ProtocolResult:
     seed: int | tuple[int, ...]
 
     def __post_init__(self):
-        if self.shots < 1 or not 0 <= self.accepts <= self.shots:
-            raise ValueError(
-                f"accepts {self.accepts} must lie in [0, shots] with shots {self.shots} >= 1"
-            )
+        accepts, shots = _require_tally("accepts", self.accepts, "shots", self.shots)
+        object.__setattr__(self, "accepts", accepts)
+        object.__setattr__(self, "shots", shots)
 
     @property
     def frequency(self) -> float:
@@ -149,12 +148,19 @@ class ProtocolResult:
         return wilson_interval(self.accepts, self.shots)
 
 
+def _require_tally(hits_name: str, hits, total_name: str, total) -> tuple[int, int]:
+    """``(hits, total)`` as ints with ``0 <= hits <= total`` and ``total >= 1``, or a ValueError."""
+    hits, total = _require_count(hits_name, hits), _require_count(total_name, total)
+    if total < 1 or not 0 <= hits <= total:
+        raise ValueError(
+            f"{hits_name} {hits} must lie in [0, {total_name}] with {total_name} {total} >= 1"
+        )
+    return hits, total
+
+
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Two-sided 95% Wilson score interval; valid near frequencies of zero and one."""
-    _require_count("successes", successes)
-    _require_count("trials", trials)
-    if trials < 1 or not 0 <= successes <= trials:
-        raise ValueError(f"successes {successes} must lie in [0, trials] with trials {trials} >= 1")
+    successes, trials = _require_tally("successes", successes, "trials", trials)
     p_hat, z = successes / trials, WILSON_Z
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom

@@ -48,18 +48,15 @@ from .circuits import (
     stinespring,
 )
 from .errors import (
-    CapacityError,
     CircuitError,
     CircuitParseError,
     DimensionMismatchError,
     WrongSideError,
     check_capacity,
-    max_qubits,
 )
 from .states import (
     PureState,
     RegisterLayout,
-    _is_integer,
     _require_count,
     _seed_record,
     _trusted,
@@ -137,10 +134,7 @@ def _read_family(spec, label: str, width: int) -> tuple[MappingProxyType, MixedS
         )
     known = tuple(inspect.signature(FAMILY_REGISTRY[name]).parameters)
     _json_object(params, known, f"{name} params", within=f"{label}.params")
-    for key, value in params.items():
-        if not _is_integer(value):
-            raise CircuitParseError(f"{label}.params.{key}: must be an integer, got {value!r}")
-    params = {key: int(value) for key, value in params.items()}
+    params = {key: _json_int(value, f"{label}.params.{key}") for key, value in params.items()}
     spec = MappingProxyType({"name": name, "params": MappingProxyType(params)})
     try:
         return spec, family_generator(name, **params)(width)
@@ -164,6 +158,9 @@ class CTInstance:
 
     def __post_init__(self):
         _check_promise(self.eps, self.delta)
+        object.__setattr__(
+            self, "witness_qubits", _require_count("witness_qubits", self.witness_qubits, 1)
+        )
         if self.circuit.input_qubits != self.input_qubits or self.circuit.ancilla_total < 1:
             raise CircuitError(
                 f"instance circuit takes {self.circuit.input_qubits} qubits and "
@@ -263,7 +260,7 @@ class CTInstance:
         written = instance.to_json()
         for path in ("dummy_qubits", "ancilla_qubits", "layout.registers", "layout.convention"):
             got, want = _json_field(doc, path), _json_field(written, path)
-            if json.dumps(got) != json.dumps(want):
+            if json.dumps(got, default=lambda value: _json_int(value, path)) != json.dumps(want):
                 raise CircuitParseError(f"{path}: the instance implies {want!r}, got {got!r}")
         return instance
 
@@ -309,11 +306,7 @@ def _instance_width(v: VerifierCircuit, delta: float) -> int:
     """The compiled instance's inputs: the witness register plus the dummy register."""
     f = dummy_qubit_count(v.witness_qubits, delta)
     width = v.witness_qubits + f
-    if width + 1 > max_qubits():
-        raise CapacityError(
-            f"delta {delta} forces a dummy register of {f} qubits; the instance "
-            f"would need at least {width + 1} wires, above the cap of {max_qubits()}"
-        )
+    check_capacity(width + 1, f"delta {delta} forces a dummy register of {f} qubits; the instance")
     return width
 
 

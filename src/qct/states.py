@@ -99,7 +99,7 @@ def _min_eig_below(mat: np.ndarray, tol: float) -> float | None:
 
 def qubit_count(dim: int) -> int:
     """Number of qubits of a power-of-two dimension."""
-    dim = int(dim)
+    dim = _require_count("dim", dim)
     n = dim.bit_length() - 1
     if dim <= 0 or 2**n != dim:
         raise DimensionMismatchError(f"dimension {dim} is not a power of two")
@@ -118,14 +118,14 @@ class RegisterLayout:
     registers: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        regs = tuple((str(n), int(c)) for n, c in self.registers)
+        regs = tuple(
+            (str(n), _require_count(f"registers[{i}][1]", c, 1))
+            for i, (n, c) in enumerate(self.registers)
+        )
         object.__setattr__(self, "registers", regs)
         names = [n for n, _ in regs]
         if len(set(names)) != len(names):
             raise InvalidStateError(f"duplicate register names in {names}")
-        for name, count in regs:
-            if count < 1:
-                raise InvalidStateError(f"register {name!r} has count {count}")
 
     @property
     def total_qubits(self) -> int:
@@ -326,12 +326,14 @@ def _require_seed(seed) -> None:
     _seed_record(seed)  # raises on a bool and on a seed of any other type
 
 
-def _require_count(name: str, count, least: int | None = None) -> None:
-    """Reject a count that fails ``_is_integer`` or, given ``least``, lies below it."""
+def _require_count(name: str, count, least: int | None = None) -> int:
+    """``count`` as an ``int`` if it passes ``_is_integer`` and ``least``: the one rule for counts,
+    wires, indices and dimensions.  The ``ValueError`` starts with ``name``."""
     if not _is_integer(count):
         raise ValueError(f"{name} must be an integer count, got {count!r}")
     if least is not None and count < least:
         raise ValueError(f"{name} must be >= {least}, got {count}")
+    return int(count)
 
 
 def _random_starts(dim: int, count: int, seed) -> Iterator[np.ndarray]:

@@ -18,6 +18,7 @@ from .circuits import (
     MixedStateCircuit,
     _circuit_from_json,
     _circuit_to_json,
+    _fields_of,
     _is_unitary,
     _json_field,
     _json_int,
@@ -36,10 +37,8 @@ class VerifierCircuit:
     output_qubit: int = 0
 
     def __post_init__(self):
-        if self.witness_qubits < 1:
-            raise InvalidStateError("verifier needs at least one witness qubit")
-        if self.ancilla_qubits < 0:
-            raise InvalidStateError("ancilla count must be nonnegative")
+        for name, least in (("witness_qubits", 1), ("ancilla_qubits", 0), ("output_qubit", 0)):
+            object.__setattr__(self, name, _require_count(name, getattr(self, name), least))
         total = self.witness_qubits + self.ancilla_qubits
         check_capacity(total, "verifier circuit")
         mat = np.array(self.unitary, dtype=np.complex128)
@@ -50,8 +49,8 @@ class VerifierCircuit:
             )
         if not _is_unitary(mat):
             raise InvalidStateError("verifier matrix is not unitary within tolerance")
-        if not 0 <= self.output_qubit < total:
-            raise InvalidStateError(f"output qubit {self.output_qubit} out of range")
+        if self.output_qubit >= total:
+            raise ValueError(f"output_qubit must be < {total}, got {self.output_qubit}")
         mat.setflags(write=False)
         object.__setattr__(self, "unitary", mat)
 
@@ -111,10 +110,8 @@ def rotation_angle_for_accept_probability(p: float) -> float:
 
 def make_toy_verifier(kind: str, **params) -> VerifierCircuit:
     """Fixture verifiers: always_reject, target_state, rotation, random_unitary."""
-    h, a = params.get("witness_qubits", 1), params.get("ancilla_qubits", 1)
-    _require_count("witness_qubits", h, 1)
-    _require_count("ancilla_qubits", a, 0)
-    h, a = int(h), int(a)  # plain ints for the circuit's fields; each kind checks, then builds
+    h = _require_count("witness_qubits", params.get("witness_qubits", 1), 1)
+    a = _require_count("ancilla_qubits", params.get("ancilla_qubits", 1), 0)
     if kind == "always_reject":
         params.pop("witness_qubits", None)
         _reject_unknown(kind, params)
@@ -203,12 +200,10 @@ def verifier_from_json(doc: dict) -> VerifierCircuit:
         raise CircuitParseError("circuit: must be purely unitary, with no ancilla or traceout op")
     h = _json_int(_json_field(doc, "witness_qubits"), "witness_qubits")
     a = _json_int(_json_field(doc, "ancilla_qubits"), "ancilla_qubits")
-    if h < 1 or a < 0 or h + a != circuit.input_qubits:
+    if h + a != circuit.input_qubits:
         raise CircuitParseError(
-            f"witness_qubits, ancilla_qubits: need at least one witness qubit and "
-            f"h + a = {circuit.input_qubits} (the circuit's qubits), got {h} and {a}"
+            f"witness_qubits, ancilla_qubits: need h + a = {circuit.input_qubits} "
+            f"(the circuit's qubits), got {h} and {a}"
         )
-    output = _json_int(doc.get("output_qubit", 0), "output_qubit")
-    if not 0 <= output < h + a:
-        raise CircuitParseError(f"output_qubit: must be in [0, {h + a}), got {output}")
-    return VerifierCircuit(h, a, canon.unitary, output)
+    with _fields_of(""):
+        return VerifierCircuit(h, a, canon.unitary, doc.get("output_qubit", 0))

@@ -150,6 +150,9 @@ class TestInstances:
             ("eps", None),
             ("provenance", [1, 2]),
             ("provenance", 5),
+            # a template that shrinks the message register
+            ("template", {"input_qubits": 2, "output_qubits": 1,
+                          "ops": [{"kind": "traceout", "targets": [0]}]}),
         ],
     )
     def test_from_json_rejects_mistyped_field(self, field, value):

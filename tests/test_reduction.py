@@ -813,7 +813,7 @@ class TestFamiliesFromSpecs:
         v = make_toy_verifier("rotation", accept_probability=0.96)
         doc = build_ct_circuit(v, "identity", ("pauli_keyed", {"key": 2}), EPS, 1.0).to_json()
         doc["c1"]["params"]["key"] = bad
-        match = r"^c1\.params\.key: must be an integer"
+        match = r"^c1\.params\.key must be an integer count"
         with pytest.raises(CircuitParseError, match=match):
             CTInstance.from_json(doc)
         with pytest.raises(CircuitParseError, match=match):

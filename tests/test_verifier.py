@@ -172,11 +172,11 @@ class TestValidation:
             VerifierCircuit(1, 0, np.array([[bad, 0], [0, 1]], dtype=complex))
 
     def test_requires_witness(self):
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(ValueError, match="^witness_qubits must be >= 1, got 0"):
             VerifierCircuit(0, 1, np.eye(2, dtype=complex))
 
     def test_output_qubit_range(self):
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(ValueError, match="^output_qubit must be < 1, got 5"):
             VerifierCircuit(1, 0, np.eye(2, dtype=complex), output_qubit=5)
 
 
@@ -213,8 +213,8 @@ class TestSerialization:
             ("witness_qubits", 2, r"^witness_qubits, ancilla_qubits: .*= 2 .*got 2 and 1"),
             ("ancilla_qubits", 0, r"^witness_qubits, ancilla_qubits: .*got 1 and 0"),
             ("witness_qubits", 0, r"^witness_qubits, ancilla_qubits: .*got 0 and 1"),
-            ("output_qubit", 7, r"^output_qubit: must be in \[0, 2\), got 7"),
-            ("output_qubit", -1, r"^output_qubit: must be in \[0, 2\), got -1"),
+            ("output_qubit", 7, r"^output_qubit must be < 2, got 7"),
+            ("output_qubit", -1, r"^output_qubit must be >= 0, got -1"),
         ],
     )
     def test_from_json_names_a_field_that_disagrees_with_the_circuit(self, field, value, match):
