@@ -30,6 +30,7 @@ from .states import (
     PureState,
     _random_starts,
     _require_count,
+    _require_real,
     _seed_record,
     operator_norm,
     trace_norm,
@@ -49,6 +50,7 @@ class ProblemVerdict:
     YES lies above ``yes_bound`` for non-identity (an ascent lower bound) and below it for
     the search minima; it is tested first and always proven.  NO is proven when
     ``upper_bound`` (non-identity) or ``lower_bound`` (the rest) crosses ``no_bound``.
+    ``eps`` is a real in [0, 1], which each search checks before it runs.
     """
 
     problem: str
@@ -64,8 +66,9 @@ class ProblemVerdict:
     def __post_init__(self):
         if not math.isfinite(self.statistic):
             raise ValueError(f"statistic {self.statistic} is not finite")
-        if not self.eps >= 0.0 or self._yes_first(self.yes_bound) > self._yes_first(self.no_bound):
-            raise ValueError(f"eps {self.eps} must be >= 0 and keep the YES side off the NO side")
+        object.__setattr__(self, "eps", _require_real("eps", self.eps, 0.0, 1.0))
+        if self._yes_first(self.yes_bound) > self._yes_first(self.no_bound):
+            raise ValueError(f"eps {self.eps} must keep the YES side off the NO side")
 
     def _yes_first(self, value: float) -> float:  # YES lies at the low end of this axis
         return -value if self.problem == NON_IDENTITY else value
@@ -100,6 +103,7 @@ def nonidentity_stat(
     proves it when the diamond upper bound is at or below ``eps`` too.  The
     existence of an efficient unitary realizing the far action is not audited.
     """
+    eps = _require_real("eps", eps, 0.0, 1.0)
     if channel.dim_in != channel.dim_out:
         raise DimensionMismatchError("non-identity check needs equal input and output dims")
     dd = diamond_distance(channel, identity_channel(channel.n_qubits_in), restarts, seed)
@@ -208,6 +212,7 @@ def nonisometry_stat(
     channels.  The search stops once it meets the Kraus-tail lower bound,
     which also proves the NO side when it is at least ``1 - eps``.
     """
+    eps = _require_real("eps", eps, 0.0, 1.0)
     d_in = channel.dim_in
     dim = d_in * d_in
     lower = _kraus_tail_lower_bound(channel.choi)
@@ -293,6 +298,7 @@ def pure_fixed_point_search(
     smallest trace distance seen across restarts and iterations, and polishes
     the best candidate with a derivative-free local descent.
     """
+    eps = _require_real("eps", eps, 0.0, 1.0)
     if channel.dim_in != channel.dim_out:
         raise DimensionMismatchError("fixed-point search needs equal input and output dims")
     _require_count("restarts", restarts, 1)
@@ -331,6 +337,7 @@ def min_output_entropy(
     Uses the fixed-point iteration toward the top eigenvector of the pulled
     back log-output, tracking the best entropy across restarts.
     """
+    eps = _require_real("eps", eps, 0.0, 1.0)
     d_in, d_out = channel.dim_in, channel.dim_out
     log_dim = math.log2(d_out)
 

@@ -43,6 +43,7 @@ from .states import (
     _min_eig_below,
     _random_starts,
     _require_count,
+    _require_real,
     _seed_record,
     _reject_non_hermitian,
     _trusted,
@@ -62,10 +63,13 @@ def _require_key_budget(bits: int, what: str) -> None:
         )
 
 
+def _output_marginal(choi: np.ndarray, d_in: int, d_out: int) -> np.ndarray:  # Tr_out choi
+    return np.einsum("aiaj->ij", choi.reshape(d_out, d_in, d_out, d_in))
+
+
 def _reject_non_tp(choi: np.ndarray, d_in: int, d_out: int) -> None:
     """Raise unless the output marginal ``Tr_out choi`` is the identity within 1e-8."""
-    marginal = np.einsum("aiaj->ij", choi.reshape(d_out, d_in, d_out, d_in))
-    if np.max(np.abs(marginal - np.eye(d_in))) > 1e-8:
+    if np.max(np.abs(_output_marginal(choi, d_in, d_out) - np.eye(d_in))) > 1e-8:
         raise InvalidStateError("choi output marginal is not the identity (not TP)")
 
 
@@ -187,19 +191,25 @@ def _kraus_channel(kraus: np.ndarray) -> QuantumChannel:
 
 
 def identity_channel(n_qubits: int) -> QuantumChannel:
-    d = 2**n_qubits
+    d = 2 ** _require_count("n_qubits", n_qubits, 0)
     vec = np.eye(d, dtype=np.complex128).reshape(-1)
     return QuantumChannel(d, d, np.outer(vec, vec.conj()))
 
 
-def depolarizing(in_qubits: int, out_qubits: int | None = None) -> QuantumChannel:
-    """The channel sending every input to the maximally mixed output state."""
-    if out_qubits is None:
-        out_qubits = in_qubits
+def _depolarizing_widths(in_qubits: int, out_qubits: int | None) -> tuple[int, int]:
+    """The two widths as counts; ``out_qubits`` defaults to ``in_qubits`` and is never fewer."""
+    in_qubits = _require_count("in_qubits", in_qubits, 0)
+    out_qubits = in_qubits if out_qubits is None else _require_count("out_qubits", out_qubits, 0)
     if out_qubits < in_qubits:
         raise DimensionMismatchError(
             f"depolarizing needs out_qubits >= in_qubits, got {in_qubits}->{out_qubits}"
         )
+    return in_qubits, out_qubits
+
+
+def depolarizing(in_qubits: int, out_qubits: int | None = None) -> QuantumChannel:
+    """The channel sending every input to the maximally mixed output state."""
+    in_qubits, out_qubits = _depolarizing_widths(in_qubits, out_qubits)
     check_capacity(in_qubits + out_qubits, "depolarizing Choi")
     d_in, d_out = 2**in_qubits, 2**out_qubits
     choi = np.kron(np.eye(d_out) / d_out, np.eye(d_in)).astype(np.complex128)
@@ -208,12 +218,7 @@ def depolarizing(in_qubits: int, out_qubits: int | None = None) -> QuantumChanne
 
 def depolarizing_circuit(in_qubits: int, out_qubits: int | None = None) -> MixedStateCircuit:
     """Circuit implementation: key qubits in |+>, per-qubit controlled X and Z, keys traced."""
-    if out_qubits is None:
-        out_qubits = in_qubits
-    if out_qubits < in_qubits:
-        raise DimensionMismatchError(
-            f"depolarizing needs out_qubits >= in_qubits, got {in_qubits}->{out_qubits}"
-        )
+    in_qubits, out_qubits = _depolarizing_widths(in_qubits, out_qubits)
     pad = out_qubits - in_qubits
     ops: list[GateOp] = []
     if pad:
@@ -231,9 +236,7 @@ def depolarizing_circuit(in_qubits: int, out_qubits: int | None = None) -> Mixed
 
 def pauli_keyed(n_qubits: int, key: int) -> MixedStateCircuit:
     """Apply X^x Z^z on qubit i, where (x, z) are key bits (2i, 2i+1)."""
-    if not 0 <= key < 4**n_qubits:
-        raise ValueError(f"key {key} out of range for {n_qubits} qubits (need < {4**n_qubits})")
-    return expand_template(pauli_otp_template(n_qubits), key)
+    return pauli_otp_family(n_qubits).circuit(key)
 
 
 def pauli_otp_template(n_qubits: int) -> MixedStateCircuit:
@@ -286,9 +289,7 @@ class KeyedChannelFamily:
         return 2**self.key_bits
 
     def circuit(self, key: int) -> MixedStateCircuit:
-        if not 0 <= key < self.n_keys:
-            raise ValueError(f"key {key} out of range for {self.key_bits} key bits")
-        return expand_template(self.template, key)
+        return expand_template(self.template, _require_count("key", key, 0, self.n_keys))
 
     def channel(self, key: int) -> QuantumChannel:
         return to_channel(self.circuit(key))
@@ -322,6 +323,7 @@ class KeyedChannelFamily:
 
 def pauli_otp_family(n_qubits: int) -> KeyedChannelFamily:
     """The Pauli one-time pad: two key bits per encrypted qubit."""
+    n_qubits = _require_count("n_qubits", n_qubits, 0)
     return KeyedChannelFamily(2 * n_qubits, pauli_otp_template(n_qubits))
 
 
@@ -386,6 +388,8 @@ def tensor_channels(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
 
 def random_channel(n_qubits: int, seed, env_qubits: int = 1) -> QuantumChannel:
     """Random channel from a Haar unitary on system plus environment, tracing the environment."""
+    n_qubits = _require_count("n_qubits", n_qubits, 1)
+    env_qubits = _require_count("env_qubits", env_qubits, 1)
     u = random_unitary(2 ** (n_qubits + env_qubits), seed)
     ops = (
         GateOp.ancillas(env_qubits),
@@ -431,7 +435,7 @@ def _dual_upper_bound(delta_choi: np.ndarray, d_in: int, d_out: int) -> float:
     """
     vals, vecs = np.linalg.eigh(delta_choi)
     positive = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
-    marginal = np.einsum("aiaj->ij", positive.reshape(d_out, d_in, d_out, d_in))
+    marginal = _output_marginal(positive, d_in, d_out)
     return min(2.0 * float(np.linalg.eigvalsh(marginal)[-1]), 2.0)
 
 
@@ -602,8 +606,7 @@ def check_eps_private(
     both are at or below ``eps`` the family is proven eps-private.  Each
     ascent stops once it meets its upper bound.  ``eps`` must be finite and >= 0.
     """
-    if not 0.0 <= eps < np.inf:
-        raise ValueError(f"eps must be finite and >= 0, got {eps}")
+    eps = _require_real("eps", eps, 0.0, np.inf, open_high=True)
     if decryptor.input_qubits != family.output_qubits or (
         decryptor.output_qubits != family.input_qubits
     ):

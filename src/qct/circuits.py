@@ -667,12 +667,6 @@ def _matrix_from_json(entries, arity: int, path: str) -> np.ndarray:
     return np.array(values, dtype=np.complex128).reshape(d, d)
 
 
-def _json_int(value, path: str, least: int | None = None) -> int:
-    """``_require_count`` for a document field no constructor stores, failing as a parse error."""
-    with _fields_of(""):
-        return _require_count(path, value, least)
-
-
 @contextmanager
 def _fields_of(within: str):
     """Re-raise a constructor's error as a CircuitParseError under the document path ``within``:
@@ -683,15 +677,6 @@ def _fields_of(within: str):
         raise CircuitParseError(f"{within}.{exc}" if within else str(exc)) from exc
     except CircuitError as exc:
         raise CircuitParseError(f"{within}: {exc}" if within else str(exc)) from exc
-
-
-def _json_fraction(value, path: str, closed_above: bool) -> float:
-    """A JSON real in (0, 1), or (0, 1] when ``closed_above``; bools, strings, NaN fail."""
-    real = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (real and (0.0 < value < 1.0 or (closed_above and value == 1.0))):
-        bounds = "(0, 1]" if closed_above else "(0, 1)"
-        raise CircuitParseError(f"{path}: must be a number in {bounds}, got {value!r}")
-    return float(value)
 
 
 def _json_field(doc: dict, path: str, within: str = ""):

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .circuits import _json_fraction, _json_int, _json_object, parse_circuit
+from .circuits import _fields_of, _json_object, parse_circuit
 from .errors import CircuitParseError, QctError
 from .experiments import EXPERIMENTS, ReportRow
+from .states import _require_count, _require_real
 
 FORMATS = ("json", "csv")
 
@@ -34,11 +35,11 @@ class ConfigError(QctError):
     """A config document failed validation; the message names the field."""
 
 
-# The reader of each experiment parameter, called as ``reader(value, path)``.  Which
-# of them a config takes, and their defaults, are read off its experiment's signature.
+# The rule of each experiment parameter, called as ``rule(name, value)``.  Which of
+# them a config takes, and their defaults, are read off its experiment's signature.
 PARAMETERS = {
-    "eps": functools.partial(_json_fraction, closed_above=False),
-    **dict.fromkeys(("n", "shots", "restarts"), functools.partial(_json_int, least=1)),
+    "eps": functools.partial(_require_real, low=0.0, high=1.0, open_low=True, open_high=True),
+    **dict.fromkeys(("n", "shots", "restarts"), functools.partial(_require_count, least=1)),
 }
 
 
@@ -89,8 +90,9 @@ def _config_from_json(doc, flag_overrides: dict) -> ExperimentConfig:
         raise ConfigError(f"out: must be a path string, got {merged['out']!r}")
     if merged["format"] not in FORMATS:
         raise ConfigError(f"format: {merged['format']!r} is not one of {FORMATS}")
-    seed = _json_int(merged["seed"], "seed", 0)
-    params = {k: PARAMETERS[k](doc[k], k) if k in doc else v for k, v in defaults.items()}
+    with _fields_of(""):
+        seed = _require_count("seed", merged["seed"], 0)
+        params = {k: PARAMETERS[k](k, doc[k]) if k in doc else v for k, v in defaults.items()}
     return ExperimentConfig(experiment, seed, params, merged["out"], merged["format"])
 
 

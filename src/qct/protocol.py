@@ -25,7 +25,7 @@ from .channels import (
     pauli_otp_family,
     pauli_otp_template,
 )
-from .circuits import _json_field, _json_fraction, _json_object
+from .circuits import _fields_of, _json_field, _json_object
 from .errors import CircuitParseError, DimensionMismatchError, check_capacity
 from .reduction import _check_promise, _instance_width, _require_side, copy_branch_circuit
 from .states import (
@@ -90,7 +90,8 @@ class DIInstance:
     provenance: str
 
     def __post_init__(self):
-        _check_promise(self.eps, self.delta)
+        for name, value in zip(("eps", "delta"), _check_promise(self.eps, self.delta)):
+            object.__setattr__(self, name, value)
         if self.provenance not in PROVENANCES:
             raise ValueError(f"provenance must be one of {PROVENANCES}, got {self.provenance!r}")
         if self.family.output_qubits < self.family.input_qubits:
@@ -116,12 +117,10 @@ class DIInstance:
         own = ("eps", "delta", "provenance")
         _json_object(doc, (*_FAMILY_FIELDS, *own), "DI instances")
         family = KeyedChannelFamily.from_json({k: v for k, v in doc.items() if k not in own})
-        eps = _json_fraction(_json_field(doc, "eps"), "eps", closed_above=False)
-        delta = _json_fraction(_json_field(doc, "delta"), "delta", closed_above=True)
+        promise = (_json_field(doc, "eps"), _json_field(doc, "delta"))
         try:
-            return cls(family, eps, delta, doc.get("provenance", PROVENANCE_CUSTOM))
-        except ValueError as exc:  # eps and delta were read in range: the provenance's message
-            raise CircuitParseError(str(exc)) from exc
+            with _fields_of(""):
+                return cls(family, *promise, doc.get("provenance", PROVENANCE_CUSTOM))
         except DimensionMismatchError as exc:
             raise CircuitParseError(f"template: {exc}") from exc
 
@@ -175,7 +174,7 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
 
 def build_secure_instance(message_qubits: int, eps: float) -> DIInstance:
     """The exact Pauli one-time pad as a secure instance."""
-    check_capacity(message_qubits, "secure instance")
+    check_capacity(_require_count("message_qubits", message_qubits, 0), "secure instance")
     family = pauli_otp_family(message_qubits)
     return DIInstance(family=family, eps=eps, delta=1.0, provenance=PROVENANCE_SECURE)
 
@@ -195,6 +194,7 @@ def build_insecure_instance(v: VerifierCircuit, eps: float, delta: float) -> DII
     member circuit discards the key when V accepts and applies that key's
     Pauli to every message qubit when it rejects.
     """
+    eps, delta = _check_promise(eps, delta)
     _require_side(v, eps, "YES")
     width = _instance_width(v, delta)
     template = copy_branch_circuit(v, width, [], pauli_otp_template(width).ops)

@@ -38,9 +38,8 @@ from .circuits import (
     MixedStateCircuit,
     _circuit_from_json,
     _circuit_to_json,
+    _fields_of,
     _json_field,
-    _json_fraction,
-    _json_int,
     _json_object,
     canonicalize,
     evaluate,  # noqa: F401  kept bound here for perfbench/test_perfbench.py's tracer test
@@ -58,6 +57,7 @@ from .states import (
     PureState,
     RegisterLayout,
     _require_count,
+    _require_real,
     _seed_record,
     _trusted,
     basis_state,
@@ -85,12 +85,14 @@ def family_generator(name: str, **params) -> FamilyGenerator:
 
 def dummy_qubit_count(witness_qubits: int, delta: float) -> int:
     """Dummy-register size: the qubit form of the dimension rule."""
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
+    h = _require_count("witness_qubits", witness_qubits, 0)
+    delta = _require_real("delta", delta, 0.0, 1.0, open_low=True)
     if delta == 1.0:
         return 0
-    raw = witness_qubits * (1.0 - delta) / delta
-    return int(math.ceil(raw - 1e-12))
+    try:
+        return int(math.ceil(h * (1.0 - delta) / delta - 1e-12))
+    except OverflowError:  # the size, or h itself, lies beyond the float range
+        raise ValueError(f"delta {delta} at {h} witness qubits sizes no finite register") from None
 
 
 # The fields of a CT instance document, as ``CTInstance.to_json`` writes them.
@@ -100,12 +102,12 @@ _CT_FIELDS = (
 )
 
 
-def _check_promise(eps: float, delta: float) -> None:
-    """Raise a ValueError naming ``eps`` or ``delta`` when it lies outside its range."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must be in (0, 1], got {delta}")
+def _check_promise(eps: float, delta: float) -> tuple[float, float]:
+    """``(eps, delta)`` as floats: eps in (0, 1), delta in (0, 1]; else a ValueError naming one."""
+    return (
+        _require_real("eps", eps, 0.0, 1.0, open_low=True, open_high=True),
+        _require_real("delta", delta, 0.0, 1.0, open_low=True),
+    )
 
 
 def _read_family(spec, label: str, width: int) -> tuple[MappingProxyType, MixedStateCircuit]:
@@ -134,7 +136,8 @@ def _read_family(spec, label: str, width: int) -> tuple[MappingProxyType, MixedS
         )
     known = tuple(inspect.signature(FAMILY_REGISTRY[name]).parameters)
     _json_object(params, known, f"{name} params", within=f"{label}.params")
-    params = {key: _json_int(value, f"{label}.params.{key}") for key, value in params.items()}
+    with _fields_of(""):
+        params = {k: _require_count(f"{label}.params.{k}", v) for k, v in params.items()}
     spec = MappingProxyType({"name": name, "params": MappingProxyType(params)})
     try:
         return spec, family_generator(name, **params)(width)
@@ -157,15 +160,15 @@ class CTInstance:
     c1_spec: MappingProxyType
 
     def __post_init__(self):
-        _check_promise(self.eps, self.delta)
-        object.__setattr__(
-            self, "witness_qubits", _require_count("witness_qubits", self.witness_qubits, 1)
-        )
+        eps, delta = _check_promise(self.eps, self.delta)
+        h = _require_count("witness_qubits", self.witness_qubits, 1)
+        for name, value in (("eps", eps), ("delta", delta), ("witness_qubits", h)):
+            object.__setattr__(self, name, value)
         if self.circuit.input_qubits != self.input_qubits or self.circuit.ancilla_total < 1:
             raise CircuitError(
-                f"instance circuit takes {self.circuit.input_qubits} qubits and "
-                f"{self.circuit.ancilla_total} ancillas, need h + f = {self.input_qubits} "
-                "and a copy qubit"
+                f"witness_qubits, delta: {h} witness qubits at delta {delta} need {h} + "
+                f"{self.dummy_qubits} dummy inputs and a copy qubit, the circuit takes "
+                f"{self.circuit.input_qubits} inputs and {self.circuit.ancilla_total} ancillas"
             )
         widths = (self.input_qubits, self.circuit.output_qubits)
         for label in ("c0", "c1"):
@@ -234,34 +237,17 @@ class CTInstance:
         layout = _json_field(doc, "layout")
         _json_object(layout, ("registers", "convention"), "CT instance layouts", within="layout")
         circuit = _circuit_from_json(_json_field(doc, "circuit"), "circuit")
-        h = _json_int(_json_field(doc, "witness_qubits"), "witness_qubits")
-        if not 1 <= h <= circuit.input_qubits:
-            raise CircuitParseError(
-                f"witness_qubits: must be in [1, {circuit.input_qubits}] (the inputs), got {h}"
-            )
-        delta = _json_fraction(_json_field(doc, "delta"), "delta", closed_above=True)
-        f = dummy_qubit_count(h, delta)
-        if h + f != circuit.input_qubits:
-            raise CircuitParseError(
-                f"witness_qubits, delta: {h} witness qubits at delta {delta} need {h} + {f} "
-                f"dummy = {h + f} inputs, the circuit takes {circuit.input_qubits}"
-            )
         for label in ("c0", "c1"):
             if not isinstance(_json_field(doc, label), dict):
                 raise CircuitParseError(f"{label}: must be an object")
-        instance = cls(
-            circuit=circuit,
-            eps=_json_fraction(_json_field(doc, "eps"), "eps", closed_above=False),
-            delta=delta,
-            witness_qubits=h,
-            c0_spec=doc["c0"],
-            c1_spec=doc["c1"],
-        )
-        written = instance.to_json()
-        for path in ("dummy_qubits", "ancilla_qubits", "layout.registers", "layout.convention"):
-            got, want = _json_field(doc, path), _json_field(written, path)
-            if json.dumps(got, default=lambda value: _json_int(value, path)) != json.dumps(want):
-                raise CircuitParseError(f"{path}: the instance implies {want!r}, got {got!r}")
+        fields = ("eps", "delta", "witness_qubits", "c0", "c1")
+        with _fields_of(""):
+            instance = cls(circuit, *(_json_field(doc, name) for name in fields))
+            written = instance.to_json()
+            for path in ("dummy_qubits", "ancilla_qubits", "layout.registers", "layout.convention"):
+                got, want = _json_field(doc, path), _json_field(written, path)
+                if json.dumps(got, default=lambda v: _require_count(path, v)) != json.dumps(want):
+                    raise CircuitParseError(f"{path}: the instance implies {want!r}, got {got!r}")
         return instance
 
 
@@ -363,7 +349,7 @@ def build_ct_circuit(
     rejecting branch runs the second; both controlled blocks share the padded
     ancilla register.
     """
-    _check_promise(eps, delta)
+    eps, delta = _check_promise(eps, delta)
     width = _instance_width(v, delta)
     specs, bodies = {}, []
     for label, gen in (("c0", c0_gen), ("c1", c1_gen)):
@@ -392,8 +378,7 @@ def copy_distortion_bounds(p: float) -> tuple[float, float]:
     ``2 sqrt(1 - (1-p)^2)``.  Each is strictly below its ``3 sqrt``
     majorant for p strictly inside (0, 1).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"acceptance probability {p} outside [0, 1]")
+    p = _require_real("p", p, 0.0, 1.0)
     yes_side = 2.0 * math.sqrt(max(0.0, 1.0 - p * p))
     no_side = 2.0 * math.sqrt(max(0.0, 1.0 - (1.0 - p) ** 2))
     return yes_side, no_side
@@ -558,6 +543,7 @@ def wellformedness_check(
     alternating-sign superpositions, and Haar samples.  For delta below one
     the subspace-dimension refinement is reported, not decided.
     """
+    eps, delta = _check_promise(eps, delta)
     _require_count("samples", samples, 0)
     (_, c0), (_, c1) = _read_family(c0_gen, "c0", width), _read_family(c1_gen, "c1", width)
     dim = 2**width

@@ -277,16 +277,14 @@ def operator_norm(x) -> float:
 
 
 def basis_state(dim: int, index: int) -> PureState:
-    v = np.zeros(dim, dtype=np.complex128)
-    v[index] = 1.0
+    v = np.zeros(_require_count("dim", dim, 1), dtype=np.complex128)
+    v[_require_count("index", index, 0, dim)] = 1.0
     return PureState(v)
 
 
 def random_pure_state(dim: int, seed) -> PureState:
     """Rotation-invariant random unit vector, deterministic per seed (None is rejected)."""
-    if dim < 1:
-        raise DimensionMismatchError(f"dim must be >= 1, got {dim}")
-    v = _complex_gaussian((dim,), seed)
+    v = _complex_gaussian((_require_count("dim", dim, 1),), seed)
     return PureState(v / np.linalg.norm(v))
 
 
@@ -326,14 +324,31 @@ def _require_seed(seed) -> None:
     _seed_record(seed)  # raises on a bool and on a seed of any other type
 
 
-def _require_count(name: str, count, least: int | None = None) -> int:
-    """``count`` as an ``int`` if it passes ``_is_integer`` and ``least``: the one rule for counts,
-    wires, indices and dimensions.  The ``ValueError`` starts with ``name``."""
+def _require_count(name: str, count, least: int | None = None, below: int | None = None) -> int:
+    """``count`` as an ``int`` if it passes ``_is_integer``, ``least`` and ``below``: the one rule
+    for counts, wires, indices and dimensions.  The ``ValueError`` starts with ``name``."""
     if not _is_integer(count):
         raise ValueError(f"{name} must be an integer count, got {count!r}")
     if least is not None and count < least:
         raise ValueError(f"{name} must be >= {least}, got {count}")
+    if below is not None and count >= below:
+        raise ValueError(f"{name} must be < {below}, got {count}")
     return int(count)
+
+
+def _require_real(name: str, value, low, high, open_low=False, open_high=False) -> float:
+    """``value`` as a ``float`` if it is a Python or numpy real, not a bool, between ``low`` and
+    ``high`` (each end included unless ``open_low`` / ``open_high``): the one rule for eps,
+    delta, probabilities and angles.  The ``ValueError`` starts with ``name``."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        x = float(value) if real else math.nan  # NaN lies in no interval
+    except OverflowError:  # an integer beyond the float range
+        x = math.nan
+    if (low < x if open_low else low <= x) and (x < high if open_high else x <= high):
+        return x
+    interval = f"{'(' if open_low else '['}{low:g}, {high:g}{')' if open_high else ']'}"
+    raise ValueError(f"{name} must be a real number in {interval}, got {value!r}")
 
 
 def _random_starts(dim: int, count: int, seed) -> Iterator[np.ndarray]:
@@ -368,15 +383,15 @@ def _wishart(g: np.ndarray) -> np.ndarray:
 
 def random_density_operator(dim: int, seed, rank: int | None = None) -> DensityOperator:
     """Random mixed state from a normalized Wishart factor (None is rejected)."""
-    r = dim if rank is None else rank
-    if dim < 1 or r < 1:
-        raise DimensionMismatchError(f"dim and rank must be >= 1, got dim {dim}, rank {r}")
+    dim = _require_count("dim", dim, 1)
+    r = dim if rank is None else _require_count("rank", rank, 1)
     mat = _wishart(_complex_gaussian((dim, r), seed))
     return _trusted(DensityOperator, matrix=mat)  # a state by construction
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:
     """Haar-random unitary via QR with phase correction (None is rejected)."""
+    dim = _require_count("dim", dim, 1)
     g = _complex_gaussian((dim, dim), seed)
     q, r = np.linalg.qr(g)
     phases = np.diag(r) / np.abs(np.diag(r))

@@ -21,12 +21,18 @@ from .circuits import (
     _fields_of,
     _is_unitary,
     _json_field,
-    _json_int,
     _json_object,
     canonicalize,
 )
 from .errors import CircuitParseError, DimensionMismatchError, InvalidStateError, check_capacity
-from .states import HermitianObservable, PureState, _is_integer, _require_count, random_unitary
+from .states import (
+    HermitianObservable,
+    PureState,
+    _is_integer,
+    _require_count,
+    _require_real,
+    random_unitary,
+)
 
 
 @dataclass(frozen=True)
@@ -39,18 +45,18 @@ class VerifierCircuit:
     def __post_init__(self):
         for name, least in (("witness_qubits", 1), ("ancilla_qubits", 0), ("output_qubit", 0)):
             object.__setattr__(self, name, _require_count(name, getattr(self, name), least))
-        total = self.witness_qubits + self.ancilla_qubits
+        h, a = self.witness_qubits, self.ancilla_qubits
+        total = h + a
+        if np.shape(self.unitary) != (2 ** min(total, 64),) * 2:  # no array has a side of 2**64
+            raise ValueError(
+                f"witness_qubits, ancilla_qubits: {h} + {a} qubits do not match the unitary's "
+                f"shape {np.shape(self.unitary)}"
+            )
         check_capacity(total, "verifier circuit")
         mat = np.array(self.unitary, dtype=np.complex128)
-        d = 2**total
-        if mat.shape != (d, d):
-            raise DimensionMismatchError(
-                f"verifier unitary shape {mat.shape} does not match {total} qubits"
-            )
         if not _is_unitary(mat):
             raise InvalidStateError("verifier matrix is not unitary within tolerance")
-        if self.output_qubit >= total:
-            raise ValueError(f"output_qubit must be < {total}, got {self.output_qubit}")
+        _require_count("output_qubit", self.output_qubit, below=total)
         mat.setflags(write=False)
         object.__setattr__(self, "unitary", mat)
 
@@ -103,9 +109,7 @@ def max_accept_probability(v: VerifierCircuit) -> tuple[float, PureState]:
 
 def rotation_angle_for_accept_probability(p: float) -> float:
     """Angle theta with sin^2(theta/2) = p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    return 2.0 * math.asin(math.sqrt(p))
+    return 2.0 * math.asin(math.sqrt(_require_real("p", p, 0.0, 1.0)))
 
 
 def make_toy_verifier(kind: str, **params) -> VerifierCircuit:
@@ -131,7 +135,8 @@ def make_toy_verifier(kind: str, **params) -> VerifierCircuit:
     if kind == "rotation":
         theta = params.pop("theta", None)
         if theta is None:
-            theta = rotation_angle_for_accept_probability(float(params.pop("accept_probability")))
+            theta = rotation_angle_for_accept_probability(params.pop("accept_probability"))
+        theta = _require_real("theta", theta, -math.inf, math.inf, open_low=True, open_high=True)
         _reject_unknown(kind, params)
         ry = np.array(
             [
@@ -198,12 +203,6 @@ def verifier_from_json(doc: dict) -> VerifierCircuit:
     canon = canonicalize(circuit)
     if canon.ancilla_qubits or canon.traced_wires:
         raise CircuitParseError("circuit: must be purely unitary, with no ancilla or traceout op")
-    h = _json_int(_json_field(doc, "witness_qubits"), "witness_qubits")
-    a = _json_int(_json_field(doc, "ancilla_qubits"), "ancilla_qubits")
-    if h + a != circuit.input_qubits:
-        raise CircuitParseError(
-            f"witness_qubits, ancilla_qubits: need h + a = {circuit.input_qubits} "
-            f"(the circuit's qubits), got {h} and {a}"
-        )
+    h, a = _json_field(doc, "witness_qubits"), _json_field(doc, "ancilla_qubits")
     with _fields_of(""):
         return VerifierCircuit(h, a, canon.unitary, doc.get("output_qubit", 0))

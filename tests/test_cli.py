@@ -72,7 +72,7 @@ class TestConfig:
             load_config(str(cfg), {})
 
     def test_parameter_ranges(self, tmp_path):
-        for field, value, match in (("eps", 2.0, "^eps: must be"), ("shots", 0, "^shots must be")):
+        for field, value, match in (("eps", 2.0, r"^eps must be a real number in \(0, 1\), got 2.0$"), ("shots", 0, "^shots must be")):
             cfg = write_config(tmp_path, experiment=READER_OF[field], seed=1, **{field: value})
             with pytest.raises(ConfigError, match=match):
                 load_config(str(cfg), {})

@@ -5,7 +5,8 @@ a float, a bool or a string raises a ``ValueError`` that names the field (a
 list entry with its index), and a numpy integer is stored as a plain ``int``,
 so every document a record writes passes through ``json.dumps``.  Document
 readers hand raw values to those constructors and accept numpy integers in
-every integer field.
+every integer field.  Every function that takes a width, a dimension or an
+index checks it by the same rule where it first uses it.
 """
 
 import json
@@ -26,11 +27,21 @@ from qct import (
     RegisterLayout,
     SwapTest,
     VerifierCircuit,
+    basis_state,
     build_ct_circuit,
+    build_secure_instance,
+    depolarizing,
+    depolarizing_circuit,
+    dummy_qubit_count,
     identity_channel,
     identity_circuit,
     make_toy_verifier,
+    pauli_keyed,
     pauli_otp_family,
+    random_channel,
+    random_density_operator,
+    random_pure_state,
+    random_unitary,
     serialize_circuit,
     verifier_from_json,
     verifier_to_json,
@@ -120,6 +131,52 @@ def test_a_stored_count_that_is_no_integer_is_named(case, bad):
     match = f"^{re.escape(field)} must be an integer count, got {re.escape(repr(bad))}$"
     with pytest.raises(ValueError, match=match):
         build(bad)
+
+
+# (argument as the message names it, a legal value, build(value)) of every width argument
+WIDTHS = {
+    "identity_channel": ("n_qubits", 1, identity_channel),
+    "depolarizing.in_qubits": ("in_qubits", 1, depolarizing),
+    "depolarizing.out_qubits": ("out_qubits", 1, lambda v: depolarizing(1, v)),
+    "depolarizing_circuit": ("in_qubits", 1, depolarizing_circuit),
+    "pauli_otp_family": ("n_qubits", 1, pauli_otp_family),
+    "pauli_keyed.n_qubits": ("n_qubits", 1, lambda v: pauli_keyed(v, 0)),
+    "pauli_keyed.key": ("key", 1, lambda v: pauli_keyed(1, v)),
+    "build_secure_instance": ("message_qubits", 1, lambda v: build_secure_instance(v, 0.01)),
+    "random_pure_state": ("dim", 2, lambda v: random_pure_state(v, 0)),
+    "random_density_operator.dim": ("dim", 2, lambda v: random_density_operator(v, 0)),
+    "random_density_operator.rank": ("rank", 1, lambda v: random_density_operator(2, 0, v)),
+    "random_unitary": ("dim", 2, lambda v: random_unitary(v, 0)),
+    "random_channel.n_qubits": ("n_qubits", 1, lambda v: random_channel(v, 0)),
+    "random_channel.env_qubits": ("env_qubits", 1, lambda v: random_channel(1, 0, v)),
+    "basis_state.dim": ("dim", 2, lambda v: basis_state(v, 0)),
+    "basis_state.index": ("index", 1, lambda v: basis_state(2, v)),
+    "dummy_qubit_count": ("witness_qubits", 1, lambda v: dummy_qubit_count(v, 0.5)),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, "1"], ids=["1.5", "1.0", "True", "str"])
+@pytest.mark.parametrize("case", list(WIDTHS))
+def test_a_width_that_is_no_integer_is_named(case, bad):
+    argument, _, build = WIDTHS[case]
+    match = f"^{argument} must be an integer count, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=match):
+        build(bad)
+
+
+@pytest.mark.parametrize("case", list(WIDTHS))
+def test_a_width_may_be_a_numpy_integer(case):
+    _, legal, build = WIDTHS[case]
+    got, want = build(np.int64(legal)), build(legal)
+    assert type(got) is type(want)
+
+
+@pytest.mark.parametrize(
+    "index, match", [(2, "^index must be < 2, got 2$"), (-1, "^index must be >= 0, got -1$")]
+)
+def test_a_basis_index_outside_the_dimension_is_named(index, match):
+    with pytest.raises(ValueError, match=match):
+        basis_state(2, index)
 
 
 @pytest.mark.parametrize("case", list(CONSTRUCTORS))

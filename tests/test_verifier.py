@@ -210,9 +210,9 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "field, value, match",
         [
-            ("witness_qubits", 2, r"^witness_qubits, ancilla_qubits: .*= 2 .*got 2 and 1"),
-            ("ancilla_qubits", 0, r"^witness_qubits, ancilla_qubits: .*got 1 and 0"),
-            ("witness_qubits", 0, r"^witness_qubits, ancilla_qubits: .*got 0 and 1"),
+            ("witness_qubits", 2, r"^witness_qubits, ancilla_qubits: 2 \+ 1 qubits do not match"),
+            ("ancilla_qubits", 0, r"^witness_qubits, ancilla_qubits: 1 \+ 0 qubits do not match"),
+            ("witness_qubits", 0, r"^witness_qubits must be >= 1, got 0"),
             ("output_qubit", 7, r"^output_qubit must be < 2, got 7"),
             ("output_qubit", -1, r"^output_qubit must be >= 0, got -1"),
         ],
