@@ -219,6 +219,8 @@ def depolarizing(in_qubits: int, out_qubits: int | None = None) -> QuantumChanne
 def depolarizing_circuit(in_qubits: int, out_qubits: int | None = None) -> MixedStateCircuit:
     """Circuit implementation: key qubits in |+>, per-qubit controlled X and Z, keys traced."""
     in_qubits, out_qubits = _depolarizing_widths(in_qubits, out_qubits)
+    if not out_qubits:  # no wire to depolarize
+        return identity_circuit(0)
     pad = out_qubits - in_qubits
     ops: list[GateOp] = []
     if pad:
@@ -246,6 +248,7 @@ def pauli_otp_template(n_qubits: int) -> MixedStateCircuit:
 
 def pauli_x_first_circuit(n_qubits: int) -> MixedStateCircuit:
     """Pauli X on the first input qubit."""
+    n_qubits = _require_count("n_qubits", n_qubits, 1)
     return MixedStateCircuit(n_qubits, (GateOp.x(0),), n_qubits)
 
 
@@ -575,6 +578,9 @@ class EpsPrivateReport:
     decryption_upper_bound: float
     key_average_upper_bound: float
     seed: int | tuple[int, ...] | None
+
+    def __post_init__(self):
+        object.__setattr__(self, "eps", _require_real("eps", self.eps, 0.0, np.inf, open_high=True))
 
     @property
     def decryption_bound(self) -> float:

@@ -64,7 +64,7 @@ from .states import (
     random_pure_state,
     trace_norm,
 )
-from .verifier import VerifierCircuit, _accept_mask, _initial_columns, max_accept_probability
+from .verifier import VerifierCircuit, _accept_mask, _witness_columns, max_accept_probability
 
 FamilyGenerator = Callable[[int], MixedStateCircuit]
 
@@ -305,11 +305,11 @@ def copy_branch_circuit(
     """The copy-and-branch layout shared by every compiled instance.
 
     The ancilla register A holds V's ancillas and every wire a branch op
-    reaches above the ``width`` inputs; the copy qubit sits above A.  Applies
-    V, copies its output qubit with a CNOT, undoes V, runs ``accept_ops``,
-    then ``reject_ops`` between two X flips of the copy qubit, and traces out
-    A and the copy.  Each branch op, an uncontrolled ``unitary`` or
-    ``keyed_pauli``, runs controlled by the copy qubit.
+    reaches above the ``width`` inputs; the copy qubit sits above A.  Splices
+    V's gates, copies its output qubit with a CNOT, splices V^dagger's, runs
+    ``accept_ops``, then ``reject_ops`` between two X flips of the copy qubit,
+    and traces out A and the copy.  Each branch op, an uncontrolled ``unitary``
+    or ``keyed_pauli``, runs controlled by the copy qubit.
     """
     reach = [t + 1 - width for op in (*accept_ops, *reject_ops) for t in op.targets]
     a = max([v.ancilla_qubits, *reach])
@@ -323,9 +323,9 @@ def copy_branch_circuit(
     v_targets = (*range(width, width + v.ancilla_qubits), *range(v.witness_qubits))
     ops = [
         GateOp.ancillas(a + 1),
-        GateOp.unitary(v.unitary, v_targets),
+        *v._spliced(v_targets),
         GateOp.cnot(v_targets[v.output_qubit], copy_wire),
-        GateOp.unitary(v.unitary.conj().T, v_targets),
+        *v._spliced(v_targets, adjoint=True),
         *map(controlled, accept_ops),
         GateOp.x(copy_wire),
         *map(controlled, reject_ops),
@@ -392,7 +392,7 @@ def copy_stage_states(v: VerifierCircuit, psi: PureState) -> tuple[np.ndarray, n
     """
     if psi.dim != 2**v.witness_qubits:
         raise DimensionMismatchError("witness does not match the verifier width")
-    phi = _initial_columns(v) @ psi.amplitudes
+    phi = _witness_columns(v) @ psi.amplitudes
     # the CNOT from the output qubit moves the accepted amplitudes to copy = 1
     mask = _accept_mask(v)
     phi_prime = np.concatenate([np.where(mask, 0, phi), np.where(mask, phi, 0)])
@@ -490,8 +490,8 @@ def certify_no(
     ``diamond_upper_bound`` at or below the threshold proves it.
     """
     _require_count("samples", samples, 1)
-    _require_side(v, instance.eps, "NO")
     check_capacity(instance.input_qubits + instance.circuit.output_qubits, "Choi matrix")
+    _require_side(v, instance.eps, "NO")
     ka, kb = stinespring(instance.circuit), stinespring(instance.c1)
     probes = [random_pure_state(ka.shape[2] ** 2, (seed, s)).amplitudes for s in range(samples)]
     distances = _probe_distances(ka, kb, probes)
@@ -515,6 +515,12 @@ class WellformednessReport:
     probe_count: int
     eps: float
     delta: float
+
+    def __post_init__(self):
+        eps, delta = _check_promise(self.eps, self.delta)
+        count = _require_count("probe_count", self.probe_count, 1)
+        for name, value in (("eps", eps), ("delta", delta), ("probe_count", count)):
+            object.__setattr__(self, name, value)
 
     @property
     def flagged(self) -> bool:

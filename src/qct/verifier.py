@@ -1,15 +1,16 @@
-"""Verifier circuits: a unitary on witness and ancilla registers, accepting
-when the designated output qubit measures as one.
+"""Verifier circuits: a unitary gate list V, never a matrix, on witness and ancilla
+registers, accepting when the designated output qubit measures as one.
 
-Matrix qubits 0..a-1 are the ancillas (prepared in zero) and qubits a..a+h-1
-carry the witness, so the initial state is ``tensor(witness, zeros)``.  The
-output qubit defaults to qubit 0 of the post-unitary register.
+Wires 0..a-1 are the ancillas (prepared in zero) and wires a..a+h-1 carry the
+witness, so the initial state is ``tensor(witness, zeros)``.  The output
+qubit defaults to wire 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -19,18 +20,21 @@ from .circuits import (
     _circuit_from_json,
     _circuit_to_json,
     _fields_of,
-    _is_unitary,
     _json_field,
     _json_object,
+    _unitarity_bound,
     canonicalize,
+    stinespring,
 )
-from .errors import CircuitParseError, DimensionMismatchError, InvalidStateError, check_capacity
+from .errors import CircuitError, DimensionMismatchError, check_capacity
 from .states import (
+    TAU_UNIT,
     HermitianObservable,
     PureState,
     _is_integer,
     _require_count,
     _require_real,
+    _trusted,
     random_unitary,
 )
 
@@ -39,37 +43,49 @@ from .states import (
 class VerifierCircuit:
     witness_qubits: int
     ancilla_qubits: int
-    unitary: np.ndarray
+    circuit: MixedStateCircuit
     output_qubit: int = 0
 
     def __post_init__(self):
         for name, least in (("witness_qubits", 1), ("ancilla_qubits", 0), ("output_qubit", 0)):
             object.__setattr__(self, name, _require_count(name, getattr(self, name), least))
-        h, a = self.witness_qubits, self.ancilla_qubits
-        total = h + a
-        if np.shape(self.unitary) != (2 ** min(total, 64),) * 2:  # no array has a side of 2**64
+        if any(op.kind in ("ancilla", "traceout") for op in self.circuit.ops):
+            raise CircuitError("circuit: must be purely unitary, with no ancilla or traceout op")
+        if self.circuit.input_qubits != self.total_qubits:
             raise ValueError(
-                f"witness_qubits, ancilla_qubits: {h} + {a} qubits do not match the unitary's "
-                f"shape {np.shape(self.unitary)}"
+                f"witness_qubits, ancilla_qubits: {self.witness_qubits} + {self.ancilla_qubits}"
+                f" qubits do not match the circuit's {self.circuit.input_qubits} wires"
             )
-        check_capacity(total, "verifier circuit")
-        mat = np.array(self.unitary, dtype=np.complex128)
-        if not _is_unitary(mat):
-            raise InvalidStateError("verifier matrix is not unitary within tolerance")
-        _require_count("output_qubit", self.output_qubit, below=total)
-        mat.setflags(write=False)
-        object.__setattr__(self, "unitary", mat)
+        _require_count("output_qubit", self.output_qubit, below=self.total_qubits)
+        # each gate was checked when it was built; the product densely only past the certificate
+        if _unitarity_bound(self.circuit, 2**self.total_qubits) > TAU_UNIT / 2:
+            canonicalize(self.circuit)
 
     @property
     def total_qubits(self) -> int:
         return self.witness_qubits + self.ancilla_qubits
 
+    def _spliced(self, wires, adjoint: bool = False) -> Iterator[GateOp]:
+        """V's gates with its wire i on ``wires[i]``; with ``adjoint``, V^dagger's: each gate's
+        adjoint, in reverse order.  Every gate was validated when V was built."""
+        for op in reversed(self.circuit.ops) if adjoint else self.circuit.ops:
+            targets = tuple(wires[t] for t in op.targets)
+            control = None if op.control is None else wires[op.control]
+            fields = {**vars(op), "targets": targets, "control": control}
+            u, _, controls = op.action()
+            if adjoint and (op.matrix is not None or op.kind in ("S", "T")):  # others are Hermitian
+                fields.update(kind="controlled" if controls else "unitary", matrix=u.conj().T)
+            yield _trusted(GateOp, **fields)
 
-def _initial_columns(v: VerifierCircuit) -> np.ndarray:
-    """Columns of V reachable from witness (x) |0...0>: V restricted to ancillas at zero."""
+
+def _witness_columns(v: VerifierCircuit) -> np.ndarray:
+    """Columns of V reachable from witness (x) |0...0>, from ``stinespring`` on V's gates with
+    the witness on wires 0..h-1 and the ancillas above; rows in V's wire order."""
     h, a = v.witness_qubits, v.ancilla_qubits
-    cols = [w << a for w in range(2**h)]
-    return v.unitary[:, cols]
+    ops = (GateOp.ancillas(a),) if a else ()
+    placed = MixedStateCircuit(h, (*ops, *v._spliced((*range(h, h + a), *range(h)))), h + a)
+    cols = stinespring(placed)[0]
+    return cols.reshape(2**a, 2**h, 2**h).transpose(1, 0, 2).reshape(2 ** (h + a), 2**h)
 
 
 def _accept_mask(v: VerifierCircuit) -> np.ndarray:
@@ -83,13 +99,13 @@ def accept_probability(v: VerifierCircuit, psi: PureState) -> float:
         raise DimensionMismatchError(
             f"witness dim {psi.dim} does not match {v.witness_qubits} qubits"
         )
-    phi = _initial_columns(v) @ psi.amplitudes
+    phi = _witness_columns(v) @ psi.amplitudes
     return float(np.sum(np.abs(phi[_accept_mask(v)]) ** 2))
 
 
 def acceptance_operator(v: VerifierCircuit) -> HermitianObservable:
     """The witness-space observable M with <psi|M|psi> = accept_probability."""
-    accepted = _initial_columns(v)[_accept_mask(v), :]
+    accepted = _witness_columns(v)[_accept_mask(v), :]
     m = accepted.conj().T @ accepted
     return HermitianObservable((m + m.conj().T) / 2)
 
@@ -120,7 +136,7 @@ def make_toy_verifier(kind: str, **params) -> VerifierCircuit:
         params.pop("witness_qubits", None)
         _reject_unknown(kind, params)
         check_capacity(h + 1, "verifier circuit")
-        return VerifierCircuit(h, 1, np.eye(2 ** (h + 1), dtype=np.complex128))
+        return VerifierCircuit(h, 1, MixedStateCircuit(h + 1, (), h + 1))
     if kind == "target_state":
         target = params.pop("target", None)
         params.pop("witness_qubits", None)
@@ -131,31 +147,26 @@ def make_toy_verifier(kind: str, **params) -> VerifierCircuit:
         proj = np.outer(target_vec, target_vec.conj())
         x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
         u = np.kron(np.eye(d) - proj, np.eye(2)) + np.kron(proj, x)
-        return VerifierCircuit(h, 1, u)
+        n = h + 1
+        return VerifierCircuit(h, 1, MixedStateCircuit(n, (GateOp.unitary(u, range(n)),), n))
     if kind == "rotation":
         theta = params.pop("theta", None)
         if theta is None:
             theta = rotation_angle_for_accept_probability(params.pop("accept_probability"))
         theta = _require_real("theta", theta, -math.inf, math.inf, open_low=True, open_high=True)
         _reject_unknown(kind, params)
-        ry = np.array(
-            [
-                [math.cos(theta / 2), -math.sin(theta / 2)],
-                [math.sin(theta / 2), math.cos(theta / 2)],
-            ],
-            dtype=np.complex128,
-        )
-        p0 = np.diag([1.0, 0.0]).astype(np.complex128)
-        p1 = np.diag([0.0, 1.0]).astype(np.complex128)
-        u = np.kron(p0, np.eye(2)) + np.kron(p1, ry)
-        return VerifierCircuit(1, 1, u)
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
+        ry = np.array([[c, -s], [s, c]], dtype=np.complex128)
+        # R_y on the ancilla (wire 0) where the witness (wire 1) is one
+        return VerifierCircuit(1, 1, MixedStateCircuit(2, (GateOp.controlled(1, ry, (0,)),), 2))
     if kind == "random_unitary":
         params.pop("witness_qubits", None)
         params.pop("ancilla_qubits", None)
         seed = params.pop("seed", 0)
         _reject_unknown(kind, params)
         check_capacity(h + a, "verifier circuit")
-        return VerifierCircuit(h, a, random_unitary(2 ** (h + a), seed))
+        u, n = random_unitary(2 ** (h + a), seed), h + a
+        return VerifierCircuit(h, a, MixedStateCircuit(n, (GateOp.unitary(u, range(n)),), n))
     raise ValueError(f"unknown toy verifier kind {kind!r}")
 
 
@@ -184,15 +195,10 @@ def _reject_unknown(kind: str, params: dict) -> None:
 
 
 def verifier_to_json(v: VerifierCircuit) -> dict:
-    circuit = MixedStateCircuit(
-        v.total_qubits,
-        (GateOp.unitary(v.unitary, tuple(range(v.total_qubits))),),
-        v.total_qubits,
-    )
     return {
         "witness_qubits": v.witness_qubits,
         "ancilla_qubits": v.ancilla_qubits,
-        "circuit": _circuit_to_json(circuit),
+        "circuit": _circuit_to_json(v.circuit),
         "output_qubit": v.output_qubit,
     }
 
@@ -200,9 +206,6 @@ def verifier_to_json(v: VerifierCircuit) -> dict:
 def verifier_from_json(doc: dict) -> VerifierCircuit:
     _json_object(doc, ("witness_qubits", "ancilla_qubits", "circuit", "output_qubit"), "verifiers")
     circuit = _circuit_from_json(_json_field(doc, "circuit"), "circuit")
-    canon = canonicalize(circuit)
-    if canon.ancilla_qubits or canon.traced_wires:
-        raise CircuitParseError("circuit: must be purely unitary, with no ancilla or traceout op")
     h, a = _json_field(doc, "witness_qubits"), _json_field(doc, "ancilla_qubits")
     with _fields_of(""):
-        return VerifierCircuit(h, a, canon.unitary, doc.get("output_qubit", 0))
+        return VerifierCircuit(h, a, circuit, doc.get("output_qubit", 0))

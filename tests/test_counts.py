@@ -38,11 +38,13 @@ from qct import (
     make_toy_verifier,
     pauli_keyed,
     pauli_otp_family,
+    pauli_x_first_circuit,
     random_channel,
     random_density_operator,
     random_pure_state,
     random_unitary,
     serialize_circuit,
+    to_channel,
     verifier_from_json,
     verifier_to_json,
 )
@@ -50,6 +52,7 @@ from qct.channels import pauli_otp_template
 from qct.circuits import GATE_X, _circuit_from_json, _circuit_to_json
 from qct.cli import _config_from_json
 from qct.protocol import PROVENANCE_CUSTOM, PROVENANCE_SECURE
+from qct.reduction import WellformednessReport
 from qct.states import qubit_count
 
 
@@ -93,15 +96,16 @@ CONSTRUCTORS = {
         lambda lay: lay.registers[1][1],
     ),
     "VerifierCircuit.witness_qubits": (
-        "witness_qubits", 1, lambda v: VerifierCircuit(v, 1, np.eye(4)),
+        "witness_qubits", 1, lambda v: VerifierCircuit(v, 1, identity_circuit(2)),
         lambda c: c.witness_qubits,
     ),
     "VerifierCircuit.ancilla_qubits": (
-        "ancilla_qubits", 1, lambda v: VerifierCircuit(1, v, np.eye(4)),
+        "ancilla_qubits", 1, lambda v: VerifierCircuit(1, v, identity_circuit(2)),
         lambda c: c.ancilla_qubits,
     ),
     "VerifierCircuit.output_qubit": (
-        "output_qubit", 1, lambda v: VerifierCircuit(1, 1, np.eye(4), v), lambda c: c.output_qubit
+        "output_qubit", 1, lambda v: VerifierCircuit(1, 1, identity_circuit(2), v),
+        lambda c: c.output_qubit,
     ),
     "KeyedChannelFamily.key_bits": (
         "key_bits", 1, lambda v: KeyedChannelFamily(v, identity_circuit(1)), lambda f: f.key_bits
@@ -121,6 +125,10 @@ CONSTRUCTORS = {
         "branch_dimension", 2, SwapTest, lambda s: s.branch_dimension
     ),
     "qubit_count": ("dim", 2, qubit_count, lambda n: n),
+    "WellformednessReport.probe_count": (
+        "probe_count", 3, lambda v: WellformednessReport(1.0, v, 0.04, 1.0),
+        lambda r: r.probe_count,
+    ),
 }
 
 
@@ -171,6 +179,19 @@ def test_a_width_may_be_a_numpy_integer(case):
     assert type(got) is type(want)
 
 
+def test_a_zero_width_depolarizing_circuit_is_the_empty_circuit():
+    circuit = depolarizing_circuit(0)
+    assert circuit == identity_circuit(0)
+    channel, want = to_channel(circuit), depolarizing(0)
+    assert (channel.dim_in, channel.dim_out) == (want.dim_in, want.dim_out) == (1, 1)
+    assert np.array_equal(channel.choi, want.choi)
+
+
+def test_a_zero_width_pauli_x_first_circuit_names_n_qubits():
+    with pytest.raises(ValueError, match="^n_qubits must be >= 1, got 0$"):
+        pauli_x_first_circuit(0)
+
+
 @pytest.mark.parametrize(
     "index, match", [(2, "^index must be < 2, got 2$"), (-1, "^index must be >= 0, got -1$")]
 )
@@ -194,7 +215,7 @@ def test_records_built_from_numpy_integers_write_json():
     assert DIInstance.from_json(json.loads(json.dumps(di.to_json()))).to_json() == di.to_json()
     ct = _ct_instance(one)
     assert CTInstance.from_json(json.loads(json.dumps(ct.to_json()))).to_json() == ct.to_json()
-    v = VerifierCircuit(one, one, np.eye(4), np.int64(0))
+    v = VerifierCircuit(one, one, identity_circuit(2), np.int64(0))
     assert verifier_from_json(json.loads(json.dumps(verifier_to_json(v)))).witness_qubits == 1
     circuit = MixedStateCircuit(two, (GateOp.cnot(np.int64(0), one), GateOp.ancillas(one)), 3)
     assert json.loads(serialize_circuit(circuit))["ops"][0]["targets"] == [0, 1]

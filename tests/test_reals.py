@@ -34,11 +34,14 @@ from qct import (
     pauli_otp_family,
     pure_fixed_point_search,
     rotation_angle_for_accept_probability,
+    verifier_to_json,
     wellformedness_check,
 )
 from qct.applications import PURE_FIXED_POINT, ProblemVerdict
+from qct.channels import EpsPrivateReport
 from qct.cli import ConfigError, _config_from_json, load_config
 from qct.protocol import PROVENANCE_CUSTOM
+from qct.reduction import WellformednessReport
 
 
 def _verifier():
@@ -115,6 +118,17 @@ CASES = {
         lambda r: r.eps,
     ),
     "ProblemVerdict": ("eps", 1.0, (1.5,), _verdict, lambda v: v.eps),
+    "WellformednessReport.eps": (
+        "eps", 0.04, (0.0, 1.0, 1.5), lambda e: WellformednessReport(1.0, 3, e, 1.0),
+        lambda r: r.eps,
+    ),
+    "WellformednessReport.delta": (
+        "delta", 1.0, (0.0, 1.5), lambda d: WellformednessReport(1.0, 3, 0.04, d),
+        lambda r: r.delta,
+    ),
+    "EpsPrivateReport": (
+        "eps", 1.0, (), lambda e: EpsPrivateReport(e, (0.0,), 0.0, 0.0, 0.0, 0), lambda r: r.eps
+    ),
     **{name: ("eps", 0.0, (1.5,), search, lambda v: v.eps) for name, search in SEARCHES.items()},
 }
 
@@ -156,8 +170,8 @@ def test_a_numpy_real_gives_what_its_float_gives(case):
     want = build(float(legal))
     for value in _numpy_reals(legal):
         got = build(value)
-        if hasattr(got, "unitary"):
-            assert np.array_equal(got.unitary, want.unitary)
+        if hasattr(got, "circuit"):
+            assert verifier_to_json(got) == verifier_to_json(want)
         else:
             assert got == want
 

@@ -119,17 +119,23 @@ class TestBuild:
 
 
 def _hand_wired_insecure_template(v, delta):
-    """The insecure template wired op by op: V's ancillas, the copy qubit above them, and a
-    keyed Pauli on each message qubit i, on key bits (2i, 2i+1), controlled by the copy."""
+    """The insecure template wired op by op: V's ancillas, the copy qubit above them, V's gates
+    and their adjoints in reverse order, and a keyed Pauli on each message qubit i, on key bits
+    (2i, 2i+1), controlled by the copy."""
     h = v.witness_qubits
     n = h + dummy_qubit_count(h, delta)
     copy = n + v.ancilla_qubits
     v_targets = (*range(n, copy), *range(h))
+
+    def moved(op, matrix):  # a fixture's unitary or controlled op, on the template's wires
+        control = None if op.control is None else v_targets[op.control]
+        return GateOp(op.kind, [v_targets[t] for t in op.targets], matrix, control)
+
     ops = [
         GateOp.ancillas(v.ancilla_qubits + 1),
-        GateOp.unitary(v.unitary, v_targets),
+        *(moved(op, op.matrix) for op in v.circuit.ops),
         GateOp.cnot(v_targets[v.output_qubit], copy),
-        GateOp.unitary(v.unitary.conj().T, v_targets),
+        *(moved(op, op.matrix.conj().T) for op in reversed(v.circuit.ops)),
         GateOp.x(copy),
         *(GateOp.keyed_pauli(i, (2 * i, 2 * i + 1), control=copy) for i in range(n)),
         GateOp.x(copy),
@@ -166,9 +172,9 @@ class TestCopyBranchLayout:
         )
 
     @pytest.mark.parametrize("build, calls", [
-        (lambda v: build_ct_circuit(v, "identity", "depolarizing", 0.04, 1.0), 6),
-        (lambda v: build_ct_circuit(v, "identity", "depolarizing", 0.04, 0.5), 8),
-        (lambda v: build_insecure_instance(v, 0.04, 1.0), 2),
+        (lambda v: build_ct_circuit(v, "identity", "depolarizing", 0.04, 1.0), 4),
+        (lambda v: build_ct_circuit(v, "identity", "depolarizing", 0.04, 0.5), 6),
+        (lambda v: build_insecure_instance(v, 0.04, 1.0), 0),
     ], ids=["ct-delta-1", "ct-delta-half", "insecure"])
     def test_each_matrix_is_checked_for_unitarity_once(self, build, calls, monkeypatch):
         v, seen = make_toy_verifier("rotation", accept_probability=0.96), []
@@ -330,7 +336,7 @@ class TestCertifyYes:
     @pytest.mark.parametrize("h", [1, 2, 3])
     def test_delta_one_gamma_gives_every_product_probe_distance(self, h):
         # rotation acceptance 0.96 on the lowest witness qubit, the others idle
-        v = VerifierCircuit(h, 1, np.kron(np.eye(2 ** (h - 1)), _rotation_verifier().unitary))
+        v = VerifierCircuit(h, 1, MixedStateCircuit(h + 1, _rotation_verifier().circuit.ops, h + 1))
         inst = build_ct_circuit(v, "identity", "depolarizing", 0.04, 1.0)
         cert = certify_yes(inst, v, seed=4)
         gamma = cert.witness.amplitudes
@@ -360,7 +366,7 @@ class TestCertifyYes:
         p1 = np.diag([0.0, 1.0]).astype(complex)
         # two ancillas; the witness-conditioned rotation lands on the second one
         v_mat = np.kron(p0, np.eye(4)) + np.kron(p1, np.kron(ry, np.eye(2)))
-        v = VerifierCircuit(1, 2, v_mat, output_qubit=1)
+        v = VerifierCircuit(1, 2, _one_op(v_mat), output_qubit=1)
         p_star, _ = max_accept_probability(v)
         assert abs(p_star - 0.96) < 1e-12
         inst = build_ct_circuit(v, "identity", "depolarizing", 0.04, 1.0)
@@ -879,7 +885,13 @@ def _output_qubit_one_verifier():
     ry = np.array([[c, -s], [s, c]], dtype=complex)
     p0, p1 = np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
     v_mat = np.kron(p0, np.eye(4)) + np.kron(p1, np.kron(ry, np.eye(2)))
-    return VerifierCircuit(1, 2, v_mat, output_qubit=1)
+    return VerifierCircuit(1, 2, _one_op(v_mat), output_qubit=1)
+
+
+def _one_op(mat):
+    """The circuit of one ``unitary`` op, ``mat`` on every wire."""
+    n = len(mat).bit_length() - 1
+    return MixedStateCircuit(n, (GateOp.unitary(mat, range(n)),), n)
 
 
 def _rotation_verifier():
