@@ -44,6 +44,7 @@ from .states import (
     _random_starts,
     _require_count,
     _require_real,
+    _require_type,
     _seed_record,
     _reject_non_hermitian,
     _trusted,
@@ -273,6 +274,7 @@ class KeyedChannelFamily:
     template: MixedStateCircuit
 
     def __post_init__(self):
+        _require_type("template", self.template, MixedStateCircuit)
         needed = max(
             (b + 1 for op in self.template.ops if op.kind == PLACEHOLDER_KIND for b in op.key_bits),
             default=0,
@@ -367,11 +369,15 @@ def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
 def mix(channels: Sequence[QuantumChannel], weights: Sequence[float]) -> QuantumChannel:
     if len(channels) != len(weights) or not channels:
         raise ValueError("need matching, nonempty channels and weights")
+    weights = [
+        _require_real(f"weights[{i}]", w, -np.inf, np.inf, open_low=True, open_high=True)
+        for i, w in enumerate(weights)
+    ]
     dims = {(c.dim_in, c.dim_out) for c in channels}
     if len(dims) != 1:
         raise DimensionMismatchError(f"mixed channels disagree on dims: {dims}")
     choi = sum(w * c.choi for w, c in zip(weights, channels))
-    # the weights are unchecked and a negative one can break CP: validate in full
+    # a negative weight can break CP, and weights need not sum to one: validate in full
     return QuantumChannel(channels[0].dim_in, channels[0].dim_out, choi)
 
 

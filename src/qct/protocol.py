@@ -25,7 +25,7 @@ from .channels import (
     pauli_otp_family,
     pauli_otp_template,
 )
-from .circuits import _fields_of, _json_field, _json_object
+from .circuits import _fields_of, _json_field, _json_object, identity_circuit
 from .errors import CircuitParseError, DimensionMismatchError, check_capacity
 from .reduction import _check_promise, _instance_width, _require_side, copy_branch_circuit
 from .states import (
@@ -33,6 +33,7 @@ from .states import (
     PureState,
     _require_count,
     _require_seed,
+    _require_type,
     _seed_record,
     qubit_count,
 )
@@ -90,6 +91,7 @@ class DIInstance:
     provenance: str
 
     def __post_init__(self):
+        _require_type("family", self.family, KeyedChannelFamily)
         for name, value in zip(("eps", "delta"), _check_promise(self.eps, self.delta)):
             object.__setattr__(self, name, value)
         if self.provenance not in PROVENANCES:
@@ -197,7 +199,7 @@ def build_insecure_instance(v: VerifierCircuit, eps: float, delta: float) -> DII
     eps, delta = _check_promise(eps, delta)
     _require_side(v, eps, "YES")
     width = _instance_width(v, delta)
-    template = copy_branch_circuit(v, width, [], pauli_otp_template(width).ops)
+    template = copy_branch_circuit(v, width, identity_circuit(width), pauli_otp_template(width))
     family = KeyedChannelFamily(2 * width, template)
     return DIInstance(family=family, eps=eps, delta=delta, provenance=PROVENANCE_INSECURE)
 

@@ -10,9 +10,9 @@ Wire plan of the compiled circuit (inputs low, ancillas above):
 
 A is as wide as V's ancillas or the widest branch, whichever is more.  The
 instance applies V, copies its output qubit with a CNOT, undoes V, then runs
-each branch controlled by the copy qubit: the first family's unitary when the
-copy reads one (the verifier accepted), the second family's when it reads
-zero.  Finally it traces out the copy and the ancillas.
+each branch's gates, its ancillas in A, controlled by the copy qubit: the first
+family's when the copy reads one (the verifier accepted), the second family's
+when it reads zero.  Finally it traces out the copy and the ancillas.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .channels import (
     pauli_x_first_circuit,
 )
 from .circuits import (
+    PLACEHOLDER_KIND,
     GateOp,
     MixedStateCircuit,
     _circuit_from_json,
@@ -41,7 +42,6 @@ from .circuits import (
     _fields_of,
     _json_field,
     _json_object,
-    canonicalize,
     evaluate,  # noqa: F401  kept bound here for perfbench/test_perfbench.py's tracer test
     identity_circuit,
     stinespring,
@@ -58,6 +58,7 @@ from .states import (
     RegisterLayout,
     _require_count,
     _require_real,
+    _require_type,
     _seed_record,
     _trusted,
     basis_state,
@@ -160,6 +161,7 @@ class CTInstance:
     c1_spec: MappingProxyType
 
     def __post_init__(self):
+        _require_type("circuit", self.circuit, MixedStateCircuit)
         eps, delta = _check_promise(self.eps, self.delta)
         h = _require_count("witness_qubits", self.witness_qubits, 1)
         for name, value in (("eps", eps), ("delta", delta), ("witness_qubits", h)):
@@ -299,26 +301,35 @@ def _instance_width(v: VerifierCircuit, delta: float) -> int:
 def copy_branch_circuit(
     v: VerifierCircuit,
     width: int,
-    accept_ops: Sequence[GateOp],
-    reject_ops: Sequence[GateOp],
+    accept: MixedStateCircuit,
+    reject: MixedStateCircuit,
 ) -> MixedStateCircuit:
     """The copy-and-branch layout shared by every compiled instance.
 
-    The ancilla register A holds V's ancillas and every wire a branch op
-    reaches above the ``width`` inputs; the copy qubit sits above A.  Splices
-    V's gates, copies its output qubit with a CNOT, splices V^dagger's, runs
-    ``accept_ops``, then ``reject_ops`` between two X flips of the copy qubit,
-    and traces out A and the copy.  Each branch op, an uncontrolled ``unitary``
-    or ``keyed_pauli``, runs controlled by the copy qubit.
+    A branch takes the ``width`` inputs and traces exactly its ancillas, which keep their
+    wire ids in the ancilla register A, as wide as V's ancillas or either branch's; the
+    copy qubit sits above A.  Splices V's gates, copies its output qubit with a CNOT,
+    splices V^dagger's, then ``accept``'s gates and, between two X flips of the copy
+    qubit, ``reject``'s, each controlled by the copy; traces out A and the copy.
     """
-    reach = [t + 1 - width for op in (*accept_ops, *reject_ops) for t in op.targets]
-    a = max([v.ancilla_qubits, *reach])
+    for label, branch in (("c0", accept), ("c1", reject)):
+        if branch.output_wires() != tuple(range(width)):
+            raise CircuitError(
+                f"{label} must trace exactly its ancilla wires so the compiled "
+                f"circuit can share one garbage register"
+            )
+    a = max(v.ancilla_qubits, accept.ancilla_total, reject.ancilla_total)
     check_capacity(width + a + 1, f"compiled instance ({width} inputs, {a} ancillas)")
     copy_wire = width + a
 
-    def controlled(op: GateOp) -> GateOp:  # the op's parts were validated when it was built
-        kind = "controlled" if op.kind == "unitary" else op.kind
-        return _trusted(GateOp, **{**vars(op), "kind": kind, "control": copy_wire})
+    def controlled(branch: MixedStateCircuit) -> Iterator[GateOp]:  # its gates are validated
+        for op in branch.ops:
+            if op.kind == PLACEHOLDER_KIND:
+                yield _trusted(GateOp, **{**vars(op), "control": copy_wire})
+            elif op.kind not in ("ancilla", "traceout"):
+                block, wires = op.as_unitary()
+                fields = dict(targets=wires, matrix=block, count=None, key_bits=None)
+                yield _trusted(GateOp, kind="controlled", control=copy_wire, **fields)
 
     v_targets = (*range(width, width + v.ancilla_qubits), *range(v.witness_qubits))
     ops = [
@@ -326,9 +337,9 @@ def copy_branch_circuit(
         *v._spliced(v_targets),
         GateOp.cnot(v_targets[v.output_qubit], copy_wire),
         *v._spliced(v_targets, adjoint=True),
-        *map(controlled, accept_ops),
+        *controlled(accept),
         GateOp.x(copy_wire),
-        *map(controlled, reject_ops),
+        *controlled(reject),
         GateOp.x(copy_wire),
         GateOp.trace_out(*range(width, copy_wire + 1)),
     ]
@@ -344,25 +355,15 @@ def build_ct_circuit(
 ) -> CTInstance:
     """Compile the verifier and two registry families into a circuit-testing instance.
 
-    Each family is a registry name or a ``(name, params)`` pair.  The
-    accepting branch (copy qubit reads one) runs the first family and the
-    rejecting branch runs the second; both controlled blocks share the padded
-    ancilla register.
+    Each family is a registry name or a ``(name, params)`` pair.  The accepting branch
+    (copy qubit reads one) runs the first family, the rejecting branch the second.
     """
     eps, delta = _check_promise(eps, delta)
     width = _instance_width(v, delta)
-    specs, bodies = {}, []
-    for label, gen in (("c0", c0_gen), ("c1", c1_gen)):
-        specs[f"{label}_spec"], family = _read_family(gen, label, width)
-        canon = canonicalize(family)
-        if set(canon.traced_wires) != set(range(width, width + canon.ancilla_qubits)):
-            raise CircuitError(
-                f"{label} must trace exactly its ancilla wires so the compiled "
-                f"circuit can share one garbage register"
-            )
-        bodies.append([GateOp.unitary(canon.unitary, range(width + canon.ancilla_qubits))])
-    circuit = copy_branch_circuit(v, width, *bodies)
-    return CTInstance(circuit, eps, delta, v.witness_qubits, **specs)
+    c0_spec, c0 = _read_family(c0_gen, "c0", width)
+    c1_spec, c1 = _read_family(c1_gen, "c1", width)
+    circuit = copy_branch_circuit(v, width, c0, c1)
+    return CTInstance(circuit, eps, delta, v.witness_qubits, c0_spec, c1_spec)
 
 
 # ---------------------------------------------------------------------------

@@ -336,6 +336,12 @@ def _require_count(name: str, count, least: int | None = None, below: int | None
     return int(count)
 
 
+def _require_type(name: str, value, cls: type) -> None:
+    """The rule for object fields: ``value`` must be a ``cls``.  The ValueError names ``name``."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 def _require_real(name: str, value, low, high, open_low=False, open_high=False) -> float:
     """``value`` as a ``float`` if it is a Python or numpy real, not a bool, between ``low`` and
     ``high`` (each end included unless ``open_low`` / ``open_high``): the one rule for eps,

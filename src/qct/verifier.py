@@ -34,6 +34,7 @@ from .states import (
     _is_integer,
     _require_count,
     _require_real,
+    _require_type,
     _trusted,
     random_unitary,
 )
@@ -47,6 +48,7 @@ class VerifierCircuit:
     output_qubit: int = 0
 
     def __post_init__(self):
+        _require_type("circuit", self.circuit, MixedStateCircuit)
         for name, least in (("witness_qubits", 1), ("ancilla_qubits", 0), ("output_qubit", 0)):
             object.__setattr__(self, name, _require_count(name, getattr(self, name), least))
         if any(op.kind in ("ancilla", "traceout") for op in self.circuit.ops):

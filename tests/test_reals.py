@@ -29,6 +29,7 @@ from qct import (
     identity_channel,
     make_toy_verifier,
     min_output_entropy,
+    mix,
     nonidentity_stat,
     nonisometry_stat,
     pauli_otp_family,
@@ -126,6 +127,7 @@ CASES = {
         "delta", 1.0, (0.0, 1.5), lambda d: WellformednessReport(1.0, 3, 0.04, d),
         lambda r: r.delta,
     ),
+    "mix": ("weights[0]", 0.5, (), lambda w: mix([identity_channel(1)] * 2, [w, 0.5]), None),
     "EpsPrivateReport": (
         "eps", 1.0, (), lambda e: EpsPrivateReport(e, (0.0,), 0.0, 0.0, 0.0, 0), lambda r: r.eps
     ),
@@ -144,7 +146,7 @@ def _bad_values():
 @pytest.mark.parametrize("case, bad", _bad_values())
 def test_a_real_outside_its_interval_is_named(case, bad):
     argument, _, _, build, _ = CASES[case]
-    match = rf"^{argument} must be a real number in [\[(].*, got {re.escape(repr(bad))}$"
+    match = rf"^{re.escape(argument)} must be a real number in [\[(].*, got {re.escape(repr(bad))}$"
     with pytest.raises(ValueError, match=match):
         build(bad)
 
@@ -172,6 +174,8 @@ def test_a_numpy_real_gives_what_its_float_gives(case):
         got = build(value)
         if hasattr(got, "circuit"):
             assert verifier_to_json(got) == verifier_to_json(want)
+        elif hasattr(got, "choi"):
+            assert np.array_equal(got.choi, want.choi)
         else:
             assert got == want
 

@@ -19,14 +19,18 @@ from qct import (
     CanonicalCircuit,
     CapacityError,
     CircuitError,
+    CTInstance,
+    DIInstance,
     DiamondResult,
     DimensionMismatchError,
     EpsPrivateReport,
     GateOp,
+    KeyedChannelFamily,
     MixedStateCircuit,
     ProblemVerdict,
     ProtocolResult,
     SwapTest,
+    VerifierCircuit,
     build_ct_circuit,
     build_secure_instance,
     canonicalize,
@@ -53,6 +57,7 @@ from qct import (
     wilson_interval,
 )
 from qct.channels import _ascent_max, _maximally_entangled
+from qct.protocol import PROVENANCE_CUSTOM
 from qct.reduction import WellformednessReport
 
 DERIVED = {
@@ -153,6 +158,17 @@ class TestRejections:
         monkeypatch.setenv("QCT_MAX_QUBITS", "3")
         with pytest.raises(CapacityError, match="swap test"):
             SwapTest(4)
+
+    @pytest.mark.parametrize("bad", [np.eye(2), None, "x"], ids=["matrix", "None", "str"])
+    @pytest.mark.parametrize("field, build", [
+        ("circuit", lambda c: VerifierCircuit(1, 0, c)),
+        ("circuit", lambda c: CTInstance(c, 0.04, 1.0, 1, "identity", "identity")),
+        ("family", lambda f: DIInstance(f, 0.04, 1.0, PROVENANCE_CUSTOM)),
+        ("template", lambda t: KeyedChannelFamily(2, t)),
+    ], ids=["VerifierCircuit", "CTInstance", "DIInstance", "KeyedChannelFamily"])
+    def test_an_object_field_of_another_type_is_named(self, field, build, bad):
+        with pytest.raises(ValueError, match=rf"^{field} must be a [A-Za-z]+, got "):
+            build(bad)
 
     @pytest.mark.parametrize("traced", [(2,), (-1,), (0, 0)])
     def test_canonical_circuit_traced_wires(self, traced):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -10,6 +11,7 @@ from qct import (
     CTCertificate,
     CTInstance,
     CapacityError,
+    CircuitError,
     CircuitParseError,
     DensityOperator,
     GateOp,
@@ -28,8 +30,10 @@ from qct import (
     evaluate,
     family_generator,
     build_insecure_instance,
+    canonicalize,
     make_toy_verifier,
     max_accept_probability,
+    max_qubits,
     pauli_x_first_circuit,
     random_pure_state,
     serialize_circuit,
@@ -37,7 +41,8 @@ from qct import (
     trace_norm,
     wellformedness_check,
 )
-from qct import channels, circuits, reduction
+from qct import channels, circuits, reduction, verifier
+from qct.circuits import stinespring
 from qct.reduction import FAMILY_REGISTRY, _require_side, _yes_probe_states
 
 
@@ -85,7 +90,7 @@ class TestBuild:
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, math.nan])
     def test_eps_is_checked_before_a_family_is_built(self, eps, monkeypatch):
-        monkeypatch.setattr(reduction, "canonicalize", lambda c: pytest.fail("family built"))
+        monkeypatch.setattr(reduction, "_read_family", lambda *a: pytest.fail("family built"))
         v = make_toy_verifier("rotation", accept_probability=0.96)
         with pytest.raises(ValueError, match=r"^eps must be a real number in \(0, 1\)"):
             build_ct_circuit(v, "identity", "depolarizing", eps, 1.0)
@@ -172,8 +177,8 @@ class TestCopyBranchLayout:
         )
 
     @pytest.mark.parametrize("build, calls", [
-        (lambda v: build_ct_circuit(v, "identity", "depolarizing", 0.04, 1.0), 4),
-        (lambda v: build_ct_circuit(v, "identity", "depolarizing", 0.04, 0.5), 6),
+        (lambda v: build_ct_circuit(v, "identity", "depolarizing", 0.04, 1.0), 2),
+        (lambda v: build_ct_circuit(v, "identity", "depolarizing", 0.04, 0.5), 4),
         (lambda v: build_insecure_instance(v, 0.04, 1.0), 0),
     ], ids=["ct-delta-1", "ct-delta-half", "insecure"])
     def test_each_matrix_is_checked_for_unitarity_once(self, build, calls, monkeypatch):
@@ -202,6 +207,113 @@ class TestCopyBranchLayout:
             build(v)
         monkeypatch.setenv("QCT_MAX_QUBITS", str(cap + 1))
         assert build(v).eps == 0.04
+
+
+def _hand_wired_ct_circuit(v, width, c0, c1):
+    """The compiled instance with dense blocks: V and V^dagger as one op each from
+    ``canonicalize``, and each family's canonical unitary as one op controlled by the copy."""
+    a = max(v.ancilla_qubits, c0.ancilla_total, c1.ancilla_total)
+    copy = width + a
+    v_targets = (*range(width, width + v.ancilla_qubits), *range(v.witness_qubits))
+    u = canonicalize(v.circuit).unitary
+
+    def branch(family):
+        wires = range(width + family.ancilla_total)
+        return GateOp.controlled(copy, canonicalize(family).unitary, wires)
+
+    ops = [
+        GateOp.ancillas(a + 1),
+        GateOp.unitary(u, v_targets),
+        GateOp.cnot(v_targets[v.output_qubit], copy),
+        GateOp.unitary(u.conj().T, v_targets),
+        branch(c0),
+        GateOp.x(copy),
+        branch(c1),
+        GateOp.x(copy),
+        GateOp.trace_out(*range(width, copy + 1)),
+    ]
+    return MixedStateCircuit(width, tuple(ops), width)
+
+
+# name: verifier
+SPLICE_VERIFIERS = {
+    "rotation": lambda: make_toy_verifier("rotation", accept_probability=0.96),
+    "target-state-h2": lambda: make_toy_verifier("target_state", witness_qubits=2, target=3),
+    "random-unitary-2-ancillas": lambda: make_toy_verifier(
+        "random_unitary", ancilla_qubits=2, seed=0
+    ),
+}
+# registry family: its params as c0 and as c1; the keys differ so a swap of branches shows
+SPLICE_PARAMS = {
+    "identity": ({}, {}),
+    "depolarizing": ({}, {}),
+    "pauli_x_first": ({}, {}),
+    "pauli_keyed": ({"key": 3}, {"key": 2}),
+}
+
+
+def _splice_cases():
+    for name in SPLICE_VERIFIERS:
+        for delta in (1.0, 0.5):
+            for f0 in SPLICE_PARAMS:
+                for f1 in SPLICE_PARAMS:
+                    yield pytest.param(name, delta, f0, f1, id=f"{name}-{delta}-{f0}-{f1}")
+
+
+class TestSplicedBranches:
+    """``copy_branch_circuit`` splices each family's gates under the copy qubit."""
+
+    @pytest.mark.parametrize("name, delta, f0, f1", _splice_cases())
+    def test_every_family_pair_matches_the_dense_branches(self, name, delta, f0, f1):
+        v = SPLICE_VERIFIERS[name]()
+        p0, p1 = SPLICE_PARAMS[f0][0], SPLICE_PARAMS[f1][1]
+        width = v.witness_qubits + dummy_qubit_count(v.witness_qubits, delta)
+        c0, c1 = family_generator(f0, **p0)(width), family_generator(f1, **p1)(width)
+        a = max(v.ancilla_qubits, c0.ancilla_total, c1.ancilla_total)
+        if width + a + 1 > max_qubits():  # h = 2 at delta 1/2 with depolarizing: 13 wires
+            with pytest.raises(CapacityError, match=r"^compiled instance"):
+                build_ct_circuit(v, (f0, p0), (f1, p1), 0.04, delta)
+            return
+        inst = build_ct_circuit(v, (f0, p0), (f1, p1), 0.04, delta)
+        want = stinespring(_hand_wired_ct_circuit(v, width, c0, c1))
+        got = stinespring(inst.circuit)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_build_neither_canonicalizes_nor_checks_a_wide_matrix(self, monkeypatch):
+        v, widths = make_toy_verifier("always_reject", witness_qubits=3), []
+        for module in (circuits, verifier):
+            monkeypatch.setattr(module, "canonicalize", lambda c: pytest.fail("canonicalized"))
+        real = circuits._is_unitary
+        monkeypatch.setattr(circuits, "_is_unitary", lambda m: widths.append(len(m)) or real(m))
+        pairs = [("identity", "depolarizing"), ("pauli_x_first", ("pauli_keyed", {"key": 5}))]
+        for c0, c1 in pairs:
+            inst = build_ct_circuit(v, c0, c1, 0.04, 1.0)
+            assert inst.total_qubits == 3 + max(1, inst.c1.ancilla_total) + 1
+        assert widths and max(widths) == 2
+
+    def test_a_build_over_the_cap_is_refused_before_any_matrix(self, monkeypatch):
+        v = make_toy_verifier("always_reject", witness_qubits=3)
+        monkeypatch.setenv("QCT_MAX_QUBITS", "9")
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=r"^compiled instance \(3 inputs, 6 ancillas"):
+                build_ct_circuit(v, "identity", "depolarizing", 0.04, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # the dense 2^9-square depolarizing unitary alone is 4 MB
+
+    def test_a_family_that_keeps_an_ancilla_is_refused(self, monkeypatch):
+        def swapped_in(width):  # input 0 moves into the ancilla, and input 0 is traced
+            ops = (GateOp.ancillas(1), GateOp.cnot(0, width), GateOp.cnot(width, 0))
+            return MixedStateCircuit(width, (*ops, GateOp.trace_out(0)), width)
+
+        monkeypatch.setitem(FAMILY_REGISTRY, "pauli_x_first", lambda: swapped_in)
+        monkeypatch.setattr(reduction, "CTInstance", lambda *a: pytest.fail("instance built"))
+        v = make_toy_verifier("rotation", accept_probability=0.96)
+        with pytest.raises(CircuitError, match="^c1 must trace exactly its ancilla wires"):
+            build_ct_circuit(v, "identity", "pauli_x_first", 0.04, 1.0)
 
 
 class TestBranchCorrectness:
