@@ -43,6 +43,7 @@ from .states import (
     _min_eig_below,
     _random_starts,
     _require_count,
+    _require_finite,
     _require_real,
     _require_type,
     _seed_record,
@@ -369,10 +370,7 @@ def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
 def mix(channels: Sequence[QuantumChannel], weights: Sequence[float]) -> QuantumChannel:
     if len(channels) != len(weights) or not channels:
         raise ValueError("need matching, nonempty channels and weights")
-    weights = [
-        _require_real(f"weights[{i}]", w, -np.inf, np.inf, open_low=True, open_high=True)
-        for i, w in enumerate(weights)
-    ]
+    weights = [_require_finite(f"weights[{i}]", w) for i, w in enumerate(weights)]
     dims = {(c.dim_in, c.dim_out) for c in channels}
     if len(dims) != 1:
         raise DimensionMismatchError(f"mixed channels disagree on dims: {dims}")
@@ -523,19 +521,17 @@ def diamond_distance(
     b: QuantumChannel,
     restarts: int = 20,
     seed=0,
-    extra_starts: Sequence[np.ndarray] = (),
 ) -> DiamondResult:
     """Certified lower and upper bounds on the diamond-norm distance between two channels.
 
     The lower bound maximizes the trace norm of ``((a - b) (x) id)`` over pure
     inputs on the doubled input space by alternating ascent.  Starts are the
     maximally entangled state (the canonical entangled probe), then
-    ``extra_starts``, then ``restarts`` Haar starts drawn deterministically
-    from ``seed`` (None is rejected).  The upper bound is ``2 ||Tr_out J+||_inf``
-    for the positive part ``J+`` of the Choi difference, capped at 2.  The
-    ascent stops as soon as its best value comes within 1e-13 of the upper
-    bound, so when the two meet the distance is settled and later starts are
-    neither drawn nor run.
+    ``restarts`` Haar starts drawn deterministically from ``seed`` (None is
+    rejected).  The upper bound is ``2 ||Tr_out J+||_inf`` for the positive
+    part ``J+`` of the Choi difference, capped at 2.  The ascent stops as soon
+    as its best value comes within 1e-13 of the upper bound, so when the two
+    meet the distance is settled and later starts are neither drawn nor run.
     """
     if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
         raise DimensionMismatchError(
@@ -543,9 +539,8 @@ def diamond_distance(
         )
     check_capacity(2 * a.n_qubits_in, "diamond-distance input")
     delta = a.choi - b.choi
-    starts = (_maximally_entangled(a.dim_in), *extra_starts)
     _, upper, psi, per_restart = _ascent_max(
-        delta, a.dim_in, a.dim_out, a.dim_in, starts, restarts, seed
+        delta, a.dim_in, a.dim_out, a.dim_in, (_maximally_entangled(a.dim_in),), restarts, seed
     )
     return DiamondResult(upper, PureState(psi), per_restart, _seed_record(seed))
 
@@ -586,7 +581,16 @@ class EpsPrivateReport:
     seed: int | tuple[int, ...] | None
 
     def __post_init__(self):
-        object.__setattr__(self, "eps", _require_real("eps", self.eps, 0.0, np.inf, open_high=True))
+        given = self.decryption_per_key
+        per_key = tuple(_require_finite(f"decryption_per_key[{i}]", b) for i, b in enumerate(given))
+        if not per_key:
+            raise ValueError(f"decryption_per_key must hold a bound per key, got {given!r}")
+        fields = {"decryption_per_key": per_key}
+        fields["eps"] = _require_real("eps", self.eps, 0.0, np.inf, open_high=True)
+        for name in ("key_average_bound", "decryption_upper_bound", "key_average_upper_bound"):
+            fields[name] = _require_finite(name, getattr(self, name))
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
     def decryption_bound(self) -> float:

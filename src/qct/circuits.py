@@ -350,29 +350,28 @@ def _dilate(
     key.  A circuit without key bits is one group.
     The columns run through the gates in blocks of ``width = max(1,
     _BLOCK_ENTRIES >> total)``, each held as a ``[2] * total + [block]`` tensor
-    whose axis ``total - 1 - w`` is wire ``w``, and kept in cache through the
-    whole gate list.  A gate is V on k targets where its c controls are 1.  A
-    one-qubit V with entries in ``_EXACT_ENTRIES`` (X, Y, Z, S, CNOT, CCNOT,
-    controlled Paulis) scales one slice or swaps two: one exact multiply per
-    moved entry, at most ``2**(total - c)`` per column.  A keyed Pauli is the
-    X swap and the Z scale ``expand_template`` would emit, each on the view
+    whose axis ``total - 1 - w`` is wire ``w`` at every gate, and kept in cache
+    through the whole gate list.  A gate is V on k targets where its c controls
+    are 1.  A one-qubit V with entries in ``_EXACT_ENTRIES`` (X, Y, Z, S, CNOT,
+    CCNOT, controlled Paulis) scales one slice or swaps two: one exact multiply
+    per moved entry, at most ``2**(total - c)`` per column.  A keyed Pauli is
+    the X swap and the Z scale ``expand_template`` would emit, each on the view
     where its key bit (and its control) is 1; a key bit that is constant over
     a block moves the whole block or none of it.  Any other V is one
-    ``left_apply_unitary`` contraction, ``2**(total - c + k)`` multiply-adds
-    per column: with controls, on the view where they are 1, copied back;
-    without, leaving its output axes in front, ``order`` recording which axis
-    sits where.  One add of 0.0 per block restores the layout and turns the
-    -0.0 a slice move keeps into the +0.0 a contraction's sum gives.  Columns
-    never mix, and a block width that is a multiple of 4 changes no bit of
-    them; narrower blocks can meet BLAS's edge kernel, which rounds apart.  So
-    every key's columns keep the bits that compiling its expanded circuit gives.
+    ``left_apply_unitary`` contraction, which puts each qubit back on its axis,
+    ``2**(total - c + k)`` multiply-adds per column: on the view where the
+    controls are 1, written back, or on the whole block, which its product
+    replaces.  One add of 0.0 per block writes it out and turns the -0.0 a
+    slice move keeps into the +0.0 a contraction's sum gives.  Columns never
+    mix, and a block width that is a multiple of 4 changes no bit of them;
+    narrower blocks can meet BLAS's edge kernel, which rounds apart.  So every
+    key's columns keep the bits that compiling its expanded circuit gives.
     """
     if any(op.kind == PLACEHOLDER_KIND and max(op.key_bits) >= key_bits for op in circuit.ops):
         raise UnsupportedGateError("expand key placeholders before compiling")
     total = circuit.input_qubits + circuit.ancilla_total
     check_capacity(total, "canonical form")
     key_shift = columns.bit_length() - 1  # column bit of key bit 0
-    order = list(range(total + 1))  # order[p]: the axis of the layout held at position p
     gates: list[tuple] = []
     traced: list[int] = []
     for op in circuit.ops:
@@ -388,22 +387,17 @@ def _dilate(
         else:
             moves = [(*op.action(), None)]
         for v, targets, controls, bit in moves:
-            at = [order.index(total - 1 - w) for w in targets]
-            held = [order.index(total - 1 - w) for w in controls]
+            at = [total - 1 - w for w in targets]
+            held = [total - 1 - w for w in controls]
             view = [1 if p in held else slice(None) for p in range(total + 1)]
             if v.shape == (2, 2) and all(z in _EXACT_ENTRIES for z in v.flat):
                 lo, hi = list(view), view
                 lo[at[0]], hi[at[0]] = 0, 1
                 path = "scale" if v[0, 1] == 0 else "swap"
                 gates.append((path, v, tuple(lo), tuple(hi), bit))
-            elif controls:
+            else:  # the target axes of the view where the controls are 1
                 at = [p - sum(c < p for c in held) for p in at]
-                gates.append(("control", v, at, tuple(view), None))
-            else:
-                gates.append(("dense", v, at, None, None))
-                front = [order[p] for p in reversed(at)]
-                order = front + [a for a in order if a not in front]
-    restore = [order.index(a) for a in range(total + 1)]
+                gates.append(("contract", v, at, tuple(view) if controls else None, None))
     width = max(1, _BLOCK_ENTRIES >> total)
     every = columns << key_bits
     group = min(max(width, columns), every)
@@ -427,11 +421,10 @@ def _dilate(
                     elif bit is not None:  # the columns where the key bit is 1
                         split = (cols >> bit + 1, 2, 1 << bit)
                         part = arr.reshape(arr.shape[:-1] + split)[..., 1, :]
-                    if path == "dense":
+                    if path == "contract" and b is None:
                         arr = left_apply_unitary(arr, v, a)
-                    elif path == "control":
-                        out = left_apply_unitary(arr[b], v, a)
-                        arr[b] = np.moveaxis(out, list(range(len(a))), a[::-1])
+                    elif path == "contract":
+                        arr[b] = left_apply_unitary(arr[b], v, a)
                     elif path == "scale":  # diagonal V: scale each slice whose entry is not 1
                         for index, z in ((a, v[0, 0]), (b, v[1, 1])):
                             if z != 1:
@@ -441,7 +434,7 @@ def _dilate(
                         np.multiply(part[a], v[1, 0], out=part[b])
                         part[a] = moved
                 at = start - first
-                np.add(arr.transpose(restore), 0.0, out=blocks[..., at : at + cols])
+                np.add(arr, 0.0, out=blocks[..., at : at + cols])
             yield mat
 
     return groups(), tuple(traced)

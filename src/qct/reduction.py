@@ -57,6 +57,7 @@ from .states import (
     PureState,
     RegisterLayout,
     _require_count,
+    _require_finite,
     _require_real,
     _require_type,
     _seed_record,
@@ -519,6 +520,7 @@ class WellformednessReport:
 
     def __post_init__(self):
         eps, delta = _check_promise(self.eps, self.delta)
+        object.__setattr__(self, "min_distance", _require_finite("min_distance", self.min_distance))
         count = _require_count("probe_count", self.probe_count, 1)
         for name, value in (("eps", eps), ("delta", delta), ("probe_count", count)):
             object.__setattr__(self, name, value)

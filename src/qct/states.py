@@ -357,6 +357,11 @@ def _require_real(name: str, value, low, high, open_low=False, open_high=False) 
     raise ValueError(f"{name} must be a real number in {interval}, got {value!r}")
 
 
+def _require_finite(name: str, value) -> float:
+    """``_require_real`` on the whole real line: the rule for weights and recorded bounds."""
+    return _require_real(name, value, -math.inf, math.inf, open_low=True, open_high=True)
+
+
 def _random_starts(dim: int, count: int, seed) -> Iterator[np.ndarray]:
     """Random unit vectors, the k-th drawn from child k of ``SeedSequence(seed)``.
 
@@ -417,17 +422,11 @@ def von_neumann_entropy(rho, base: float = 2.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _contract_unitary(arr: np.ndarray, u: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """``left_apply_unitary`` with the output qubits moved back onto ``axes``."""
-    moved = left_apply_unitary(arr, u, axes)
-    return np.moveaxis(moved, list(range(len(axes))), list(reversed(axes)))
-
-
 def apply_unitary_vec(psi: np.ndarray, n: int, u: np.ndarray, targets: Sequence[int]) -> np.ndarray:
     """Apply a k-qubit unitary to the target wires of an n-wire state vector."""
     arr = psi.reshape([2] * n)
     axes = [n - 1 - w for w in targets]
-    return _contract_unitary(arr, u, axes).reshape(-1)
+    return left_apply_unitary(arr, u, axes).reshape(-1)
 
 
 def apply_unitary_mat(rho: np.ndarray, n: int, u: np.ndarray, targets: Sequence[int]) -> np.ndarray:
@@ -436,28 +435,24 @@ def apply_unitary_mat(rho: np.ndarray, n: int, u: np.ndarray, targets: Sequence[
     arr = rho.reshape([2] * (2 * n))
     ket_axes = [n - 1 - w for w in targets]
     bra_axes = [2 * n - 1 - w for w in targets]
-    arr = _contract_unitary(arr, u, ket_axes)
-    arr = _contract_unitary(arr, u.conj(), bra_axes)
+    arr = left_apply_unitary(arr, u, ket_axes)
+    arr = left_apply_unitary(arr, u.conj(), bra_axes)
     return arr.reshape(dim, dim)
 
 
 def left_apply_unitary(arr: np.ndarray, u: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """Contract a 2^k-by-2^k matrix into the given axes of a qubit tensor, in no fixed layout.
+    """Contract a 2^k-by-2^k matrix into the given axes of a qubit tensor, keeping its layout.
 
     ``axes[q]`` is the axis of ``arr`` carrying matrix qubit ``q``; matrix
-    qubit 0 is the least significant bit of the matrix index.  The result
-    holds the k output qubits on its first k axes, matrix qubit k-1 first,
-    followed by the other axes of ``arr`` in their order.  Nothing is moved
-    back, so a gate loop tracks where each qubit sits and restores the layout
-    once, at the end.  A call costs ``2**k`` multiply-adds per entry of
-    ``arr``.  ``circuits._dilate`` calls it once per column block for each
-    gate that is not a slice move: on the whole ``[2] * total + [block]``
-    tensor of about 2 MB for an uncontrolled gate, and on the view where the
-    controls are 1, ``2**-c`` of it, for a gate with c controls.
+    qubit 0 is the least significant bit of the matrix index.  The result, a
+    view of the new product with ``arr``'s shape, holds every qubit on its own
+    axis.  A call costs ``2**k`` multiply-adds per entry of ``arr``;
+    ``circuits._dilate`` makes one per column block for each gate that is not
+    a slice move.
     """
-    k = len(axes)
-    ur = u.reshape([2] * (2 * k))
-    return np.tensordot(ur, arr, axes=(list(range(k, 2 * k)), list(reversed(axes))))
+    k, back = len(axes), list(reversed(axes))
+    out = np.tensordot(u.reshape([2] * (2 * k)), arr, axes=(list(range(k, 2 * k)), back))
+    return np.moveaxis(out, list(range(k)), back)
 
 
 def partial_trace_wires(mat: np.ndarray, n: int, traced: Iterable[int]) -> np.ndarray:

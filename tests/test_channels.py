@@ -397,8 +397,7 @@ class TestDiamondDistance:
         a = random_channel(1, 61)
         b = random_channel(1, 62)
         probes = [random_pure_state(2, (63, i)) for i in range(10)]
-        extra = [np.kron(p.amplitudes, np.array([1.0, 0.0])) for p in probes]
-        dd = diamond_distance(a, b, restarts=5, seed=0, extra_starts=extra)
+        dd = diamond_distance(a, b, restarts=5, seed=0)
         for p in probes:
             rho = p.density()
             value = trace_norm(a.apply(rho).matrix - b.apply(rho).matrix)

@@ -10,6 +10,7 @@ to the constructors, so every CT and DI instance qct writes reads back.
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -68,6 +69,10 @@ def _insecure(eps=0.5, delta=1.0):
 
 def _wellformedness(eps=0.04, delta=1.0):
     return wellformedness_check("identity", "depolarizing", eps, delta, 1, samples=0)
+
+
+def _report(**fields):
+    return replace(EpsPrivateReport(1.0, (0.0,), 0.0, 0.0, 0.0, 0), **fields)
 
 
 def _verdict(eps):
@@ -131,6 +136,20 @@ CASES = {
     "EpsPrivateReport": (
         "eps", 1.0, (), lambda e: EpsPrivateReport(e, (0.0,), 0.0, 0.0, 0.0, 0), lambda r: r.eps
     ),
+    "EpsPrivateReport.decryption_per_key": (
+        "decryption_per_key[1]", 1.0, (), lambda b: _report(decryption_per_key=(0.0, b)),
+        lambda r: r.decryption_per_key[1],
+    ),
+    **{
+        f"EpsPrivateReport.{field}": (
+            field, 1.0, (), lambda b, f=field: _report(**{f: b}), lambda r, f=field: getattr(r, f)
+        )
+        for field in ("key_average_bound", "decryption_upper_bound", "key_average_upper_bound")
+    },
+    "WellformednessReport.min_distance": (
+        "min_distance", 1.0, (), lambda m: WellformednessReport(m, 3, 0.04, 1.0),
+        lambda r: r.min_distance,
+    ),
     **{name: ("eps", 0.0, (1.5,), search, lambda v: v.eps) for name, search in SEARCHES.items()},
 }
 
@@ -178,6 +197,13 @@ def test_a_numpy_real_gives_what_its_float_gives(case):
             assert np.array_equal(got.choi, want.choi)
         else:
             assert got == want
+
+
+@pytest.mark.parametrize("empty", [(), []], ids=["tuple", "list"])
+def test_a_report_without_key_bounds_is_named(empty):
+    match = rf"^decryption_per_key must hold a bound per key, got {re.escape(repr(empty))}$"
+    with pytest.raises(ValueError, match=match):
+        _report(decryption_per_key=empty)
 
 
 # ---------------------------------------------------------------------------

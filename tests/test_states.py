@@ -29,6 +29,7 @@ from qct.states import (
     TAU_UNIT,
     _reject_non_hermitian,
     _singular_values,
+    left_apply_unitary,
     partial_trace_wires,
 )
 from qct.verifier import make_toy_verifier
@@ -216,6 +217,27 @@ class TestPartialTrace:
         lay = RegisterLayout((("A", 1),))
         with pytest.raises(KeyError):
             partial_trace(random_density_operator(2, 0), lay, {"B"})
+
+
+class TestLeftApplyUnitary:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_each_qubit_stays_on_its_axis(self, k, seed):
+        # 5 qubit axes and a column axis; axis p is wire 4 - p, the most significant first
+        rng = np.random.default_rng([k, seed])
+        arr = random_unitary(2**5, (k, seed))[:, :3].reshape([2] * 5 + [3])
+        axes = [int(p) for p in rng.permutation(5)[:k]]
+        u = random_unitary(2**k, (seed, k))
+        got = left_apply_unitary(arr, u, axes)
+        assert got.shape == arr.shape
+        # reference: u on the k lowest bits, then each local bit j sent to wire wires[j]
+        wires = [4 - p for p in axes] + [w for w in range(5) if 4 - w not in axes]
+        perm = np.zeros((2**5, 2**5))
+        for x in range(2**5):
+            perm[sum((x >> j & 1) << w for j, w in enumerate(wires)), x] = 1
+        full = perm @ np.kron(np.eye(2 ** (5 - k)), u) @ perm.T
+        want = full @ arr.reshape(2**5, 3)
+        assert np.max(np.abs(got.reshape(2**5, 3) - want)) < 1e-12
 
 
 class TestNorms:
