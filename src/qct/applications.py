@@ -30,6 +30,7 @@ from .states import (
     PureState,
     _random_starts,
     _require_count,
+    _require_finite,
     _require_real,
     _seed_record,
     operator_norm,
@@ -50,7 +51,8 @@ class ProblemVerdict:
     YES lies above ``yes_bound`` for non-identity (an ascent lower bound) and below it for
     the search minima; it is tested first and always proven.  NO is proven when
     ``upper_bound`` (non-identity) or ``lower_bound`` (the rest) crosses ``no_bound``.
-    ``eps`` is a real in [0, 1], which each search checks before it runs.
+    ``eps`` is a real in [0, 1], which each search checks before it runs; the statistic and
+    the bounds are finite reals, and the two far-side bounds may be None.
     """
 
     problem: str
@@ -64,9 +66,14 @@ class ProblemVerdict:
     upper_bound: float | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.statistic):
-            raise ValueError(f"statistic {self.statistic} is not finite")
-        object.__setattr__(self, "eps", _require_real("eps", self.eps, 0.0, 1.0))
+        fields = {"eps": _require_real("eps", self.eps, 0.0, 1.0)}
+        for name in ("statistic", "yes_bound", "no_bound"):
+            fields[name] = _require_finite(name, getattr(self, name))
+        for name in ("lower_bound", "upper_bound"):  # None where the search has no such bound
+            if getattr(self, name) is not None:
+                fields[name] = _require_finite(name, getattr(self, name))
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
         if self._yes_first(self.yes_bound) > self._yes_first(self.no_bound):
             raise ValueError(f"eps {self.eps} must keep the YES side off the NO side")
 

@@ -45,6 +45,7 @@ from .states import (
     _require_count,
     _require_finite,
     _require_real,
+    _require_sequence,
     _require_type,
     _seed_record,
     _reject_non_hermitian,
@@ -132,24 +133,26 @@ def _superop(choi: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
     return c4.transpose(0, 2, 1, 3).reshape(d_out * d_out, d_in * d_in)
 
 
-def apply_choi(choi: np.ndarray, d_in: int, d_out: int, rho: np.ndarray) -> np.ndarray:
-    return (_superop(choi, d_in, d_out) @ rho.reshape(-1)).reshape(d_out, d_out)
-
-
-def apply_choi_to_segment(
-    choi: np.ndarray,
-    d_in: int,
-    d_out: int,
-    rho: np.ndarray,
-    d_above: int = 1,
-    d_below: int = 1,
+def _apply_superop(
+    s: np.ndarray, d_in: int, d_out: int, rho: np.ndarray, d_above: int, d_below: int
 ) -> np.ndarray:
-    """Apply a map to the middle factor of a state on above (x) in (x) below."""
+    """Apply the ``_superop`` matrix ``s`` to the middle factor on above (x) in (x) below."""
     r = rho.reshape(d_above, d_in, d_below, d_above, d_in, d_below)
-    out = _superop(choi, d_in, d_out) @ r.transpose(1, 4, 0, 2, 3, 5).reshape(d_in * d_in, -1)
+    out = s @ r.transpose(1, 4, 0, 2, 3, 5).reshape(d_in * d_in, -1)
     out = out.reshape(d_out, d_out, d_above, d_below, d_above, d_below)
     d = d_above * d_out * d_below
     return out.transpose(2, 0, 3, 4, 1, 5).reshape(d, d)
+
+
+def apply_choi(choi: np.ndarray, d_in: int, d_out: int, rho: np.ndarray) -> np.ndarray:
+    return _apply_superop(_superop(choi, d_in, d_out), d_in, d_out, rho, 1, 1)
+
+
+def apply_choi_to_segment(
+    choi: np.ndarray, d_in: int, d_out: int, rho: np.ndarray, d_above: int = 1, d_below: int = 1
+) -> np.ndarray:
+    """Apply a map to the middle factor of a state on above (x) in (x) below."""
+    return _apply_superop(_superop(choi, d_in, d_out), d_in, d_out, rho, d_above, d_below)
 
 
 def apply_choi_adjoint_to_segment(
@@ -160,13 +163,11 @@ def apply_choi_adjoint_to_segment(
     d_above: int = 1,
     d_below: int = 1,
 ) -> np.ndarray:
-    """Pull an observable on the output space back to the input space."""
-    # Phi^dagger(M)[j, i] = sum_ab S[(a, b), (i, j)] M[b, a]
-    m = observable.reshape(d_above, d_out, d_below, d_above, d_out, d_below)
-    out = _superop(choi, d_in, d_out).T @ m.transpose(4, 1, 0, 2, 3, 5).reshape(d_out * d_out, -1)
-    out = out.reshape(d_in, d_in, d_above, d_below, d_above, d_below)
-    d = d_above * d_in * d_below
-    return out.transpose(2, 1, 3, 4, 0, 5).reshape(d, d)
+    """Pull an observable on the output space back to the input space: the map of ``S^T`` on
+    ``M^T``, transposed, so ``tr[M Phi(rho)] = tr[Phi^dagger(M) rho]`` for any Choi array."""
+    return _apply_superop(
+        _superop(choi, d_in, d_out).T, d_out, d_in, observable.T, d_above, d_below
+    ).T
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +369,12 @@ def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
 
 
 def mix(channels: Sequence[QuantumChannel], weights: Sequence[float]) -> QuantumChannel:
-    if len(channels) != len(weights) or not channels:
+    channels = _require_sequence("channels", channels)
+    weights = _require_sequence("weights", weights)
+    if len(channels) != len(weights) or not len(channels):
         raise ValueError("need matching, nonempty channels and weights")
+    for i, channel in enumerate(channels):
+        _require_type(f"channels[{i}]", channel, QuantumChannel)
     weights = [_require_finite(f"weights[{i}]", w) for i, w in enumerate(weights)]
     dims = {(c.dim_in, c.dim_out) for c in channels}
     if len(dims) != 1:
@@ -581,7 +586,7 @@ class EpsPrivateReport:
     seed: int | tuple[int, ...] | None
 
     def __post_init__(self):
-        given = self.decryption_per_key
+        given = _require_sequence("decryption_per_key", self.decryption_per_key)
         per_key = tuple(_require_finite(f"decryption_per_key[{i}]", b) for i, b in enumerate(given))
         if not per_key:
             raise ValueError(f"decryption_per_key must hold a bound per key, got {given!r}")

@@ -308,6 +308,7 @@ def run_protocol_sampled(instance: DIInstance, proof, shots: int, seed: int) -> 
 
 
 def two_copy_proof(psi: PureState) -> DensityOperator:
-    """The honest proof: two copies of one message-with-reference state."""
+    """The honest proof: two copies of one message-with-reference state, within the cap."""
+    check_capacity(2 * psi.n_qubits, "two-copy proof")
     vec = np.kron(psi.amplitudes, psi.amplitudes)
     return DensityOperator(np.outer(vec, vec.conj()))

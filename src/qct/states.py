@@ -362,6 +362,14 @@ def _require_finite(name: str, value) -> float:
     return _require_real(name, value, -math.inf, math.inf, open_low=True, open_high=True)
 
 
+def _require_sequence(name: str, value) -> Sequence:
+    """``value`` if it is a list, a tuple or a 1-D numpy array: the rule for the containers
+    whose entries the checks above then name.  The ``ValueError`` names ``name``."""
+    if isinstance(value, (list, tuple)) or (isinstance(value, np.ndarray) and value.ndim == 1):
+        return value
+    raise ValueError(f"{name} must be a list, tuple or 1-D array, got {type(value).__name__}")
+
+
 def _random_starts(dim: int, count: int, seed) -> Iterator[np.ndarray]:
     """Random unit vectors, the k-th drawn from child k of ``SeedSequence(seed)``.
 

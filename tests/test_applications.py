@@ -153,7 +153,8 @@ class TestNonIsometry:
     def test_search_unchanged_where_the_bound_is_not_met(self, chan, monkeypatch):
         verdict = nonisometry_stat(chan, 0.1, restarts=3, seed=0)
         assert verdict.statistic > verdict.lower_bound + 1e-12
-        monkeypatch.setattr(applications, "_kraus_tail_lower_bound", lambda choi: -math.inf)
+        # below every output norm, so never met; a verdict records only finite bounds
+        monkeypatch.setattr(applications, "_kraus_tail_lower_bound", lambda choi: -1.0)
         unbounded = nonisometry_stat(chan, 0.1, restarts=3, seed=0)
         assert verdict.statistic == unbounded.statistic
         assert verdict.witness.amplitudes.tobytes() == unbounded.witness.amplitudes.tobytes()

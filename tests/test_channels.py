@@ -116,6 +116,45 @@ class TestChoiKernels:
         if d_above == d_below == 1:
             assert np.max(np.abs(apply_choi(chan.choi, d_in, d_out, rho) - want)) < 1e-12
 
+    # Raw, non-Hermitian Choi arrays (a difference of channels need not be one), where the
+    # adjoint's S^T and S^dagger part: 1 -> 2 and 2 -> 1 qubits.
+    @pytest.mark.parametrize("d_above", [1, 2, 4])
+    @pytest.mark.parametrize("d_below", [1, 2, 4])
+    @pytest.mark.parametrize("d_in, d_out", [(2, 4), (4, 2)], ids=["1-to-2", "2-to-1"])
+    def test_adjoint_duality_for_any_choi_array(self, d_in, d_out, d_above, d_below):
+        rng = np.random.default_rng((9, d_in, d_out, d_above, d_below))
+        choi = _random_complex(rng, d_in * d_out)
+        assert np.max(np.abs(choi - choi.conj().T)) > 1e-3
+        rho = _random_complex(rng, d_above * d_in * d_below)
+        m = _random_complex(rng, d_above * d_out * d_below)
+        forward = apply_choi_to_segment(choi, d_in, d_out, rho, d_above, d_below)
+        pulled = apply_choi_adjoint_to_segment(choi, d_in, d_out, m, d_above, d_below)
+        want = np.trace(m @ forward)
+        assert abs(want - np.trace(pulled @ rho)) < 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("d_above, d_below", [(1, 1), (2, 1), (1, 4), (4, 2)])
+    @pytest.mark.parametrize("d_in, d_out", [(2, 4), (4, 2)], ids=["1-to-2", "2-to-1"])
+    def test_both_directions_match_einsum_references(self, d_in, d_out, d_above, d_below):
+        rng = np.random.default_rng((10, d_in, d_out, d_above, d_below))
+        choi = _random_complex(rng, d_in * d_out)
+        rho = _random_complex(rng, d_above * d_in * d_below)
+        m = _random_complex(rng, d_above * d_out * d_below)
+        c4 = choi.reshape(d_out, d_in, d_out, d_in)
+        r6 = rho.reshape(d_above, d_in, d_below, d_above, d_in, d_below)
+        m6 = m.reshape(d_above, d_out, d_below, d_above, d_out, d_below)
+        # Phi(rho)[a, b] = sum_ij choi[(a, i), (b, j)] rho[i, j]
+        forward = np.einsum("aibj,uivwjx->uavwbx", c4, r6).reshape(len(m), len(m))
+        # Phi^dagger(M)[j, i] = sum_ab choi[(a, i), (b, j)] M[b, a]
+        pulled = np.einsum("aibj,ubvwax->ujvwix", c4, m6).reshape(len(rho), len(rho))
+        checks = [
+            (apply_choi_to_segment(choi, d_in, d_out, rho, d_above, d_below), forward),
+            (apply_choi_adjoint_to_segment(choi, d_in, d_out, m, d_above, d_below), pulled),
+        ]
+        if d_above == d_below == 1:
+            checks.append((apply_choi(choi, d_in, d_out, rho), forward))
+        for got, want in checks:
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
 
 class TestDepolarizing:
     def test_sends_everything_to_maximally_mixed(self):
@@ -244,15 +283,50 @@ KERNEL_FAMILIES = {
 }
 
 
+def _choi_by_kron(circuit: MixedStateCircuit) -> np.ndarray:
+    """Reference Choi matrix that shares no code with the gate kernel.
+
+    Wire ``w`` weighs ``2**w`` in a basis index, as do a gate's wires in its own matrix.
+    Each gate is ``np.kron(I, u)`` on the lowest wires, conjugated by the permutation of
+    basis states that brings its wires there; the ancillas start in |0>, the high wires of
+    the first columns; one Kraus operator is read off per basis state of the traced wires.
+    """
+    n_in = circuit.input_qubits
+    total = n_in + circuit.ancilla_total
+    bits = (np.arange(2**total)[:, None] >> np.arange(total)) & 1  # bits[x, w]: wire w of x
+
+    def index(wires):  # of each basis state, restricted to ``wires`` (the first is lowest)
+        return bits[:, list(wires)] @ (1 << np.arange(len(wires)))
+
+    mat = np.eye(2**total, dtype=complex)
+    for op in circuit.ops:
+        if op.kind in ("ancilla", "traceout"):
+            continue
+        u, wires = op.as_unitary()
+        moved = index([*wires, *(w for w in range(total) if w not in wires)])
+        perm = np.zeros((2**total, 2**total))
+        perm[moved, np.arange(2**total)] = 1.0  # |x> -> |x with the gate's wires lowest>
+        mat = perm.T @ np.kron(np.eye(2 ** (total - len(wires))), u) @ perm @ mat
+    kept = circuit.output_wires()
+    traced = [w for w in range(total) if w not in kept]
+    kraus = np.zeros((2 ** len(traced), 2 ** len(kept), 2**n_in), dtype=complex)
+    kraus[index(traced), index(kept)] = mat[:, : 2**n_in]
+    d = 2 ** (len(kept) + n_in)
+    return np.einsum("gai,gbj->aibj", kraus, kraus.conj()).reshape(d, d)
+
+
 def _check_family_kernel(family, want=None):
     """Every key's channel from one compilation equals ``to_channel`` of its expanded
-    circuit bit for bit, and the key average is their key-ordered sum over the key count."""
+    circuit bit for bit, and the key average is their key-ordered sum over the key count.
+
+    Both sides run the gate kernel, so each key is also held to ``_choi_by_kron``."""
     if want is None:
         want = [to_channel(family.circuit(key)).choi for key in range(family.n_keys)]
     got = [channel.choi for channel in family._channels()]
     assert len(got) == family.n_keys
     for key, (a, b) in enumerate(zip(got, want)):
         assert np.array_equal(a, b), f"key {key}"
+        assert np.max(np.abs(a - _choi_by_kron(family.circuit(key)))) < 1e-12, f"key {key}"
     total = want[0].copy()
     for choi in want[1:]:
         total += choi

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,6 +195,19 @@ class TestExactProtocol:
         psi = random_pure_state(4, 7)
         result = exact_accept_probability(inst, two_copy_proof(psi))
         assert abs(result - 1.0) < 1e-12
+
+    def test_two_copy_proof_checks_the_cap_before_it_builds(self, monkeypatch):
+        monkeypatch.setenv("QCT_MAX_QUBITS", "7")
+        psi = random_pure_state(16, 0)  # two copies need 8 qubits, a 256 x 256 density
+        tracemalloc.start()
+        try:
+            with pytest.raises(qct.CapacityError, match="two-copy proof needs 8 qubits"):
+                two_copy_proof(psi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 2**20
+        assert two_copy_proof(random_pure_state(8, 0)).n_qubits == 6
 
     def test_product_of_mixed_purifications(self):
         inst = build_secure_instance(1, 0.01)

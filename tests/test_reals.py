@@ -80,6 +80,10 @@ def _verdict(eps):
     return ProblemVerdict(PURE_FIXED_POINT, 0.3, eps, 0.0, 2.0, witness, 0)
 
 
+def _verdict_with(**fields):
+    return replace(_verdict(0.5), **fields)
+
+
 SEARCHES = {
     "nonidentity_stat": lambda eps: nonidentity_stat(identity_channel(1), eps, restarts=1),
     "nonisometry_stat": lambda eps: nonisometry_stat(identity_channel(1), eps, restarts=1),
@@ -124,6 +128,13 @@ CASES = {
         lambda r: r.eps,
     ),
     "ProblemVerdict": ("eps", 1.0, (1.5,), _verdict, lambda v: v.eps),
+    **{
+        f"ProblemVerdict.{field}": (
+            field, 1.0, (), lambda x, f=field: _verdict_with(**{f: x}),
+            lambda v, f=field: getattr(v, f),
+        )
+        for field in ("statistic", "yes_bound", "no_bound", "lower_bound", "upper_bound")
+    },
     "WellformednessReport.eps": (
         "eps", 0.04, (0.0, 1.0, 1.5), lambda e: WellformednessReport(1.0, 3, e, 1.0),
         lambda r: r.eps,
@@ -204,6 +215,39 @@ def test_a_report_without_key_bounds_is_named(empty):
     match = rf"^decryption_per_key must hold a bound per key, got {re.escape(repr(empty))}$"
     with pytest.raises(ValueError, match=match):
         _report(decryption_per_key=empty)
+
+
+def test_a_verdict_without_far_bounds_keeps_none():
+    verdict = _verdict_with(lower_bound=None, upper_bound=None)
+    assert verdict.lower_bound is None and verdict.upper_bound is None
+
+
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("decryption_per_key", lambda: _report(decryption_per_key=0.5)),
+        ("weights", lambda: mix([identity_channel(1)], 0.5)),
+        ("channels", lambda: mix(identity_channel(1), [1.0])),
+    ],
+)
+def test_a_container_that_is_not_a_sequence_is_named(name, build):
+    with pytest.raises(ValueError, match=rf"^{name} must be a list, tuple or 1-D array, got "):
+        build()
+
+
+def test_a_mixed_entry_that_is_not_a_channel_is_named():
+    with pytest.raises(ValueError, match=r"^channels\[1\] must be a QuantumChannel, got float$"):
+        mix([identity_channel(1), 1.0], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("container", [list, tuple, lambda xs: np.array(xs, dtype=object)])
+def test_lists_tuples_and_arrays_hold_reals(container):
+    report = _report(decryption_per_key=container([0.0, np.float64(0.5)]))
+    assert report.decryption_per_key == (0.0, 0.5)
+    assert all(type(b) is float for b in report.decryption_per_key)
+    channels = [identity_channel(1), pauli_otp_family(1).channel(1)]
+    want = mix(channels, [0.25, 0.75]).choi
+    assert np.array_equal(mix(container(channels), container([0.25, 0.75])).choi, want)
 
 
 # ---------------------------------------------------------------------------
