@@ -45,6 +45,7 @@ from .states import (
     _require_count,
     _require_finite,
     _require_real,
+    _require_reals,
     _require_sequence,
     _require_type,
     _seed_record,
@@ -67,12 +68,13 @@ def _require_key_budget(bits: int, what: str) -> None:
 
 
 def _output_marginal(choi: np.ndarray, d_in: int, d_out: int) -> np.ndarray:  # Tr_out choi
-    return np.einsum("aiaj->ij", choi.reshape(d_out, d_in, d_out, d_in))
+    return np.einsum("...aiaj->...ij", choi.reshape(*choi.shape[:-2], d_out, d_in, d_out, d_in))
 
 
 def _reject_non_tp(choi: np.ndarray, d_in: int, d_out: int) -> None:
-    """Raise unless the output marginal ``Tr_out choi`` is the identity within 1e-8."""
-    if np.max(np.abs(_output_marginal(choi, d_in, d_out) - np.eye(d_in))) > 1e-8:
+    """Raise unless the output marginal ``Tr_out choi`` is the identity within 1e-8, for a
+    Choi matrix or for every matrix of a stack at once."""
+    if np.abs(_output_marginal(choi, d_in, d_out) - np.eye(d_in)).max() > 1e-8:
         raise InvalidStateError("choi output marginal is not the identity (not TP)")
 
 
@@ -128,20 +130,26 @@ class QuantumChannel:
 
 
 def _superop(choi: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
-    """Reshuffle a Choi matrix into S with ``vec(Phi(rho)) = S vec(rho)``, vec row-major."""
-    c4 = choi.reshape(d_out, d_in, d_out, d_in)
-    return c4.transpose(0, 2, 1, 3).reshape(d_out * d_out, d_in * d_in)
+    """Reshuffle a Choi matrix, or each of a stack, into S with ``vec(Phi(rho)) = S vec(rho)``,
+    vec row-major."""
+    lead = choi.shape[:-2]
+    c4 = choi.reshape(*lead, d_out, d_in, d_out, d_in)
+    return c4.swapaxes(-3, -2).reshape(*lead, d_out * d_out, d_in * d_in)
 
 
 def _apply_superop(
     s: np.ndarray, d_in: int, d_out: int, rho: np.ndarray, d_above: int, d_below: int
 ) -> np.ndarray:
-    """Apply the ``_superop`` matrix ``s`` to the middle factor on above (x) in (x) below."""
+    """Apply the ``_superop`` matrix ``s`` to the middle factor on above (x) in (x) below.
+
+    ``s`` may carry a leading stack axis, one map per entry: the batched product then runs one
+    product per map, of the shape a single map's call has, and the result is a stack too.
+    """
     r = rho.reshape(d_above, d_in, d_below, d_above, d_in, d_below)
     out = s @ r.transpose(1, 4, 0, 2, 3, 5).reshape(d_in * d_in, -1)
-    out = out.reshape(d_out, d_out, d_above, d_below, d_above, d_below)
+    out = out.reshape(-1, d_out, d_out, d_above, d_below, d_above, d_below)
     d = d_above * d_out * d_below
-    return out.transpose(2, 0, 3, 4, 1, 5).reshape(d, d)
+    return out.transpose(0, 3, 1, 4, 5, 2, 6).reshape(*s.shape[:-2], d, d)
 
 
 def apply_choi(choi: np.ndarray, d_in: int, d_out: int, rho: np.ndarray) -> np.ndarray:
@@ -185,12 +193,27 @@ def to_channel(circuit: MixedStateCircuit) -> QuantumChannel:
 
 
 def _kraus_channel(kraus: np.ndarray) -> QuantumChannel:
-    """The channel of a Kraus stack of shape ``(kraus count, d_out, d_in)``."""
-    n_traced, d_out, d_in = kraus.shape
-    k = kraus.transpose(1, 2, 0).reshape(d_out * d_in, n_traced)
-    choi = k @ k.conj().T  # Hermitian and PSD by construction
+    """The channel of a Kraus stack of shape ``(kraus count, d_out, d_in)``, as one key of
+    ``_choi_stack``."""
+    _, d_out, d_in = kraus.shape
+    return _trusted(QuantumChannel, dim_in=d_in, dim_out=d_out, choi=_choi_stack(kraus[None])[0])
+
+
+# Complex entries per chunk of Choi stacks: 2**14 (256 KiB) of whole keys, or one key.
+_CHUNK_ENTRIES = 2**14
+
+
+def _choi_stack(kraus: np.ndarray) -> np.ndarray:
+    """The Choi matrices of a ``(keys, kraus count, d_out, d_in)`` stack of Kraus stacks.
+
+    One batched ``K K^dagger`` runs a product per key of the shape one key's product has, and
+    one stacked check holds every key's output marginal to the identity within 1e-8.
+    """
+    keys, n_traced, d_out, d_in = kraus.shape
+    k = kraus.transpose(0, 2, 3, 1).reshape(keys, d_out * d_in, n_traced)
+    choi = k @ k.conj().swapaxes(-1, -2)  # Hermitian and PSD by construction
     _reject_non_tp(choi, d_in, d_out)
-    return _trusted(QuantumChannel, dim_in=d_in, dim_out=d_out, choi=choi)
+    return choi
 
 
 def identity_channel(n_qubits: int) -> QuantumChannel:
@@ -265,11 +288,11 @@ class KeyedChannelFamily:
 
     ``key_bits`` must cover every key bit index the template reads.  ``circuit``
     and ``channel`` expand one key; the key averages, privacy checks and key-pair
-    tables read ``_channels``, which compiles the template once for every key:
+    tables read ``_choi_stacks``, which compiles the template once for every key:
     ``_dilate`` carries the key in the column index, as its most significant
     bits, and moves each keyed Pauli's slices where its key bit is 1.  Slice
-    moves are exact and columns never mix, so every key's channel keeps the
-    bits of ``channel(key)``.
+    moves are exact and columns never mix, and ``_choi_stack`` runs one key's
+    product per key, so every key's Choi matrix keeps the bits of ``channel(key)``.
     """
 
     key_bits: int
@@ -301,18 +324,21 @@ class KeyedChannelFamily:
     def channel(self, key: int) -> QuantumChannel:
         return to_channel(self.circuit(key))
 
-    def _channels(self) -> Iterator[QuantumChannel]:
-        """``channel(key)`` for every key in key order, from one compilation of the template.
+    def _choi_stacks(self) -> Iterator[np.ndarray]:
+        """``channel(key).choi`` for every key in key order, from one compilation of the template.
 
-        The Kraus stacks arrive a group of keys at a time; each key still gets
-        ``_kraus_channel``'s trace-preservation check.  Every exact key enumeration
-        comes through here, so this is where ``KEY_ENUMERATION_BUDGET_BITS`` is enforced.
+        The keys come as ``(keys, D, D)`` Choi stacks of whole keys, each at most
+        ``_CHUNK_ENTRIES`` entries or one key, every key's trace preservation checked in
+        ``_choi_stack``'s stacked check.  Every exact key enumeration comes through here,
+        so this is where ``KEY_ENUMERATION_BUDGET_BITS`` is enforced.
         """
         _require_key_budget(self.key_bits, "key")
         check_capacity(self.input_qubits + self.output_qubits, "Choi matrix")
-        for stacks in _kraus_stacks(self.template, self.key_bits):
-            for kraus in stacks:
-                yield _kraus_channel(kraus)
+        d = 2 ** (self.input_qubits + self.output_qubits)
+        step = max(1, _CHUNK_ENTRIES // (d * d))
+        for kraus in _kraus_stacks(self.template, self.key_bits):
+            for first in range(0, len(kraus), step):
+                yield _choi_stack(kraus[first : first + step])
 
     def to_json(self) -> dict:
         return {
@@ -345,14 +371,19 @@ def identity_keyed_family(n_qubits: int, key_bits: int) -> KeyedChannelFamily:
 
 
 def key_average(family: KeyedChannelFamily) -> QuantumChannel:
-    """Uniform mixture over all keys within the budget, Choi matrices added in key order."""
-    channels = family._channels()
-    first = next(channels)
-    acc = first.choi.copy()
-    for channel in channels:
-        acc += channel.choi
+    """Uniform mixture over all keys within the budget, Choi matrices added in key order.
+
+    ``np.add.reduce`` over the first stack's leading axis adds its keys one after another;
+    the later stacks add key by key, so the sum keeps the key order across stacks.
+    """
+    stacks = family._choi_stacks()
+    acc = np.add.reduce(next(stacks), axis=0)
+    for stack in stacks:
+        for choi in stack:
+            acc += choi
     acc /= family.n_keys
-    return _trusted(QuantumChannel, dim_in=first.dim_in, dim_out=first.dim_out, choi=acc)
+    d_in, d_out = 2**family.input_qubits, 2**family.output_qubits
+    return _trusted(QuantumChannel, dim_in=d_in, dim_out=d_out, choi=acc)
 
 
 def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
@@ -421,13 +452,20 @@ class DiamondResult:
     """Certified two-sided bounds on a diamond-norm distance, with the lower bound's witness.
 
     ``per_restart`` lists the ascent value of each start that ran; the ascent
-    runs no further starts once its lower bound meets ``upper_bound``.
+    runs no further starts once its lower bound meets ``upper_bound``.  The bound and
+    every value are finite reals, and at least one start ran.
     """
 
     upper_bound: float
     witness: PureState
     per_restart: tuple[float, ...]
     seed: int | tuple[int, ...] | None
+
+    def __post_init__(self):
+        _require_type("witness", self.witness, PureState)
+        object.__setattr__(self, "upper_bound", _require_finite("upper_bound", self.upper_bound))
+        per_restart = _require_reals("per_restart", self.per_restart, "a value per start")
+        object.__setattr__(self, "per_restart", per_restart)
 
     @property
     def lower_bound(self) -> float:
@@ -586,10 +624,7 @@ class EpsPrivateReport:
     seed: int | tuple[int, ...] | None
 
     def __post_init__(self):
-        given = _require_sequence("decryption_per_key", self.decryption_per_key)
-        per_key = tuple(_require_finite(f"decryption_per_key[{i}]", b) for i, b in enumerate(given))
-        if not per_key:
-            raise ValueError(f"decryption_per_key must hold a bound per key, got {given!r}")
+        per_key = _require_reals("decryption_per_key", self.decryption_per_key, "a bound per key")
         fields = {"decryption_per_key": per_key}
         fields["eps"] = _require_real("eps", self.eps, 0.0, np.inf, open_high=True)
         for name in ("key_average_bound", "decryption_upper_bound", "key_average_upper_bound"):
@@ -638,9 +673,13 @@ def check_eps_private(
     if decryptor.key_bits != family.key_bits:
         raise DimensionMismatchError("family and decryptor disagree on key bits")
     ident = identity_channel(family.input_qubits)
+    d_in, d_out = 2**family.input_qubits, 2**family.output_qubits
     per_key = []
     per_key_upper = []
-    for encrypt, decrypt in zip(family._channels(), decryptor._channels()):
+    keys = zip(*(itertools.chain.from_iterable(f._choi_stacks()) for f in (family, decryptor)))
+    for enc, dec in keys:  # trusted: each Choi matrix is checked in its stack
+        encrypt = _trusted(QuantumChannel, dim_in=d_in, dim_out=d_out, choi=enc)
+        decrypt = _trusted(QuantumChannel, dim_in=d_out, dim_out=d_in, choi=dec)
         dd = diamond_distance(compose(decrypt, encrypt), ident, restarts, seed)
         per_key.append(dd.lower_bound)
         per_key_upper.append(dd.upper_bound)

@@ -17,9 +17,11 @@ import numpy as np
 from .channels import (
     _FAMILY_FIELDS,
     KeyedChannelFamily,
+    _apply_superop,
     _require_key_budget,
+    _superop,
     apply_choi_adjoint_to_segment,
-    apply_choi_to_segment,
+    apply_choi_to_segment,  # noqa: F401  kept bound here for perfbench's tracer test
     identity_keyed_family,
     key_average,
     pauli_otp_family,
@@ -267,17 +269,22 @@ def optimal_proof_accept(instance: DIInstance) -> tuple[float, PureState]:
 def _key_pair_table(instance: DIInstance, tau: np.ndarray) -> np.ndarray:
     """Acceptance probability for each key pair: ``[k1, k2]`` encrypts H1 under k1, H2 under k2.
 
-    Each key pushes tau through H1 and pulls the ciphertext swap F_out back through H2 once;
-    ``tr(A B) = sum(A^T * B)`` then gives the whole table as one matrix product.
+    Each Choi stack pushes tau through H1 and pulls the ciphertext swap F_out back through H2
+    in one ``_apply_superop`` call each, one product per key as ``apply_choi_to_segment`` and
+    ``apply_choi_adjoint_to_segment`` run it; ``tr(A B) = sum(A^T * B)`` then gives the whole
+    table as one matrix product.
     """
     d_h, d_o = _register_dims(instance)
     f_out = 2 * build_swap_test(d_o).projector - np.eye(d_o * d_o)
     pushed, pulled = [], []
-    for channel in instance.family._channels():
-        choi = channel.choi
-        pushed.append(apply_choi_to_segment(choi, d_h, d_o, tau, 1, d_h).T.reshape(-1))
-        pulled.append(apply_choi_adjoint_to_segment(choi, d_h, d_o, f_out, d_o, 1).reshape(-1))
-    return (1 + np.real(np.stack(pushed) @ np.stack(pulled).T)) / 2
+    for stack in instance.family._choi_stacks():
+        s = _superop(stack, d_h, d_o)
+        pushed.append(_apply_superop(s, d_h, d_o, tau, 1, d_h))
+        pulled.append(_apply_superop(s.swapaxes(-1, -2), d_o, d_h, f_out.T, d_o, 1))
+    # row k: key k's pushed tau, transposed, and its pulled F_out (the adjoint's transpose)
+    n_keys = instance.family.n_keys
+    a, b = (np.concatenate(x).swapaxes(-1, -2).reshape(n_keys, -1) for x in (pushed, pulled))
+    return (1 + np.real(a @ b.T)) / 2
 
 
 def run_protocol_sampled(instance: DIInstance, proof, shots: int, seed: int) -> ProtocolResult:

@@ -59,6 +59,7 @@ from .states import (
     _require_count,
     _require_finite,
     _require_real,
+    _require_reals,
     _require_type,
     _seed_record,
     _trusted,
@@ -256,17 +257,39 @@ class CTInstance:
 
 @dataclass(frozen=True)
 class CTCertificate:
-    """Numerical evidence for one side of the circuit-testing promise; its verdict is derived."""
+    """Numerical evidence for one side of the circuit-testing promise; its verdict is derived.
+
+    ``side`` is "YES" or "NO"; the bound, the probe distances (at least one) and the
+    dimensions and diamond bounds are finite reals.  A YES certificate needs both subspace
+    dimensions and a NO one the diamond lower bound; the other fields may be None.
+    """
 
     side: str
     claimed_bound: float
     witness: PureState | None
     probe_distances: tuple[float, ...]
     subspace_dim_claimed: float | None = None
-    subspace_dim_achieved: int | None = None
+    subspace_dim_achieved: float | None = None
     diamond_lower_bound: float | None = None
     diamond_upper_bound: float | None = None
     seed: int | tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.side not in ("YES", "NO"):
+            raise ValueError(f"side must be 'YES' or 'NO', got {self.side!r}")
+        if self.witness is not None:
+            _require_type("witness", self.witness, PureState)
+        fields = {"claimed_bound": _require_finite("claimed_bound", self.claimed_bound)}
+        fields["probe_distances"] = _require_reals(
+            "probe_distances", self.probe_distances, "a distance per probe"
+        )
+        dims = ("subspace_dim_claimed", "subspace_dim_achieved")
+        needed = dims if self.side == "YES" else ("diamond_lower_bound",)
+        for name in (*dims, "diamond_lower_bound", "diamond_upper_bound"):
+            if getattr(self, name) is not None or name in needed:
+                fields[name] = _require_finite(name, getattr(self, name))
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
     def measured_bound(self) -> float:

@@ -297,31 +297,39 @@ def _is_seed_integer(value) -> bool:
     return _is_integer(value) and value >= 0
 
 
+def _reject_non_seed(seed) -> None:
+    """Raise unless ``seed`` names a stream: an integer >= 0, a sequence of them, a
+    ``SeedSequence`` or a ``Generator``.  A negative integer, a bool, a float, a string,
+    None or a sequence with any other entry names none."""
+    if not (
+        _is_seed_integer(seed)
+        or isinstance(seed, (np.random.SeedSequence, np.random.Generator))
+        or isinstance(seed, (tuple, list)) and all(_is_seed_integer(s) for s in seed)
+    ):
+        raise ValueError(
+            f"seed must be an integer >= 0, a sequence of such integers, a SeedSequence or "
+            f"a Generator, got {seed!r}"
+        )
+
+
 def _seed_record(seed) -> int | tuple[int, ...] | None:
     """``seed`` as a result records it: an int, a tuple of ints, or None.
 
     Python and numpy integers >= 0 are recorded as ``int`` and sequences of
     them as tuples of ``int``; a ``SeedSequence`` or ``Generator`` is accepted
-    and recorded as None.  Anything else (a negative integer, a bool, a float,
-    a string, a sequence with any other entry) names no stream and is rejected.
+    and recorded as None.  Anything else is rejected by ``_reject_non_seed``.
     """
-    if _is_seed_integer(seed):
-        return int(seed)
-    if isinstance(seed, (tuple, list)) and all(_is_seed_integer(s) for s in seed):
+    _reject_non_seed(seed)
+    if isinstance(seed, (tuple, list)):
         return tuple(int(s) for s in seed)
-    if isinstance(seed, (np.random.SeedSequence, np.random.Generator)):
-        return None
-    raise ValueError(
-        f"seed must be an integer >= 0, a sequence of such integers, a SeedSequence or "
-        f"a Generator, got {seed!r}"
-    )
+    return int(seed) if _is_seed_integer(seed) else None
 
 
 def _require_seed(seed) -> None:
     """Reject the seeds that name no stream: None (OS entropy), bools and other non-seeds."""
     if seed is None:
         raise ValueError("seed is required: qct draws no implicit entropy")
-    _seed_record(seed)  # raises on a bool and on a seed of any other type
+    _reject_non_seed(seed)
 
 
 def _require_count(name: str, count, least: int | None = None, below: int | None = None) -> int:
@@ -370,6 +378,16 @@ def _require_sequence(name: str, value) -> Sequence:
     raise ValueError(f"{name} must be a list, tuple or 1-D array, got {type(value).__name__}")
 
 
+def _require_reals(name: str, value, each: str) -> tuple[float, ...]:
+    """A nonempty sequence of finite reals as a tuple of ``float``: the rule for the records
+    that hold one value ``each`` (key, probe, start).  The ``ValueError`` names the entry."""
+    given = _require_sequence(name, value)
+    reals = tuple(_require_finite(f"{name}[{i}]", x) for i, x in enumerate(given))
+    if not reals:
+        raise ValueError(f"{name} must hold {each}, got {given!r}")
+    return reals
+
+
 def _random_starts(dim: int, count: int, seed) -> Iterator[np.ndarray]:
     """Random unit vectors, the k-th drawn from child k of ``SeedSequence(seed)``.
 
@@ -387,11 +405,14 @@ def _complex_gaussian(shape: tuple[int, ...], seed) -> np.ndarray:
     """``a + 1j b`` of ``shape``, ``a`` then ``b`` standard normal from one seeded generator.
 
     Every random state, observable and unitary draws its Gaussian factor here
-    (None is rejected).
+    (None is rejected).  One draw of both halves fills the real and imaginary parts: the
+    stream, and so every value, of two draws, without the temporaries of ``a + 1j * b``.
     """
     _require_seed(seed)
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    a, b = np.random.default_rng(seed).standard_normal((2, *shape))
+    out = np.empty(shape, dtype=np.complex128)
+    out.real, out.imag = a, b
+    return out
 
 
 def _wishart(g: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -316,13 +317,13 @@ def _choi_by_kron(circuit: MixedStateCircuit) -> np.ndarray:
 
 
 def _check_family_kernel(family, want=None):
-    """Every key's channel from one compilation equals ``to_channel`` of its expanded
+    """Every key's Choi matrix from one compilation equals ``to_channel`` of its expanded
     circuit bit for bit, and the key average is their key-ordered sum over the key count.
 
     Both sides run the gate kernel, so each key is also held to ``_choi_by_kron``."""
     if want is None:
         want = [to_channel(family.circuit(key)).choi for key in range(family.n_keys)]
-    got = [channel.choi for channel in family._channels()]
+    got = [choi for stack in family._choi_stacks() for choi in stack]
     assert len(got) == family.n_keys
     for key, (a, b) in enumerate(zip(got, want)):
         assert np.array_equal(a, b), f"key {key}"
@@ -381,7 +382,8 @@ class TestFamilyKernel:
             key_average(family)
 
     def test_key_average_holds_no_stack_of_choi_matrices(self):
-        family = pauli_otp_family(3)  # 64 keys of 64x64 Choi matrices, 4 MB as one stack
+        # 64 keys of 64x64 Choi matrices, 4 MB as one stack; a Choi stack holds 4 keys, 256 KiB
+        family = pauli_otp_family(3)
         key_average(family)
         tracemalloc.start()
         try:
@@ -389,7 +391,59 @@ class TestFamilyKernel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2**20
+        assert peak < 2**20
+
+
+class TestChoiStacks:
+    """A keyed family's Choi stacks: whole keys in key order, chunked, each key checked."""
+
+    @staticmethod
+    def _keys_a_stack(monkeypatch, family, keys):
+        d = 2 ** (family.input_qubits + family.output_qubits)
+        monkeypatch.setattr(qct.channels, "_CHUNK_ENTRIES", keys * d * d)
+
+    def test_a_stack_holds_whole_keys_within_the_bound(self):
+        for family in (pauli_otp_family(1), pauli_otp_family(3), _hand_built_family()):
+            stacks = list(family._choi_stacks())
+            assert sum(len(stack) for stack in stacks) == family.n_keys
+            assert all(stack.size <= qct.channels._CHUNK_ENTRIES for stack in stacks)
+        assert [len(stack) for stack in pauli_otp_family(3)._choi_stacks()] == [4] * 16
+
+    def test_a_key_larger_than_the_bound_is_a_stack_of_its_own(self, monkeypatch):
+        monkeypatch.setattr(qct.channels, "_CHUNK_ENTRIES", 2**5)
+        stacks = list(pauli_otp_family(2)._choi_stacks())  # 256 entries a key
+        assert [stack.shape for stack in stacks] == [(1, 16, 16)] * 16
+
+    @pytest.mark.parametrize(
+        "case", ["pad-n2", "rotation-delta-1", "rotation-delta-half", "hand-built"]
+    )
+    def test_keys_across_partial_stacks(self, case, monkeypatch):
+        # three keys a stack: the key-ordered sum runs across stacks, the last one partial
+        family = KERNEL_FAMILIES[case]()
+        want = [to_channel(family.circuit(key)).choi for key in range(family.n_keys)]
+        self._keys_a_stack(monkeypatch, family, 3)
+        sizes = [len(stack) for stack in family._choi_stacks()]
+        assert sizes[:-1] == [3] * (len(sizes) - 1) and 0 < sizes[-1] < 3
+        _check_family_kernel(family, want)
+
+    def test_a_key_inside_a_stack_that_breaks_trace_preservation_is_named(self, monkeypatch):
+        stacks = qct.circuits._kraus_stacks
+
+        def scaled(*args):
+            for group in stacks(*args):
+                group[5] *= 1.01  # the second key of the second stack
+                yield group
+
+        family = pauli_otp_family(2)
+        monkeypatch.setattr(qct.channels, "_kraus_stacks", scaled)
+        self._keys_a_stack(monkeypatch, family, 4)
+        choi_stacks = family._choi_stacks()
+        assert len(next(choi_stacks)) == 4
+        message = "choi output marginal is not the identity (not TP)"
+        with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
+            next(choi_stacks)
+        with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
+            key_average(family)
 
 
 class TestCompose:

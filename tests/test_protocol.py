@@ -621,6 +621,59 @@ class TestInPlaceBranches:
         assert lo <= exact <= hi
 
 
+def _per_key_table(inst, tau):
+    """The key-pair table from one ``apply_choi_to_segment`` and one
+    ``apply_choi_adjoint_to_segment`` call per key, each on ``channel(key)``."""
+    d_h, d_o = protocol._register_dims(inst)
+    f_out = 2 * build_swap_test(d_o).projector - np.eye(d_o * d_o)
+    pushed, pulled = [], []
+    for key in range(inst.family.n_keys):
+        choi = inst.family.channel(key).choi
+        pushed.append(apply_choi_to_segment(choi, d_h, d_o, tau, 1, d_h).T.reshape(-1))
+        pulled.append(apply_choi_adjoint_to_segment(choi, d_h, d_o, f_out, d_o, 1).reshape(-1))
+    return (1 + np.real(np.stack(pushed) @ np.stack(pulled).T)) / 2
+
+
+class TestChoiStackConsumers:
+    """The key average, the key-pair table and the privacy check read the Choi stacks."""
+
+    @pytest.mark.parametrize("keys_a_stack", [None, 3])
+    @pytest.mark.parametrize(
+        "case", ["secure-n1", "secure-n2", "widening-1to2", "rotation-delta-1", "random-n2"]
+    )
+    def test_key_pair_table_matches_the_per_key_calls(self, case, keys_a_stack, monkeypatch):
+        inst = REFERENCE_CASES[case]()
+        if keys_a_stack is not None:  # several stacks, the last one partial
+            d = 2 ** (inst.family.input_qubits + inst.family.output_qubits)
+            monkeypatch.setattr(qct.channels, "_CHUNK_ENTRIES", keys_a_stack * d * d)
+        proof = random_density_operator(16**inst.message_qubits, 23).matrix
+        tau = _swapped_reference_trace(inst, proof)
+        assert np.array_equal(_key_pair_table(inst, tau), _per_key_table(inst, tau))
+
+    def test_no_consumer_builds_a_channel_per_key(self, monkeypatch):
+        inst = build_secure_instance(2, 0.01)
+        tau = _swapped_reference_trace(inst, random_density_operator(256, 23).matrix)
+
+        def per_key_channel(*args):
+            raise AssertionError("a consumer built a channel per key")
+
+        monkeypatch.setattr(qct.channels, "to_channel", per_key_channel)
+        monkeypatch.setattr(qct.channels, "_kraus_channel", per_key_channel)
+        validated = []
+        post_init = qct.QuantumChannel.__post_init__
+
+        def counted(self):
+            validated.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(qct.QuantumChannel, "__post_init__", counted)
+        key_average(inst.family)
+        _key_pair_table(inst, tau)
+        assert not validated
+        check_eps_private(inst.family, pauli_otp_decryptor(2), eps=0.01, restarts=1, seed=0)
+        assert len(validated) == 2  # its identity and depolarizing references
+
+
 class TestInstanceRanges:
     @pytest.mark.parametrize(
         "field, eps, delta, provenance",

@@ -17,8 +17,10 @@ import pytest
 
 from qct import (
     CircuitParseError,
+    CTCertificate,
     CTInstance,
     DIInstance,
+    DiamondResult,
     PureState,
     build_ct_circuit,
     build_identity_instance,
@@ -82,6 +84,16 @@ def _verdict(eps):
 
 def _verdict_with(**fields):
     return replace(_verdict(0.5), **fields)
+
+
+def _certificate(side="NO", **fields):
+    dims = (2.0, 2) if side == "YES" else (None, None)
+    lower = 0.1 if side == "NO" else None
+    return replace(CTCertificate(side, 0.5, None, (0.1,), *dims, lower, 0.3, 0), **fields)
+
+
+def _diamond(**fields):
+    return replace(DiamondResult(0.5, PureState(np.array([1.0, 0.0])), (0.1, 0.3), 0), **fields)
 
 
 SEARCHES = {
@@ -157,6 +169,28 @@ CASES = {
         )
         for field in ("key_average_bound", "decryption_upper_bound", "key_average_upper_bound")
     },
+    **{
+        f"CTCertificate.{field}": (
+            field, 1.0, (), lambda x, f=field, side=side: _certificate(side, **{f: x}),
+            lambda c, f=field: getattr(c, f),
+        )
+        for side, fields in (
+            ("NO", ("claimed_bound", "diamond_lower_bound", "diamond_upper_bound")),
+            ("YES", ("subspace_dim_claimed", "subspace_dim_achieved")),
+        )
+        for field in fields
+    },
+    "CTCertificate.probe_distances": (
+        "probe_distances[1]", 1.0, (), lambda x: _certificate(probe_distances=(0.1, x)),
+        lambda c: c.probe_distances[1],
+    ),
+    "DiamondResult.upper_bound": (
+        "upper_bound", 1.0, (), lambda x: _diamond(upper_bound=x), lambda d: d.upper_bound
+    ),
+    "DiamondResult.per_restart": (
+        "per_restart[0]", 1.0, (), lambda x: _diamond(per_restart=(x, 0.3)),
+        lambda d: d.per_restart[0],
+    ),
     "WellformednessReport.min_distance": (
         "min_distance", 1.0, (), lambda m: WellformednessReport(m, 3, 0.04, 1.0),
         lambda r: r.min_distance,
@@ -223,8 +257,64 @@ def test_a_verdict_without_far_bounds_keeps_none():
 
 
 @pytest.mark.parametrize(
+    "name, each, build",
+    [
+        ("probe_distances", "a distance per probe", lambda e: _certificate(probe_distances=e)),
+        ("per_restart", "a value per start", lambda e: _diamond(per_restart=e)),
+    ],
+)
+@pytest.mark.parametrize("empty", [(), []], ids=["tuple", "list"])
+def test_a_record_without_values_is_named(name, each, build, empty):
+    match = rf"^{name} must hold {each}, got {re.escape(repr(empty))}$"
+    with pytest.raises(ValueError, match=match):
+        build(empty)
+
+
+def test_a_certificate_keeps_none_where_a_field_is_optional():
+    no, yes = _certificate("NO", diamond_upper_bound=None), _certificate("YES", witness=None)
+    assert no.diamond_upper_bound is None and no.subspace_dim_claimed is None
+    assert yes.diamond_lower_bound is None and yes.witness is None
+    assert type(yes.subspace_dim_achieved) is float
+
+
+@pytest.mark.parametrize(
+    "side, missing",
+    [
+        ("NO", "diamond_lower_bound"),
+        ("YES", "subspace_dim_claimed"),
+        ("YES", "subspace_dim_achieved"),
+    ],
+)
+def test_a_certificate_names_a_field_its_side_needs(side, missing):
+    with pytest.raises(ValueError, match=rf"^{missing} must be a real number in .*, got None$"):
+        _certificate(side, **{missing: None})
+
+
+@pytest.mark.parametrize("side", ["maybe", "no", None, 1])
+def test_a_certificate_names_a_side_that_is_not_yes_or_no(side):
+    match = rf"^side must be 'YES' or 'NO', got {re.escape(repr(side))}$"
+    with pytest.raises(ValueError, match=match):
+        _certificate(side=side)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _certificate(witness=np.array([1.0, 0.0])),
+        lambda: _diamond(witness=None),
+        lambda: _diamond(witness=np.array([1.0, 0.0])),
+    ],
+)
+def test_a_witness_that_is_not_a_pure_state_is_named(build):
+    with pytest.raises(ValueError, match=r"^witness must be a PureState, got "):
+        build()
+
+
+@pytest.mark.parametrize(
     "name, build",
     [
+        ("probe_distances", lambda: _certificate(probe_distances=0.1)),
+        ("per_restart", lambda: _diamond(per_restart=0.3)),
         ("decryption_per_key", lambda: _report(decryption_per_key=0.5)),
         ("weights", lambda: mix([identity_channel(1)], 0.5)),
         ("channels", lambda: mix(identity_channel(1), [1.0])),

@@ -27,6 +27,7 @@ from qct.reduction import copy_stage_states
 from qct.states import (
     TAU_PSD,
     TAU_UNIT,
+    _complex_gaussian,
     _reject_non_hermitian,
     _singular_values,
     left_apply_unitary,
@@ -330,6 +331,31 @@ class TestRandomStates:
         field, value = named.split()
         with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
             random_density_operator(dim, 1, rank)
+
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 7, 2**32, 2**40 + 7, (3, 4), [5, 2**33], (2**33, 0, 1), np.uint64(9)],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("shape", [(2, 2), (4,), (8, 8), (3, 5)])
+    def test_the_gaussian_draw_is_two_draws_of_the_same_stream(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        want = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = _complex_gaussian(shape, seed)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_seed_sequence_draws_what_its_generator_draws(self):
+        seeds = np.random.SeedSequence(11).spawn(2)
+        rng = np.random.default_rng(seeds[0])
+        want = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        assert _complex_gaussian((4, 4), seeds[0]).tobytes() == want.tobytes()
+        assert _complex_gaussian((4, 4), seeds[1]).tobytes() != want.tobytes()
+
+    @pytest.mark.parametrize("seed", [None, -1, True, 0.5, "1", (1, -2), (1, 2.0), np.array([1])])
+    def test_a_seed_that_names_no_stream_is_refused(self, seed):
+        with pytest.raises(ValueError, match="^seed (is required|must be an integer)"):
+            _complex_gaussian((2,), seed)
 
     def test_uniform_first_moment(self):
         total = 0.0
