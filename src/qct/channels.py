@@ -68,13 +68,22 @@ def _require_key_budget(bits: int, what: str) -> None:
 
 
 def _output_marginal(choi: np.ndarray, d_in: int, d_out: int) -> np.ndarray:  # Tr_out choi
-    return np.einsum("...aiaj->...ij", choi.reshape(*choi.shape[:-2], d_out, d_in, d_out, d_in))
+    return np.einsum("aiaj->ij", choi.reshape(d_out, d_in, d_out, d_in))
 
 
 def _reject_non_tp(choi: np.ndarray, d_in: int, d_out: int) -> None:
-    """Raise unless the output marginal ``Tr_out choi`` is the identity within 1e-8, for a
-    Choi matrix or for every matrix of a stack at once."""
+    """Raise unless the output marginal ``Tr_out choi`` is the identity within 1e-8."""
     if np.abs(_output_marginal(choi, d_in, d_out) - np.eye(d_in)).max() > 1e-8:
+        raise InvalidStateError("choi output marginal is not the identity (not TP)")
+
+
+def _reject_non_tp_kraus(kraus: np.ndarray) -> None:
+    """Raise unless each key's Kraus Gram matrix ``sum_g K_g^dagger K_g`` (the conjugate of
+    its Choi output marginal) is the identity within 1e-8, in a ``(keys, kraus count, d_out,
+    d_in)`` stack."""
+    keys, _, _, d_in = kraus.shape
+    k = kraus.reshape(keys, -1, d_in)
+    if np.abs(k.conj().swapaxes(-1, -2) @ k - np.eye(d_in)).max() > 1e-8:
         raise InvalidStateError("choi output marginal is not the identity (not TP)")
 
 
@@ -85,8 +94,8 @@ class QuantumChannel:
     The constructor checks every invariant.  Channels computed from validated
     channels or circuits (``to_channel``, ``key_average``, ``compose``,
     ``tensor_channels``) are built by ``_trusted`` instead, because those
-    operations preserve complete positivity; ``to_channel`` still checks trace
-    preservation, which depends on the gates' unitarity tolerance.
+    operations preserve complete positivity; ``to_channel`` and ``key_average``
+    still check trace preservation, which depends on the gates' unitarity tolerance.
     """
 
     dim_in: int
@@ -206,14 +215,13 @@ _CHUNK_ENTRIES = 2**14
 def _choi_stack(kraus: np.ndarray) -> np.ndarray:
     """The Choi matrices of a ``(keys, kraus count, d_out, d_in)`` stack of Kraus stacks.
 
-    One batched ``K K^dagger`` runs a product per key of the shape one key's product has, and
-    one stacked check holds every key's output marginal to the identity within 1e-8.
+    One stacked check holds every key's Kraus Gram matrix to the identity within 1e-8, then one
+    batched ``K K^dagger`` runs a product per key of the shape one key's product has.
     """
+    _reject_non_tp_kraus(kraus)
     keys, n_traced, d_out, d_in = kraus.shape
     k = kraus.transpose(0, 2, 3, 1).reshape(keys, d_out * d_in, n_traced)
-    choi = k @ k.conj().swapaxes(-1, -2)  # Hermitian and PSD by construction
-    _reject_non_tp(choi, d_in, d_out)
-    return choi
+    return k @ k.conj().swapaxes(-1, -2)  # Hermitian and PSD by construction
 
 
 def identity_channel(n_qubits: int) -> QuantumChannel:
@@ -288,10 +296,10 @@ class KeyedChannelFamily:
 
     ``key_bits`` must cover every key bit index the template reads.  ``circuit``
     and ``channel`` expand one key; the key averages, privacy checks and key-pair
-    tables read ``_choi_stacks``, which compiles the template once for every key:
+    tables read ``_kraus_groups``, which compiles the template once for every key:
     ``_dilate`` carries the key in the column index, as its most significant
     bits, and moves each keyed Pauli's slices where its key bit is 1.  Slice
-    moves are exact and columns never mix, and ``_choi_stack`` runs one key's
+    moves are exact and columns never mix, and ``_choi_stacks`` runs one key's
     product per key, so every key's Choi matrix keeps the bits of ``channel(key)``.
     """
 
@@ -324,19 +332,24 @@ class KeyedChannelFamily:
     def channel(self, key: int) -> QuantumChannel:
         return to_channel(self.circuit(key))
 
+    def _kraus_groups(self) -> Iterator[np.ndarray]:
+        """``_kraus_stacks`` of the template for every key; the caller checks their trace
+        preservation.  Every exact key enumeration comes through here, so this is where
+        ``KEY_ENUMERATION_BUDGET_BITS`` is enforced, before anything is compiled."""
+        _require_key_budget(self.key_bits, "key")
+        check_capacity(self.input_qubits + self.output_qubits, "Choi matrix")
+        return _kraus_stacks(self.template, self.key_bits)
+
     def _choi_stacks(self) -> Iterator[np.ndarray]:
         """``channel(key).choi`` for every key in key order, from one compilation of the template.
 
         The keys come as ``(keys, D, D)`` Choi stacks of whole keys, each at most
         ``_CHUNK_ENTRIES`` entries or one key, every key's trace preservation checked in
-        ``_choi_stack``'s stacked check.  Every exact key enumeration comes through here,
-        so this is where ``KEY_ENUMERATION_BUDGET_BITS`` is enforced.
+        ``_choi_stack``'s stacked check.
         """
-        _require_key_budget(self.key_bits, "key")
-        check_capacity(self.input_qubits + self.output_qubits, "Choi matrix")
         d = 2 ** (self.input_qubits + self.output_qubits)
         step = max(1, _CHUNK_ENTRIES // (d * d))
-        for kraus in _kraus_stacks(self.template, self.key_bits):
+        for kraus in self._kraus_groups():
             for first in range(0, len(kraus), step):
                 yield _choi_stack(kraus[first : first + step])
 
@@ -371,18 +384,20 @@ def identity_keyed_family(n_qubits: int, key_bits: int) -> KeyedChannelFamily:
 
 
 def key_average(family: KeyedChannelFamily) -> QuantumChannel:
-    """Uniform mixture over all keys within the budget, Choi matrices added in key order.
+    """Uniform mixture over all keys within the budget, one ``K K^dagger`` product per group.
 
-    ``np.add.reduce`` over the first stack's leading axis adds its keys one after another;
-    the later stacks add key by key, so the sum keeps the key order across stacks.
+    Each Kraus group is checked as ``_choi_stack`` checks it, and every Kraus operator of its
+    keys is a column of ``K``; no per-key Choi matrix is built.  The sum runs inside the
+    product, so it keeps the bits of the key-ordered sum of ``channel(key).choi`` when every
+    Kraus entry is 0, +-1 or +-i, and may move in the last place otherwise.
     """
-    stacks = family._choi_stacks()
-    acc = np.add.reduce(next(stacks), axis=0)
-    for stack in stacks:
-        for choi in stack:
-            acc += choi
-    acc /= family.n_keys
     d_in, d_out = 2**family.input_qubits, 2**family.output_qubits
+    acc = np.zeros((d_out * d_in, d_out * d_in), dtype=np.complex128)
+    for kraus in family._kraus_groups():
+        _reject_non_tp_kraus(kraus)
+        k = kraus.transpose(2, 3, 0, 1).reshape(d_out * d_in, -1)
+        acc += k @ k.conj().T
+    acc /= family.n_keys
     return _trusted(QuantumChannel, dim_in=d_in, dim_out=d_out, choi=acc)
 
 
@@ -683,6 +698,7 @@ def check_eps_private(
         dd = diamond_distance(compose(decrypt, encrypt), ident, restarts, seed)
         per_key.append(dd.lower_bound)
         per_key_upper.append(dd.upper_bound)
+        del enc, dec, encrypt, decrypt  # views of the stack: free it before the next is built
     omega = depolarizing(family.input_qubits, family.output_qubits)
     dd2 = diamond_distance(key_average(family), omega, restarts, seed)
     return EpsPrivateReport(

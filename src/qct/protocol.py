@@ -310,7 +310,7 @@ def run_protocol_sampled(instance: DIInstance, proof, shots: int, seed: int) -> 
     accepts = 0
     for start in range(0, shots, _SHOT_CHUNK):
         chunk = pairs[start : start + _SHOT_CHUNK]
-        accepts += int(np.count_nonzero(rng.random(len(chunk)) < accept_prob[chunk]))
+        accepts += int(np.count_nonzero(rng.random(len(chunk)) < np.take(accept_prob, chunk)))
     return ProtocolResult(shots, accepts, _seed_record(seed))
 
 
