@@ -202,14 +202,10 @@ def to_channel(circuit: MixedStateCircuit) -> QuantumChannel:
 
 
 def _kraus_channel(kraus: np.ndarray) -> QuantumChannel:
-    """The channel of a Kraus stack of shape ``(kraus count, d_out, d_in)``, as one key of
-    ``_choi_stack``."""
+    """The channel of a Kraus stack of shape ``(kraus count, d_out, d_in)``, such as one key of
+    a Kraus group, checked and built as ``_choi_stack`` checks and builds a stack of one key."""
     _, d_out, d_in = kraus.shape
     return _trusted(QuantumChannel, dim_in=d_in, dim_out=d_out, choi=_choi_stack(kraus[None])[0])
-
-
-# Complex entries per chunk of Choi stacks: 2**14 (256 KiB) of whole keys, or one key.
-_CHUNK_ENTRIES = 2**14
 
 
 def _choi_stack(kraus: np.ndarray) -> np.ndarray:
@@ -299,8 +295,9 @@ class KeyedChannelFamily:
     tables read ``_kraus_groups``, which compiles the template once for every key:
     ``_dilate`` carries the key in the column index, as its most significant
     bits, and moves each keyed Pauli's slices where its key bit is 1.  Slice
-    moves are exact and columns never mix, and ``_choi_stacks`` runs one key's
-    product per key, so every key's Choi matrix keeps the bits of ``channel(key)``.
+    moves are exact and columns never mix, so every key's Kraus stack is
+    ``stinespring(circuit(key))`` bit for bit, and a Choi matrix built from it,
+    one key's product per key, keeps the bits of ``channel(key)``.
     """
 
     key_bits: int
@@ -339,19 +336,6 @@ class KeyedChannelFamily:
         _require_key_budget(self.key_bits, "key")
         check_capacity(self.input_qubits + self.output_qubits, "Choi matrix")
         return _kraus_stacks(self.template, self.key_bits)
-
-    def _choi_stacks(self) -> Iterator[np.ndarray]:
-        """``channel(key).choi`` for every key in key order, from one compilation of the template.
-
-        The keys come as ``(keys, D, D)`` Choi stacks of whole keys, each at most
-        ``_CHUNK_ENTRIES`` entries or one key, every key's trace preservation checked in
-        ``_choi_stack``'s stacked check.
-        """
-        d = 2 ** (self.input_qubits + self.output_qubits)
-        step = max(1, _CHUNK_ENTRIES // (d * d))
-        for kraus in self._kraus_groups():
-            for first in range(0, len(kraus), step):
-                yield _choi_stack(kraus[first : first + step])
 
     def to_json(self) -> dict:
         return {
@@ -612,7 +596,9 @@ def trace_distance_no_reference(
     meets the same ``J+`` upper bound as ``diamond_distance``.
     """
     if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
-        raise DimensionMismatchError("channel dims differ")
+        raise DimensionMismatchError(
+            f"channel dims differ: {a.dim_in}->{a.dim_out} vs {b.dim_in}->{b.dim_out}"
+        )
     delta = a.choi - b.choi
     uniform = np.ones(a.dim_in, dtype=np.complex128) / np.sqrt(a.dim_in)
     val, _, _, _ = _ascent_max(delta, a.dim_in, a.dim_out, 1, (uniform,), restarts, seed)
@@ -688,17 +674,15 @@ def check_eps_private(
     if decryptor.key_bits != family.key_bits:
         raise DimensionMismatchError("family and decryptor disagree on key bits")
     ident = identity_channel(family.input_qubits)
-    d_in, d_out = 2**family.input_qubits, 2**family.output_qubits
     per_key = []
     per_key_upper = []
-    keys = zip(*(itertools.chain.from_iterable(f._choi_stacks()) for f in (family, decryptor)))
-    for enc, dec in keys:  # trusted: each Choi matrix is checked in its stack
-        encrypt = _trusted(QuantumChannel, dim_in=d_in, dim_out=d_out, choi=enc)
-        decrypt = _trusted(QuantumChannel, dim_in=d_out, dim_out=d_in, choi=dec)
-        dd = diamond_distance(compose(decrypt, encrypt), ident, restarts, seed)
+    keys = zip(*(itertools.chain.from_iterable(f._kraus_groups()) for f in (family, decryptor)))
+    for enc, dec in keys:  # each key's Kraus stack, a view into its group
+        dd = diamond_distance(
+            compose(_kraus_channel(dec), _kraus_channel(enc)), ident, restarts, seed
+        )
         per_key.append(dd.lower_bound)
         per_key_upper.append(dd.upper_bound)
-        del enc, dec, encrypt, decrypt  # views of the stack: free it before the next is built
     omega = depolarizing(family.input_qubits, family.output_qubits)
     dd2 = diamond_distance(key_average(family), omega, restarts, seed)
     return EpsPrivateReport(

@@ -551,6 +551,7 @@ def evaluate(
     of the flops of the full products: 62.5% at two reference qubits, 56%
     from three on.
     """
+    reference_qubits = _require_count("reference_qubits", reference_qubits, 0)
     mat = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=np.complex128)
     expected = 2 ** (circuit.input_qubits + reference_qubits)
     if mat.shape != (expected, expected):
@@ -608,7 +609,8 @@ def concatenate(first: MixedStateCircuit, second: MixedStateCircuit) -> MixedSta
 
 
 def expand_template(template: MixedStateCircuit, key: int) -> MixedStateCircuit:
-    """Replace keyed-Pauli placeholders with the Paulis selected by ``key``."""
+    """Replace keyed-Pauli placeholders with the Paulis selected by ``key``, a count >= 0."""
+    key = _require_count("key", key, 0)
     ops: list[GateOp] = []
     for op in template.ops:
         if op.kind != PLACEHOLDER_KIND:

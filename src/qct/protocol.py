@@ -18,6 +18,7 @@ from .channels import (
     _FAMILY_FIELDS,
     KeyedChannelFamily,
     _apply_superop,
+    _choi_stack,
     _require_key_budget,
     _superop,
     apply_choi_adjoint_to_segment,
@@ -269,16 +270,16 @@ def optimal_proof_accept(instance: DIInstance) -> tuple[float, PureState]:
 def _key_pair_table(instance: DIInstance, tau: np.ndarray) -> np.ndarray:
     """Acceptance probability for each key pair: ``[k1, k2]`` encrypts H1 under k1, H2 under k2.
 
-    Each Choi stack pushes tau through H1 and pulls the ciphertext swap F_out back through H2
-    in one ``_apply_superop`` call each, one product per key as ``apply_choi_to_segment`` and
-    ``apply_choi_adjoint_to_segment`` run it; ``tr(A B) = sum(A^T * B)`` then gives the whole
-    table as one matrix product.
+    Each Kraus group of the family becomes one Choi stack, which pushes tau through H1 and
+    pulls the ciphertext swap F_out back through H2 in one ``_apply_superop`` call each, one
+    product per key as ``apply_choi_to_segment`` and ``apply_choi_adjoint_to_segment`` run it;
+    ``tr(A B) = sum(A^T * B)`` then gives the whole table as one matrix product.
     """
     d_h, d_o = _register_dims(instance)
     f_out = 2 * build_swap_test(d_o).projector - np.eye(d_o * d_o)
     pushed, pulled = [], []
-    for stack in instance.family._choi_stacks():
-        s = _superop(stack, d_h, d_o)
+    for kraus in instance.family._kraus_groups():
+        s = _superop(_choi_stack(kraus), d_h, d_o)
         pushed.append(_apply_superop(s, d_h, d_o, tau, 1, d_h))
         pulled.append(_apply_superop(s.swapaxes(-1, -2), d_o, d_h, f_out.T, d_o, 1))
     # row k: key k's pushed tau, transposed, and its pulled F_out (the adjoint's transpose)

@@ -17,6 +17,7 @@ from qct import (
     KeyedChannelFamily,
     MixedStateCircuit,
     QuantumChannel,
+    build_secure_instance,
     check_eps_private,
     compose,
     concatenate,
@@ -43,11 +44,13 @@ from qct import (
 from qct.channels import (
     VERDICT_CONSISTENT,
     VERDICT_VIOLATES,
+    _kraus_channel,
     apply_choi,
     apply_choi_adjoint_to_segment,
     apply_choi_to_segment,
     pauli_otp_template,
 )
+from qct.protocol import _key_pair_table, _swapped_reference_trace
 
 
 class TestQuantumChannel:
@@ -337,14 +340,14 @@ def _check_key_average(family, want, exact):
 
 
 def _check_family_kernel(family, exact, want=None):
-    """Every key's Choi matrix from one compilation equals ``to_channel`` of its expanded
-    circuit bit for bit, and the key average is their key-ordered sum over the key count,
-    as ``_check_key_average`` holds it.
+    """Every key's Choi matrix, built from its Kraus stack in one compilation's Kraus groups,
+    equals ``to_channel`` of its expanded circuit bit for bit, and the key average is their
+    key-ordered sum over the key count, as ``_check_key_average`` holds it.
 
     Both sides run the gate kernel, so each key is also held to ``_choi_by_kron``."""
     if want is None:
         want = [to_channel(family.circuit(key)).choi for key in range(family.n_keys)]
-    got = [choi for stack in family._choi_stacks() for choi in stack]
+    got = [_kraus_channel(k).choi for kraus in family._kraus_groups() for k in kraus]
     assert len(got) == family.n_keys
     for key, (a, b) in enumerate(zip(got, want)):
         assert np.array_equal(a, b), f"key {key}"
@@ -422,55 +425,29 @@ class TestFamilyKernel:
 
 
 class TestChoiStacks:
-    """A keyed family's Choi stacks: whole keys in key order, chunked, each key checked."""
-
-    @staticmethod
-    def _keys_a_stack(monkeypatch, family, keys):
-        d = 2 ** (family.input_qubits + family.output_qubits)
-        monkeypatch.setattr(qct.channels, "_CHUNK_ENTRIES", keys * d * d)
-
-    def test_a_stack_holds_whole_keys_within_the_bound(self):
-        for family in (pauli_otp_family(1), pauli_otp_family(3), _hand_built_family()):
-            stacks = list(family._choi_stacks())
-            assert sum(len(stack) for stack in stacks) == family.n_keys
-            assert all(stack.size <= qct.channels._CHUNK_ENTRIES for stack in stacks)
-        assert [len(stack) for stack in pauli_otp_family(3)._choi_stacks()] == [4] * 16
-
-    def test_a_key_larger_than_the_bound_is_a_stack_of_its_own(self, monkeypatch):
-        monkeypatch.setattr(qct.channels, "_CHUNK_ENTRIES", 2**5)
-        stacks = list(pauli_otp_family(2)._choi_stacks())  # 256 entries a key
-        assert [stack.shape for stack in stacks] == [(1, 16, 16)] * 16
-
-    @pytest.mark.parametrize(
-        "case", ["pad-n2", "rotation-delta-1", "rotation-delta-half", "hand-built"]
-    )
-    def test_keys_across_partial_stacks(self, case, monkeypatch):
-        # three keys a stack: the key-ordered sum runs across stacks, the last one partial
-        family = KERNEL_FAMILIES[case]()
-        want = [to_channel(family.circuit(key)).choi for key in range(family.n_keys)]
-        self._keys_a_stack(monkeypatch, family, 3)
-        sizes = [len(stack) for stack in family._choi_stacks()]
-        assert sizes[:-1] == [3] * (len(sizes) - 1) and 0 < sizes[-1] < 3
-        _check_family_kernel(family, case in EXACT_AVERAGES, want)
+    """Choi stacks built from a keyed family's Kraus groups: each key's trace preservation is
+    checked, and a key that breaks it is named by every consumer."""
 
     def test_a_key_inside_a_stack_that_breaks_trace_preservation_is_named(self, monkeypatch):
         stacks = qct.circuits._kraus_stacks
 
         def scaled(*args):
             for group in stacks(*args):
-                group[5] *= 1.01  # the second key of the second stack
+                group[5] *= 1.01  # the sixth key of the group
                 yield group
 
-        family = pauli_otp_family(2)
+        inst = build_secure_instance(2, 0.01)
+        tau = _swapped_reference_trace(inst, random_density_operator(256, 23).matrix)
+        assert len(next(inst.family._kraus_groups())) == inst.family.n_keys  # one group
         monkeypatch.setattr(qct.channels, "_kraus_stacks", scaled)
-        self._keys_a_stack(monkeypatch, family, 4)
-        choi_stacks = family._choi_stacks()
-        assert len(next(choi_stacks)) == 4
         message = "choi output marginal is not the identity (not TP)"
-        with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
-            next(choi_stacks)
-        with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
-            key_average(family)
+        for consume in (
+            lambda: key_average(inst.family),
+            lambda: _key_pair_table(inst, tau),
+            lambda: check_eps_private(inst.family, pauli_otp_decryptor(2), 0.01, 1, seed=0),
+        ):
+            with pytest.raises(InvalidStateError, match=f"^{re.escape(message)}$"):
+                consume()
 
 
 class TestCompose:
@@ -561,6 +538,12 @@ class TestDiamondDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             diamond_distance(identity_channel(1), identity_channel(2))
+
+    @pytest.mark.parametrize("distance", [diamond_distance, trace_distance_no_reference])
+    def test_dims_that_differ_are_named(self, distance):
+        message = "channel dims differ: 2->2 vs 4->4"
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+            distance(identity_channel(1), identity_channel(2))
 
     @pytest.mark.parametrize("case", sorted(DIAMOND_ORACLES))
     def test_upper_bound_meets_oracle_after_one_start(self, case):
@@ -682,7 +665,7 @@ class TestEpsPrivacy:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 2**20
+        assert peak < 2**20
 
     # each case: (family, decryptor, eps), then (key_average_bound, decryption_per_key,
     # decryption_upper_bound, key_average_upper_bound) at restarts=1, seed=0, as the

@@ -33,6 +33,7 @@ from qct import (
     depolarizing,
     depolarizing_circuit,
     dummy_qubit_count,
+    evaluate,
     identity_channel,
     identity_circuit,
     make_toy_verifier,
@@ -49,7 +50,7 @@ from qct import (
     verifier_to_json,
 )
 from qct.channels import pauli_otp_template
-from qct.circuits import GATE_X, _circuit_from_json, _circuit_to_json
+from qct.circuits import GATE_X, _circuit_from_json, _circuit_to_json, expand_template
 from qct.cli import _config_from_json
 from qct.protocol import PROVENANCE_CUSTOM, PROVENANCE_SECURE
 from qct.reduction import WellformednessReport
@@ -160,6 +161,10 @@ WIDTHS = {
     "basis_state.dim": ("dim", 2, lambda v: basis_state(v, 0)),
     "basis_state.index": ("index", 1, lambda v: basis_state(2, v)),
     "dummy_qubit_count": ("witness_qubits", 1, lambda v: dummy_qubit_count(v, 0.5)),
+    "evaluate.reference_qubits": (
+        "reference_qubits", 1, lambda v: evaluate(identity_circuit(1), np.eye(4) / 4, v)
+    ),
+    "expand_template.key": ("key", 1, lambda v: expand_template(pauli_otp_template(1), v)),
 }
 
 
@@ -190,6 +195,13 @@ def test_a_zero_width_depolarizing_circuit_is_the_empty_circuit():
 def test_a_zero_width_pauli_x_first_circuit_names_n_qubits():
     with pytest.raises(ValueError, match="^n_qubits must be >= 1, got 0$"):
         pauli_x_first_circuit(0)
+
+
+@pytest.mark.parametrize("case", ["evaluate.reference_qubits", "expand_template.key"])
+def test_a_negative_count_is_named(case):
+    argument, _, build = WIDTHS[case]
+    with pytest.raises(ValueError, match=f"^{argument} must be >= 0, got -1$"):
+        build(-1)
 
 
 @pytest.mark.parametrize(

@@ -635,17 +635,21 @@ def _per_key_table(inst, tau):
 
 
 class TestChoiStackConsumers:
-    """The key average, the key-pair table and the privacy check read the Choi stacks."""
+    """The key average, the key-pair table and the privacy check read the family's Kraus
+    groups, and only the privacy check builds a channel per key."""
 
-    @pytest.mark.parametrize("keys_a_stack", [None, 3])
+    @pytest.mark.parametrize("entries", [2**17, 2**6, 2**4, 2**2])
     @pytest.mark.parametrize(
         "case", ["secure-n1", "secure-n2", "widening-1to2", "rotation-delta-1", "random-n2"]
     )
-    def test_key_pair_table_matches_the_per_key_calls(self, case, keys_a_stack, monkeypatch):
+    def test_key_pair_table_matches_the_per_key_calls(self, case, entries, monkeypatch):
+        # from one group of every key, through 1 to 8 groups, to one group a key
         inst = REFERENCE_CASES[case]()
-        if keys_a_stack is not None:  # several stacks, the last one partial
-            d = 2 ** (inst.family.input_qubits + inst.family.output_qubits)
-            monkeypatch.setattr(qct.channels, "_CHUNK_ENTRIES", keys_a_stack * d * d)
+        monkeypatch.setattr(qct.circuits, "_BLOCK_ENTRIES", entries)
+        sizes = [len(group) for group in inst.family._kraus_groups()]
+        assert sum(sizes) == inst.family.n_keys
+        if entries in (2**17, 2**2):
+            assert len(sizes) == (1 if entries == 2**17 else inst.family.n_keys)
         proof = random_density_operator(16**inst.message_qubits, 23).matrix
         tau = _swapped_reference_trace(inst, proof)
         assert np.array_equal(_key_pair_table(inst, tau), _per_key_table(inst, tau))
@@ -656,6 +660,12 @@ class TestChoiStackConsumers:
 
         def per_key_channel(*args):
             raise AssertionError("a consumer built a channel per key")
+
+        kraus_channel, built = qct.channels._kraus_channel, []
+
+        def counted_channel(kraus):
+            built.append(kraus)
+            return kraus_channel(kraus)
 
         monkeypatch.setattr(qct.channels, "to_channel", per_key_channel)
         monkeypatch.setattr(qct.channels, "_kraus_channel", per_key_channel)
@@ -670,8 +680,10 @@ class TestChoiStackConsumers:
         key_average(inst.family)
         _key_pair_table(inst, tau)
         assert not validated
+        monkeypatch.setattr(qct.channels, "_kraus_channel", counted_channel)
         check_eps_private(inst.family, pauli_otp_decryptor(2), eps=0.01, restarts=1, seed=0)
         assert len(validated) == 2  # its identity and depolarizing references
+        assert len(built) == 2 * inst.family.n_keys  # each key's encryption and decryption
 
 
 class TestInstanceRanges:
